@@ -13,6 +13,8 @@ import csv
 import dataclasses
 import io
 import json
+import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -20,12 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor import ShiftRestartError, shifted_ic
+from .factor import shifted_ic
 from .precision import get_format
 from .refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, backward_error,
                      ic_krylov_ir, ic_lu_ir)
-from .sparse import (MatrixFormatError, inf_norm_matrix, inf_norm_vector,
-                     l2_scale, matvec_f64, read_matrix_market)
+from .sparse import (inf_norm_matrix, inf_norm_vector, l2_scale, matvec_f64,
+                     read_matrix_market)
 from .symbolic import ic_pattern
 
 __all__ = ["RunConfig", "RunRecord", "build_rhs", "run_experiment", "run_suite", "main"]
@@ -49,21 +51,52 @@ class RunConfig:
     output: str = "csv"
 
     def __post_init__(self):
+        if not isinstance(self.matrix_path, (str, os.PathLike)):
+            raise ValueError("matrix_path must be a path")
+        for name in ("factor_format", "solver", "output"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
         if self.output not in ("csv", "json"):
             raise ValueError("output must be csv or json")
-        if self.level < 0:
-            raise ValueError("level must be nonnegative")
+        _check_int("level", self.level, 0)
+        _check_int("max_restarts", self.max_restarts, 1)
+        if self.inner_maxit is not None:
+            _check_int("inner_maxit", self.inner_maxit, 1)
+        if self.outer_itmax is not None:
+            _check_int("outer_itmax", self.outer_itmax, 0)  # 0: the first solve only
+        for name in ("delta", "delta_krylov", "shift_init", "tau"):
+            value = getattr(self, name)
+            if value is not None:
+                _check_positive(name, value)
         get_format(self.factor_format)  # validate early
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        if not isinstance(d, dict):
+            raise ValueError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(RunConfig)}
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        if "matrix_path" not in d:
+            raise ValueError("config needs a matrix_path")
         return RunConfig(**d)
+
+
+def _check_int(name: str, value, minimum: int):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, got {value}")
+
+
+def _check_positive(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 RECORD_FIELDS = [
@@ -169,8 +202,7 @@ def run_suite(manifest_path: str):
             try:
                 config = RunConfig.from_dict(json.loads(line))
                 records.append(run_experiment(config))
-            except (ValueError, OSError, MatrixFormatError, ShiftRestartError,
-                    json.JSONDecodeError) as exc:
+            except Exception as exc:  # the failure is this line's; the suite goes on
                 errors.append({"line": lineno, "error": type(exc).__name__,
                                "message": str(exc)})
     return records, errors
@@ -235,8 +267,8 @@ def main(argv=None) -> int:
                 tau=args.tau, shift_init=args.shift_init,
                 max_restarts=args.max_restarts, output=args.output)
             records, errors = [run_experiment(config)], []
-    except (ValueError, OSError, MatrixFormatError, ShiftRestartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # the run failed; report it as its exit status
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     buf = io.StringIO()

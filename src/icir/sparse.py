@@ -164,6 +164,9 @@ def read_matrix_market(source) -> SparseSpd:
         raise MatrixFormatError(f"expected {nnz} entries, found {arr.shape[0]}")
     if arr.shape[1] < 3:
         raise MatrixFormatError("entries must carry values (pattern files rejected)")
+    index = arr[:, :2]
+    if not np.all(np.isfinite(index)) or np.any(index != np.rint(index)):
+        raise MatrixFormatError("entry indices must be integers")
     rows = arr[:, 0].astype(np.int64) - 1
     cols = arr[:, 1].astype(np.int64) - 1
     vals = arr[:, 2].astype(np.float64)

@@ -9,7 +9,7 @@ breadth-first search that only expands through lower-numbered vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,13 @@ class FillPattern:
     col_ptr: np.ndarray
     row_idx: np.ndarray
     level: int
+    # elimination schedule of the cast_f64 solves, built by icir.trisolve on
+    # first use; the pattern is treated as immutable after construction
+    schedule: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def nnz(self) -> int:
         return len(self.row_idx)
-
-    def column(self, j: int) -> np.ndarray:
-        return self.row_idx[self.col_ptr[j]:self.col_ptr[j + 1]]
 
 
 def _full_adjacency(A: SparseSpd):

@@ -12,20 +12,51 @@ Two execution modes:
 
 In native_low the overflow check is applied to each rounded result, which
 detects exactly the operations the predictive safe tests guard against.
+
+cast_f64 runs from an elimination schedule (Anderson & Saad, IJHSC 1989),
+built on the first cast_f64 solve with a pattern and cached on the
+FillPattern.  Column j of L depends on every column k < j with (j, k) in
+the pattern; its level is one more than the largest level among them.  All
+columns of one level are independent, so each level is one vectorised step:
+an np.subtract.at that applies the level's pending updates, then one
+division by the diagonals.  The forward solve walks the levels in order,
+the backward solve walks them in reverse.
+
+The summation order is fixed, so cast_f64 results do not depend on the
+BLAS build: unknown j of L y = w takes its updates l_jk y_k in ascending
+source column k, and unknown j of L^T y = w takes its updates l_ij y_i in
+descending source row i.  Each update is one rounded product and one
+rounded subtraction.  The forward order is that of a column-oriented
+substitution and the backward order that of a row-oriented one.
+
+A level step costs a fixed dozen NumPy calls, which loses to a plain
+column-by-column substitution when the levels hold about one column each.
+The schedule therefore picks its kernel from the mean level width n / depth:
+level steps from LEVEL_WIDTH_MIN up, otherwise a forward column scatter and
+a backward row scatter over per-column and per-row views built once.  Both
+kernels carry out the same operations in the same order, so their results
+are identical apart from the sign of an exact zero.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from .factor import IcFactor
 from .precision import _round_scalar, quantize
 from .sparse import inf_norm_vector
+from .symbolic import FillPattern
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
 CAST_F64 = "cast_f64"
 NATIVE_LOW = "native_low"
+
+# mean level width n / depth from which the level kernel beats the column
+# kernel; the two cost about the same at widths 1.6-1.9
+LEVEL_WIDTH_MIN = 2.0
 
 
 class OverflowSignal(ArithmeticError):
@@ -37,29 +68,177 @@ def _check_modes(exec_mode: str):
         raise ValueError(f"unknown exec mode {exec_mode!r}")
 
 
+def _column_levels(pattern: FillPattern):
+    """Level of every column in the substitution's dependency DAG, and the depth.
+
+    Found frontier by frontier: a column joins the next frontier once every
+    column it depends on has a level.
+    """
+    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+    below = np.diff(cp) - 1                        # off-diagonals per column
+    pending = np.bincount(ri, minlength=n) - 1     # off-diagonals per row
+    level = np.empty(n, dtype=np.int32)
+    stamp = np.empty(n, dtype=np.intp)
+    frontier = np.flatnonzero(pending == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        depth += 1
+        counts = below[frontier]
+        ends = np.cumsum(counts)
+        first = np.repeat(cp[frontier] + 1 - ends + counts, counts)
+        succ = ri[first + np.arange(len(first))]
+        np.subtract.at(pending, succ, 1)
+        ready = succ[pending[succ] == 0]
+        # a column reached from several frontier columns is listed once per
+        # edge; keep the one occurrence whose stamp survived
+        at = np.arange(len(ready))
+        stamp[ready] = at
+        frontier = ready[stamp[ready] == at]
+    return level, depth
+
+
+def _off_diagonals(pattern: FillPattern):
+    """Positions of the off-diagonal entries and the column of every entry (int32)."""
+    col = np.repeat(np.arange(pattern.n, dtype=np.int32), np.diff(pattern.col_ptr))
+    return np.flatnonzero(pattern.row_idx != col), col
+
+
+class _LevelKernel:
+    """Substitution one level at a time.
+
+    Each step of fsteps (levels in order) and bsteps (levels in reverse)
+    holds the level's columns, the slice of their diagonals in level order,
+    and the level's gather list: targets, sources, and the slice of their
+    values in the kernel's value order (fpos, bpos).  Forward targets take
+    their sources in ascending column order, backward targets in descending
+    row order, and np.subtract.at applies them in that order.  Index arrays
+    are np.intp, which fancy indexing and ufunc.at use without a conversion.
+    """
+
+    def __init__(self, pattern: FillPattern, level: np.ndarray, depth: int):
+        n, ri = pattern.n, pattern.row_idx
+        order = np.argsort(level, kind="stable")
+        self.diag = pattern.col_ptr[:-1][order].astype(np.intp)
+        rank = np.empty(n, dtype=np.int32)
+        rank[order] = np.arange(n, dtype=np.int32)
+        pos, col = _off_diagonals(pattern)
+        # forward: target row i, source column k; CSC order has k ascending
+        self.fpos = pos[np.argsort(rank[ri[pos]], kind="stable")]
+        ftgt = ri[self.fpos].astype(np.intp)
+        fsrc = col[self.fpos].astype(np.intp)
+        # backward: target column j, source row i; reversed CSC order has i descending
+        pos = pos[::-1]
+        self.bpos = pos[np.argsort(rank[col[pos]], kind="stable")]
+        del pos, rank
+        btgt = col[self.bpos].astype(np.intp)
+        bsrc = ri[self.bpos].astype(np.intp)
+        del col
+        levels = _split(np.bincount(level, minlength=depth))
+        fsplit = _split(np.bincount(level[ftgt], minlength=depth))
+        bsplit = _split(np.bincount(level[btgt], minlength=depth))
+        self.fsteps = [(order[c], c, ftgt[f], fsrc[f], f) for c, f in zip(levels, fsplit)]
+        self.bsteps = [(order[c], c, btgt[b], bsrc[b], b) for c, b in zip(levels, bsplit)][::-1]
+
+    def forward(self, v: np.ndarray, y: np.ndarray) -> None:
+        _level_sweep(self.fsteps, v[self.diag], v[self.fpos], y)
+
+    def backward(self, v: np.ndarray, y: np.ndarray) -> None:
+        _level_sweep(self.bsteps, v[self.diag], v[self.bpos], y)
+
+
+def _split(counts: np.ndarray) -> list:
+    """Consecutive slices of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(e - c, e) for c, e in zip(counts.tolist(), ends)]
+
+
+def _level_sweep(steps, d: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
+    for cols, ds, tgt, src, vs in steps:
+        if len(tgt):
+            np.subtract.at(y, tgt, vals[vs] * y[src])
+        y[cols] /= d[ds]
+
+
+class _ColumnKernel:
+    """Substitution one column at a time, for schedules too narrow for levels.
+
+    The forward solve scatters each finished unknown down its column of L,
+    the backward solve scatters it along its row, which gives the same
+    update order as the level kernel.  below[j] and left[i] are views of the
+    rows below diagonal j and of the columns left of diagonal i, with the
+    slice of their values in CSC and in row (rpos) order, or None where
+    there are none.
+    """
+
+    def __init__(self, pattern: FillPattern):
+        n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+        self.diag = cp[:-1].astype(np.intp)
+        ptr = cp.tolist()
+        self.below = [(ri[s + 1:e], slice(s + 1, e)) if e > s + 1 else None
+                      for s, e in zip(ptr[:-1], ptr[1:])]
+        pos, col = _off_diagonals(pattern)
+        # row order of the strict lower triangle; columns ascend within a row
+        self.rpos = pos[np.argsort(ri[pos], kind="stable")]
+        del pos
+        rcols = col[self.rpos].astype(np.intp)
+        self.left = [(rcols[sl], sl) if sl.stop > sl.start else None
+                     for sl in _split(np.bincount(ri[self.rpos], minlength=n))]
+
+    def forward(self, v: np.ndarray, y: np.ndarray) -> None:
+        _scatter_sweep(range(len(y)), self.below, v[self.diag].tolist(), v, y)
+
+    def backward(self, v: np.ndarray, y: np.ndarray) -> None:
+        _scatter_sweep(range(len(y) - 1, -1, -1), self.left, v[self.diag].tolist(),
+                       v[self.rpos], y)
+
+
+def _scatter_sweep(order, views, d: list, vals: np.ndarray, y: np.ndarray) -> None:
+    for j in order:
+        yj = y[j] / d[j]
+        y[j] = yj
+        view = views[j]
+        if view is not None:
+            idx, vs = view
+            y[idx] -= vals[vs] * yj
+
+
+@dataclass
+class _Schedule:
+    """Elimination schedule of one pattern: column levels and the chosen kernel."""
+
+    level: np.ndarray
+    depth: int
+    kernel: _LevelKernel | _ColumnKernel
+
+
+def _schedule(pattern: FillPattern) -> _Schedule:
+    """The pattern's cached schedule, built on first use."""
+    if pattern.schedule is None:
+        level, depth = _column_levels(pattern)
+        if pattern.n >= LEVEL_WIDTH_MIN * depth:
+            kernel = _LevelKernel(pattern, level, depth)
+        else:
+            kernel = _ColumnKernel(pattern)
+        pattern.schedule = _Schedule(level, depth, kernel)
+    return pattern.schedule
+
+
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
-    """Solve L y = w by column-oriented substitution."""
+    """Solve L y = w by substitution."""
     _check_modes(exec_mode)
     n = L.n
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError("dimension mismatch")
-    cp = L.pattern.col_ptr
-    rows_all = L.pattern.row_idx
     vals = L.values
     y = w.copy()
     if exec_mode == CAST_F64:
-        for j in range(n):
-            s, e = cp[j], cp[j + 1]
-            yj = y[j]
-            if yj == 0.0:
-                continue
-            yj /= vals[s]
-            y[j] = yj
-            if e > s + 1:
-                y[rows_all[s + 1:e]] -= vals[s + 1:e] * yj
+        _schedule(L.pattern).kernel.forward(vals, y)
         return y
 
+    cp = L.pattern.col_ptr
+    rows_all = L.pattern.row_idx
     f = L.format
     for j in range(n):
         s, e = cp[j], cp[j + 1]
@@ -86,25 +265,20 @@ def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.n
 
 
 def backward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
-    """Solve L^T y = w; column j of L supplies the dot product for unknown j."""
+    """Solve L^T y = w; column j of L supplies the updates of unknown j."""
     _check_modes(exec_mode)
     n = L.n
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError("dimension mismatch")
-    cp = L.pattern.col_ptr
-    rows_all = L.pattern.row_idx
     vals = L.values
     y = w.copy()
     if exec_mode == CAST_F64:
-        for j in range(n - 1, -1, -1):
-            s, e = cp[j], cp[j + 1]
-            acc = y[j]
-            if e > s + 1:
-                acc -= np.dot(vals[s + 1:e], y[rows_all[s + 1:e]])
-            y[j] = acc / vals[s]
+        _schedule(L.pattern).kernel.backward(vals, y)
         return y
 
+    cp = L.pattern.col_ptr
+    rows_all = L.pattern.row_idx
     f = L.format
     for j in range(n - 1, -1, -1):
         s, e = cp[j], cp[j + 1]

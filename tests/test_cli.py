@@ -130,6 +130,41 @@ class TestSuite:
         assert len(records) == 1 and records[0].status == "converged"
         assert [e["line"] for e in errors] == [1, 2, 3]
 
+    def test_every_bad_line_kind_is_recorded(self, tmp_path, poisson_mtx):
+        bad_mtx = tmp_path / "bad.mtx"
+        bad_mtx.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                           "2 2 2\n1 1 4.0\n2.7 1.2 0.5\n")
+        indefinite = write_mtx(tridiag(2, diag=-1.0, off=0.0), tmp_path / "neg.mtx")
+        lines = [
+            ("not json", "JSONDecodeError"),
+            ("[1, 2]", "ValueError"),
+            ({"level": 1}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "level": "3"}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "level": True}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "level": -1}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "delta": 0}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "delta_krylov": float("nan")}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "tau": "1e-5"}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "inner_maxit": 0}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "max_restarts": 2.5}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "solver": 3}, "ValueError"),
+            ({"matrix_path": 7}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "bogus_key": 1}, "ValueError"),
+            ({"matrix_path": str(tmp_path / "missing.mtx")}, "FileNotFoundError"),
+            ({"matrix_path": str(bad_mtx)}, "MatrixFormatError"),
+            ({"matrix_path": indefinite, "max_restarts": 1}, "ShiftRestartError"),
+            # the first shift after the breakdown is beyond fp16's range
+            ({"matrix_path": indefinite, "shift_init": 1e6}, "FactorizationError"),
+            ({"matrix_path": poisson_mtx}, None),
+        ]
+        m = tmp_path / "suite.jsonl"
+        m.write_text("".join((t if isinstance(t, str) else json.dumps(t)) + "\n"
+                             for t, _ in lines))
+        records, errors = run_suite(str(m))
+        assert len(records) == 1 and records[0].status == "converged"
+        assert [(e["line"], e["error"]) for e in errors] == \
+            [(i, kind) for i, (_, kind) in enumerate(lines, 1) if kind]
+
 
 class TestMain:
     def test_requires_matrix_or_suite(self, capsys):

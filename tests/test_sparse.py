@@ -96,6 +96,17 @@ class TestReadMatrixMarket:
 2 2 4.0
 """))
 
+    @pytest.mark.parametrize("entry", ["2.7 1.2 0.5", "2 1.5 0.5", "nan 1 0.5", "inf 1 0.5"])
+    def test_non_integer_index_rejected(self, entry):
+        with pytest.raises(MatrixFormatError, match="integers"):
+            read_matrix_market(mm(f"""
+%%MatrixMarket matrix coordinate real symmetric
+2 2 3
+1 1 4.0
+{entry}
+2 2 4.0
+"""))
+
     def test_bad_banner(self):
         with pytest.raises(MatrixFormatError):
             read_matrix_market(b"%%NotMatrixMarket foo\n1 1 1\n1 1 1.0\n")
