@@ -29,7 +29,7 @@ descending source row i.  Each update is one rounded product and one
 rounded subtraction.  The forward order is that of a column-oriented
 substitution and the backward order that of a row-oriented one.
 
-A level step costs a fixed dozen NumPy calls, which loses to a plain
+A level step costs about eight NumPy calls, which loses to a plain
 column-by-column substitution when the levels hold about one column each.
 The schedule therefore picks its kernel from the mean level width n / depth:
 level steps from LEVEL_WIDTH_MIN up, otherwise a forward column scatter and
