@@ -172,7 +172,8 @@ class _ColumnKernel:
     """
 
     def __init__(self, pattern: FillPattern):
-        n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+        n, cp = pattern.n, pattern.col_ptr
+        ri = pattern.row_idx.astype(np.intp, copy=False)
         self.diag = cp[:-1].astype(np.intp)
         ptr = cp.tolist()
         self.below = [(ri[s + 1:e], slice(s + 1, e)) if e > s + 1 else None
