@@ -2,8 +2,7 @@
 precision, used inside Krylov-based iterative refinement to solve sparse SPD
 systems to double-precision accuracy."""
 
-from .precision import (FpFormat, RoundOutcome, get_format, round_to, sim_op,
-                        safe_scale_check, safe_update)
+from .precision import FpFormat, get_format, safe_scale_check
 from .sparse import (SparseSpd, ScalingVector, SqueezeReport, MatrixFormatError,
                      read_matrix_market, l2_scale, squeeze, matvec_f64,
                      inf_norm_matrix, inf_norm_vector)

@@ -48,18 +48,15 @@ class RunConfig:
     tau: float | None = None
     shift_init: float = 1e-3
     max_restarts: int = 40
-    output: str = "csv"
 
     def __post_init__(self):
         if not isinstance(self.matrix_path, (str, os.PathLike)):
             raise ValueError("matrix_path must be a path")
-        for name in ("factor_format", "solver", "output"):
+        for name in ("factor_format", "solver"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if self.output not in ("csv", "json"):
-            raise ValueError("output must be csv or json")
         _check_int("level", self.level, 0)
         _check_int("max_restarts", self.max_restarts, 1)
         if self.inner_maxit is not None:
@@ -99,13 +96,6 @@ def _check_positive(name: str, value):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-RECORD_FIELDS = [
-    "identifier", "n", "nnz_A", "normA", "normb", "nnz_L", "alpha", "nmod",
-    "nofl", "resinit", "resfinal", "res_unscaled", "iouter", "totits",
-    "maxbasis", "status", "wall_seconds",
-]
-
-
 @dataclass
 class RunRecord:
     identifier: str
@@ -128,6 +118,9 @@ class RunRecord:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+RECORD_FIELDS = [f.name for f in dataclasses.fields(RunRecord)]
 
 
 def build_rhs(A):
@@ -229,52 +222,44 @@ def _summary(records, errors, out):
 
 
 def main(argv=None) -> int:
+    # every run setting defaults to its RunConfig value
     ap = argparse.ArgumentParser(
-        prog="icir",
+        prog="icir", argument_default=argparse.SUPPRESS,
         description="Low-precision incomplete Cholesky preconditioners in "
                     "Krylov-based iterative refinement.")
-    ap.add_argument("--matrix", help="Matrix Market file (coordinate real symmetric)")
-    ap.add_argument("--level", type=int, default=0, help="level of fill (default 0)")
-    ap.add_argument("--format", default="fp16", choices=["fp16", "bf16", "fp32", "fp64"],
+    source = ap.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", dest="matrix_path", metavar="MATRIX",
+                        help="Matrix Market file (coordinate real symmetric)")
+    source.add_argument("--suite", help="manifest file, one JSON config per line")
+    ap.add_argument("--level", type=int, help="level of fill")
+    ap.add_argument("--format", choices=["fp16", "bf16", "fp32", "fp64"],
                     dest="factor_format", help="factorization format")
-    ap.add_argument("--solver", default="cg", choices=list(SOLVERS))
-    ap.add_argument("--delta", type=float, default=DELTA_DEFAULT,
-                    help="outer backward-error tolerance")
-    ap.add_argument("--delta-krylov", type=float, default=DELTA_KRYLOV_DEFAULT,
-                    help="inner Krylov tolerance")
-    ap.add_argument("--inner-maxit", type=int, default=None)
-    ap.add_argument("--outer-itmax", type=int, default=None)
-    ap.add_argument("--tau", type=float, default=None, help="pivot threshold override")
-    ap.add_argument("--shift-init", type=float, default=1e-3, help="initial shift alpha_S")
-    ap.add_argument("--max-restarts", type=int, default=40)
+    ap.add_argument("--solver", choices=list(SOLVERS))
+    ap.add_argument("--delta", type=float, help="outer backward-error tolerance")
+    ap.add_argument("--delta-krylov", type=float, help="inner Krylov tolerance")
+    ap.add_argument("--inner-maxit", type=int)
+    ap.add_argument("--outer-itmax", type=int)
+    ap.add_argument("--tau", type=float, help="pivot threshold override")
+    ap.add_argument("--shift-init", type=float, help="initial shift alpha_S")
+    ap.add_argument("--max-restarts", type=int)
     ap.add_argument("--output", default="csv", choices=["csv", "json"])
     ap.add_argument("--out", default=None, help="write records here instead of stdout")
-    ap.add_argument("--suite", default=None, help="manifest file, one JSON config per line")
-    args = ap.parse_args(argv)
-
-    if (args.matrix is None) == (args.suite is None):
-        ap.error("exactly one of --matrix or --suite is required")
+    args = vars(ap.parse_args(argv))
+    output, out, suite = args.pop("output"), args.pop("out"), args.pop("suite", None)
 
     try:
-        if args.suite:
-            records, errors = run_suite(args.suite)
+        if suite is not None:
+            records, errors = run_suite(suite)
         else:
-            config = RunConfig(
-                matrix_path=args.matrix, level=args.level,
-                factor_format=args.factor_format, solver=args.solver,
-                delta=args.delta, delta_krylov=args.delta_krylov,
-                inner_maxit=args.inner_maxit, outer_itmax=args.outer_itmax,
-                tau=args.tau, shift_init=args.shift_init,
-                max_restarts=args.max_restarts, output=args.output)
-            records, errors = [run_experiment(config)], []
+            records, errors = [run_experiment(RunConfig(**args))], []
     except Exception as exc:  # the run failed; report it as its exit status
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     buf = io.StringIO()
-    _write_records(records, args.output, buf)
-    if args.out:
-        Path(args.out).write_text(buf.getvalue())
+    _write_records(records, output, buf)
+    if out:
+        Path(out).write_text(buf.getvalue())
     else:
         sys.stdout.write(buf.getvalue())
     _summary(records, errors, sys.stderr)

@@ -100,7 +100,7 @@ class ShiftRestartError(RuntimeError):
 
 def default_tau(f: FpFormat) -> float:
     """Pivot threshold: 1e-5 for half-width formats, 1e-20 otherwise."""
-    if f.u >= 1e-4:  # fp16 / bf16
+    if f.half_width:
         return 1e-5
     return max(1e-20, 4.0 * f.x_min)
 
@@ -147,7 +147,6 @@ def ic_attempt(Alow: SparseSpd, pattern: FillPattern, tau: float, f: FpFormat,
     col_ptr = pattern.col_ptr
     rows_all = pattern.row_idx
     nnz = len(vals)
-    xmax = f.x_max
 
     for k in range(n):
         s0, e0 = col_ptr[k], col_ptr[k + 1]
@@ -203,22 +202,20 @@ def ic_attempt(Alow: SparseSpd, pattern: FillPattern, tau: float, f: FpFormat,
                 raise FactorizationError(f"update overflowed at k={k} without safe checks")
             vals[pos] = v
 
-    if np.any(np.abs(vals) > xmax):
+    if np.any(np.abs(vals) > f.x_max):
         raise FactorizationError("stored factor value exceeds x_max")  # defensive
     return vals
 
 
 def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
                alpha_s: float = 1e-3, f: FpFormat = None,
-               max_restarts: int = 40, safe_checks: bool | None = None) -> IcFactor:
+               max_restarts: int = 40) -> IcFactor:
     """Squeeze the scaled matrix into f once, then factorize A_low + alpha*I,
     doubling alpha on each breakdown until an attempt succeeds."""
     if f is None:
         raise ValueError("target format required")
     if tau is None:
         tau = default_tau(f)
-    if safe_checks is None:
-        safe_checks = f.u >= 1e-4  # half-width formats get the full guards
     if max_restarts < 1:
         raise ValueError("max_restarts must be at least 1")
 
@@ -241,7 +238,7 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
             v = Alow.values.copy()
             v[diag_pos] = shifted
             work = Alow.with_values(v)
-        result = ic_attempt(work, pattern, tau, f, safe_checks)
+        result = ic_attempt(work, pattern, tau, f, f.half_width)  # full guards in half width
         if not isinstance(result, Breakdown):
             return IcFactor(pattern, result, f, alpha,
                             FactorStats(nmod=nmod, nofl=nofl, restarts=attempt))

@@ -14,27 +14,28 @@ innocuous?").  This holds for fp16 (p=11), bfloat16 (p=8) and fp32 (p=24).
 For +, -, * the fp64 result of fp16/bf16/fp32 operands is actually exact,
 which is stronger still.
 
-Overflow is reported through flags, never by producing an infinity: carriers
-must stay finite.  No fused multiply-add anywhere; every multiply and subtract
+Overflow is reported through a flag or mask, never by producing an infinity:
+carriers must stay finite.  No fused multiply-add anywhere; every multiply and subtract
 rounds separately.
+
+_round_scalar, the scalar twin of quantize, stays for the factor's per-column
+pivot and the native_low solves' single values, where a one-element quantize
+costs about eight times as much.  TestBitwiseOracle.test_scalar_vector_paths_match
+in tests/test_precision.py pins the two bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "FpFormat",
-    "RoundOutcome",
     "get_format",
-    "round_to",
     "quantize",
-    "sim_op",
     "safe_scale_check",
-    "safe_update",
     "safe_update_many",
 ]
 
@@ -45,51 +46,45 @@ class FpFormat:
 
     significand_bits counts the implicit leading bit, so fp64 has 53.
     Derived constants follow the IEEE bias convention:
-    e_max = 2^(exponent_bits-1) - 1, e_min = 1 - e_max.
+    e_max = 2^(exponent_bits-1) - 1, e_min = 1 - e_max.  They are computed
+    once here, since the factor and the solves read them once per column.
     """
 
     name: str
     significand_bits: int
     exponent_bits: int
     supports_subnormals: bool = True
+    e_max: int = field(init=False, repr=False, compare=False)
+    e_min: int = field(init=False, repr=False, compare=False)
+    u: float = field(init=False, repr=False, compare=False)
+    x_min: float = field(init=False, repr=False, compare=False)
+    x_s_min: float | None = field(init=False, repr=False, compare=False)
+    x_max: float = field(init=False, repr=False, compare=False)
+    is_double: bool = field(init=False, repr=False, compare=False)
+    half_width: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.significand_bits < 2 or self.exponent_bits < 2:
             raise ValueError("format needs at least 2 significand and 2 exponent bits")
         if self.significand_bits > 53 or self.exponent_bits > 11:
             raise ValueError("format must be no wider than fp64")
-
-    @property
-    def e_max(self) -> int:
-        return 2 ** (self.exponent_bits - 1) - 1
-
-    @property
-    def e_min(self) -> int:
-        return 1 - self.e_max
-
-    @property
-    def u(self) -> float:
-        # unit roundoff = 2^-p for round-to-nearest
-        return math.ldexp(1.0, -self.significand_bits)
-
-    @property
-    def x_min(self) -> float:
-        return math.ldexp(1.0, self.e_min)
-
-    @property
-    def x_s_min(self) -> float | None:
-        if not self.supports_subnormals:
-            return None
-        return math.ldexp(1.0, self.e_min - (self.significand_bits - 1))
-
-    @property
-    def x_max(self) -> float:
-        return (2.0 - math.ldexp(1.0, 1 - self.significand_bits)) * math.ldexp(1.0, self.e_max)
-
-    @property
-    def is_double(self) -> bool:
-        # wide enough that quantization of a double is the identity
-        return self.significand_bits == 53 and self.exponent_bits == 11
+        p = self.significand_bits
+        e_max = 2 ** (self.exponent_bits - 1) - 1
+        e_min = 1 - e_max
+        u = math.ldexp(1.0, -p)  # unit roundoff = 2^-p for round-to-nearest
+        # frozen: the derived fields go straight into the instance dict
+        self.__dict__.update(
+            e_max=e_max,
+            e_min=e_min,
+            u=u,
+            x_min=math.ldexp(1.0, e_min),
+            x_s_min=math.ldexp(1.0, e_min - (p - 1)) if self.supports_subnormals else None,
+            x_max=(2.0 - math.ldexp(1.0, 1 - p)) * math.ldexp(1.0, e_max),
+            # wide enough that quantization of a double is the identity
+            is_double=p == 53 and self.exponent_bits == 11,
+            # fp16 / bf16: every factor guard, and native LU-IR solves
+            half_width=u >= 1e-4,
+        )
 
 
 _FORMATS = {
@@ -109,23 +104,6 @@ def get_format(name: str) -> FpFormat:
         return _FORMATS[name.lower()]
     except KeyError:
         raise ValueError(f"unknown format {name!r}; expected one of fp16, bf16, fp32, fp64")
-
-
-OVERFLOW = "overflow"
-UNDERFLOW_TO_ZERO = "underflow_to_zero"
-BECAME_SUBNORMAL = "became_subnormal"
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    """Result of rounding one value: the rounded carrier (None on overflow) and flags."""
-
-    value: float | None
-    flags: frozenset
-
-    @property
-    def overflow(self) -> bool:
-        return OVERFLOW in self.flags
 
 
 def _round_scalar(x: float, f: FpFormat):
@@ -154,23 +132,6 @@ def _round_scalar(x: float, f: FpFormat):
     return math.copysign(y, x), False
 
 
-def round_to(x: float, f: FpFormat) -> RoundOutcome:
-    """Round a finite double into f with round-to-nearest, ties-to-even."""
-    if not math.isfinite(x):
-        raise ValueError("round_to requires a finite input")
-    if f.is_double:
-        return RoundOutcome(x, frozenset())
-    y, over = _round_scalar(float(x), f)
-    if over:
-        return RoundOutcome(None, frozenset({OVERFLOW}))
-    flags = set()
-    if y == 0.0 and x != 0.0:
-        flags.add(UNDERFLOW_TO_ZERO)
-    elif abs(y) < f.x_min:
-        flags.add(BECAME_SUBNORMAL)
-    return RoundOutcome(y, frozenset(flags))
-
-
 def quantize(x: np.ndarray, f: FpFormat):
     """Vectorized rounding of an array of finite doubles into f.
 
@@ -196,29 +157,6 @@ def quantize(x: np.ndarray, f: FpFormat):
     return np.copysign(y, x), over
 
 
-def sim_op(op: str, a: float, b: float | None = None, f: FpFormat = None) -> RoundOutcome:
-    """One simulated arithmetic operation: exact/correctly-rounded fp64, then one rounding.
-
-    op in {add, sub, mul, div, sqrt}; operands must already be representable
-    in f (this is the caller's contract and is not re-verified here).
-    """
-    if op == "add":
-        z = a + b
-    elif op == "sub":
-        z = a - b
-    elif op == "mul":
-        z = a * b
-    elif op == "div":
-        z = a / b
-    elif op == "sqrt":
-        if a < 0:
-            raise ValueError("sqrt of negative operand")
-        z = math.sqrt(a)
-    else:
-        raise ValueError(f"unknown op {op!r}")
-    return round_to(z, f)
-
-
 def safe_scale_check(d: float, a: float, f: FpFormat) -> bool:
     """True iff dividing any column entry of magnitude <= a by the pivot d cannot overflow.
 
@@ -232,39 +170,12 @@ def safe_scale_check(d: float, a: float, f: FpFormat) -> bool:
     return d * f.x_max >= a
 
 
-def safe_update(a: float, b: float, c: float, f: FpFormat):
-    """Guarded update v = a - b*c in format f.
-
-    Returns the rounded v, or None when performing the update could overflow
-    (breakdown B3).  The guard tests run on the exact fp64 product b*c --
-    exact for formats with p <= 24 significand bits -- because evaluating the
-    tests in f itself can round a product across the x_max boundary and admit
-    an update whose exact value overflows.  See the B3 discussion in factor.py.
-    """
-    xmax = f.x_max
-    ab, ac = abs(b), abs(c)
-    if not (ab <= 1.0 or ac <= 1.0 or ab * ac <= xmax):
-        return None
-    w = b * c  # exact in fp64
-    if a >= 0.0:
-        if not (w >= 0.0 or xmax - a >= -w):
-            return None
-    else:
-        if not (w < 0.0 or xmax + a >= w):
-            return None
-    wr, over = _round_scalar(w, f)
-    if over:  # cannot happen given the product guard; defensive
-        return None
-    v, over = _round_scalar(a - wr, f)
-    if over:
-        return None
-    return v
-
-
 def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
-    """Vectorized safe_update over aligned arrays (c may be scalar).
+    """Guarded updates v = a - b*c in format f over aligned arrays (c may be scalar).
 
-    Returns (v, unsafe_mask); entries of v under the mask are invalid.
+    Returns (v, unsafe_mask); entries of v under the mask are invalid.  The
+    guards test the exact fp64 product b*c, for the reason the B3 discussion
+    in factor.py gives; tests/oracles.py holds the scalar reference.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -67,31 +67,19 @@ def backward_error(A: SparseSpd, x: np.ndarray, b: np.ndarray,
     return inf_norm_vector(r) / denom
 
 
-def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
-             delta: float = DELTA_DEFAULT, itmax: int = 1000) -> SolveReport:
-    """Iterative refinement with substitution-only corrections.
+def _refine(A: SparseSpd, b: np.ndarray, xp: np.ndarray, x: np.ndarray, correct,
+            report: SolveReport, delta: float, itmax: int) -> SolveReport:
+    """The outer loop of both drivers.
 
-    Solves in the factor's format when it is half-width; an OverflowSignal
-    falls back to a fp64 solve for that application and is counted.
+    resinit is the backward error of xp, the plain preconditioner solve; the
+    loop starts from x.  Each step takes the fp64 residual and its backward
+    error, and stops on convergence, divergence, after itmax corrections, or
+    after a correction that correct(r) -> (dx, last) reported as the last.
     """
-    b = np.asarray(b, dtype=np.float64)
-    mode = NATIVE_LOW if L.format.u >= 1e-4 else CAST_F64
     normA = inf_norm_matrix(A)
     normb = inf_norm_vector(b)
-    fallbacks = 0
-
-    def solve(r):
-        nonlocal fallbacks
-        if mode == NATIVE_LOW:
-            try:
-                return apply_preconditioner(L, r, NATIVE_LOW)
-            except OverflowSignal:
-                fallbacks += 1
-        return apply_preconditioner(L, r, CAST_F64)
-
-    x = solve(b)
-    resinit = backward_error(A, x, b, normA, normb)
-    report = SolveReport(resinit=resinit, resfinal=resinit, iouter=0, totits=0)
+    report.resinit = backward_error(A, xp, b, normA, normb)
+    last = False
     for i in range(itmax + 1):
         r = b - matvec_f64(A, x)
         res = backward_error(A, x, b, normA, normb, r=r)
@@ -103,12 +91,34 @@ def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
         if inf_norm_vector(r) >= DIVERGENCE_THRESHOLD:
             report.diverged = True
             break
-        if i == itmax:
+        if i == itmax or last:
             break
-        x = x + solve(r)
-    report.overflow_fallbacks = fallbacks
+        dx, last = correct(r)
+        x = x + dx
     report.solution = x
     return report
+
+
+def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
+             delta: float = DELTA_DEFAULT, itmax: int = 1000) -> SolveReport:
+    """Iterative refinement with substitution-only corrections.
+
+    Solves in the factor's format when it is half-width; an OverflowSignal
+    falls back to a fp64 solve for that application and is counted.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    report = SolveReport(resinit=1.0, resfinal=1.0, iouter=0, totits=0)
+
+    def solve(r):
+        if L.format.half_width:
+            try:
+                return apply_preconditioner(L, r, NATIVE_LOW)
+            except OverflowSignal:
+                report.overflow_fallbacks += 1
+        return apply_preconditioner(L, r, CAST_F64)
+
+    x = solve(b)
+    return _refine(A, b, x, x, lambda r: (solve(r), False), report, delta, itmax)
 
 
 def ic_krylov_ir(A: SparseSpd, b: np.ndarray, L: IcFactor, method: str = "cg",
@@ -125,33 +135,14 @@ def ic_krylov_ir(A: SparseSpd, b: np.ndarray, L: IcFactor, method: str = "cg",
     if method not in ("cg", "gmres"):
         raise ValueError(f"unknown inner method {method!r}")
     b = np.asarray(b, dtype=np.float64)
-    normA = inf_norm_matrix(A)
-    normb = inf_norm_vector(b)
     M = lambda r: apply_preconditioner(L, r, CAST_F64)
     inner = pcg if method == "cg" else gmres
+    report = SolveReport(resinit=1.0, resfinal=1.0, iouter=0, totits=0)
 
-    resinit = backward_error(A, M(b), b, normA, normb)
-    x = np.zeros(A.n)
-    report = SolveReport(resinit=resinit, resfinal=1.0, iouter=0, totits=0)
-    aborted = False
-    for i in range(itmax + 1):
-        r = b - matvec_f64(A, x)
-        res = backward_error(A, x, b, normA, normb, r=r)
-        report.resfinal = res
-        report.iouter = i
-        if res <= delta:
-            report.converged = True
-            break
-        if inf_norm_vector(r) >= DIVERGENCE_THRESHOLD:
-            report.diverged = True
-            break
-        if i == itmax or aborted:
-            break
+    def correct(r):
         out = inner(A, M, r, delta_krylov, inner_maxit)
         report.per_outer.append((out.iterations, out.status))
         report.totits += out.iterations
-        x = x + out.solution
-        if out.status == SMALL_CURVATURE:
-            aborted = True
-    report.solution = x
-    return report
+        return out.solution, out.status == SMALL_CURVATURE
+
+    return _refine(A, b, M(b), np.zeros(A.n), correct, report, delta, itmax)

@@ -142,35 +142,38 @@ def read_matrix_market(source) -> SparseSpd:
     if symmetry != "symmetric":
         raise MatrixFormatError(f"matrix must be declared symmetric, got {symmetry!r}")
 
-    size_line = None
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith(b"%"):
-            continue
-        size_line = line
-        break
-    if size_line is None:
+    # the size line, then the entries; blank and comment lines are skipped
+    content = [raw for raw in lines if raw.strip() and not raw.lstrip().startswith(b"%")]
+    if not content:
         raise MatrixFormatError("missing size line")
+    size_line = content[0].strip()
     try:
         nrows, ncols, nnz = (int(t) for t in size_line.split())
     except ValueError:
         raise MatrixFormatError(f"bad size line: {size_line!r}")
     if nrows != ncols:
         raise MatrixFormatError("matrix is not square")
+    if nrows < 0 or nnz < nrows:  # each diagonal entry must be stored
+        raise MatrixFormatError(f"size line {size_line!r} needs 0 <= n <= nnz")
 
-    body = b"".join(raw for raw in lines if raw.strip() and not raw.lstrip().startswith(b"%"))
-    arr = np.loadtxt(io.BytesIO(body), ndmin=2) if body else np.empty((0, 3))
+    body = b"".join(content[1:])
+    try:
+        arr = np.loadtxt(io.BytesIO(body), ndmin=2) if body else np.empty((0, 3))
+    except ValueError as exc:  # ragged rows, tokens that are not numbers
+        raise MatrixFormatError(f"bad entry line: {exc}") from None
     if arr.shape[0] != nnz:
         raise MatrixFormatError(f"expected {nnz} entries, found {arr.shape[0]}")
-    if arr.shape[1] < 3:
-        raise MatrixFormatError("entries must carry values (pattern files rejected)")
+    if arr.shape[1] != 3:
+        raise MatrixFormatError("entries must be 'row col value' (pattern files rejected)")
     index = arr[:, :2]
     if not np.all(np.isfinite(index)) or np.any(index != np.rint(index)):
         raise MatrixFormatError("entry indices must be integers")
-    rows = arr[:, 0].astype(np.int64) - 1
-    cols = arr[:, 1].astype(np.int64) - 1
-    vals = arr[:, 2].astype(np.float64)
-    return SparseSpd.from_coo(nrows, rows, cols, vals)
+    if np.any(index < 1) or np.any(index > nrows):  # before the cast can wrap
+        raise MatrixFormatError("entry index out of range")
+    if not np.all(np.isfinite(arr[:, 2])):
+        raise MatrixFormatError("entry values must be finite")
+    # from_coo casts the checked, integral indices to int64
+    return SparseSpd.from_coo(nrows, arr[:, 0] - 1, arr[:, 1] - 1, arr[:, 2])
 
 
 def _column_sumsq(A: SparseSpd) -> np.ndarray:

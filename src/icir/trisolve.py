@@ -63,9 +63,14 @@ class OverflowSignal(ArithmeticError):
     """A native_low substitution step overflowed the factor's format."""
 
 
-def _check_modes(exec_mode: str):
+def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
+    """A fp64 copy of the right-hand side w, once it and exec_mode are checked."""
     if exec_mode not in (CAST_F64, NATIVE_LOW):
         raise ValueError(f"unknown exec mode {exec_mode!r}")
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (L.n,):
+        raise ValueError("dimension mismatch")
+    return w.copy()
 
 
 def _column_levels(pattern: FillPattern):
@@ -227,13 +232,8 @@ def _schedule(pattern: FillPattern) -> _Schedule:
 
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
     """Solve L y = w by substitution."""
-    _check_modes(exec_mode)
-    n = L.n
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError("dimension mismatch")
+    y = _solve_input(L, w, exec_mode)
     vals = L.values
-    y = w.copy()
     if exec_mode == CAST_F64:
         _schedule(L.pattern).kernel.forward(vals, y)
         return y
@@ -241,7 +241,7 @@ def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.n
     cp = L.pattern.col_ptr
     rows_all = L.pattern.row_idx
     f = L.format
-    for j in range(n):
+    for j in range(L.n):
         s, e = cp[j], cp[j + 1]
         yj = y[j]
         if yj == 0.0:
@@ -267,13 +267,8 @@ def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.n
 
 def backward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
     """Solve L^T y = w; column j of L supplies the updates of unknown j."""
-    _check_modes(exec_mode)
-    n = L.n
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (n,):
-        raise ValueError("dimension mismatch")
+    y = _solve_input(L, w, exec_mode)
     vals = L.values
-    y = w.copy()
     if exec_mode == CAST_F64:
         _schedule(L.pattern).kernel.backward(vals, y)
         return y
@@ -281,7 +276,7 @@ def backward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.
     cp = L.pattern.col_ptr
     rows_all = L.pattern.row_idx
     f = L.format
-    for j in range(n - 1, -1, -1):
+    for j in range(L.n - 1, -1, -1):
         s, e = cp[j], cp[j + 1]
         d = vals[s]
         if d == 0.0:
@@ -311,8 +306,7 @@ def apply_preconditioner(L: IcFactor, r: np.ndarray, exec_mode: str = CAST_F64) 
     native_low scales the right-hand side by its inf-norm so that the solve
     input is representable, then rescales the result in fp64.
     """
-    _check_modes(exec_mode)
-    r = np.asarray(r, dtype=np.float64)
+    r = _solve_input(L, r, exec_mode)
     if exec_mode == CAST_F64:
         return backward_solve(L, forward_solve(L, r, CAST_F64), CAST_F64)
     nr = inf_norm_vector(r)
@@ -321,6 +315,4 @@ def apply_preconditioner(L: IcFactor, r: np.ndarray, exec_mode: str = CAST_F64) 
     rs, over = quantize(r / nr, L.format)
     if np.any(over):  # entries are <= 1 in magnitude; defensive
         raise OverflowSignal("right-hand side scaling overflowed")
-    y = forward_solve(L, rs, NATIVE_LOW)
-    v = backward_solve(L, y, NATIVE_LOW)
-    return v * nr
+    return backward_solve(L, forward_solve(L, rs, NATIVE_LOW), NATIVE_LOW) * nr

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,7 @@ class TestSuite:
             ({"matrix_path": poisson_mtx, "solver": 3}, "ValueError"),
             ({"matrix_path": 7}, "ValueError"),
             ({"matrix_path": poisson_mtx, "bogus_key": 1}, "ValueError"),
+            ({"matrix_path": poisson_mtx, "output": "json"}, "ValueError"),
             ({"matrix_path": str(tmp_path / "missing.mtx")}, "FileNotFoundError"),
             ({"matrix_path": str(bad_mtx)}, "MatrixFormatError"),
             ({"matrix_path": indefinite, "max_restarts": 1}, "ShiftRestartError"),
@@ -203,3 +205,22 @@ class TestMain:
         m = tmp_path / "suite.jsonl"
         m.write_text(json.dumps({"matrix_path": poisson_mtx}) + "\n")
         assert main(["--suite", str(m)]) == 0
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--max-restarts", "1"], "ShiftRestartError"),
+        # the first shift after the breakdown is beyond fp16's range
+        (["--shift-init", "1e6"], "FactorizationError"),
+    ])
+    def test_run_failure_exit_code(self, tmp_path, capsys, flags, error):
+        indefinite = write_mtx(tridiag(2, diag=-1.0, off=0.0), tmp_path / "neg.mtx")
+        assert main(["--matrix", indefinite, *flags]) == 1
+        assert f"error: {error}:" in capsys.readouterr().err
+
+    def test_help_lists_every_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        flags = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"-h", "--help", "--matrix", "--suite", "--level", "--format",
+                         "--solver", "--delta", "--delta-krylov", "--inner-maxit",
+                         "--outer-itmax", "--tau", "--shift-init", "--max-restarts",
+                         "--output", "--out"}

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icir.precision import (FpFormat, get_format, quantize, round_to,
-                            safe_scale_check, safe_update, safe_update_many,
-                            sim_op)
+from icir.precision import (FpFormat, get_format, quantize, safe_scale_check,
+                            safe_update_many)
+from oracles import round_to, safe_update, sim_op
 
 FP16 = get_format("fp16")
 BF16 = get_format("bf16")

@@ -7,7 +7,7 @@ from icir.gallery import dense_to_sparse, poisson2d, random_spd, wathen
 from icir.precision import get_format
 from icir.refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, backward_error,
                          ic_krylov_ir, ic_lu_ir)
-from icir.sparse import l2_scale, matvec_f64
+from icir.sparse import SparseSpd, l2_scale, matvec_f64
 from icir.symbolic import ic_pattern
 from test_factor import full_pattern
 from test_trisolve import make_factor
@@ -167,3 +167,31 @@ class TestKrylovIr:
         r2 = ic_krylov_ir(Ahat, b, L, method="cg")
         assert np.array_equal(r1.solution, r2.solution)
         assert r1.per_outer == r2.per_outer
+
+
+class TestOuterLoop:
+    """The loop both drivers share, on an indefinite 3x3 whose fp16 factor
+    needs the shift alpha = 1.024 after 11 B1 restarts."""
+
+    @pytest.fixture
+    def indefinite(self):
+        A = SparseSpd.from_coo(3, [0, 1, 2, 1], [0, 1, 2, 0], [4, -1, 4, 0.5])
+        Ahat, _ = l2_scale(A)
+        L = shifted_ic(Ahat, ic_pattern(Ahat, 0), f=FP16)
+        assert L.alpha == 1.024 and L.stats.nmod == 11 and L.stats.restarts == 11
+        return Ahat, matvec_f64(Ahat, np.ones(3)), L
+
+    def test_small_curvature_is_the_last_correction(self, indefinite):
+        Ahat, b, L = indefinite
+        rep = ic_krylov_ir(Ahat, b, L, method="cg")
+        assert rep.iouter == 1
+        assert rep.per_outer == [(0, "small_curvature")]
+        assert not rep.converged and not rep.diverged
+        assert rep.resfinal == 1.0
+        assert np.array_equal(rep.solution, np.zeros(3))
+
+    def test_gmres_converges(self, indefinite):
+        Ahat, b, L = indefinite
+        rep = ic_krylov_ir(Ahat, b, L, method="gmres")
+        assert rep.converged and rep.resfinal <= DELTA_DEFAULT
+        assert rep.totits == sum(c for c, _ in rep.per_outer)

@@ -1,7 +1,10 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import to_dense
 from icir.gallery import random_spd, tridiag
@@ -223,3 +226,44 @@ class TestKernels:
         from icir.gallery import dense_to_sparse
         assert np.isclose(inf_norm_matrix(dense_to_sparse(D)),
                           np.abs(D).sum(axis=1).max(), rtol=1e-14)
+
+
+BANNERS = ["%%MatrixMarket matrix coordinate real symmetric",
+           "%%MatrixMarket matrix coordinate integer symmetric",
+           "%%MatrixMarket matrix coordinate real general",
+           "%%MatrixMarket matrix coordinate pattern symmetric",
+           "%%MatrixMarket matrix array real symmetric", ""]
+TOKENS = st.one_of(
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["0.5", "-2.5", "1e30", "-1e30", "1e400", "nan", "inf", "-inf",
+                     "2.7", "a", "0x10", "1_0", "%", "#", "''", ""]),
+    st.floats().map(repr),
+    st.text(max_size=4))
+ROWS = st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=8)
+
+
+class TestReaderFuzz:
+    @given(st.one_of(st.sampled_from(BANNERS), st.text(max_size=40)),
+           st.one_of(st.lists(TOKENS, max_size=4).map(" ".join),
+                     st.tuples(st.integers(-2, 4), st.integers(0, 9)).map(
+                         lambda t: f"{t[0]} {t[0]} {t[1]}")),
+           ROWS)
+    @settings(max_examples=400, deadline=None)
+    def test_matrix_or_format_error(self, banner, size, rows):
+        text = "\n".join([banner, size, *rows]) + "\n"
+        try:
+            A = read_matrix_market(text.encode("utf-8", "surrogatepass"))
+        except MatrixFormatError:
+            return
+        assert A.n >= 0
+        assert np.all(np.isfinite(A.values))
+
+    @pytest.mark.parametrize("body", [
+        "-1 -1 0", "1 1 1\n1 1 nan", "1 1 1\n1 1 inf", "2 2 2\n1 1 4.0\n2 2",
+        "1 1 1\n1 1 a", "1 1 1\n1 1 4.0 5.0", "1 1 1\n1e30 1 4.0",
+        "100000000000 100000000000 0"])
+    def test_defects_rejected(self, body):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixFormatError):
+                read_matrix_market(mm(BANNERS[0] + "\n" + body))
