@@ -144,23 +144,19 @@ def run_experiment(config: RunConfig) -> RunRecord:
     L = shifted_ic(Ahat, pattern, tau=config.tau, alpha_s=config.shift_init,
                    f=f, max_restarts=config.max_restarts)
 
-    solver = config.solver
-    inner_maxit = config.inner_maxit
-    outer_itmax = config.outer_itmax
-    if solver == "lu-ir":
-        report = ic_lu_ir(Ahat, bhat, L, delta=config.delta,
-                          itmax=1000 if outer_itmax is None else outer_itmax)
-    elif solver == "plain-krylov":
+    # a limit left unset takes the driver's default
+    itmax = {} if config.outer_itmax is None else {"itmax": config.outer_itmax}
+    inner = {} if config.inner_maxit is None else {"inner_maxit": config.inner_maxit}
+    if config.solver == "lu-ir":
+        report = ic_lu_ir(Ahat, bhat, L, delta=config.delta, **itmax)
+    elif config.solver == "plain-krylov":
         # single outer step: the Krylov solver does all the work
         report = ic_krylov_ir(Ahat, bhat, L, method="gmres", delta=config.delta,
                               delta_krylov=config.delta,
-                              inner_maxit=2000 if inner_maxit is None else inner_maxit,
-                              itmax=1 if outer_itmax is None else outer_itmax)
+                              **{"inner_maxit": 2000, "itmax": 1, **inner, **itmax})
     else:
-        report = ic_krylov_ir(Ahat, bhat, L, method=solver, delta=config.delta,
-                              delta_krylov=config.delta_krylov,
-                              inner_maxit=1000 if inner_maxit is None else inner_maxit,
-                              itmax=20 if outer_itmax is None else outer_itmax)
+        report = ic_krylov_ir(Ahat, bhat, L, method=config.solver, delta=config.delta,
+                              delta_krylov=config.delta_krylov, **inner, **itmax)
 
     x_unscaled = report.solution / S.s  # x = S^-1 xhat
     res_unscaled = backward_error(A, x_unscaled, b)
@@ -231,21 +227,27 @@ def main(argv=None) -> int:
     source.add_argument("--matrix", dest="matrix_path", metavar="MATRIX",
                         help="Matrix Market file (coordinate real symmetric)")
     source.add_argument("--suite", help="manifest file, one JSON config per line")
-    ap.add_argument("--level", type=int, help="level of fill")
-    ap.add_argument("--format", choices=["fp16", "bf16", "fp32", "fp64"],
-                    dest="factor_format", help="factorization format")
-    ap.add_argument("--solver", choices=list(SOLVERS))
-    ap.add_argument("--delta", type=float, help="outer backward-error tolerance")
-    ap.add_argument("--delta-krylov", type=float, help="inner Krylov tolerance")
-    ap.add_argument("--inner-maxit", type=int)
-    ap.add_argument("--outer-itmax", type=int)
-    ap.add_argument("--tau", type=float, help="pivot threshold override")
-    ap.add_argument("--shift-init", type=float, help="initial shift alpha_S")
-    ap.add_argument("--max-restarts", type=int)
+    run_flags = [
+        ap.add_argument("--level", type=int, help="level of fill"),
+        ap.add_argument("--format", choices=["fp16", "bf16", "fp32", "fp64"],
+                        dest="factor_format", help="factorization format"),
+        ap.add_argument("--solver", choices=list(SOLVERS)),
+        ap.add_argument("--delta", type=float, help="outer backward-error tolerance"),
+        ap.add_argument("--delta-krylov", type=float, help="inner Krylov tolerance"),
+        ap.add_argument("--inner-maxit", type=int),
+        ap.add_argument("--outer-itmax", type=int),
+        ap.add_argument("--tau", type=float, help="pivot threshold override"),
+        ap.add_argument("--shift-init", type=float, help="initial shift alpha_S"),
+        ap.add_argument("--max-restarts", type=int),
+    ]
     ap.add_argument("--output", default="csv", choices=["csv", "json"])
     ap.add_argument("--out", default=None, help="write records here instead of stdout")
     args = vars(ap.parse_args(argv))
     output, out, suite = args.pop("output"), args.pop("out"), args.pop("suite", None)
+    if suite is not None and args:
+        # a suite takes every run setting from its manifest lines
+        given = [a.option_strings[0] for a in run_flags if a.dest in args]
+        ap.error(f"--suite does not take run flags: {', '.join(given)}")
 
     try:
         if suite is not None:

@@ -30,8 +30,9 @@ class FillPattern:
     col_ptr: np.ndarray
     row_idx: np.ndarray
     level: int
-    # elimination schedule of the cast_f64 solves, built by icir.trisolve on
-    # first use; the pattern is treated as immutable after construction
+    # elimination schedule of the factor and the cast_f64 solves, built by
+    # icir.schedule on first use; the pattern is treated as immutable after
+    # construction
     schedule: object = field(default=None, init=False, repr=False, compare=False)
 
     @property

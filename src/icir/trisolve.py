@@ -13,14 +13,13 @@ Two execution modes:
 In native_low the overflow check is applied to each rounded result, which
 detects exactly the operations the predictive safe tests guard against.
 
-cast_f64 runs from an elimination schedule (Anderson & Saad, IJHSC 1989),
-built on the first cast_f64 solve with a pattern and cached on the
-FillPattern.  Column j of L depends on every column k < j with (j, k) in
-the pattern; its level is one more than the largest level among them.  All
-columns of one level are independent, so each level is one vectorised step:
-an np.subtract.at that applies the level's pending updates, then one
-division by the diagonals.  The forward solve walks the levels in order,
-the backward solve walks them in reverse.
+cast_f64 runs from the pattern's elimination schedule (icir.schedule), the
+same column levels the factor ran from, cached on the FillPattern.  Its
+gather lists are built on the first cast_f64 solve and kept on the
+schedule.  All columns of one level are independent, so each level is one
+vectorised step: an np.subtract.at that applies the level's pending
+updates, then one division by the diagonals.  The forward solve walks the
+levels in order, the backward solve walks them in reverse.
 
 The summation order is fixed, so cast_f64 results do not depend on the
 BLAS build: unknown j of L y = w takes its updates l_jk y_k in ascending
@@ -31,7 +30,7 @@ substitution and the backward order that of a row-oriented one.
 
 A level step costs about eight NumPy calls, which loses to a plain
 column-by-column substitution when the levels hold about one column each.
-The schedule therefore picks its kernel from the mean level width n / depth:
+The solve therefore picks its kernel from the mean level width n / depth:
 level steps from LEVEL_WIDTH_MIN up, otherwise a forward column scatter and
 a backward row scatter over per-column and per-row views built once.  Both
 kernels carry out the same operations in the same order, so their results
@@ -40,12 +39,11 @@ are identical apart from the sign of an exact zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .factor import IcFactor
 from .precision import _round_scalar, quantize
+from .schedule import _off_diagonals, _split, schedule
 from .sparse import inf_norm_vector
 from .symbolic import FillPattern
 
@@ -71,42 +69,6 @@ def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
     if w.shape != (L.n,):
         raise ValueError("dimension mismatch")
     return w.copy()
-
-
-def _column_levels(pattern: FillPattern):
-    """Level of every column in the substitution's dependency DAG, and the depth.
-
-    Found frontier by frontier: a column joins the next frontier once every
-    column it depends on has a level.
-    """
-    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
-    below = np.diff(cp) - 1                        # off-diagonals per column
-    pending = np.bincount(ri, minlength=n) - 1     # off-diagonals per row
-    level = np.empty(n, dtype=np.int32)
-    stamp = np.empty(n, dtype=np.intp)
-    frontier = np.flatnonzero(pending == 0)
-    depth = 0
-    while frontier.size:
-        level[frontier] = depth
-        depth += 1
-        counts = below[frontier]
-        ends = np.cumsum(counts)
-        first = np.repeat(cp[frontier] + 1 - ends + counts, counts)
-        succ = ri[first + np.arange(len(first))]
-        np.subtract.at(pending, succ, 1)
-        ready = succ[pending[succ] == 0]
-        # a column reached from several frontier columns is listed once per
-        # edge; keep the one occurrence whose stamp survived
-        at = np.arange(len(ready))
-        stamp[ready] = at
-        frontier = ready[stamp[ready] == at]
-    return level, depth
-
-
-def _off_diagonals(pattern: FillPattern):
-    """Positions of the off-diagonal entries and the column of every entry (int32)."""
-    col = np.repeat(np.arange(pattern.n, dtype=np.int32), np.diff(pattern.col_ptr))
-    return np.flatnonzero(pattern.row_idx != col), col
 
 
 class _LevelKernel:
@@ -150,12 +112,6 @@ class _LevelKernel:
 
     def backward(self, v: np.ndarray, y: np.ndarray) -> None:
         _level_sweep(self.bsteps, v[self.diag], v[self.bpos], y)
-
-
-def _split(counts: np.ndarray) -> list:
-    """Consecutive slices of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [slice(e - c, e) for c, e in zip(counts.tolist(), ends)]
 
 
 def _level_sweep(steps, d: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
@@ -209,25 +165,15 @@ def _scatter_sweep(order, views, d: list, vals: np.ndarray, y: np.ndarray) -> No
             y[idx] -= vals[vs] * yj
 
 
-@dataclass
-class _Schedule:
-    """Elimination schedule of one pattern: column levels and the chosen kernel."""
-
-    level: np.ndarray
-    depth: int
-    kernel: _LevelKernel | _ColumnKernel
-
-
-def _schedule(pattern: FillPattern) -> _Schedule:
-    """The pattern's cached schedule, built on first use."""
-    if pattern.schedule is None:
-        level, depth = _column_levels(pattern)
-        if pattern.n >= LEVEL_WIDTH_MIN * depth:
-            kernel = _LevelKernel(pattern, level, depth)
+def _solve_kernel(pattern: FillPattern):
+    """The cast_f64 kernel of the pattern's schedule, built on first use."""
+    sched = schedule(pattern)
+    if sched.solve_kernel is None:
+        if pattern.n >= LEVEL_WIDTH_MIN * sched.depth:
+            sched.solve_kernel = _LevelKernel(pattern, sched.level, sched.depth)
         else:
-            kernel = _ColumnKernel(pattern)
-        pattern.schedule = _Schedule(level, depth, kernel)
-    return pattern.schedule
+            sched.solve_kernel = _ColumnKernel(pattern)
+    return sched.solve_kernel
 
 
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
@@ -235,7 +181,7 @@ def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.n
     y = _solve_input(L, w, exec_mode)
     vals = L.values
     if exec_mode == CAST_F64:
-        _schedule(L.pattern).kernel.forward(vals, y)
+        _solve_kernel(L.pattern).forward(vals, y)
         return y
 
     cp = L.pattern.col_ptr
@@ -270,7 +216,7 @@ def backward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.
     y = _solve_input(L, w, exec_mode)
     vals = L.values
     if exec_mode == CAST_F64:
-        _schedule(L.pattern).kernel.backward(vals, y)
+        _solve_kernel(L.pattern).backward(vals, y)
         return y
 
     cp = L.pattern.col_ptr

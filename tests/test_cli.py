@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import icir.cli as cli
 from icir.cli import (RECORD_FIELDS, RunConfig, build_rhs, main,
                       run_experiment, run_suite)
 from icir.gallery import poisson2d, tridiag
@@ -101,6 +102,25 @@ class TestRunExperiment:
                                        outer_itmax=0))
         assert rec.status == "not-converged" and rec.iouter == 0
 
+    @pytest.mark.parametrize("solver", ["cg", "gmres", "lu-ir", "plain-krylov"])
+    def test_unset_limits_take_the_driver_defaults(self, poisson_mtx, monkeypatch, solver):
+        calls = []
+        for name in ("ic_krylov_ir", "ic_lu_ir"):
+            def spy(*args, _real=getattr(cli, name), **kwargs):
+                calls.append(kwargs)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, spy)
+        run_experiment(RunConfig(matrix_path=poisson_mtx, solver=solver))
+        run_experiment(RunConfig(matrix_path=poisson_mtx, solver=solver,
+                                 inner_maxit=7, outer_itmax=3))
+        limits = [{k: c[k] for k in ("inner_maxit", "itmax") if k in c} for c in calls]
+        if solver == "plain-krylov":   # the CLI's own single long outer step
+            assert limits == [{"inner_maxit": 2000, "itmax": 1}, {"inner_maxit": 7, "itmax": 3}]
+        elif solver == "lu-ir":        # no inner solver
+            assert limits == [{}, {"itmax": 3}]
+        else:
+            assert limits == [{}, {"inner_maxit": 7, "itmax": 3}]
+
 
 class TestSuite:
     def test_empty_manifest(self, tmp_path):
@@ -174,6 +194,15 @@ class TestMain:
             main([])
         with pytest.raises(SystemExit):
             main(["--matrix", "a.mtx", "--suite", "b.jsonl"])
+
+    def test_suite_rejects_run_flags(self, tmp_path, poisson_mtx, capsys):
+        m = tmp_path / "suite.jsonl"
+        m.write_text(json.dumps({"matrix_path": poisson_mtx}) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--suite", str(m), "--level", "3", "--format", "bf16", "--output", "json"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "icir: error: --suite does not take run flags: --level, --format"
 
     def test_csv_stdout(self, poisson_mtx, capsys):
         assert main(["--matrix", poisson_mtx]) == 0

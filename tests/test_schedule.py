@@ -1,18 +1,28 @@
-"""The two cast_f64 substitution kernels against the scalar oracle, and the
-schedule that chooses between them."""
+"""The elimination schedule and the kernels that run from it: the two
+cast_f64 substitution kernels against the scalar oracle, the two factor
+kernels against each other, and the rules that choose between them."""
+
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from icir.factor import FactorStats, IcFactor
-from icir.gallery import poisson2d, tridiag
-from icir.precision import get_format
+import icir.factor as factor
+import icir.schedule
+from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
+                         _column_factor, _level_factor, _level_plan,
+                         _scatter_into_pattern, default_tau, ic_attempt,
+                         shifted_ic)
+from icir.gallery import poisson2d, random_spd, tridiag
+from icir.precision import get_format, quantize
+from icir.schedule import _column_levels, schedule
+from icir.sparse import SparseSpd, l2_scale
 from icir.symbolic import FillPattern, ic_pattern
-from icir.trisolve import (LEVEL_WIDTH_MIN, _ColumnKernel, _column_levels,
-                           _LevelKernel, _schedule, apply_preconditioner,
-                           backward_solve, forward_solve)
+from icir.trisolve import (LEVEL_WIDTH_MIN, _ColumnKernel, _LevelKernel,
+                           _solve_kernel, apply_preconditioner, backward_solve,
+                           forward_solve)
 
 
 def _pattern(n, entries):
@@ -26,8 +36,8 @@ def _pattern(n, entries):
 
 
 @st.composite
-def triangular_systems(draw):
-    """(pattern, values, w): chains, wide levels and random lower patterns."""
+def lower_patterns(draw):
+    """(pattern, rng): chains, wide levels, random and diagonal-only patterns."""
     n = draw(st.integers(1, 40))
     shape = draw(st.sampled_from(["chain", "wide", "random", "diagonal"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -45,7 +55,14 @@ def triangular_systems(draw):
         entries = {e for e in lower if rng.random() < density}
     else:
         entries = set()
-    pattern = _pattern(n, entries)
+    return _pattern(n, entries), rng
+
+
+@st.composite
+def triangular_systems(draw):
+    """(pattern, values, w) on a lower_patterns pattern."""
+    pattern, rng = draw(lower_patterns())
+    n = pattern.n
     values = rng.uniform(-1.0, 1.0, pattern.nnz)
     values[rng.random(pattern.nnz) < 0.2] = 0.0          # stored zeros
     values[pattern.col_ptr[:-1]] = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
@@ -92,9 +109,9 @@ def _factor(pattern):
 def test_width_rule_picks_the_kernel():
     chain = ic_pattern(tridiag(50), 0)            # depth n, width 1
     grid = ic_pattern(poisson2d(20), 0)           # depth 2m - 1, width about 10
-    assert isinstance(_schedule(chain).kernel, _ColumnKernel)
-    assert isinstance(_schedule(grid).kernel, _LevelKernel)
-    assert grid.n / _schedule(grid).depth >= LEVEL_WIDTH_MIN > chain.n / _schedule(chain).depth
+    assert isinstance(_solve_kernel(chain), _ColumnKernel)
+    assert isinstance(_solve_kernel(grid), _LevelKernel)
+    assert grid.n / schedule(grid).depth >= LEVEL_WIDTH_MIN > chain.n / schedule(chain).depth
 
 
 def test_schedule_built_on_first_solve_and_reused():
@@ -116,3 +133,110 @@ def test_public_solves_match_oracle():
     args = (pattern.col_ptr, pattern.row_idx, L.values, w)
     assert np.array_equal(forward_solve(L, w), oracles.forward_solve(*args))
     assert np.array_equal(backward_solve(L, w), oracles.backward_solve(*args))
+
+
+@st.composite
+def factor_problems(draw):
+    """(A, pattern, f) with A stored on every pattern position.
+
+    Diagonally dominant matrices factor; the others have tiny and negative
+    pivots (B1), tiny pivots under large entries (B2) and large scaled
+    entries whose products overflow (B3).  Zeros stand for fill positions
+    and stored zeros.
+    """
+    pattern, rng = draw(lower_patterns())
+    f = draw(st.sampled_from([get_format("fp16"), get_format("bf16")]))
+    kind = draw(st.sampled_from(["dominant", "mixed", "wild"]))
+    n, nnz, cp, ri = pattern.n, pattern.nnz, pattern.col_ptr, pattern.row_idx
+    values = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-2.0, 4.0 if kind == "wild" else 1.0, nnz)
+    values[rng.random(nnz) < 0.3] = 0.0
+    cols = np.repeat(np.arange(n), np.diff(cp))
+    off = ri != cols
+    if kind == "dominant":
+        a = np.abs(values[off])
+        d = 1.0 + np.bincount(ri[off], a, n) + np.bincount(cols[off], a, n)
+    elif kind == "mixed":
+        d = rng.uniform(0.5, 4.0, n)
+        tiny = rng.random(n) < 0.2
+        d[tiny] = 10.0 ** rng.uniform(-7.0, -2.0, int(tiny.sum()))
+        d[rng.random(n) < 0.05] *= -1.0
+    else:
+        d = 10.0 ** rng.uniform(-5.0, -2.0, n)
+    values[cp[:-1]] = d
+    values, _ = quantize(values, f)
+    return SparseSpd(n, cp, ri, values), pattern, f
+
+
+def _column_result(A, pattern, f, safe_checks):
+    """The column kernel's values or Breakdown, or its FactorizationError message."""
+    keys = schedule(pattern).keys
+    try:
+        return _column_factor(_scatter_into_pattern(A, pattern, keys), pattern, keys,
+                              default_tau(f), f, safe_checks)
+    except FactorizationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(factor_problems(), st.booleans())
+def test_factor_kernels_agree(problem, safe_checks):
+    A, pattern, f = problem
+    tau = default_tau(f)
+    want = _column_result(A, pattern, f, safe_checks)
+    event(want.kind if isinstance(want, Breakdown) else type(want).__name__)
+    vals = _scatter_into_pattern(A, pattern, schedule(pattern).keys)
+    done = _level_factor(vals, _level_plan(pattern), tau, f, safe_checks)
+    # the level kernel completes exactly the attempts the column kernel
+    # completes, with the same values
+    assert done == isinstance(want, np.ndarray)
+    if done:
+        assert np.array_equal(vals, want)
+    # ic_attempt gives the column kernel's values, Breakdown or error
+    # whichever kernel its rule picks
+    for bound in (np.inf, -1.0):
+        with mock.patch.object(factor, "ROUNDS_PER_COLUMN_MAX", bound):
+            try:
+                got = ic_attempt(A, pattern, tau, f, safe_checks)
+            except FactorizationError as exc:
+                got = str(exc)
+        if done:
+            assert np.array_equal(got, want)
+        else:
+            assert got == want
+
+
+def test_round_rule_picks_the_factor_kernel():
+    fp16 = get_format("fp16")
+    grid, _ = l2_scale(poisson2d(20))
+    dense, _ = l2_scale(random_spd(40, density=1.0, seed=0))
+    for A, level, levels in ((grid, 0, True), (dense, 3, False)):
+        pattern = ic_pattern(A, level)
+        ic_attempt(A, pattern, default_tau(fp16), fp16, True)
+        sched = schedule(pattern)
+        assert (sched.rounds <= factor.ROUNDS_PER_COLUMN_MAX * pattern.n) == levels
+        # the update plan exists only where the level kernel ran
+        assert (sched.factor_plan is not None) == levels
+
+
+def test_one_schedule_serves_restarts_and_solves():
+    A, _ = l2_scale(poisson2d(8))
+    A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
+    pattern = ic_pattern(A, 0)
+    seen = []
+    attempt = factor.ic_attempt
+
+    def spy(Alow, pat, *args):
+        out = attempt(Alow, pat, *args)
+        seen.append(pat.schedule)
+        return out
+
+    with mock.patch.object(factor, "ic_attempt", spy), \
+            mock.patch.object(icir.schedule, "_column_levels", wraps=_column_levels) as levels:
+        L = shifted_ic(A, pattern, f=get_format("fp16"))
+        apply_preconditioner(L, np.ones(L.n))
+        apply_preconditioner(L, np.arange(L.n, dtype=float))
+    assert L.stats.restarts >= 1 and len(seen) == L.stats.restarts + 1
+    assert levels.call_count == 1
+    assert all(s is pattern.schedule for s in seen)
+    assert pattern.schedule.factor_plan is not None
+    assert pattern.schedule.solve_kernel is not None
