@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -115,12 +115,17 @@ class RunRecord:
     maxbasis: int
     status: str
     wall_seconds: float
+    # JSON only: the status of each inner solve, and the native_low
+    # applications retried in fp64
+    inner_statuses: list = field(default_factory=list, metadata={"csv": False})
+    overflow_fallbacks: int = field(default=0, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
 
-RECORD_FIELDS = [f.name for f in dataclasses.fields(RunRecord)]
+# the CSV columns
+RECORD_FIELDS = [f.name for f in dataclasses.fields(RunRecord) if f.metadata.get("csv", True)]
 
 
 def build_rhs(A):
@@ -173,6 +178,8 @@ def run_experiment(config: RunConfig) -> RunRecord:
         res_unscaled=res_unscaled, iouter=report.iouter, totits=report.totits,
         maxbasis=report.maxbasis, status=status,
         wall_seconds=time.perf_counter() - t0,
+        inner_statuses=[s for _, s in report.per_outer],
+        overflow_fallbacks=report.overflow_fallbacks,
     )
 
 
@@ -202,7 +209,7 @@ def _write_records(records, fmt: str, out):
         json.dump([r.as_dict() for r in records], out, indent=2)
         out.write("\n")
     else:
-        writer = csv.DictWriter(out, fieldnames=RECORD_FIELDS)
+        writer = csv.DictWriter(out, fieldnames=RECORD_FIELDS, extrasaction="ignore")
         writer.writeheader()
         for r in records:
             writer.writerow(r.as_dict())

@@ -25,29 +25,44 @@ same bits:
 
   column -- right-looking, one Python step per column: pivot column k, then
             scatter its updates into the columns to its right;
-  level  -- left-looking over the levels of the pattern's elimination
-            schedule (icir.schedule).  Within a level, the updates come in
-            rounds: round r applies the r-th update of every target entry of
-            the level as one vectorised safe_update_many call, with the
-            updates whose b or c is zero left out as the column kernel does.
-            Then all pivots of the level are taken at once.
+  steps  -- a dataflow schedule of tasks and pivots.  A task (j, k) is one
+            off-diagonal l_jk of the pattern: column j takes its update from
+            source column k, a - l_ik l_jk on every present (i, j) with
+            i >= j, the pairs the column loop scatters from column k.  Each
+            step runs its tasks as one vectorised safe_update_many call, with
+            the updates whose b or c is zero left out as the column kernel
+            does, then the pivots of the columns whose last task has run.
 
-A round costs about half a column step.  The diagonal (j, j) receives an
-update from every k in row j, so the level kernel takes R rounds, the sum
-over the levels of the largest row count among each level's columns.
-ic_attempt runs it when R <= ROUNDS_PER_COLUMN_MAX * n; the two kernels cost
-about the same at R of 1.5n to 2n.  The rule depends only on the pattern.
-The level kernel's update plan is built once per pattern and kept on the
-schedule, so restart attempts reuse it.
+Each task runs at the earliest step its inputs allow.  For the r-th task of
+target column j (sources k ascending), T_r = max(T_{r-1} + 1, P(k_r) + 1),
+and the pivot of column j runs at P(j) = T_last, or at step 0 when j has no
+tasks.  A step thus holds at most one task per target column, every task
+runs after its source's pivot, and every pivot after its column's last
+update: the column kernel's order on every entry.  One step can mix work of
+many levels of the elimination schedule (icir.schedule), whose levels order
+the computation of the step times, one segmented running maximum per level.
+The step plan holds int32 positions and counts only, never one entry per
+update: per step the tasks with their pair counts, and the pivot columns
+with their off-diagonals.  It is built once per pattern and kept on the
+schedule while shifted_ic runs, so restart attempts reuse it; shifted_ic
+drops it when it returns or raises.
 
-A level kernel meets its breakdowns in level order, not column order.  So
-when it meets any breakdown or overflow, the attempt is rerun with the
-column kernel, which returns the first breakdown in column order (or raises
-the FactorizationError), as it always did: the breakdown kind, column and
+The pattern needs S steps, at most 2n, and a step costs about as much as
+one or two column steps.  ic_attempt runs the steps when
+S <= STEPS_PER_COLUMN_MAX * n, a rule that depends only on the pattern.
+Above it, as on dense patterns (S = n), the column loop is as fast, and an
+attempt that breaks down pays for the column loop anyway.  A pivot runs at
+least one step after each of its sources, so S is at least the depth of the
+schedule, and a deeper pattern takes the column loop without a plan.
+
+The steps meet their breakdowns in step order, not column order.  So when
+they meet any breakdown or overflow, the attempt is rerun with the column
+kernel, which returns the first breakdown in column order (or raises the
+FactorizationError), as it always did: the breakdown kind, column and
 detail, and with them nmod/nofl, the restart history and alpha, do not
-depend on the kernel.  Every operation of the level kernel is one the column
-kernel makes on the same values, so an attempt the level kernel completes
-the column kernel also completes, with the same values.
+depend on the kernel.  Every operation of the steps is one the column
+kernel makes on the same values, so an attempt the steps complete the
+column kernel also completes, with the same values.
 
 shifted_ic wraps ic_attempt in the usual global-shift loop: on breakdown the
 diagonal shift alpha is doubled (starting from alpha_s) and the factorization
@@ -78,9 +93,9 @@ __all__ = [
     "shifted_ic",
 ]
 
-# the level kernel runs when its update rounds number at most this many per
+# the step kernel runs when the pattern's steps number at most this many per
 # column (see the module docstring)
-ROUNDS_PER_COLUMN_MAX = 1.0
+STEPS_PER_COLUMN_MAX = 0.5
 
 
 class FactorizationError(RuntimeError):
@@ -174,76 +189,105 @@ def ic_attempt(Alow: SparseSpd, pattern: FillPattern, tau: float, f: FpFormat,
 
     sched = schedule(pattern)
     vals = _scatter_into_pattern(Alow, pattern, sched.keys)
-    if sched.rounds <= ROUNDS_PER_COLUMN_MAX * pattern.n:
-        if _level_factor(vals, _level_plan(pattern), tau, f, safe_checks):
-            return vals
-        # a breakdown or overflow: the column loop finds the first one in its order
-        vals = _scatter_into_pattern(Alow, pattern, sched.keys)
+    most = STEPS_PER_COLUMN_MAX * pattern.n
+    # S >= depth, so a deep pattern fails the rule without a plan
+    if sched.depth <= most:
+        if sched.factor_plan is None:
+            sched.factor_plan = _step_plan(pattern)
+        if len(sched.factor_plan) <= most:
+            if _step_factor(vals, sched.factor_plan, pattern, sched.keys, tau, f, safe_checks):
+                return vals
+            # a breakdown or overflow: the column loop finds the first one in its order
+            vals = _scatter_into_pattern(Alow, pattern, sched.keys)
     return _column_factor(vals, pattern, sched.keys, tau, f, safe_checks)
 
 
-def _level_plan(pattern: FillPattern) -> list:
-    """The level kernel's steps for the pattern, built once and kept on its schedule.
+def _step_plan(pattern: FillPattern) -> list:
+    """The step kernel's plan for the pattern, one tuple of int32 arrays per step.
 
-    Step l holds the update rounds of level l, each a triple of position
-    arrays (target (i, j), b = l_ik, c = l_jk), then the diagonal and
-    off-diagonal positions of the level's columns and their off-diagonal
-    counts.  Round r holds the r-th update, in ascending k, of every target
-    of the level that has one.
+    A step's (task, pairs, shift) describe its tasks: the position of l_jk
+    of every task (j, k) that runs at the step, its pair count (the
+    positions from l_jk to the end of column k, those of the l_ik), and the
+    shift that puts those positions at shift + their index among the step's
+    pairs.  (diag, below, off) describe its pivots: the diagonal positions
+    of the columns whose pivot runs at the step, their off-diagonal counts
+    and their off-diagonal positions.  The step times are found level by
+    level, since a task's time needs its source's pivot time.
     """
-    sched = schedule(pattern)
-    if sched.factor_plan is not None:
-        return sched.factor_plan
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
-    level, depth, keys = sched.level, sched.depth, sched.keys
+    sched = schedule(pattern)
+    level = sched.level
     pos, col = _off_diagonals(pattern)
-    # every pair (j, k), (i, k) with j <= i below diagonal k, in the column loop's order
-    counts = cp[col[pos] + 1] - pos
-    c = np.repeat(pos, counts)
-    b = c + np.arange(len(c)) - np.repeat(np.cumsum(counts) - counts, counts)
-    tkeys = ri[c] * np.int64(n) + ri[b]
-    t = np.minimum(np.searchsorted(keys, tkeys), len(keys) - 1)
-    present = keys[t] == tkeys
-    del counts, tkeys
-    t, b, c = t[present], b[present], c[present]
-    # a stable sort by target keeps each target's sources ascending; the
-    # rank of an update within its target is its round
-    order = np.argsort(t, kind="stable")
-    t, b, c = t[order], b[order], c[order]
-    first = np.flatnonzero(np.diff(t, prepend=-1))
-    rank = np.arange(len(t)) - np.repeat(first, np.diff(first, append=len(t)))
-    width = int(rank.max()) + 1 if len(t) else 1
-    key = level[col[t]].astype(np.int64) * width + rank
-    order = np.argsort(key, kind="stable")
-    t, b, c, key = t[order], b[order], c[order], key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    rounds = [[] for _ in range(depth)]
-    for lv, s, e in zip((key[first] // width).tolist(), first.tolist(),
-                        np.append(first[1:], len(key)).tolist()):
-        rounds[lv].append((t[s:e], b[s:e], c[s:e]))
-    # columns and their off-diagonals in level order
-    corder = np.argsort(level, kind="stable")
-    diag = cp[:-1][corder].astype(np.intp)
-    below = (np.diff(cp) - 1)[corder]
-    off = pos[np.argsort(level[col[pos]], kind="stable")]
-    cols = _split(np.bincount(level, minlength=depth))
-    offs = _split(np.bincount(level[col[off]], minlength=depth))
-    sched.factor_plan = [(r, diag[sc], off[so], below[sc]) for r, sc, so in zip(rounds, cols, offs)]
-    return sched.factor_plan
+    # tasks by level of their target column, then by target, sources ascending
+    tgt = ri[pos]
+    order = np.lexsort((tgt, level[tgt]))
+    task, tgt = pos[order].astype(np.int32), tgt[order]
+    src = col[task]
+    del pos, order
+    first = np.flatnonzero(np.diff(tgt, prepend=-1))
+    sizes = np.diff(first, append=len(task))
+    # T_r = r + max_{s <= r} (P(k_s) + 1 - s) for the r-th task (from 1) of a
+    # target; one running maximum per level, with the targets kept apart by
+    # offsets wider than the values' range (P < 2n)
+    w = np.repeat(first.astype(np.int64) * (4 * n) + first, sizes)
+    w -= np.arange(1, len(task) + 1)
+    del first, sizes
+    P = np.zeros(n, dtype=np.int64)
+    T = np.empty(len(task), dtype=np.int64)
+    for sl in _split(np.bincount(level[tgt], minlength=sched.depth)):
+        if sl.start == sl.stop:
+            continue
+        v = P[src[sl]] + w[sl]
+        np.maximum.accumulate(v, out=v)
+        T[sl] = v - w[sl] + 1
+        np.maximum.at(P, tgt[sl], T[sl])
+    del w, tgt
+    steps = int(P.max(initial=-1)) + 1
+    by_step = np.argsort(T, kind="stable")
+    task = task[by_step]
+    pairs = (cp[src[by_step] + 1] - task).astype(np.int32)
+    del src, by_step
+    per_step = np.bincount(T, minlength=steps)
+    # a task's pair positions, from l_jk to the end of column k, are its
+    # shift plus the pairs' index within the step
+    before = np.cumsum(pairs) - pairs
+    step_first = np.repeat(np.cumsum(per_step) - per_step, per_step)
+    shift = (task - before + before[step_first]).astype(np.int32)
+    del before, step_first
+    pivots = np.argsort(P, kind="stable")
+    diag = cp[pivots].astype(np.int32)
+    below = (cp[pivots + 1] - 1 - diag).astype(np.int32)
+    # every off-diagonal, column by column in pivot order
+    off = np.arange(len(task)) + np.repeat(diag + 1 - np.cumsum(below) + below, below)
+    off = off.astype(np.int32)
+    psplit = _split(np.bincount(P, minlength=steps))
+    osplit = _split(np.bincount(P[pivots], below, minlength=steps).astype(np.int64))
+    return [(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
+            for a, b, o in zip(_split(per_step), psplit, osplit)]
 
 
-def _level_factor(vals: np.ndarray, steps: list, tau: float, f: FpFormat,
-                  safe_checks: bool) -> bool:
-    """Factor vals in place level by level.  False at the first breakdown or
+def _step_factor(vals: np.ndarray, steps: list, pattern: FillPattern, keys: np.ndarray,
+                 tau: float, f: FpFormat, safe_checks: bool) -> bool:
+    """Factor vals in place step by step.  False at the first breakdown or
     overflow of any kind, leaving vals partly factored."""
+    n, ri = pattern.n, pattern.row_idx
     x_max = f.x_max
-    for rounds, diag, off, below in steps:
-        for t, b, c in rounds:
+    for task, pairs, shift, diag, below, off in steps:
+        if len(task):
+            # target (i, j) = (row of b, row of c), b = l_ik, c = l_jk
+            c = np.repeat(task, pairs)
+            b = np.arange(len(c)) + np.repeat(shift, pairs)
             bv = vals[b]
             cv = vals[c]
             live = (bv != 0.0) & (cv != 0.0)
             if not live.all():
-                t, bv, cv = t[live], bv[live], cv[live]
+                b, c, bv, cv = b[live], c[live], bv[live], cv[live]
+            tkeys = ri[c] * np.int64(n) + ri[b]
+            # no key exceeds the last one, that of (n - 1, n - 1)
+            t = np.searchsorted(keys, tkeys)
+            present = keys[t] == tkeys
+            if not present.all():
+                t, bv, cv = t[present], bv[present], cv[present]
             a = vals[t]
             if safe_checks:
                 v, bad = safe_update_many(a, bv, cv, f)
@@ -254,17 +298,19 @@ def _level_factor(vals: np.ndarray, steps: list, tau: float, f: FpFormat,
             if bad.any():
                 return False
             vals[t] = v
+        if not len(diag):
+            continue
         d = vals[diag]
-        if np.any(d < tau):
+        if (d < tau).any():
             return False
         droot, _ = quantize(np.sqrt(d), f)
         dr = np.repeat(droot, below)
         colv = vals[off]
         # B2 for a column is some entry above droot * x_max while droot < 1
-        if safe_checks and np.any((dr < 1.0) & (dr * x_max < np.abs(colv))):
+        if safe_checks and ((dr < 1.0) & (dr * x_max < np.abs(colv))).any():
             return False
         q, over = quantize(colv / dr, f)
-        if np.any(over) or not np.all(np.isfinite(q)):
+        if over.any() or not np.isfinite(q).all():
             return False
         vals[diag] = droot
         vals[off] = q
@@ -358,26 +404,31 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
     alpha = 0.0
     nmod = nofl = 0
     history = []
-    for attempt in range(max_restarts):
-        work = Alow
-        if alpha != 0.0:
-            alpha_f, over = _round_scalar(alpha, f)
-            if over:
-                raise FactorizationError("shift overflows the target format")
-            shifted, over_d = quantize(base_diag + alpha_f, f)
-            if np.any(over_d):
-                raise FactorizationError("shifted diagonal overflows the target format")
-            v = Alow.values.copy()
-            v[diag_pos] = shifted
-            work = Alow.with_values(v)
-        result = ic_attempt(work, pattern, tau, f, f.half_width)  # full guards in half width
-        if not isinstance(result, Breakdown):
-            return IcFactor(pattern, result, f, alpha,
-                            FactorStats(nmod=nmod, nofl=nofl, restarts=attempt))
-        history.append((alpha, result))
-        if result.kind == "B1":
-            nmod += 1
-        elif result.kind == "B3":
-            nofl += 1
-        alpha = max(2.0 * alpha, alpha_s)
+    try:
+        for attempt in range(max_restarts):
+            work = Alow
+            if alpha != 0.0:
+                alpha_f, over = _round_scalar(alpha, f)
+                if over:
+                    raise FactorizationError("shift overflows the target format")
+                shifted, over_d = quantize(base_diag + alpha_f, f)
+                if np.any(over_d):
+                    raise FactorizationError("shifted diagonal overflows the target format")
+                v = Alow.values.copy()
+                v[diag_pos] = shifted
+                work = Alow.with_values(v)
+            result = ic_attempt(work, pattern, tau, f, f.half_width)  # full guards in half width
+            if not isinstance(result, Breakdown):
+                return IcFactor(pattern, result, f, alpha,
+                                FactorStats(nmod=nmod, nofl=nofl, restarts=attempt))
+            history.append((alpha, result))
+            if result.kind == "B1":
+                nmod += 1
+            elif result.kind == "B3":
+                nofl += 1
+            alpha = max(2.0 * alpha, alpha_s)
+    finally:
+        # the restarts are over, and only ic_attempt reads the step plan
+        if pattern.schedule is not None:
+            pattern.schedule.factor_plan = None
     raise ShiftRestartError(history)

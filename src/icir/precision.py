@@ -22,6 +22,13 @@ _round_scalar, the scalar twin of quantize, stays for the factor's per-column
 pivot and the native_low solves' single values, where a one-element quantize
 costs about eight times as much.  TestBitwiseOracle.test_scalar_vector_paths_match
 in tests/test_precision.py pins the two bit for bit.
+
+For fp16 and fp32, quantize casts to float16 / float32, which rounds a
+double once to nearest-even, subnormals included, at about half the cost of
+the frexp path on short arrays.  An array with a value that would overflow
+takes the frexp path, so overflowed slots keep their finite rounded
+magnitude.  test_02 in tests/test_acceptance.py and
+TestBitwiseOracle.test_cast_and_frexp_paths_match pin the paths to each other.
 """
 
 from __future__ import annotations
@@ -62,6 +69,8 @@ class FpFormat:
     x_max: float = field(init=False, repr=False, compare=False)
     is_double: bool = field(init=False, repr=False, compare=False)
     half_width: bool = field(init=False, repr=False, compare=False)
+    cast: type | None = field(init=False, repr=False, compare=False)
+    over_at: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.significand_bits < 2 or self.exponent_bits < 2:
@@ -84,6 +93,11 @@ class FpFormat:
             is_double=p == 53 and self.exponent_bits == 11,
             # fp16 / bf16: every factor guard, and native LU-IR solves
             half_width=u >= 1e-4,
+            # IEEE binary16 and binary32, which NumPy's cast rounds into
+            cast={(11, 5, True): np.float16, (24, 8, True): np.float32}.get(
+                (p, self.exponent_bits, self.supports_subnormals)),
+            # x_max plus half an ulp: magnitudes from here on round past x_max
+            over_at=(2.0 - math.ldexp(1.0, -p)) * math.ldexp(1.0, e_max),
         )
 
 
@@ -110,8 +124,8 @@ def _round_scalar(x: float, f: FpFormat):
     """Round one finite double into format f.
 
     Returns (value, overflow) where value is a double exactly representable
-    in f.  Mirrors quantize() operation-for-operation so scalar and vector
-    paths are bit-identical.
+    in f.  Mirrors quantize()'s frexp path operation-for-operation so scalar
+    and vector paths are bit-identical.
     """
     if x == 0.0:
         return x, False  # preserves signed zero
@@ -141,13 +155,17 @@ def quantize(x: np.ndarray, f: FpFormat):
     x = np.asarray(x, dtype=np.float64)
     if f.is_double:
         return x.copy(), np.zeros(x.shape, dtype=bool)
+    if f.cast is not None:
+        over = np.abs(x) >= f.over_at
+        if not over.any():
+            return x.astype(f.cast).astype(np.float64), over
     p = f.significand_bits
     ax = np.abs(x)
     m, e = np.frexp(ax)
     q = np.rint(np.ldexp(m, p))  # ties to even
     y = np.ldexp(q, e - p)
     small = ax < f.x_min
-    if np.any(small):
+    if small.any():
         if f.supports_subnormals:
             ysub = np.rint(ax / f.x_s_min) * f.x_s_min
         else:

@@ -10,11 +10,13 @@ Sparse Linear Systems, 2nd ed., 2003).
 
 The schedule is built on first use by icir.factor or icir.trisolve and
 cached on FillPattern.schedule, so every restart attempt and every later
-solve with that pattern shares it.  It holds the levels, the sorted
-position keys of the pattern, and the round count the factor's kernel rule
-reads; the factor and the solves each build their own gather lists from
-the levels on first use and keep them in its factor_plan and solve_kernel
-slots.
+solve with that pattern shares it.  It holds the levels and the sorted
+position keys of the pattern.  The factor and the solves each build their
+own plans from the levels on first use and keep them in its factor_plan and
+solve_kernel slots: factor_plan holds the factor's step lists (the tasks
+and pivots of each dataflow step, see icir.factor) while shifted_ic runs,
+and solve_kernel the solves' gather lists.  There is no round count: the
+factor's kernel rule reads the number of steps from its plan.
 """
 
 from __future__ import annotations
@@ -72,18 +74,13 @@ def _off_diagonals(pattern: FillPattern):
 class _Schedule:
     """Elimination schedule of one pattern.
 
-    rounds is the sum over the levels of the largest off-diagonal row count
-    among the level's columns: the number of update rounds the factor's
-    level kernel takes, since the diagonal (j, j) receives one update from
-    every k with (j, k) in the pattern.  keys holds col * n + row of every
-    pattern position, ascending.
+    keys holds col * n + row of every pattern position, ascending.
     """
 
     level: np.ndarray
     depth: int
-    rounds: int
     keys: np.ndarray
-    factor_plan: object = None    # built by icir.factor
+    factor_plan: object = None    # built by icir.factor, dropped by shifted_ic
     solve_kernel: object = None   # built by icir.trisolve
 
 
@@ -91,10 +88,7 @@ def schedule(pattern: FillPattern) -> _Schedule:
     """The pattern's cached schedule, built on first use."""
     if pattern.schedule is None:
         level, depth = _column_levels(pattern)
-        row_counts = np.bincount(pattern.row_idx, minlength=pattern.n) - 1
-        widest = np.zeros(depth, dtype=np.int64)
-        np.maximum.at(widest, level, row_counts)
         cols = np.repeat(np.arange(pattern.n, dtype=np.int64), np.diff(pattern.col_ptr))
         keys = cols * np.int64(pattern.n) + pattern.row_idx
-        pattern.schedule = _Schedule(level, depth, int(widest.sum()), keys)
+        pattern.schedule = _Schedule(level, depth, keys)
     return pattern.schedule

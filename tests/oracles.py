@@ -9,6 +9,8 @@ icir.precision: rounding with underflow and subnormal flags, one simulated
 operation, and one guarded update.  round_to is built on
 icir.precision._round_scalar, so comparing it with quantize pins the scalar
 and vector rounding paths to each other.
+
+step_times is the reference of the factor's dataflow step schedule.
 """
 
 import math
@@ -138,3 +140,29 @@ def backward_solve(col_ptr, row_idx, values, w):
             acc -= float(values[p]) * y[int(row_idx[p])]
         y[j] = acc / float(values[col_ptr[j]])
     return y
+
+
+def step_times(col_ptr, row_idx):
+    """Step times of the factor's tasks and pivots, one column at a time.
+
+    The task at off-diagonal position p of column k, in row j, updates
+    column j from source column k.  The tasks of a target column j run in
+    ascending k, each after the previous one and after its source's pivot:
+    T = max(T_previous + 1, P(k) + 1).  The pivot of j runs at its last
+    task's time, or at 0 when j has no task.  Returns (T, P), T indexed by
+    position with None on the diagonal, P by column.
+    """
+    n = len(col_ptr) - 1
+    tasks = [[] for _ in range(n)]   # (k, p) for every target column j
+    for k in range(n):
+        for p in range(col_ptr[k] + 1, col_ptr[k + 1]):
+            tasks[int(row_idx[p])].append((k, p))
+    T = [None] * int(col_ptr[n])
+    P = [0] * n
+    for j in range(n):
+        t = 0
+        for k, p in tasks[j]:
+            t = max(t + 1, P[k] + 1)
+            T[p] = t
+        P[j] = t
+    return T, P

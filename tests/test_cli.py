@@ -10,7 +10,7 @@ import icir.cli as cli
 from icir.cli import (RECORD_FIELDS, RunConfig, build_rhs, main,
                       run_experiment, run_suite)
 from icir.gallery import poisson2d, tridiag
-from icir.sparse import matvec_f64
+from icir.sparse import SparseSpd, matvec_f64
 
 
 def write_mtx(A, path):
@@ -218,8 +218,26 @@ class TestMain:
                      "--out", str(out), "--level", "1", "--solver", "gmres"]) == 0
         data = json.loads(out.read_text())
         assert len(data) == 1
-        assert set(data[0]) == set(RECORD_FIELDS)
+        assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks"}
         assert data[0]["status"] == "converged"
+        assert len(data[0]["inner_statuses"]) == data[0]["iouter"]
+        assert data[0]["overflow_fallbacks"] == 0
+
+    def test_inner_status_reaches_json_not_csv(self, tmp_path, capsys):
+        # indefinite: the fp16 factor needs alpha = 1.024, then CG stops at
+        # step 0 on small curvature
+        A = SparseSpd.from_coo(3, [0, 1, 2, 1], [0, 1, 2, 0], [4, -1, 4, 0.5])
+        path = write_mtx(A, tmp_path / "indefinite.mtx")
+        assert main(["--matrix", path, "--output", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)[0]
+        assert rec["inner_statuses"] == ["small_curvature"]
+        assert rec["status"] == "not-converged" and rec["alpha"] == 1.024
+        assert main(["--matrix", path]) == 0
+        header = next(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert header == RECORD_FIELDS == [
+            "identifier", "n", "nnz_A", "normA", "normb", "nnz_L", "alpha", "nmod", "nofl",
+            "resinit", "resfinal", "res_unscaled", "iouter", "totits", "maxbasis", "status",
+            "wall_seconds"]
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--matrix", str(tmp_path / "nope.mtx")]) == 1

@@ -158,6 +158,22 @@ class TestBitwiseOracle:
             else:
                 assert out.value == yv
 
+    @pytest.mark.parametrize("f, span", [(FP16, (-9, 5)), (FP32, (-47, 39))])
+    def test_cast_and_frexp_paths_match(self, f, span):
+        # an array with an overflowing value takes the frexp path, one
+        # without takes the cast to float16 / float32
+        rng = np.random.default_rng(47)
+        xs = 10.0 ** rng.uniform(*span, 20000) * rng.choice([-1, 1], 20000)
+        top = np.nextafter(f.over_at, 0.0)
+        xs = np.concatenate([xs, [0.0, -0.0, top, -top, f.over_at, -f.over_at]])
+        y, over = quantize(xs, f)
+        assert over.any() and not over[-6:-2].any() and over[-2:].all()
+        y_cast, none = quantize(xs[~over], f)
+        assert not none.any()
+        assert np.array_equal(y_cast, y[~over])
+        assert np.array_equal(np.signbit(y_cast), np.signbit(y[~over]))
+        assert y_cast[-2] == f.x_max
+
 
 class TestSimOp:
     def test_add(self):

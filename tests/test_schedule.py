@@ -1,6 +1,7 @@
 """The elimination schedule and the kernels that run from it: the two
-cast_f64 substitution kernels against the scalar oracle, the two factor
-kernels against each other, and the rules that choose between them."""
+cast_f64 substitution kernels against the scalar oracle, the factor's step
+times against theirs, the two factor kernels against each other, and the
+rules that choose between them."""
 
 from unittest import mock
 
@@ -12,9 +13,8 @@ import oracles
 import icir.factor as factor
 import icir.schedule
 from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
-                         _column_factor, _level_factor, _level_plan,
-                         _scatter_into_pattern, default_tau, ic_attempt,
-                         shifted_ic)
+                         _column_factor, _scatter_into_pattern, _step_factor,
+                         _step_plan, default_tau, ic_attempt, shifted_ic)
 from icir.gallery import poisson2d, random_spd, tridiag
 from icir.precision import get_format, quantize
 from icir.schedule import _column_levels, schedule
@@ -141,15 +141,16 @@ def factor_problems(draw):
 
     Diagonally dominant matrices factor; the others have tiny and negative
     pivots (B1), tiny pivots under large entries (B2) and large scaled
-    entries whose products overflow (B3).  Zeros stand for fill positions
-    and stored zeros.
+    entries whose products overflow (B3).  Zeros of either sign stand for
+    fill positions and stored zeros.
     """
     pattern, rng = draw(lower_patterns())
     f = draw(st.sampled_from([get_format("fp16"), get_format("bf16")]))
     kind = draw(st.sampled_from(["dominant", "mixed", "wild"]))
     n, nnz, cp, ri = pattern.n, pattern.nnz, pattern.col_ptr, pattern.row_idx
     values = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-2.0, 4.0 if kind == "wild" else 1.0, nnz)
-    values[rng.random(nnz) < 0.3] = 0.0
+    zeros = rng.random(nnz) < 0.3
+    values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
     cols = np.repeat(np.arange(n), np.diff(cp))
     off = ri != cols
     if kind == "dominant":
@@ -184,38 +185,84 @@ def test_factor_kernels_agree(problem, safe_checks):
     tau = default_tau(f)
     want = _column_result(A, pattern, f, safe_checks)
     event(want.kind if isinstance(want, Breakdown) else type(want).__name__)
-    vals = _scatter_into_pattern(A, pattern, schedule(pattern).keys)
-    done = _level_factor(vals, _level_plan(pattern), tau, f, safe_checks)
-    # the level kernel completes exactly the attempts the column kernel
-    # completes, with the same values
+    keys = schedule(pattern).keys
+    vals = _scatter_into_pattern(A, pattern, keys)
+    done = _step_factor(vals, _step_plan(pattern), pattern, keys, tau, f, safe_checks)
+    # the step kernel completes exactly the attempts the column kernel
+    # completes, with the same bits, signed zeros included
     assert done == isinstance(want, np.ndarray)
     if done:
-        assert np.array_equal(vals, want)
+        assert np.array_equal(vals.view(np.int64), want.view(np.int64))
     # ic_attempt gives the column kernel's values, Breakdown or error
     # whichever kernel its rule picks
     for bound in (np.inf, -1.0):
-        with mock.patch.object(factor, "ROUNDS_PER_COLUMN_MAX", bound):
+        with mock.patch.object(factor, "STEPS_PER_COLUMN_MAX", bound):
             try:
                 got = ic_attempt(A, pattern, tau, f, safe_checks)
             except FactorizationError as exc:
                 got = str(exc)
         if done:
-            assert np.array_equal(got, want)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
         else:
             assert got == want
 
 
-def test_round_rule_picks_the_factor_kernel():
+@settings(max_examples=300, deadline=None)
+@given(lower_patterns())
+def test_step_times_match_oracle(drawn):
+    pattern = drawn[0]
+    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+    cols = np.repeat(np.arange(n), np.diff(cp))
+    plan = _step_plan(pattern)
+    T, P = [None] * pattern.nnz, [None] * n
+    for s, (task, pairs, shift, diag, below, off) in enumerate(plan):
+        for p in task.tolist():
+            assert T[p] is None
+            T[p] = s
+        for d in diag.tolist():
+            assert P[cols[d]] is None
+            P[cols[d]] = s
+        # a task's pairs run from its l_jk to the end of its column, and a
+        # pivot takes its column's off-diagonals
+        pair_pos = np.arange(pairs.sum()) + np.repeat(shift, pairs)
+        assert pair_pos.tolist() == [q for p in task.tolist() for q in range(p, cp[cols[p] + 1])]
+        assert below.tolist() == [cp[cols[d] + 1] - d - 1 for d in diag.tolist()]
+        assert off.tolist() == [q for d in diag.tolist() for q in range(d + 1, cp[cols[d] + 1])]
+    assert (T, P) == oracles.step_times(cp, ri)
+    # every task runs after its source's pivot, the tasks of a target column
+    # run in ascending source order, and a pivot runs no earlier than the
+    # last task of its column
+    tasks = [[] for _ in range(n)]
+    for p in np.flatnonzero(ri != cols).tolist():    # sources ascending
+        assert T[p] > P[cols[p]]
+        tasks[ri[p]].append(T[p])
+    for j in range(n):
+        assert all(a < b for a, b in zip(tasks[j], tasks[j][1:]))
+        assert P[j] >= max(tasks[j], default=0)
+    # at least one step per level, and no more steps than R plus the
+    # depth, R the sum over the levels of the longest row among the
+    # level's columns
+    sched = schedule(pattern)
+    widest = np.zeros(sched.depth, dtype=np.int64)
+    np.maximum.at(widest, sched.level, np.bincount(ri, minlength=n) - 1)
+    assert sched.depth <= len(plan) <= widest.sum() + sched.depth
+
+
+def test_step_rule_picks_the_factor_kernel():
     fp16 = get_format("fp16")
     grid, _ = l2_scale(poisson2d(20))
     dense, _ = l2_scale(random_spd(40, density=1.0, seed=0))
-    for A, level, levels in ((grid, 0, True), (dense, 3, False)):
+    for A, level, steps in ((grid, 0, True), (dense, 3, False)):
         pattern = ic_pattern(A, level)
-        ic_attempt(A, pattern, default_tau(fp16), fp16, True)
-        sched = schedule(pattern)
-        assert (sched.rounds <= factor.ROUNDS_PER_COLUMN_MAX * pattern.n) == levels
-        # the update plan exists only where the level kernel ran
-        assert (sched.factor_plan is not None) == levels
+        with mock.patch.object(factor, "_step_factor", wraps=_step_factor) as kernel:
+            assert isinstance(ic_attempt(A, pattern, default_tau(fp16), fp16, True), np.ndarray)
+        S = len(_step_plan(pattern))
+        assert (S <= factor.STEPS_PER_COLUMN_MAX * pattern.n) == steps
+        assert kernel.called == steps
+        # S >= depth, so a pattern deeper than the rule allows gets no plan
+        assert (schedule(pattern).factor_plan is not None) == steps
+    # a dense pattern is one chain of pivots
+    assert S == schedule(pattern).depth == pattern.n
 
 
 def test_one_schedule_serves_restarts_and_solves():
@@ -231,12 +278,15 @@ def test_one_schedule_serves_restarts_and_solves():
         return out
 
     with mock.patch.object(factor, "ic_attempt", spy), \
+            mock.patch.object(factor, "_step_plan", wraps=_step_plan) as plans, \
             mock.patch.object(icir.schedule, "_column_levels", wraps=_column_levels) as levels:
         L = shifted_ic(A, pattern, f=get_format("fp16"))
         apply_preconditioner(L, np.ones(L.n))
         apply_preconditioner(L, np.arange(L.n, dtype=float))
     assert L.stats.restarts >= 1 and len(seen) == L.stats.restarts + 1
     assert levels.call_count == 1
+    # one step plan served every restart, and shifted_ic dropped it
+    assert plans.call_count == 1
     assert all(s is pattern.schedule for s in seen)
-    assert pattern.schedule.factor_plan is not None
+    assert pattern.schedule.factor_plan is None
     assert pattern.schedule.solve_kernel is not None
