@@ -115,10 +115,11 @@ class RunRecord:
     maxbasis: int
     status: str
     wall_seconds: float
-    # JSON only: the status of each inner solve, and the native_low
-    # applications retried in fp64
+    # JSON only: each inner solve's status, the native_low applications
+    # retried in fp64, and each failed factor attempt's shift and breakdown
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
+    attempts: list = field(default_factory=list, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -180,6 +181,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         wall_seconds=time.perf_counter() - t0,
         inner_statuses=[s for _, s in report.per_outer],
         overflow_fallbacks=report.overflow_fallbacks,
+        attempts=[{"alpha": a, "kind": kind, "k": k} for a, kind, k in L.stats.history],
     )
 
 

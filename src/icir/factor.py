@@ -20,49 +20,35 @@ never admit an overflow.
 Entry (i, j) of the factor takes one update a - l_ik l_jk from every column
 k < j with (i, k) and (j, k) in the pattern, rounded after each, in
 ascending k; then column j takes its pivot (B1 test, rounded square root,
-B2 test, scaled column).  Two kernels keep that order, so they give the
-same bits:
+B2 test, scaled column): the order of the right-looking column loop that
+tests/oracles.py keeps as the reference (column_factor).
 
-  column -- right-looking, one Python step per column: pivot column k, then
-            scatter its updates into the columns to its right;
-  steps  -- a dataflow schedule of tasks and pivots.  A task (j, k) is one
-            off-diagonal l_jk of the pattern: column j takes its update from
-            source column k, a - l_ik l_jk on every present (i, j) with
-            i >= j, the pairs the column loop scatters from column k.  Each
-            step runs its tasks as one vectorised safe_update_many call, with
-            the updates whose b or c is zero left out as the column kernel
-            does, then the pivots of the columns whose last task has run.
+The kernel runs a dataflow schedule of tasks and pivots.  A task (j, k) is
+one off-diagonal l_jk: column j takes its update from source column k on
+every present (i, j) with i >= j, the pairs the column loop scatters from
+column k, leaving out those whose b or c is zero as the loop does.  The
+r-th task of target j (sources k ascending) runs at step T_r =
+max(T_{r-1} + 1, P(k_r) + 1), and the pivot of j at P(j) = T_last (0
+without tasks), so every entry sees the column loop's order.  A step runs
+its tasks as one vectorised safe_update_many call, then its pivots.  The
+step times are found level by level of the elimination schedule
+(icir.schedule), one segmented running maximum per level.  The plan holds
+int32 positions and counts only, per step the tasks with their pair counts
+and the pivot columns with their off-diagonals; it is built once per
+pattern and kept on the schedule while shifted_ic runs, so restarts reuse
+it, and shifted_ic drops it when it returns or raises.
 
-Each task runs at the earliest step its inputs allow.  For the r-th task of
-target column j (sources k ascending), T_r = max(T_{r-1} + 1, P(k_r) + 1),
-and the pivot of column j runs at P(j) = T_last, or at step 0 when j has no
-tasks.  A step thus holds at most one task per target column, every task
-runs after its source's pivot, and every pivot after its column's last
-update: the column kernel's order on every entry.  One step can mix work of
-many levels of the elimination schedule (icir.schedule), whose levels order
-the computation of the step times, one segmented running maximum per level.
-The step plan holds int32 positions and counts only, never one entry per
-update: per step the tasks with their pair counts, and the pivot columns
-with their off-diagonals.  It is built once per pattern and kept on the
-schedule while shifted_ic runs, so restart attempts reuse it; shifted_ic
-drops it when it returns or raises.
-
-The pattern needs S steps, at most 2n, and a step costs about as much as
-one or two column steps.  ic_attempt runs the steps when
-S <= STEPS_PER_COLUMN_MAX * n, a rule that depends only on the pattern.
-Above it, as on dense patterns (S = n), the column loop is as fast, and an
-attempt that breaks down pays for the column loop anyway.  A pivot runs at
-least one step after each of its sources, so S is at least the depth of the
-schedule, and a deeper pattern takes the column loop without a plan.
-
-The steps meet their breakdowns in step order, not column order.  So when
-they meet any breakdown or overflow, the attempt is rerun with the column
-kernel, which returns the first breakdown in column order (or raises the
-FactorizationError), as it always did: the breakdown kind, column and
-detail, and with them nmod/nofl, the restart history and alpha, do not
-depend on the kernel.  Every operation of the steps is one the column
-kernel makes on the same values, so an attempt the steps complete the
-column kernel also completes, with the same values.
+The kernel returns the column loop's first breakdown, though it meets
+breakdowns in step order.  Number the operations: the pivot of column k is
+2k, the scatter from source column k (all of its tasks) 2k + 1.  An
+operation reads only results of lower-numbered ones, so the lowest-numbered
+failing operation reads clean inputs and is the column loop's first
+breakdown: the same kind, column and detail, or the same FactorizationError.
+After a failure the kernel skips every operation numbered above the lowest
+failure so far, whose inputs may hold failed results, and stops once the
+plan's rest[s], the lowest operation number at step s or later, exceeds it.
+The tasks of one source can span several steps, so the B3 candidate, the
+unsafe pair with the lowest (target column, row), is kept across steps.
 
 shifted_ic wraps ic_attempt in the usual global-shift loop: on breakdown the
 diagonal shift alpha is doubled (starting from alpha_s) and the factorization
@@ -71,8 +57,8 @@ restarts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,10 +79,6 @@ __all__ = [
     "shifted_ic",
 ]
 
-# the step kernel runs when the pattern's steps number at most this many per
-# column (see the module docstring)
-STEPS_PER_COLUMN_MAX = 0.5
-
 
 class FactorizationError(RuntimeError):
     """Unexpected numerical failure (e.g. overflow with safety checks disabled)."""
@@ -116,6 +98,7 @@ class FactorStats:
     nmod: int      # B1 occurrences across all attempts
     nofl: int      # B3 occurrences across all attempts
     restarts: int  # attempts - 1
+    history: tuple = ()  # (alpha, kind, k) of every failed attempt
 
 
 @dataclass
@@ -167,52 +150,41 @@ def _scatter_into_pattern(Alow: SparseSpd, pattern: FillPattern, keys: np.ndarra
     return vals
 
 
-def _triangular_pairs(m: int):
-    """Index pairs (t, s) with s >= t for a column of m off-diagonal entries."""
-    counts = m - np.arange(m)
-    t = np.repeat(np.arange(m), counts)
-    group_start = np.repeat(np.cumsum(counts) - counts, counts)
-    s = np.arange(len(t)) - group_start + t
-    return t, s
-
-
 def ic_attempt(Alow: SparseSpd, pattern: FillPattern, tau: float, f: FpFormat,
                safe_checks: bool):
-    """One factorization attempt.  Returns the value array on success, else a Breakdown.
+    """One factorization attempt.  Returns the value array on success, else
+    the first Breakdown in column order.
 
     With safe_checks=False only the B1 pivot test is performed (the intended
-    mode for fp32/fp64, where the scaled problem cannot overflow).
+    mode for fp32/fp64, where the scaled problem cannot overflow); an
+    overflow raises FactorizationError.
     """
     smallest = f.x_s_min if f.supports_subnormals else f.x_min
     if not tau > smallest:
         raise ValueError("tau must exceed the smallest positive representable value")
 
     sched = schedule(pattern)
+    if sched.factor_plan is None:
+        sched.factor_plan = _step_plan(pattern)
     vals = _scatter_into_pattern(Alow, pattern, sched.keys)
-    most = STEPS_PER_COLUMN_MAX * pattern.n
-    # S >= depth, so a deep pattern fails the rule without a plan
-    if sched.depth <= most:
-        if sched.factor_plan is None:
-            sched.factor_plan = _step_plan(pattern)
-        if len(sched.factor_plan) <= most:
-            if _step_factor(vals, sched.factor_plan, pattern, sched.keys, tau, f, safe_checks):
-                return vals
-            # a breakdown or overflow: the column loop finds the first one in its order
-            vals = _scatter_into_pattern(Alow, pattern, sched.keys)
-    return _column_factor(vals, pattern, sched.keys, tau, f, safe_checks)
+    return _step_factor(vals, sched.factor_plan, pattern, sched.keys, tau, f, safe_checks)
 
 
-def _step_plan(pattern: FillPattern) -> list:
-    """The step kernel's plan for the pattern, one tuple of int32 arrays per step.
+class _StepPlan(NamedTuple):
+    steps: list        # one tuple of int32 arrays per step
+    rest: np.ndarray   # rest[s]: the lowest operation number at step s or later
+
+
+def _step_plan(pattern: FillPattern) -> _StepPlan:
+    """The step kernel's plan for the pattern.
 
     A step's (task, pairs, shift) describe its tasks: the position of l_jk
-    of every task (j, k) that runs at the step, its pair count (the
-    positions from l_jk to the end of column k, those of the l_ik), and the
-    shift that puts those positions at shift + their index among the step's
-    pairs.  (diag, below, off) describe its pivots: the diagonal positions
-    of the columns whose pivot runs at the step, their off-diagonal counts
-    and their off-diagonal positions.  The step times are found level by
-    level, since a task's time needs its source's pivot time.
+    of every task (j, k), its pair count (the positions from l_jk to the end
+    of column k, those of the l_ik), and the shift that puts those positions
+    at shift + their index among the step's pairs.  (diag, below, off)
+    describe its pivots in ascending column: their diagonal positions,
+    off-diagonal counts and off-diagonal positions.  The step times are found
+    level by level, since a task's time needs its source's pivot time.
     """
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
     sched = schedule(pattern)
@@ -243,6 +215,11 @@ def _step_plan(pattern: FillPattern) -> list:
         np.maximum.at(P, tgt[sl], T[sl])
     del w, tgt
     steps = int(P.max(initial=-1)) + 1
+    # pivot j is operation 2j, the scatter from source k operation 2k + 1
+    rest = np.full(steps, 2 * n, dtype=np.int64)
+    np.minimum.at(rest, T, 2 * src.astype(np.int64) + 1)   # ufunc.at is slow when it casts
+    np.minimum.at(rest, P, 2 * np.arange(n))
+    rest = np.minimum.accumulate(rest[::-1])[::-1].copy()
     by_step = np.argsort(T, kind="stable")
     task = task[by_step]
     pairs = (cp[src[by_step] + 1] - task).astype(np.int32)
@@ -262,21 +239,31 @@ def _step_plan(pattern: FillPattern) -> list:
     off = off.astype(np.int32)
     psplit = _split(np.bincount(P, minlength=steps))
     osplit = _split(np.bincount(P[pivots], below, minlength=steps).astype(np.int64))
-    return [(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
-            for a, b, o in zip(_split(per_step), psplit, osplit)]
+    return _StepPlan([(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
+                      for a, b, o in zip(_split(per_step), psplit, osplit)], rest)
 
 
-def _step_factor(vals: np.ndarray, steps: list, pattern: FillPattern, keys: np.ndarray,
-                 tau: float, f: FpFormat, safe_checks: bool) -> bool:
-    """Factor vals in place step by step.  False at the first breakdown or
-    overflow of any kind, leaving vals partly factored."""
-    n, ri = pattern.n, pattern.row_idx
-    x_max = f.x_max
-    for task, pairs, shift, diag, below, off in steps:
+def _step_factor(vals: np.ndarray, plan: _StepPlan, pattern: FillPattern, keys: np.ndarray,
+                 tau: float, f: FpFormat, safe_checks: bool):
+    """Factor vals in place step by step.  Returns vals or the first
+    Breakdown in column order, or raises the first FactorizationError."""
+    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+    # the lowest failing operation found so far (2n: none), for a B3 the
+    # target position of its pair, and its Breakdown or error message
+    first, first_t, outcome = 2 * n, 0, None
+    for s, (task, pairs, shift, diag, below, off) in enumerate(plan.steps):
+        if first < 2 * n and plan.rest[s] > first:
+            break
         if len(task):
             # target (i, j) = (row of b, row of c), b = l_ik, c = l_jk
             c = np.repeat(task, pairs)
             b = np.arange(len(c)) + np.repeat(shift, pairs)
+            if first < 2 * n:
+                # skip the scatters numbered above the failure, those from
+                # the columns from (first + 1) // 2 on, pair by pair, since
+                # shift places every task's pairs within the step
+                kept = np.repeat(task < cp[(first + 1) // 2], pairs)
+                b, c = b[kept], c[kept]
             bv = vals[b]
             cv = vals[c]
             live = (bv != 0.0) & (cv != 0.0)
@@ -287,7 +274,7 @@ def _step_factor(vals: np.ndarray, steps: list, pattern: FillPattern, keys: np.n
             t = np.searchsorted(keys, tkeys)
             present = keys[t] == tkeys
             if not present.all():
-                t, bv, cv = t[present], bv[present], cv[present]
+                t, c, bv, cv = t[present], c[present], bv[present], cv[present]
             a = vals[t]
             if safe_checks:
                 v, bad = safe_update_many(a, bv, cv, f)
@@ -296,93 +283,68 @@ def _step_factor(vals: np.ndarray, steps: list, pattern: FillPattern, keys: np.n
                 v, over_v = quantize(a - w, f)
                 bad |= over_v | ~np.isfinite(v)
             if bad.any():
-                return False
+                # the failing pair of the lowest source with the lowest
+                # target (column, row), the one the column loop meets first;
+                # the keys ascend, so t orders the targets
+                at = np.flatnonzero(bad)
+                src = np.searchsorted(cp, c[at], side="right") - 1
+                i = np.lexsort((t[at], src))[0]
+                k, at = int(src[i]), at[i]
+                if (2 * k + 1, t[at]) < (first, first_t):
+                    first, first_t = 2 * k + 1, t[at]
+                    outcome = (Breakdown("B3", k, (a[at], bv[at], cv[at])) if safe_checks
+                               else f"update overflowed at k={k} without safe checks")
             vals[t] = v
-        if not len(diag):
-            continue
-        d = vals[diag]
-        if (d < tau).any():
-            return False
-        droot, _ = quantize(np.sqrt(d), f)
-        dr = np.repeat(droot, below)
-        colv = vals[off]
-        # B2 for a column is some entry above droot * x_max while droot < 1
-        if safe_checks and ((dr < 1.0) & (dr * x_max < np.abs(colv))).any():
-            return False
-        q, over = quantize(colv / dr, f)
-        if over.any() or not np.isfinite(q).all():
-            return False
-        vals[diag] = droot
-        vals[off] = q
-    return True
-
-
-def _column_factor(vals: np.ndarray, pattern: FillPattern, keys: np.ndarray, tau: float,
-                   f: FpFormat, safe_checks: bool):
-    """Factor vals in place column by column (right-looking).  Returns vals or
-    the first Breakdown in column order."""
-    n = pattern.n
-    col_ptr = pattern.col_ptr
-    rows_all = pattern.row_idx
-    nnz = len(vals)
-
-    for k in range(n):
-        s0, e0 = col_ptr[k], col_ptr[k + 1]
-        d = vals[s0]
-        if d < tau:
-            return Breakdown("B1", k, (d,))
-        droot, _ = _round_scalar(math.sqrt(d), f)
-        colv = vals[s0 + 1:e0]
-        m = e0 - 1 - s0
-        if safe_checks and droot < 1.0:
-            a = float(np.max(np.abs(colv))) if m else 0.0
-            if not safe_scale_check(droot, a, f):
-                return Breakdown("B2", k, (droot, a))
-        q, over = quantize(colv / droot, f)
-        if np.any(over) or not np.all(np.isfinite(q)):
-            if safe_checks:  # unreachable given the guard; stay conservative
-                return Breakdown("B2", k, (droot,))
-            raise FactorizationError(f"column scaling overflowed at k={k} without safe checks")
-        vals[s0] = droot
-        vals[s0 + 1:e0] = q
-        if m == 0:
-            continue
-
-        rows = rows_all[s0 + 1:e0]
-        t, s = _triangular_pairs(m)
-        c = q[t]   # l_jk for target column j = rows[t]
-        b = q[s]   # l_ik for target row i = rows[s]
-        live = (b != 0.0) & (c != 0.0)
-        if not np.any(live):
-            continue
-        t, s, b, c = t[live], s[live], b[live], c[live]
-        qkeys = rows[t] * np.int64(n) + rows[s]
-        pos = np.searchsorted(keys, qkeys)
-        present = (pos < nnz)
-        pos_c = np.minimum(pos, nnz - 1)
-        present &= keys[pos_c] == qkeys
-        if not np.any(present):
-            continue
-        pos = pos_c[present]
-        b = b[present]
-        c = c[present]
-        a = vals[pos]
-        if safe_checks:
-            v, unsafe = safe_update_many(a, b, c, f)
-            if np.any(unsafe):
-                bad = int(np.argmax(unsafe))
-                return Breakdown("B3", k, (a[bad], b[bad], c[bad]))
-            vals[pos] = v
-        else:
-            w, over_w = quantize(b * c, f)
-            v, over_v = quantize(a - w, f)
-            if np.any(over_w) or np.any(over_v) or not np.all(np.isfinite(v)):
-                raise FactorizationError(f"update overflowed at k={k} without safe checks")
-            vals[pos] = v
-
+        if first < 2 * n:
+            # and the pivots of those columns, a tail as they ascend
+            m = int(np.searchsorted(diag, cp[(first + 1) // 2]))
+            diag, below, off = diag[:m], below[:m], off[:int(below[:m].sum())]
+        if len(diag):
+            failed = _pivots(vals, diag, below, off, ri, tau, f, safe_checks)
+            if failed is not None:
+                first, outcome = failed
+    if isinstance(outcome, str):
+        raise FactorizationError(outcome)
+    if outcome is not None:
+        return outcome
     if np.any(np.abs(vals) > f.x_max):
         raise FactorizationError("stored factor value exceeds x_max")  # defensive
     return vals
+
+
+def _pivots(vals: np.ndarray, diag, below, off, ri, tau: float, f: FpFormat, safe_checks: bool):
+    """Pivot a step's columns, ascending, in place.  Returns None, or the
+    operation number and outcome of the first failing pivot, having pivoted
+    only the columns before it."""
+    d = vals[diag]
+    low = d < tau                                 # B1; such a root goes unused
+    droot, _ = quantize(np.sqrt(np.maximum(d, tau)), f)
+    dr = np.repeat(droot, below)
+    colv = vals[off]
+    q, over = quantize(colv / dr, f)
+    bad = over | ~np.isfinite(q)
+    if safe_checks:
+        # B2: some entry of a column exceeds droot * x_max while droot < 1
+        bad |= ~safe_scale_check(dr, np.abs(colv), f)
+    failed = None
+    if low.any() or bad.any():
+        ends = np.cumsum(below)
+        low[np.searchsorted(ends, np.flatnonzero(bad), side="right")] = True
+        i = int(np.argmax(low))
+        j, lo = int(ri[diag[i]]), int(ends[i] - below[i])
+        if d[i] < tau:
+            failed = 2 * j, Breakdown("B1", j, (d[i],))
+        elif safe_checks:
+            a = float(np.max(np.abs(colv[lo:ends[i]])))
+            # a scaled entry overflowing under a safe pivot is unreachable
+            detail = (droot[i],) if safe_scale_check(droot[i], a, f) else (droot[i], a)
+            failed = 2 * j, Breakdown("B2", j, detail)
+        else:
+            failed = 2 * j, f"column scaling overflowed at k={j} without safe checks"
+        diag, droot, off, q = diag[:i], droot[:i], off[:lo], q[:lo]
+    vals[diag] = droot
+    vals[off] = q
+    return failed
 
 
 def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
@@ -402,7 +364,6 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
     base_diag = Alow.values[diag_pos].copy()
 
     alpha = 0.0
-    nmod = nofl = 0
     history = []
     try:
         for attempt in range(max_restarts):
@@ -419,13 +380,11 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
                 work = Alow.with_values(v)
             result = ic_attempt(work, pattern, tau, f, f.half_width)  # full guards in half width
             if not isinstance(result, Breakdown):
-                return IcFactor(pattern, result, f, alpha,
-                                FactorStats(nmod=nmod, nofl=nofl, restarts=attempt))
+                kinds = [b.kind for _, b in history]
+                return IcFactor(pattern, result, f, alpha, FactorStats(
+                    kinds.count("B1"), kinds.count("B3"), attempt,
+                    tuple((a, b.kind, b.k) for a, b in history)))
             history.append((alpha, result))
-            if result.kind == "B1":
-                nmod += 1
-            elif result.kind == "B3":
-                nofl += 1
             alpha = max(2.0 * alpha, alpha_s)
     finally:
         # the restarts are over, and only ic_attempt reads the step plan

@@ -86,12 +86,12 @@ def gmres(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutco
         return KrylovOutcome(x, 0, CONVERGED)
     target = tol * beta
     maxit = min(maxit, n)
-    cap = min(maxit, 32)  # basis storage grows on demand
-    V = np.zeros((cap + 1, n))
-    H = np.zeros((maxit + 1, maxit))
-    cs = np.zeros(maxit)
-    sn = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
+    m = min(maxit, 32)  # storage for m iterations, grown on demand
+    V = np.zeros((m + 1, n))
+    H = np.zeros((m + 1, m))
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
     g[0] = beta
     V[0] = r0 / beta
 
@@ -103,6 +103,11 @@ def gmres(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutco
         return KrylovOutcome(V[:k].T @ y, k, status)
 
     for k in range(maxit):
+        if k == m:  # zeros for e more iterations
+            e = min(maxit, 2 * m) - m
+            m += e
+            V, H = np.pad(V, ((0, e), (0, 0))), np.pad(H, (0, e))
+            cs, sn, g = np.pad(cs, (0, e)), np.pad(sn, (0, e)), np.pad(g, (0, e))
         w = M(matvec_f64(A, V[k]))
         for i in range(k + 1):
             H[i, k] = np.dot(V[i], w)
@@ -125,10 +130,6 @@ def gmres(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutco
         g[k] = cs[k] * g[k]
         if abs(g[k + 1]) <= target or h == 0.0:
             return solve_and_pack(k + 1, CONVERGED)
-        if h != 0.0 and k + 1 < maxit:
-            if k + 2 > V.shape[0]:
-                grown = np.zeros((min(maxit + 1, 2 * V.shape[0]), n))
-                grown[:V.shape[0]] = V
-                V = grown
+        if k + 1 < maxit:
             V[k + 1] = w / h
     return solve_and_pack(maxit, MAX_ITERATIONS)

@@ -18,9 +18,9 @@ Overflow is reported through a flag or mask, never by producing an infinity:
 carriers must stay finite.  No fused multiply-add anywhere; every multiply and subtract
 rounds separately.
 
-_round_scalar, the scalar twin of quantize, stays for the factor's per-column
-pivot and the native_low solves' single values, where a one-element quantize
-costs about eight times as much.  TestBitwiseOracle.test_scalar_vector_paths_match
+_round_scalar, the scalar twin of quantize, stays for the native_low solves'
+single values and the factor's shift, where a one-element quantize costs
+about eight times as much.  TestBitwiseOracle.test_scalar_vector_paths_match
 in tests/test_precision.py pins the two bit for bit.
 
 For fp16 and fp32, quantize casts to float16 / float32, which rounds a
@@ -175,17 +175,16 @@ def quantize(x: np.ndarray, f: FpFormat):
     return np.copysign(y, x), over
 
 
-def safe_scale_check(d: float, a: float, f: FpFormat) -> bool:
+def safe_scale_check(d, a, f: FpFormat):
     """True iff dividing any column entry of magnitude <= a by the pivot d cannot overflow.
 
     Safe when d >= 1 (quotients only shrink) or d >= a / x_max.  The
     comparison is done as d * x_max >= a: both operands are representable in
     f, so for formats with p <= 24 the product is exact in fp64 and the test
-    is the exact predicate (no quotient rounding to worry about).
+    is the exact predicate (no quotient rounding to worry about).  d and a
+    may be aligned arrays, tested elementwise.
     """
-    if d >= 1.0:
-        return True
-    return d * f.x_max >= a
+    return (d >= 1.0) | (d * f.x_max >= a)
 
 
 def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):

@@ -13,10 +13,9 @@ cached on FillPattern.schedule, so every restart attempt and every later
 solve with that pattern shares it.  It holds the levels and the sorted
 position keys of the pattern.  The factor and the solves each build their
 own plans from the levels on first use and keep them in its factor_plan and
-solve_kernel slots: factor_plan holds the factor's step lists (the tasks
+solve_kernel slots: factor_plan holds the factor's step plan (the tasks
 and pivots of each dataflow step, see icir.factor) while shifted_ic runs,
-and solve_kernel the solves' gather lists.  There is no round count: the
-factor's kernel rule reads the number of steps from its plan.
+and solve_kernel the solves' gather lists.
 """
 
 from __future__ import annotations

@@ -10,13 +10,19 @@ operation, and one guarded update.  round_to is built on
 icir.precision._round_scalar, so comparing it with quantize pins the scalar
 and vector rounding paths to each other.
 
-step_times is the reference of the factor's dataflow step schedule.
+step_times is the reference of the factor's dataflow step schedule, and
+column_factor of the factor itself: the right-looking column loop, whose
+first breakdown in column order icir.factor.ic_attempt must return.
 """
 
 import math
 from dataclasses import dataclass
 
-from icir.precision import FpFormat, _round_scalar
+import numpy as np
+
+from icir.factor import Breakdown, FactorizationError
+from icir.precision import (FpFormat, _round_scalar, quantize, safe_scale_check,
+                            safe_update_many)
 
 OVERFLOW = "overflow"
 UNDERFLOW_TO_ZERO = "underflow_to_zero"
@@ -104,8 +110,6 @@ def safe_update(a: float, b: float, c: float, f: FpFormat):
     return v
 
 
-
-
 def forward_solve(col_ptr, row_idx, values, w):
     """Solve L y = w for L in CSC form, diagonal first in every column.
 
@@ -166,3 +170,79 @@ def step_times(col_ptr, row_idx):
             T[p] = t
         P[j] = t
     return T, P
+
+
+def _triangular_pairs(m: int):
+    """Index pairs (t, s) with s >= t for a column of m off-diagonal entries."""
+    counts = m - np.arange(m)
+    t = np.repeat(np.arange(m), counts)
+    group_start = np.repeat(np.cumsum(counts) - counts, counts)
+    s = np.arange(len(t)) - group_start + t
+    return t, s
+
+
+def column_factor(vals, pattern, keys, tau, f, safe_checks):
+    """Factor vals in place column by column (right-looking).  Returns vals or
+    the first Breakdown in column order."""
+    n = pattern.n
+    col_ptr = pattern.col_ptr
+    rows_all = pattern.row_idx
+    nnz = len(vals)
+
+    for k in range(n):
+        s0, e0 = col_ptr[k], col_ptr[k + 1]
+        d = vals[s0]
+        if d < tau:
+            return Breakdown("B1", k, (d,))
+        droot, _ = _round_scalar(math.sqrt(d), f)
+        colv = vals[s0 + 1:e0]
+        m = e0 - 1 - s0
+        if safe_checks and droot < 1.0:
+            a = float(np.max(np.abs(colv))) if m else 0.0
+            if not safe_scale_check(droot, a, f):
+                return Breakdown("B2", k, (droot, a))
+        q, over = quantize(colv / droot, f)
+        if np.any(over) or not np.all(np.isfinite(q)):
+            if safe_checks:  # unreachable given the guard; stay conservative
+                return Breakdown("B2", k, (droot,))
+            raise FactorizationError(f"column scaling overflowed at k={k} without safe checks")
+        vals[s0] = droot
+        vals[s0 + 1:e0] = q
+        if m == 0:
+            continue
+
+        rows = rows_all[s0 + 1:e0]
+        t, s = _triangular_pairs(m)
+        c = q[t]   # l_jk for target column j = rows[t]
+        b = q[s]   # l_ik for target row i = rows[s]
+        live = (b != 0.0) & (c != 0.0)
+        if not np.any(live):
+            continue
+        t, s, b, c = t[live], s[live], b[live], c[live]
+        qkeys = rows[t] * np.int64(n) + rows[s]
+        pos = np.searchsorted(keys, qkeys)
+        present = (pos < nnz)
+        pos_c = np.minimum(pos, nnz - 1)
+        present &= keys[pos_c] == qkeys
+        if not np.any(present):
+            continue
+        pos = pos_c[present]
+        b = b[present]
+        c = c[present]
+        a = vals[pos]
+        if safe_checks:
+            v, unsafe = safe_update_many(a, b, c, f)
+            if np.any(unsafe):
+                bad = int(np.argmax(unsafe))
+                return Breakdown("B3", k, (a[bad], b[bad], c[bad]))
+            vals[pos] = v
+        else:
+            w, over_w = quantize(b * c, f)
+            v, over_v = quantize(a - w, f)
+            if np.any(over_w) or np.any(over_v) or not np.all(np.isfinite(v)):
+                raise FactorizationError(f"update overflowed at k={k} without safe checks")
+            vals[pos] = v
+
+    if np.any(np.abs(vals) > f.x_max):
+        raise FactorizationError("stored factor value exceeds x_max")  # defensive
+    return vals

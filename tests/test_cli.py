@@ -218,20 +218,24 @@ class TestMain:
                      "--out", str(out), "--level", "1", "--solver", "gmres"]) == 0
         data = json.loads(out.read_text())
         assert len(data) == 1
-        assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks"}
+        assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks",
+                                                      "attempts"}
         assert data[0]["status"] == "converged"
         assert len(data[0]["inner_statuses"]) == data[0]["iouter"]
         assert data[0]["overflow_fallbacks"] == 0
+        assert data[0]["attempts"] == []
 
     def test_inner_status_reaches_json_not_csv(self, tmp_path, capsys):
-        # indefinite: the fp16 factor needs alpha = 1.024, then CG stops at
-        # step 0 on small curvature
+        # indefinite: the fp16 factor needs alpha = 1.024 after 11 B1
+        # restarts, then CG stops at step 0 on small curvature
         A = SparseSpd.from_coo(3, [0, 1, 2, 1], [0, 1, 2, 0], [4, -1, 4, 0.5])
         path = write_mtx(A, tmp_path / "indefinite.mtx")
         assert main(["--matrix", path, "--output", "json"]) == 0
         rec = json.loads(capsys.readouterr().out)[0]
         assert rec["inner_statuses"] == ["small_curvature"]
         assert rec["status"] == "not-converged" and rec["alpha"] == 1.024
+        assert [a["alpha"] for a in rec["attempts"]] == [0.0] + [1e-3 * 2 ** i for i in range(10)]
+        assert {a["kind"] for a in rec["attempts"]} == {"B1"}
         assert main(["--matrix", path]) == 0
         header = next(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert header == RECORD_FIELDS == [

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 
 from conftest import to_dense
 from icir.factor import FactorStats, IcFactor, ic_attempt
-from icir.gallery import dense_to_sparse, random_spd, tridiag
+from icir.gallery import dense_to_sparse, poisson2d, random_spd, tridiag
 from icir.krylov import CONVERGED, MAX_ITERATIONS, gmres, pcg
 from icir.precision import get_format
-from icir.sparse import matvec_f64
+from icir.sparse import l2_scale, matvec_f64
 from icir.trisolve import apply_preconditioner
 from test_factor import full_pattern
 
@@ -133,3 +135,15 @@ class TestGmres:
         o1 = gmres(A, IDENT, b, 1e-10, 100)
         o2 = gmres(A, IDENT, b, 1e-10, 100)
         assert np.array_equal(o1.solution, o2.solution)
+
+    def test_memory_grows_with_the_basis(self):
+        # a (maxit + 1) x maxit Hessenberg matrix alone would take 30.5 MB
+        A, _ = l2_scale(poisson2d(60))
+        tracemalloc.start()
+        try:
+            out = gmres(A, IDENT, np.ones(A.n), 1e-4, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.status == CONVERGED and out.iterations == 79
+        assert peak < 8 * 2 ** 20

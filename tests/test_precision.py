@@ -204,6 +204,11 @@ class TestSafeScaleCheck:
     def test_small_pivot_overflow(self):
         assert not safe_scale_check(1e-4, 60.0, FP16)
 
+    def test_elementwise(self):
+        d = np.array([1.0, 1e-3, 1e-4, 1e-4])
+        a = np.array([65504.0, 60.0, 60.0, 6.0])
+        assert safe_scale_check(d, a, FP16).tolist() == [True, True, False, True]
+
     def test_guarantee(self):
         rng = np.random.default_rng(7)
         for _ in range(2000):

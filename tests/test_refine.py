@@ -179,6 +179,7 @@ class TestOuterLoop:
         Ahat, _ = l2_scale(A)
         L = shifted_ic(Ahat, ic_pattern(Ahat, 0), f=FP16)
         assert L.alpha == 1.024 and L.stats.nmod == 11 and L.stats.restarts == 11
+        assert [kind for _, kind, _ in L.stats.history] == ["B1"] * 11
         return Ahat, matvec_f64(Ahat, np.ones(3)), L
 
     def test_small_curvature_is_the_last_correction(self, indefinite):

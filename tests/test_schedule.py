@@ -1,11 +1,12 @@
 """The elimination schedule and the kernels that run from it: the two
-cast_f64 substitution kernels against the scalar oracle, the factor's step
-times against theirs, the two factor kernels against each other, and the
-rules that choose between them."""
+cast_f64 substitution kernels against the scalar oracle and the rule that
+chooses between them, and the factor's step times and values, breakdowns
+and errors against the column loop's."""
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +14,8 @@ import oracles
 import icir.factor as factor
 import icir.schedule
 from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
-                         _column_factor, _scatter_into_pattern, _step_factor,
-                         _step_plan, default_tau, ic_attempt, shifted_ic)
+                         ShiftRestartError, _scatter_into_pattern, _step_plan,
+                         default_tau, ic_attempt, shifted_ic)
 from icir.gallery import poisson2d, random_spd, tridiag
 from icir.precision import get_format, quantize
 from icir.schedule import _column_levels, schedule
@@ -140,15 +141,25 @@ def factor_problems(draw):
     """(A, pattern, f) with A stored on every pattern position.
 
     Diagonally dominant matrices factor; the others have tiny and negative
-    pivots (B1), tiny pivots under large entries (B2) and large scaled
-    entries whose products overflow (B3).  Zeros of either sign stand for
-    fill positions and stored zeros.
+    pivots (B1), pivots under 1 beneath entries near x_max (B2), and large
+    scaled entries whose products overflow (B3).  Zeros of either sign
+    stand for fill positions and stored zeros.
     """
-    pattern, rng = draw(lower_patterns())
+    # b2b3 twice: half of its draws run unguarded, where B2 and B3 are errors
+    kind = draw(st.sampled_from(["b2b3", "b2b3", "dominant", "mixed", "wild"]))
+    patterns = lower_patterns()
+    if kind == "b2b3":
+        # neither B2 nor B3 without an off-diagonal
+        patterns = patterns.filter(lambda drawn: drawn[0].nnz > drawn[0].n)
+    pattern, rng = draw(patterns)
     f = draw(st.sampled_from([get_format("fp16"), get_format("bf16")]))
-    kind = draw(st.sampled_from(["dominant", "mixed", "wild"]))
     n, nnz, cp, ri = pattern.n, pattern.nnz, pattern.col_ptr, pattern.row_idx
-    values = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-2.0, 4.0 if kind == "wild" else 1.0, nnz)
+    if kind == "b2b3":
+        # B2 where an entry exceeds sqrt(d) * x_max, else B3 where a scaled
+        # entry exceeds sqrt(x_max)
+        values = rng.choice([-1.0, 1.0], nnz) * f.x_max * 10.0 ** rng.uniform(-4.0, 0.0, nnz)
+    else:
+        values = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-2.0, 4.0 if kind == "wild" else 1.0, nnz)
     zeros = rng.random(nnz) < 0.3
     values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
     cols = np.repeat(np.arange(n), np.diff(cp))
@@ -161,50 +172,44 @@ def factor_problems(draw):
         tiny = rng.random(n) < 0.2
         d[tiny] = 10.0 ** rng.uniform(-7.0, -2.0, int(tiny.sum()))
         d[rng.random(n) < 0.05] *= -1.0
-    else:
+    elif kind == "wild":
         d = 10.0 ** rng.uniform(-5.0, -2.0, n)
+    else:
+        d = 10.0 ** rng.uniform(-4.0, 0.0, n)
     values[cp[:-1]] = d
     values, _ = quantize(values, f)
     return SparseSpd(n, cp, ri, values), pattern, f
 
 
-def _column_result(A, pattern, f, safe_checks):
-    """The column kernel's values or Breakdown, or its FactorizationError message."""
-    keys = schedule(pattern).keys
+def _result(attempt, A, pattern, f, safe_checks):
+    """attempt's values or Breakdown, or its FactorizationError message."""
     try:
-        return _column_factor(_scatter_into_pattern(A, pattern, keys), pattern, keys,
-                              default_tau(f), f, safe_checks)
+        return attempt(A, pattern, default_tau(f), f, safe_checks)
     except FactorizationError as exc:
         return str(exc)
+
+
+def _column_attempt(A, pattern, tau, f, safe_checks):
+    """An attempt of the column loop, the reference of ic_attempt."""
+    keys = schedule(pattern).keys
+    vals = _scatter_into_pattern(A, pattern, keys)
+    return oracles.column_factor(vals, pattern, keys, tau, f, safe_checks)
 
 
 @settings(max_examples=400, deadline=None)
 @given(factor_problems(), st.booleans())
 def test_factor_kernels_agree(problem, safe_checks):
     A, pattern, f = problem
-    tau = default_tau(f)
-    want = _column_result(A, pattern, f, safe_checks)
+    want = _result(_column_attempt, A, pattern, f, safe_checks)
     event(want.kind if isinstance(want, Breakdown) else type(want).__name__)
-    keys = schedule(pattern).keys
-    vals = _scatter_into_pattern(A, pattern, keys)
-    done = _step_factor(vals, _step_plan(pattern), pattern, keys, tau, f, safe_checks)
-    # the step kernel completes exactly the attempts the column kernel
-    # completes, with the same bits, signed zeros included
-    assert done == isinstance(want, np.ndarray)
-    if done:
-        assert np.array_equal(vals.view(np.int64), want.view(np.int64))
-    # ic_attempt gives the column kernel's values, Breakdown or error
-    # whichever kernel its rule picks
-    for bound in (np.inf, -1.0):
-        with mock.patch.object(factor, "STEPS_PER_COLUMN_MAX", bound):
-            try:
-                got = ic_attempt(A, pattern, tau, f, safe_checks)
-            except FactorizationError as exc:
-                got = str(exc)
-        if done:
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        else:
-            assert got == want
+    got = _result(ic_attempt, A, pattern, f, safe_checks)
+    # the same bits, signed zeros included, or the same first breakdown in
+    # column order (kind, column and detail), or the same error
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:
+        assert got == want
 
 
 @settings(max_examples=300, deadline=None)
@@ -215,7 +220,7 @@ def test_step_times_match_oracle(drawn):
     cols = np.repeat(np.arange(n), np.diff(cp))
     plan = _step_plan(pattern)
     T, P = [None] * pattern.nnz, [None] * n
-    for s, (task, pairs, shift, diag, below, off) in enumerate(plan):
+    for s, (task, pairs, shift, diag, below, off) in enumerate(plan.steps):
         for p in task.tolist():
             assert T[p] is None
             T[p] = s
@@ -223,12 +228,18 @@ def test_step_times_match_oracle(drawn):
             assert P[cols[d]] is None
             P[cols[d]] = s
         # a task's pairs run from its l_jk to the end of its column, and a
-        # pivot takes its column's off-diagonals
+        # pivot takes its column's off-diagonals, the columns ascending
         pair_pos = np.arange(pairs.sum()) + np.repeat(shift, pairs)
         assert pair_pos.tolist() == [q for p in task.tolist() for q in range(p, cp[cols[p] + 1])]
         assert below.tolist() == [cp[cols[d] + 1] - d - 1 for d in diag.tolist()]
         assert off.tolist() == [q for d in diag.tolist() for q in range(d + 1, cp[cols[d] + 1])]
+        assert np.all(np.diff(cols[diag]) > 0)
     assert (T, P) == oracles.step_times(cp, ri)
+    # rest[s] is the lowest operation number at step s or later: 2j for the
+    # pivot of column j, 2k + 1 for a task of source column k
+    lowest = [min([2 * cols[p] + 1 for p in task.tolist()] + [2 * cols[d] for d in diag.tolist()])
+              for task, _, _, diag, _, _ in plan.steps]
+    assert plan.rest.tolist() == [min(lowest[s:]) for s in range(len(lowest))]
     # every task runs after its source's pivot, the tasks of a target column
     # run in ascending source order, and a pivot runs no earlier than the
     # last task of its column
@@ -245,24 +256,47 @@ def test_step_times_match_oracle(drawn):
     sched = schedule(pattern)
     widest = np.zeros(sched.depth, dtype=np.int64)
     np.maximum.at(widest, sched.level, np.bincount(ri, minlength=n) - 1)
-    assert sched.depth <= len(plan) <= widest.sum() + sched.depth
+    assert sched.depth <= len(plan.steps) <= widest.sum() + sched.depth
 
 
-def test_step_rule_picks_the_factor_kernel():
+def test_b3_detail_is_kept_across_steps():
+    # source 3 runs its task into column 5 at step 1 and into column 4 at
+    # step 4, after column 4's chain of sources 0-2; both are unsafe, and the
+    # column loop meets the pair of column 4 first
     fp16 = get_format("fp16")
-    grid, _ = l2_scale(poisson2d(20))
-    dense, _ = l2_scale(random_spd(40, density=1.0, seed=0))
-    for A, level, steps in ((grid, 0, True), (dense, 3, False)):
-        pattern = ic_pattern(A, level)
-        with mock.patch.object(factor, "_step_factor", wraps=_step_factor) as kernel:
-            assert isinstance(ic_attempt(A, pattern, default_tau(fp16), fp16, True), np.ndarray)
-        S = len(_step_plan(pattern))
-        assert (S <= factor.STEPS_PER_COLUMN_MAX * pattern.n) == steps
-        assert kernel.called == steps
-        # S >= depth, so a pattern deeper than the rule allows gets no plan
-        assert (schedule(pattern).factor_plan is not None) == steps
-    # a dense pattern is one chain of pivots
-    assert S == schedule(pattern).depth == pattern.n
+    pattern = _pattern(6, {(4, 0), (4, 1), (4, 2), (4, 3), (5, 3)})
+    values = np.array([1.0, 0.1, 1.0, 0.1, 1.0, 0.1, 1e-4, 5.0, 5.0, 1.0, 1.0])
+    A = SparseSpd(6, pattern.col_ptr, pattern.row_idx, quantize(values, fp16)[0])
+    T, _ = oracles.step_times(pattern.col_ptr, pattern.row_idx)
+    assert (T[7], T[8]) == (4, 1)
+    want = _result(_column_attempt, A, pattern, fp16, True)
+    assert want.kind == "B3" and want.k == 3 and want.detail[1] == want.detail[2]
+    assert _result(ic_attempt, A, pattern, fp16, True) == want
+
+
+def test_dense_pattern_is_one_chain_of_pivots():
+    A, _ = l2_scale(random_spd(40, density=1.0, seed=0))
+    pattern = ic_pattern(A, 3)
+    assert len(_step_plan(pattern).steps) == schedule(pattern).depth == pattern.n
+
+
+def test_first_breakdown_without_a_rerun():
+    # a zeroed pivot halfway down a grid: every attempt below alpha = 0.128
+    # breaks down (B1), and the steps find the column loop's breakdown
+    fp16 = get_format("fp16")
+    A, _ = l2_scale(poisson2d(50))
+    A.values[A.diag_positions()[1250]] = 0.0
+    pattern = ic_pattern(A, 0)
+    with mock.patch.object(factor, "_step_plan", wraps=_step_plan) as plans:
+        L = shifted_ic(A, pattern, f=fp16)
+    assert L.alpha == 0.128 and L.stats.restarts == 8 and plans.call_count == 1
+    assert [kind for _, kind, _ in L.stats.history] == ["B1"] * 8
+    with pytest.raises(ShiftRestartError) as got:
+        shifted_ic(A, pattern, f=fp16, max_restarts=8)
+    with mock.patch.object(factor, "ic_attempt", _column_attempt), \
+            pytest.raises(ShiftRestartError) as want:
+        shifted_ic(A, pattern, f=fp16, max_restarts=8)
+    assert got.value.history == want.value.history
 
 
 def test_one_schedule_serves_restarts_and_solves():
