@@ -139,8 +139,11 @@ def run_experiment(config: RunConfig) -> RunRecord:
     t0 = time.perf_counter()
     A = read_matrix_market(config.matrix_path)
     identifier = Path(config.matrix_path).stem
+    with np.errstate(over="ignore"):   # refused below
+        normA = inf_norm_matrix(A)
+    if not math.isfinite(normA):   # b = A 1 and every residual would overflow
+        raise ValueError("the matrix's row sums overflow fp64")
     b, _ = build_rhs(A)
-    normA = inf_norm_matrix(A)
     normb = inf_norm_vector(b)
 
     Ahat, S = l2_scale(A)
@@ -259,20 +262,21 @@ def main(argv=None) -> int:
         ap.error(f"--suite does not take run flags: {', '.join(given)}")
 
     try:
+        if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise OSError(f"--out {out} is not a file in an existing directory")
         if suite is not None:
             records, errors = run_suite(suite)
         else:
             records, errors = [run_experiment(RunConfig(**args))], []
-    except Exception as exc:  # the run failed; report it as its exit status
+        buf = io.StringIO()
+        _write_records(records, output, buf)
+        if out:
+            Path(out).write_text(buf.getvalue())
+        else:
+            sys.stdout.write(buf.getvalue())
+    except Exception as exc:  # the run or the write failed; report it as the exit status
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-
-    buf = io.StringIO()
-    _write_records(records, output, buf)
-    if out:
-        Path(out).write_text(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
     _summary(records, errors, sys.stderr)
     return 0 if not errors else 1
 

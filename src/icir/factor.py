@@ -1,8 +1,8 @@
 """Numeric incomplete Cholesky factorization in a simulated format.
 
-ic_attempt runs an incomplete Cholesky factorization restricted to a given
-fill pattern, with every operation rounded into the target format.  Three
-breakdown modes are detected:
+ic_attempt runs an incomplete Cholesky factorization of values stored in a
+fill pattern's order, with every operation rounded into the target format.
+Three breakdown modes are detected:
 
   B1 -- pivot below the threshold tau (or negative);
   B2 -- scaling the column by the pivot could overflow;
@@ -33,10 +33,10 @@ without tasks), so every entry sees the column loop's order.  A step runs
 its tasks as one vectorised safe_update_many call, then its pivots.  The
 step times are found level by level of the elimination schedule
 (icir.schedule), one segmented running maximum per level.  The plan holds
-int32 positions and counts only, per step the tasks with their pair counts
-and the pivot columns with their off-diagonals; it is built once per
-pattern and kept on the schedule while shifted_ic runs, so restarts reuse
-it, and shifted_ic drops it when it returns or raises.
+the pattern, its position keys and, per step, int32 positions and counts:
+the tasks with their pair counts and the pivot columns with their
+off-diagonals.  ic_attempt factors the values it is given against the plan
+it is given and stores nothing.
 
 The kernel returns the column loop's first breakdown, though it meets
 breakdowns in step order.  Number the operations: the pivot of column k is
@@ -50,9 +50,12 @@ plan's rest[s], the lowest operation number at step s or later, exceeds it.
 The tasks of one source can span several steps, so the B3 candidate, the
 unsafe pair with the lowest (target column, row), is kept across steps.
 
-shifted_ic wraps ic_attempt in the usual global-shift loop: on breakdown the
-diagonal shift alpha is doubled (starting from alpha_s) and the factorization
-restarts.
+shifted_ic wraps ic_attempt in the global-shift loop (Manteuffel, Math.
+Comp. 1980): on breakdown the diagonal shift alpha is doubled (starting from
+alpha_s) and the factorization restarts.  Only the diagonal changes between
+attempts, so the squeeze, the plan and the scatter of A_low into pattern
+order (which checks that the pattern covers A's structure) run once per
+call, an analyse-once, factorize-many split.
 """
 
 from __future__ import annotations
@@ -62,8 +65,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .precision import (FpFormat, _round_scalar, quantize, safe_scale_check,
-                        safe_update_many)
+from .precision import FpFormat, quantize, safe_scale_check, safe_update_many
 from .schedule import _off_diagonals, _split, schedule
 from .sparse import SparseSpd, squeeze
 from .symbolic import FillPattern
@@ -140,37 +142,9 @@ def default_tau(f: FpFormat) -> float:
     return max(1e-20, 4.0 * f.x_min)
 
 
-def _scatter_into_pattern(Alow: SparseSpd, pattern: FillPattern, keys: np.ndarray) -> np.ndarray:
-    vals = np.zeros(pattern.nnz, dtype=np.float64)
-    akeys = Alow.entry_col * np.int64(Alow.n) + Alow.row_idx
-    pos = np.searchsorted(keys, akeys)
-    if np.any(pos >= len(keys)) or np.any(keys[np.minimum(pos, len(keys) - 1)] != akeys):
-        raise ValueError("pattern does not cover the matrix structure")
-    vals[pos] = Alow.values
-    return vals
-
-
-def ic_attempt(Alow: SparseSpd, pattern: FillPattern, tau: float, f: FpFormat,
-               safe_checks: bool):
-    """One factorization attempt.  Returns the value array on success, else
-    the first Breakdown in column order.
-
-    With safe_checks=False only the B1 pivot test is performed (the intended
-    mode for fp32/fp64, where the scaled problem cannot overflow); an
-    overflow raises FactorizationError.
-    """
-    smallest = f.x_s_min if f.supports_subnormals else f.x_min
-    if not tau > smallest:
-        raise ValueError("tau must exceed the smallest positive representable value")
-
-    sched = schedule(pattern)
-    if sched.factor_plan is None:
-        sched.factor_plan = _step_plan(pattern)
-    vals = _scatter_into_pattern(Alow, pattern, sched.keys)
-    return _step_factor(vals, sched.factor_plan, pattern, sched.keys, tau, f, safe_checks)
-
-
 class _StepPlan(NamedTuple):
+    pattern: FillPattern
+    keys: np.ndarray   # col * n + row of every pattern position, ascending
     steps: list        # one tuple of int32 arrays per step
     rest: np.ndarray   # rest[s]: the lowest operation number at step s or later
 
@@ -190,6 +164,7 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     sched = schedule(pattern)
     level = sched.level
     pos, col = _off_diagonals(pattern)
+    keys = col * np.int64(n) + ri
     # tasks by level of their target column, then by target, sources ascending
     tgt = ri[pos]
     order = np.lexsort((tgt, level[tgt]))
@@ -239,14 +214,35 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     off = off.astype(np.int32)
     psplit = _split(np.bincount(P, minlength=steps))
     osplit = _split(np.bincount(P[pivots], below, minlength=steps).astype(np.int64))
-    return _StepPlan([(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
-                      for a, b, o in zip(_split(per_step), psplit, osplit)], rest)
+    return _StepPlan(pattern, keys, [(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
+                                     for a, b, o in zip(_split(per_step), psplit, osplit)], rest)
 
 
-def _step_factor(vals: np.ndarray, plan: _StepPlan, pattern: FillPattern, keys: np.ndarray,
-                 tau: float, f: FpFormat, safe_checks: bool):
-    """Factor vals in place step by step.  Returns vals or the first
-    Breakdown in column order, or raises the first FactorizationError."""
+def _scatter_into_pattern(Alow: SparseSpd, plan: _StepPlan) -> np.ndarray:
+    """Alow's values in pattern order, zero at the fill positions."""
+    keys = plan.keys
+    vals = np.zeros(len(keys), dtype=np.float64)
+    akeys = Alow.entry_col * np.int64(Alow.n) + Alow.row_idx
+    pos = np.searchsorted(keys, akeys)
+    if np.any(pos >= len(keys)) or np.any(keys[np.minimum(pos, len(keys) - 1)] != akeys):
+        raise ValueError("pattern does not cover the matrix structure")
+    vals[pos] = Alow.values
+    return vals
+
+
+def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat, safe_checks: bool):
+    """One factorization attempt of the pattern-ordered vals, in place, step
+    by step.  Returns vals on success, else the first Breakdown in column
+    order.
+
+    With safe_checks=False only the B1 pivot test is performed (the intended
+    mode for fp32/fp64, where the scaled problem cannot overflow); an
+    overflow raises the first FactorizationError in column order.
+    """
+    smallest = f.x_s_min if f.supports_subnormals else f.x_min
+    if not tau > smallest:
+        raise ValueError("tau must exceed the smallest positive representable value")
+    pattern, keys = plan.pattern, plan.keys
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
     # the lowest failing operation found so far (2n: none), for a B3 the
     # target position of its pair, and its Breakdown or error message
@@ -350,7 +346,7 @@ def _pivots(vals: np.ndarray, diag, below, off, ri, tau: float, f: FpFormat, saf
 def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
                alpha_s: float = 1e-3, f: FpFormat = None,
                max_restarts: int = 40) -> IcFactor:
-    """Squeeze the scaled matrix into f once, then factorize A_low + alpha*I,
+    """Squeeze, plan and scatter once, then factorize A_low + alpha*I,
     doubling alpha on each breakdown until an attempt succeeds."""
     if f is None:
         raise ValueError("target format required")
@@ -360,34 +356,27 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
         raise ValueError("max_restarts must be at least 1")
 
     Alow, _ = squeeze(Ahat, f)
-    diag_pos = Alow.diag_positions()
-    base_diag = Alow.values[diag_pos].copy()
+    plan = _step_plan(pattern)
+    base = _scatter_into_pattern(Alow, plan)
+    diag = pattern.col_ptr[:-1]
 
     alpha = 0.0
     history = []
-    try:
-        for attempt in range(max_restarts):
-            work = Alow
-            if alpha != 0.0:
-                alpha_f, over = _round_scalar(alpha, f)
-                if over:
-                    raise FactorizationError("shift overflows the target format")
-                shifted, over_d = quantize(base_diag + alpha_f, f)
-                if np.any(over_d):
-                    raise FactorizationError("shifted diagonal overflows the target format")
-                v = Alow.values.copy()
-                v[diag_pos] = shifted
-                work = Alow.with_values(v)
-            result = ic_attempt(work, pattern, tau, f, f.half_width)  # full guards in half width
-            if not isinstance(result, Breakdown):
-                kinds = [b.kind for _, b in history]
-                return IcFactor(pattern, result, f, alpha, FactorStats(
-                    kinds.count("B1"), kinds.count("B3"), attempt,
-                    tuple((a, b.kind, b.k) for a, b in history)))
-            history.append((alpha, result))
-            alpha = max(2.0 * alpha, alpha_s)
-    finally:
-        # the restarts are over, and only ic_attempt reads the step plan
-        if pattern.schedule is not None:
-            pattern.schedule.factor_plan = None
+    for attempt in range(max_restarts):
+        vals = base.copy()
+        if alpha != 0.0:
+            alpha_f, over = quantize(alpha, f)
+            if over:
+                raise FactorizationError("shift overflows the target format")
+            vals[diag], over = quantize(base[diag] + alpha_f, f)
+            if np.any(over):
+                raise FactorizationError("shifted diagonal overflows the target format")
+        result = ic_attempt(vals, plan, tau, f, f.half_width)  # full guards in half width
+        if not isinstance(result, Breakdown):
+            kinds = [b.kind for _, b in history]
+            return IcFactor(pattern, result, f, alpha, FactorStats(
+                kinds.count("B1"), kinds.count("B3"), attempt,
+                tuple((a, b.kind, b.k) for a, b in history)))
+        history.append((alpha, result))
+        alpha = max(2.0 * alpha, alpha_s)
     raise ShiftRestartError(history)

@@ -19,8 +19,8 @@ carriers must stay finite.  No fused multiply-add anywhere; every multiply and s
 rounds separately.
 
 _round_scalar, the scalar twin of quantize, stays for the native_low solves'
-single values and the factor's shift, where a one-element quantize costs
-about eight times as much.  TestBitwiseOracle.test_scalar_vector_paths_match
+single values, where a one-element quantize costs about eight times as
+much.  TestBitwiseOracle.test_scalar_vector_paths_match
 in tests/test_precision.py pins the two bit for bit.
 
 For fp16 and fp32, quantize casts to float16 / float32, which rounds a

@@ -9,13 +9,11 @@ of one level are independent and can be processed as one vectorised step
 Sparse Linear Systems, 2nd ed., 2003).
 
 The schedule is built on first use by icir.factor or icir.trisolve and
-cached on FillPattern.schedule, so every restart attempt and every later
-solve with that pattern shares it.  It holds the levels and the sorted
-position keys of the pattern.  The factor and the solves each build their
-own plans from the levels on first use and keep them in its factor_plan and
-solve_kernel slots: factor_plan holds the factor's step plan (the tasks
-and pivots of each dataflow step, see icir.factor) while shifted_ic runs,
-and solve_kernel the solves' gather lists.
+cached on FillPattern.schedule, so the factor's plan and every later solve
+with that pattern share it.  It holds the levels and the depth, and
+the cast_f64 solves keep their gather lists in its solve_kernel slot.  The
+factor's step plan (icir.factor) is built from the levels by shifted_ic
+and lives only while it runs.
 """
 
 from __future__ import annotations
@@ -71,23 +69,15 @@ def _off_diagonals(pattern: FillPattern):
 
 @dataclass
 class _Schedule:
-    """Elimination schedule of one pattern.
-
-    keys holds col * n + row of every pattern position, ascending.
-    """
+    """Elimination schedule of one pattern."""
 
     level: np.ndarray
     depth: int
-    keys: np.ndarray
-    factor_plan: object = None    # built by icir.factor, dropped by shifted_ic
     solve_kernel: object = None   # built by icir.trisolve
 
 
 def schedule(pattern: FillPattern) -> _Schedule:
     """The pattern's cached schedule, built on first use."""
     if pattern.schedule is None:
-        level, depth = _column_levels(pattern)
-        cols = np.repeat(np.arange(pattern.n, dtype=np.int64), np.diff(pattern.col_ptr))
-        keys = cols * np.int64(pattern.n) + pattern.row_idx
-        pattern.schedule = _Schedule(level, depth, keys)
+        pattern.schedule = _Schedule(*_column_levels(pattern))
     return pattern.schedule

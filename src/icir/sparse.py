@@ -176,26 +176,42 @@ def read_matrix_market(source) -> SparseSpd:
     return SparseSpd.from_coo(nrows, arr[:, 0] - 1, arr[:, 1] - 1, arr[:, 2])
 
 
-def _column_sumsq(A: SparseSpd) -> np.ndarray:
-    """Squared 2-norm of each column of the full symmetric matrix."""
-    v2 = A.values * A.values
-    sumsq = np.bincount(A.entry_col, weights=v2, minlength=A.n)
+def _column_sumsq(A: SparseSpd, m=None) -> np.ndarray:
+    """Squared 2-norm of each column of the full symmetric matrix, or with m
+    of each column j divided by m[j]."""
     off = A.row_idx != A.entry_col
-    sumsq += np.bincount(A.row_idx[off], weights=v2[off], minlength=A.n)
+    v, w = A.values, A.values[off]
+    if m is not None:
+        v, w = v / m[A.entry_col], w / m[A.row_idx[off]]
+    with np.errstate(over="ignore"):   # l2_scale redoes such columns
+        sumsq = np.bincount(A.entry_col, weights=v * v, minlength=A.n)
+        sumsq += np.bincount(A.row_idx[off], weights=w * w, minlength=A.n)
     return sumsq
 
 
 def l2_scale(A: SparseSpd):
     """Symmetric scaling Ahat = S^-1 A S^-1 with s_j = sqrt(||column j||_2).
 
-    Column norms are taken over the full symmetric matrix.  For SPD input
-    every scaled entry has magnitude <= 1.
+    Column norms are taken over the full symmetric matrix.  A column whose
+    sum of squares leaves the fp64 range is summed again from its entries
+    divided by its largest magnitude m_j.  For SPD input every scaled entry
+    has magnitude <= 1.
     """
     sumsq = _column_sumsq(A)
-    if np.any(sumsq == 0.0) or not np.all(np.isfinite(sumsq)):
-        raise ValueError("zero or non-finite column norm; cannot scale")
     s = sumsq ** 0.25  # sqrt of the column 2-norm
-    scaled = A.values / (s[A.row_idx] * s[A.entry_col])
+    redo = ~((0.0 < sumsq) & (sumsq < np.inf))
+    if redo.any():
+        m = np.zeros(A.n)
+        np.maximum.at(m, A.entry_col, np.abs(A.values))
+        np.maximum.at(m, A.row_idx, np.abs(A.values))
+        if not np.all((0.0 < m[redo]) & (m[redo] < np.inf)):
+            raise ValueError("zero or non-finite column norm; cannot scale")
+        s[redo] = (np.sqrt(m) * _column_sumsq(A, m) ** 0.25)[redo]
+    with np.errstate(over="ignore"):   # s_i s_j of two redone columns may overflow
+        ss = s[A.row_idx] * s[A.entry_col]
+    scaled = A.values / ss
+    big = ss == np.inf
+    scaled[big] = A.values[big] / s[A.row_idx[big]] / s[A.entry_col[big]]
     return A.with_values(scaled), ScalingVector(s)
 
 

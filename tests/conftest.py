@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from icir.factor import _scatter_into_pattern, _step_plan, ic_attempt
 from icir.sparse import SparseSpd
 
 REPO = Path(__file__).resolve().parent.parent
@@ -31,6 +32,12 @@ def require_matrix(name: str) -> str:
                     f"scripts/fetch_matrices.py on a networked machine and place "
                     f"files in {MATRIX_DIR} (or set ICIR_MATRIX_DIR)")
     return str(p)
+
+
+def ic_attempt_on(A: SparseSpd, pattern, tau, f, safe_checks):
+    """ic_attempt on A's values scattered into the pattern's order."""
+    plan = _step_plan(pattern)
+    return ic_attempt(_scatter_into_pattern(A, plan), plan, tau, f, safe_checks)
 
 
 def to_dense(A: SparseSpd) -> np.ndarray:

@@ -17,9 +17,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import matrix_path, pattern_set, require_matrix
+from conftest import ic_attempt_on, matrix_path, pattern_set, require_matrix
 from icir.cli import RunConfig, run_experiment
-from icir.factor import ic_attempt, shifted_ic
+from icir.factor import shifted_ic
 from icir.gallery import (dense_to_sparse, poisson2d, random_spd, tridiag,
                           wathen)
 from icir.precision import get_format, quantize, safe_update_many
@@ -165,7 +165,7 @@ def test_04_complete_factor_oracle():
         D = B @ B.T + n * np.eye(n)
         A = dense_to_sparse(D)
         pat = full_pattern(n)
-        vals = ic_attempt(A, pat, 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, pat, 1e-20, FP64, safe_checks=False)
         L = np.zeros((n, n))
         for j in range(n):
             L[pat.row_idx[pat.col_ptr[j]:pat.col_ptr[j + 1]], j] = \

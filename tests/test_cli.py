@@ -84,6 +84,19 @@ class TestRunExperiment:
             rec = run_experiment(RunConfig(matrix_path=poisson_mtx, solver=solver))
             assert rec.status == "converged", solver
 
+    @pytest.mark.parametrize("diag", [(1e300, 1e-300), (1e-310, 1e-310)])
+    @pytest.mark.parametrize("solver", ["cg", "gmres", "lu-ir"])
+    @pytest.mark.parametrize("fmt", ["fp16", "bf16"])
+    def test_column_norms_outside_the_fp64_range(self, tmp_path, diag, solver, fmt):
+        path = write_mtx(SparseSpd(2, [0, 1, 2], [0, 1], list(diag)), tmp_path / "extreme.mtx")
+        rec = run_experiment(RunConfig(matrix_path=path, solver=solver, factor_format=fmt))
+        assert rec.status == "converged"
+
+    def test_row_sums_beyond_fp64_fail_the_run(self, tmp_path):
+        A = SparseSpd(2, [0, 2, 3], [0, 1, 1], [1.7e308, 1e308, 1.7e308])
+        with pytest.raises(ValueError, match="row sums overflow"):
+            run_experiment(RunConfig(matrix_path=write_mtx(A, tmp_path / "big.mtx")))
+
     def test_determinism(self, poisson_mtx):
         c = RunConfig(matrix_path=poisson_mtx, level=1)
         r1, r2 = run_experiment(c), run_experiment(c)
@@ -266,6 +279,23 @@ class TestMain:
         indefinite = write_mtx(tridiag(2, diag=-1.0, off=0.0), tmp_path / "neg.mtx")
         assert main(["--matrix", indefinite, *flags]) == 1
         assert f"error: {error}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [".", "missing/rec.csv"])
+    def test_unusable_out_fails_before_running(self, tmp_path, poisson_mtx, capsys,
+                                                monkeypatch, target):
+        ran = []
+        monkeypatch.setattr(cli, "run_experiment", ran.append)
+        assert main(["--matrix", poisson_mtx, "--out", str(tmp_path / target)]) == 1
+        assert ran == []
+        assert capsys.readouterr().err.startswith("error: OSError: --out ")
+
+    def test_write_failure_exit_code(self, tmp_path, poisson_mtx, capsys, monkeypatch):
+        def refuse(path, text):
+            raise PermissionError(f"[Errno 13] Permission denied: '{path}'")
+
+        monkeypatch.setattr(cli.Path, "write_text", refuse)
+        assert main(["--matrix", poisson_mtx, "--out", str(tmp_path / "rec.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: PermissionError: [Errno 13]")
 
     def test_help_lists_every_flag(self, capsys):
         with pytest.raises(SystemExit):

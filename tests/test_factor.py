@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import ic_attempt_on
 from icir.factor import (Breakdown, FactorizationError, ShiftRestartError,
-                         default_tau, ic_attempt, shifted_ic)
+                         default_tau, shifted_ic)
 from icir.gallery import dense_to_sparse, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import l2_scale
@@ -30,13 +31,13 @@ class TestIcAttempt:
         n = 6
         pat = FillPattern(n, np.arange(n + 1), np.arange(n), level=0)
         A = dense_to_sparse(np.eye(n))
-        vals = ic_attempt(A, pat, 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, pat, 1e-20, FP64, safe_checks=False)
         assert not isinstance(vals, Breakdown)
         assert np.array_equal(vals, np.ones(n))
 
     def test_b1_indefinite(self):
         A = dense_to_sparse(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        out = ic_attempt(A, full_pattern(2), 1e-20, FP64, safe_checks=False)
+        out = ic_attempt_on(A, full_pattern(2), 1e-20, FP64, safe_checks=False)
         assert isinstance(out, Breakdown)
         assert out.kind == "B1" and out.k == 1
         assert out.detail[0] == pytest.approx(-3.0)
@@ -46,7 +47,7 @@ class TestIcAttempt:
             n = 40
             D = spd_dense(n, seed)
             A = dense_to_sparse(D)
-            vals = ic_attempt(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
+            vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
             L = np.zeros((n, n))
             pat = full_pattern(n)
             for j in range(n):
@@ -59,7 +60,7 @@ class TestIcAttempt:
         # pivot sqrt ~ 3.5e-4, column entry 30 > pivot * x_max ~ 22.7
         d0 = float(np.float16(1.2e-7))
         A = dense_to_sparse(np.array([[d0, 30.0], [30.0, 1.0]]))
-        out = ic_attempt(A, full_pattern(2), 1e-7, FP16, safe_checks=True)
+        out = ic_attempt_on(A, full_pattern(2), 1e-7, FP16, safe_checks=True)
         assert isinstance(out, Breakdown) and out.kind == "B2" and out.k == 0
 
     def test_b3_update_overflow(self):
@@ -67,7 +68,7 @@ class TestIcAttempt:
         d0 = float(np.float16(4e-7))
         D = np.array([[d0, 40.0, 40.0], [40.0, 1.0, 0.0], [40.0, 0.0, 1.0]])
         A = dense_to_sparse(D)
-        out = ic_attempt(A, full_pattern(3), 1e-7, FP16, safe_checks=True)
+        out = ic_attempt_on(A, full_pattern(3), 1e-7, FP16, safe_checks=True)
         assert isinstance(out, Breakdown) and out.kind == "B3" and out.k == 0
 
     def test_unchecked_overflow_raises(self):
@@ -75,18 +76,18 @@ class TestIcAttempt:
         D = np.array([[d0, 40.0, 40.0], [40.0, 1.0, 0.0], [40.0, 0.0, 1.0]])
         A = dense_to_sparse(D)
         with pytest.raises(FactorizationError):
-            ic_attempt(A, full_pattern(3), 1e-7, FP16, safe_checks=False)
+            ic_attempt_on(A, full_pattern(3), 1e-7, FP16, safe_checks=False)
 
     def test_tau_must_be_representable(self):
         A = tridiag(3)
         with pytest.raises(ValueError):
-            ic_attempt(A, ic_pattern(A, 0), 1e-9, FP16, safe_checks=True)
+            ic_attempt_on(A, ic_pattern(A, 0), 1e-9, FP16, safe_checks=True)
 
     def test_pattern_must_cover_structure(self):
         A = tridiag(4)
         narrow = FillPattern(4, np.arange(5), np.arange(4), level=0)  # diagonal only
         with pytest.raises(ValueError):
-            ic_attempt(A, narrow, 1e-20, FP64, safe_checks=False)
+            ic_attempt_on(A, narrow, 1e-20, FP64, safe_checks=False)
 
 
 class TestDefaultTau:

@@ -2,8 +2,8 @@ import tracemalloc
 
 import numpy as np
 
-from conftest import to_dense
-from icir.factor import FactorStats, IcFactor, ic_attempt
+from conftest import ic_attempt_on, to_dense
+from icir.factor import FactorStats, IcFactor
 from icir.gallery import dense_to_sparse, poisson2d, random_spd, tridiag
 from icir.krylov import CONVERGED, MAX_ITERATIONS, gmres, pcg
 from icir.precision import get_format
@@ -16,7 +16,7 @@ IDENT = lambda r: r
 
 
 def exact_preconditioner(A):
-    vals = ic_attempt(A, full_pattern(A.n), 1e-20, FP64, safe_checks=False)
+    vals = ic_attempt_on(A, full_pattern(A.n), 1e-20, FP64, safe_checks=False)
     L = IcFactor(full_pattern(A.n), vals, FP64, 0.0, FactorStats(0, 0, 0))
     return lambda r: apply_preconditioner(L, r)
 

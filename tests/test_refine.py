@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import to_dense
-from icir.factor import FactorStats, IcFactor, ic_attempt, shifted_ic
+from conftest import ic_attempt_on, to_dense
+from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import dense_to_sparse, poisson2d, random_spd, wathen
 from icir.precision import get_format
 from icir.refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, backward_error,
@@ -17,7 +17,7 @@ FP64 = get_format("fp64")
 
 
 def exact_factor(A):
-    vals = ic_attempt(A, full_pattern(A.n), 1e-20, FP64, safe_checks=False)
+    vals = ic_attempt_on(A, full_pattern(A.n), 1e-20, FP64, safe_checks=False)
     return IcFactor(full_pattern(A.n), vals, FP64, 0.0, FactorStats(0, 0, 0))
 
 

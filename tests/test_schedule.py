@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import icir.factor as factor
 import icir.schedule
+from conftest import ic_attempt_on
 from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
                          ShiftRestartError, _scatter_into_pattern, _step_plan,
                          default_tau, ic_attempt, shifted_ic)
@@ -182,18 +183,17 @@ def factor_problems(draw):
 
 
 def _result(attempt, A, pattern, f, safe_checks):
-    """attempt's values or Breakdown, or its FactorizationError message."""
+    """attempt's values or Breakdown on A, or its FactorizationError message."""
+    plan = _step_plan(pattern)
     try:
-        return attempt(A, pattern, default_tau(f), f, safe_checks)
+        return attempt(_scatter_into_pattern(A, plan), plan, default_tau(f), f, safe_checks)
     except FactorizationError as exc:
         return str(exc)
 
 
-def _column_attempt(A, pattern, tau, f, safe_checks):
+def _column_attempt(vals, plan, tau, f, safe_checks):
     """An attempt of the column loop, the reference of ic_attempt."""
-    keys = schedule(pattern).keys
-    vals = _scatter_into_pattern(A, pattern, keys)
-    return oracles.column_factor(vals, pattern, keys, tau, f, safe_checks)
+    return oracles.column_factor(vals, plan.pattern, plan.keys, tau, f, safe_checks)
 
 
 @settings(max_examples=400, deadline=None)
@@ -280,16 +280,28 @@ def test_dense_pattern_is_one_chain_of_pivots():
     assert len(_step_plan(pattern).steps) == schedule(pattern).depth == pattern.n
 
 
-def test_first_breakdown_without_a_rerun():
-    # a zeroed pivot halfway down a grid: every attempt below alpha = 0.128
-    # breaks down (B1), and the steps find the column loop's breakdown
-    fp16 = get_format("fp16")
+def _zeroed_pivot():
+    """l2-scaled poisson2d(50) with the diagonal of column 1250 zeroed, and its
+    IC(0) pattern: in fp16 every attempt below alpha = 0.128 breaks down (B1)."""
     A, _ = l2_scale(poisson2d(50))
     A.values[A.diag_positions()[1250]] = 0.0
-    pattern = ic_pattern(A, 0)
-    with mock.patch.object(factor, "_step_plan", wraps=_step_plan) as plans:
-        L = shifted_ic(A, pattern, f=fp16)
-    assert L.alpha == 0.128 and L.stats.restarts == 8 and plans.call_count == 1
+    return A, ic_pattern(A, 0)
+
+
+def _holds_no_factor_state(pattern):
+    """The pattern and its schedule hold the levels and nothing of the factor."""
+    return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "level", "schedule"}
+            and set(vars(pattern.schedule)) == {"level", "depth", "solve_kernel"}
+            and pattern.schedule.solve_kernel is None)
+
+
+def test_first_breakdown_without_a_rerun():
+    # a zeroed pivot halfway down a grid: the steps find the column loop's
+    # breakdown on every attempt
+    fp16 = get_format("fp16")
+    A, pattern = _zeroed_pivot()
+    L = shifted_ic(A, pattern, f=fp16)
+    assert L.alpha == 0.128 and L.stats.restarts == 8
     assert [kind for _, kind, _ in L.stats.history] == ["B1"] * 8
     with pytest.raises(ShiftRestartError) as got:
         shifted_ic(A, pattern, f=fp16, max_restarts=8)
@@ -299,28 +311,51 @@ def test_first_breakdown_without_a_rerun():
     assert got.value.history == want.value.history
 
 
+def test_shifted_ic_prepares_once_and_keeps_nothing():
+    fp16 = get_format("fp16")
+    A, pattern = _zeroed_pivot()
+    with mock.patch.object(factor, "_step_plan", wraps=_step_plan) as plans, \
+            mock.patch.object(factor, "_scatter_into_pattern",
+                              wraps=_scatter_into_pattern) as scatters, \
+            mock.patch.object(factor, "ic_attempt", wraps=ic_attempt) as attempts:
+        L = shifted_ic(A, pattern, f=fp16)
+    assert L.stats.restarts == 8
+    assert (plans.call_count, scatters.call_count, attempts.call_count) == (1, 1, 9)
+    # each attempt factors its own copy of the values against the one plan
+    assert len({id(c.args[0]) for c in attempts.call_args_list}) == 9
+    assert len({id(c.args[1]) for c in attempts.call_args_list}) == 1
+    assert _holds_no_factor_state(pattern)
+    with pytest.raises(ShiftRestartError):
+        shifted_ic(A, pattern, f=fp16, max_restarts=8)
+    assert _holds_no_factor_state(pattern)
+    out = ic_attempt_on(A, pattern, default_tau(fp16), fp16, True)
+    assert out.kind == "B1" and out.k == 1250
+    assert _holds_no_factor_state(pattern)
+
+
+def test_uncovered_pattern_fails_before_any_attempt():
+    A = tridiag(4)
+    narrow = FillPattern(4, np.arange(5), np.arange(4), level=0)   # diagonal only
+    with mock.patch.object(factor, "ic_attempt") as attempts, \
+            pytest.raises(ValueError, match="pattern does not cover the matrix structure"):
+        shifted_ic(A, narrow, f=get_format("fp16"))
+    assert attempts.call_count == 0
+
+
 def test_one_schedule_serves_restarts_and_solves():
     A, _ = l2_scale(poisson2d(8))
     A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
     pattern = ic_pattern(A, 0)
-    seen = []
-    attempt = factor.ic_attempt
-
-    def spy(Alow, pat, *args):
-        out = attempt(Alow, pat, *args)
-        seen.append(pat.schedule)
-        return out
-
-    with mock.patch.object(factor, "ic_attempt", spy), \
+    with mock.patch.object(factor, "ic_attempt", wraps=ic_attempt) as attempts, \
             mock.patch.object(factor, "_step_plan", wraps=_step_plan) as plans, \
             mock.patch.object(icir.schedule, "_column_levels", wraps=_column_levels) as levels:
         L = shifted_ic(A, pattern, f=get_format("fp16"))
+        sched = pattern.schedule
         apply_preconditioner(L, np.ones(L.n))
         apply_preconditioner(L, np.arange(L.n, dtype=float))
-    assert L.stats.restarts >= 1 and len(seen) == L.stats.restarts + 1
+    assert L.stats.restarts >= 1 and attempts.call_count == L.stats.restarts + 1
+    # the factor's plan found the levels once, the solves reuse them, and
+    # one plan served every restart
     assert levels.call_count == 1
-    # one step plan served every restart, and shifted_ic dropped it
+    assert pattern.schedule is sched and sched.solve_kernel is not None
     assert plans.call_count == 1
-    assert all(s is pattern.schedule for s in seen)
-    assert pattern.schedule.factor_plan is None
-    assert pattern.schedule.solve_kernel is not None

@@ -143,6 +143,25 @@ class TestL2Scale:
         back = Ahat.values * S.s[Ahat.row_idx] * S.s[Ahat.entry_col]
         assert np.allclose(back, A.values, rtol=1e-14, atol=0)
 
+    # column sums of squares that overflow, and that underflow to zero
+    @pytest.mark.parametrize("diag, s", [((1e300, 1e-300), (1e150, 1e-150)),
+                                         ((1e-310, 1e-310), (1e-155, 1e-155))])
+    def test_squares_outside_the_fp64_range(self, diag, s):
+        Ahat, S = l2_scale(SparseSpd(2, [0, 1, 2], [0, 1], list(diag)))
+        assert np.allclose(S.s, s, rtol=1e-12, atol=0)
+        assert np.allclose(Ahat.values, 1.0, rtol=1e-12, atol=0)
+
+    def test_columns_whose_scales_overflow_as_a_product(self):
+        A = SparseSpd(2, [0, 2, 3], [0, 1, 1], [1.7e308, 1e308, 1.7e308])
+        Ahat, S = l2_scale(A)
+        assert S.s[0] > np.finfo(float).max / S.s[1]     # s_0 s_1 overflows
+        # both column norms are 1e308 * sqrt(1.7^2 + 1)
+        assert np.allclose(Ahat.values, np.array([1.7, 1.0, 1.7]) / np.sqrt(3.89), rtol=1e-14)
+
+    def test_zero_column_raises(self):
+        with pytest.raises(ValueError, match="zero or non-finite column norm"):
+            l2_scale(SparseSpd(2, [0, 1, 2], [0, 1], [1.0, 0.0]))
+
     def test_entries_bounded(self):
         for seed in range(5):
             A = random_spd(30, seed=seed)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from icir.factor import FactorStats, IcFactor, ic_attempt, shifted_ic
+from conftest import ic_attempt_on
+from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import random_spd, wathen
 from icir.precision import get_format
 from icir.sparse import l2_scale, matvec_f64
@@ -50,7 +51,7 @@ class TestForwardBackward:
     def test_roundtrip_matches_dense_solve(self):
         n = 30
         A = random_spd(n, seed=5)
-        vals = ic_attempt(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
         L = IcFactor(full_pattern(n), vals, FP64, 0.0, FactorStats(0, 0, 0))
         rng = np.random.default_rng(0)
         w = rng.standard_normal(n)
@@ -125,7 +126,7 @@ class TestApplyPreconditioner:
     def test_complete_factor_inverts_matvec(self):
         n = 40
         A = random_spd(n, seed=9)
-        vals = ic_attempt(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
         L = IcFactor(full_pattern(n), vals, FP64, 0.0, FactorStats(0, 0, 0))
         rng = np.random.default_rng(2)
         for _ in range(3):
