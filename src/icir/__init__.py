@@ -14,6 +14,5 @@ from .trisolve import (OverflowSignal, forward_solve, backward_solve,
 from .krylov import KrylovOutcome, pcg, gmres
 from .refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, SolveReport,
                      backward_error, ic_lu_ir, ic_krylov_ir)
-from .cli import RunConfig, RunRecord, build_rhs, run_experiment, run_suite
 
 __version__ = "0.1.0"

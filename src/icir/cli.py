@@ -116,10 +116,13 @@ class RunRecord:
     status: str
     wall_seconds: float
     # JSON only: each inner solve's status, the native_low applications
-    # retried in fp64, and each failed factor attempt's shift and breakdown
+    # retried in fp64, each failed factor attempt's shift and breakdown, and
+    # the off-diagonal entries of A that squeeze dropped or flushed to zero
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
     attempts: list = field(default_factory=list, metadata={"csv": False})
+    squeeze_dropped: int = field(default=0, metadata={"csv": False})
+    squeeze_flushed: int = field(default=0, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -185,6 +188,8 @@ def run_experiment(config: RunConfig) -> RunRecord:
         inner_statuses=[s for _, s in report.per_outer],
         overflow_fallbacks=report.overflow_fallbacks,
         attempts=[{"alpha": a, "kind": kind, "k": k} for a, kind, k in L.stats.history],
+        squeeze_dropped=L.stats.squeeze.dropped_underflow,
+        squeeze_flushed=L.stats.squeeze.flushed_subnormal,
     )
 
 

@@ -67,7 +67,7 @@ import numpy as np
 
 from .precision import FpFormat, quantize, safe_scale_check, safe_update_many
 from .schedule import _off_diagonals, _split, schedule
-from .sparse import SparseSpd, squeeze
+from .sparse import SparseSpd, SqueezeReport, squeeze
 from .symbolic import FillPattern
 
 __all__ = [
@@ -101,6 +101,7 @@ class FactorStats:
     nofl: int      # B3 occurrences across all attempts
     restarts: int  # attempts - 1
     history: tuple = ()  # (alpha, kind, k) of every failed attempt
+    squeeze: SqueezeReport | None = None  # entries squeeze dropped and flushed
 
 
 @dataclass
@@ -355,7 +356,7 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
     if max_restarts < 1:
         raise ValueError("max_restarts must be at least 1")
 
-    Alow, _ = squeeze(Ahat, f)
+    Alow, squeezed = squeeze(Ahat, f)
     plan = _step_plan(pattern)
     base = _scatter_into_pattern(Alow, plan)
     diag = pattern.col_ptr[:-1]
@@ -376,7 +377,7 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
             kinds = [b.kind for _, b in history]
             return IcFactor(pattern, result, f, alpha, FactorStats(
                 kinds.count("B1"), kinds.count("B3"), attempt,
-                tuple((a, b.kind, b.k) for a, b in history)))
+                tuple((a, b.kind, b.k) for a, b in history), squeezed))
         history.append((alpha, result))
         alpha = max(2.0 * alpha, alpha_s)
     raise ShiftRestartError(history)

@@ -10,6 +10,10 @@ operation, and one guarded update.  round_to is built on
 icir.precision._round_scalar, so comparing it with quantize pins the scalar
 and vector rounding paths to each other.
 
+column_pattern is the reference of icir.symbolic.ic_pattern: one
+breadth-first search per column, whose arrays the blocked search must
+return.
+
 step_times is the reference of the factor's dataflow step schedule, and
 column_factor of the factor itself: the right-looking column loop, whose
 first breakdown in column order icir.factor.ic_attempt must return.
@@ -23,6 +27,7 @@ import numpy as np
 from icir.factor import Breakdown, FactorizationError
 from icir.precision import (FpFormat, _round_scalar, quantize, safe_scale_check,
                             safe_update_many)
+from icir.symbolic import FillPattern, _full_adjacency
 
 OVERFLOW = "overflow"
 UNDERFLOW_TO_ZERO = "underflow_to_zero"
@@ -144,6 +149,52 @@ def backward_solve(col_ptr, row_idx, values, w):
             acc -= float(values[p]) * y[int(row_idx[p])]
         y[j] = acc / float(values[col_ptr[j]])
     return y
+
+
+def column_pattern(A, level):
+    """FillPattern of IC(level), one depth-limited search per column.
+
+    Column j's search starts at j, expands only through vertices below j and
+    stops after level + 1 edges; the vertices above j it reaches, and j, are
+    the column's rows.
+    """
+    n = A.n
+    adj_ptr, adj = _full_adjacency(A)
+
+    cols = []
+    visited = np.full(n, -1, dtype=np.int64)  # stamp = source column
+    for j in range(n):
+        visited[j] = j
+        frontier = adj[adj_ptr[j]:adj_ptr[j + 1]]
+        frontier = frontier[visited[frontier] != j]
+        reached = []
+        for depth in range(level + 1):
+            if len(frontier) == 0:
+                break
+            visited[frontier] = j
+            reached.append(frontier[frontier > j])
+            if depth == level:
+                break
+            expand = frontier[frontier < j]
+            if len(expand) == 0:
+                break
+            starts = adj_ptr[expand]
+            counts = adj_ptr[expand + 1] - starts
+            total = int(counts.sum())
+            if total == 0:
+                break
+            group_offset = np.repeat(np.cumsum(counts) - counts, counts)
+            idx = np.arange(total) - group_offset + np.repeat(starts, counts)
+            nxt = adj[idx]
+            nxt = nxt[visited[nxt] != j]
+            frontier = np.unique(nxt)
+        rows = np.concatenate([[j]] + reached) if reached else np.array([j], dtype=np.int64)
+        cols.append(np.unique(rows))
+
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    col_ptr[1:] = np.cumsum([len(c) for c in cols])
+    row_idx = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    return FillPattern(n, col_ptr, row_idx.astype(np.int64), level)
 
 
 def step_times(col_ptr, row_idx):

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,11 +236,13 @@ class TestMain:
         data = json.loads(out.read_text())
         assert len(data) == 1
         assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks",
-                                                      "attempts"}
+                                                      "attempts", "squeeze_dropped",
+                                                      "squeeze_flushed"}
         assert data[0]["status"] == "converged"
         assert len(data[0]["inner_statuses"]) == data[0]["iouter"]
         assert data[0]["overflow_fallbacks"] == 0
         assert data[0]["attempts"] == []
+        assert data[0]["squeeze_dropped"] == data[0]["squeeze_flushed"] == 0
 
     def test_inner_status_reaches_json_not_csv(self, tmp_path, capsys):
         # indefinite: the fp16 factor needs alpha = 1.024 after 11 B1
@@ -255,6 +261,17 @@ class TestMain:
             "identifier", "n", "nnz_A", "normA", "normb", "nnz_L", "alpha", "nmod", "nofl",
             "resinit", "resfinal", "res_unscaled", "iouter", "totits", "maxbasis", "status",
             "wall_seconds"]
+
+    def test_squeeze_counts_reach_json_not_csv(self, tmp_path, capsys):
+        # after scaling, 1e-9 rounds to zero in fp16 and 1e-6 to a subnormal
+        A = SparseSpd.from_coo(3, [0, 1, 2, 1, 2], [0, 1, 2, 0, 1], [1, 1, 1, 1e-9, 1e-6])
+        path = write_mtx(A, tmp_path / "tiny.mtx")
+        assert main(["--matrix", path, "--output", "json"]) == 0
+        rec = json.loads(capsys.readouterr().out)[0]
+        assert (rec["squeeze_dropped"], rec["squeeze_flushed"]) == (1, 1)
+        assert main(["--matrix", path]) == 0
+        assert next(csv.reader(io.StringIO(capsys.readouterr().out))) == RECORD_FIELDS
+        assert "squeeze_dropped" not in RECORD_FIELDS
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["--matrix", str(tmp_path / "nope.mtx")]) == 1
@@ -305,3 +322,14 @@ class TestMain:
                          "--solver", "--delta", "--delta-krylov", "--inner-maxit",
                          "--outer-itmax", "--tau", "--shift-init", "--max-restarts",
                          "--output", "--out"}
+
+    def test_module_entry_point_runs_under_warning_errors(self):
+        # importing the package must not import icir.cli before runpy runs it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "icir.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage:")

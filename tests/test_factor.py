@@ -6,7 +6,7 @@ from icir.factor import (Breakdown, FactorizationError, ShiftRestartError,
                          default_tau, shifted_ic)
 from icir.gallery import dense_to_sparse, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
-from icir.sparse import l2_scale
+from icir.sparse import SparseSpd, SqueezeReport, l2_scale, squeeze
 from icir.symbolic import FillPattern, ic_pattern
 
 FP16 = get_format("fp16")
@@ -130,6 +130,14 @@ class TestShiftedIc:
         A = dense_to_sparse(D)
         L = shifted_ic(A, ic_pattern(A, 0), f=FP64)
         assert L.alpha in {0.0} | {1e-3 * 2.0 ** k for k in range(40)}
+
+    def test_squeeze_report_kept(self):
+        # 1e-9 rounds to zero in fp16 and 1e-6 to a subnormal
+        A = SparseSpd.from_coo(3, [0, 1, 2, 1, 2], [0, 1, 2, 0, 1], [1, 1, 1, 1e-9, 1e-6])
+        L = shifted_ic(A, ic_pattern(A, 0), f=FP16)
+        assert L.stats.squeeze == SqueezeReport(kept=3, dropped_underflow=1,
+                                                flushed_subnormal=1)
+        assert L.stats.squeeze == squeeze(A, FP16)[1]
 
     def test_diagonally_dominant_no_breakdown(self):
         A = random_spd(40, seed=7)

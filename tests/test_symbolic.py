@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import icir.symbolic as symbolic
 from conftest import pattern_set
-from icir.gallery import random_spd, tridiag, dense_to_sparse
+from icir.gallery import dense_to_sparse, random_spd, tridiag, wathen
+from icir.sparse import SparseSpd
 from icir.symbolic import ic_pattern
+from oracles import column_pattern
 
 
 def level_oracle(D: np.ndarray, lev: int):
@@ -98,3 +101,41 @@ class TestOracle:
             D = random_structure(n, seed=200 + trial)
             A = dense_to_sparse(D)
             assert pattern_set(ic_pattern(A, n)) == level_oracle(D, n)
+
+
+class TestBlockedSearch:
+    """ic_pattern returns the arrays of the one-search-per-column reference,
+    whatever the block width; narrow blocks put block boundaries inside
+    every test matrix."""
+
+    @staticmethod
+    def assert_same(A, lev):
+        got, want = ic_pattern(A, lev), column_pattern(A, lev)
+        assert (got.n, got.level) == (A.n, lev)
+        for name in ("col_ptr", "row_idx"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == np.int64, name
+            np.testing.assert_array_equal(a, b, err_msg=name)
+
+    @pytest.mark.parametrize("columns, stamp_bytes", [
+        (1, None), (3, None), (7, None), (None, None),
+        (None, 0),   # the budget fits no column: one column per block
+    ])
+    def test_matches_column_search(self, columns, stamp_bytes, monkeypatch):
+        if columns is not None:
+            monkeypatch.setattr(symbolic, "BLOCK_COLUMNS", columns)
+        if stamp_bytes is not None:
+            monkeypatch.setattr(symbolic, "STAMP_BYTES", stamp_bytes)
+        for trial in range(12):
+            rng = np.random.default_rng(500 + trial)
+            n = int(rng.integers(2, 90))
+            D = random_structure(n, seed=500 + trial, density=float(rng.uniform(0.03, 0.3)))
+            A = dense_to_sparse(D)
+            for lev in range(5):
+                self.assert_same(A, lev)
+        self.assert_same(wathen(10, 8, seed=0), 3)
+
+    def test_single_column_and_empty(self):
+        for lev in (0, 3):
+            self.assert_same(dense_to_sparse(np.eye(1)), lev)
+            self.assert_same(SparseSpd(0, [0], [], []), lev)
