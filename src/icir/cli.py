@@ -116,13 +116,18 @@ class RunRecord:
     status: str
     wall_seconds: float
     # JSON only: each inner solve's status, the native_low applications
-    # retried in fp64, each failed factor attempt's shift and breakdown, and
-    # the off-diagonal entries of A that squeeze dropped or flushed to zero
+    # retried in fp64, each failed attempt's shift and breakdown, squeeze's
+    # dropped and flushed entries, and the seconds of each stage
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
     attempts: list = field(default_factory=list, metadata={"csv": False})
     squeeze_dropped: int = field(default=0, metadata={"csv": False})
     squeeze_flushed: int = field(default=0, metadata={"csv": False})
+    read_s: float = field(default=0.0, metadata={"csv": False})
+    scale_s: float = field(default=0.0, metadata={"csv": False})
+    pattern_s: float = field(default=0.0, metadata={"csv": False})
+    factor_s: float = field(default=0.0, metadata={"csv": False})
+    solve_s: float = field(default=0.0, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -140,7 +145,15 @@ def build_rhs(A):
 
 def run_experiment(config: RunConfig) -> RunRecord:
     t0 = time.perf_counter()
-    A = read_matrix_market(config.matrix_path)
+    seconds = {}
+
+    def timed(stage, call, *args, **kwargs):
+        t = time.perf_counter()
+        out = call(*args, **kwargs)
+        seconds[stage] = time.perf_counter() - t
+        return out
+
+    A = timed("read_s", read_matrix_market, config.matrix_path)
     identifier = Path(config.matrix_path).stem
     with np.errstate(over="ignore"):   # refused below
         normA = inf_norm_matrix(A)
@@ -149,26 +162,26 @@ def run_experiment(config: RunConfig) -> RunRecord:
     b, _ = build_rhs(A)
     normb = inf_norm_vector(b)
 
-    Ahat, S = l2_scale(A)
+    Ahat, S = timed("scale_s", l2_scale, A)
     bhat = b / S.s
     f = get_format(config.factor_format)
-    pattern = ic_pattern(Ahat, config.level)
-    L = shifted_ic(Ahat, pattern, tau=config.tau, alpha_s=config.shift_init,
-                   f=f, max_restarts=config.max_restarts)
+    pattern = timed("pattern_s", ic_pattern, Ahat, config.level)
+    L = timed("factor_s", shifted_ic, Ahat, pattern, tau=config.tau,
+              alpha_s=config.shift_init, f=f, max_restarts=config.max_restarts)
 
     # a limit left unset takes the driver's default
     itmax = {} if config.outer_itmax is None else {"itmax": config.outer_itmax}
     inner = {} if config.inner_maxit is None else {"inner_maxit": config.inner_maxit}
     if config.solver == "lu-ir":
-        report = ic_lu_ir(Ahat, bhat, L, delta=config.delta, **itmax)
+        report = timed("solve_s", ic_lu_ir, Ahat, bhat, L, delta=config.delta, **itmax)
     elif config.solver == "plain-krylov":
         # single outer step: the Krylov solver does all the work
-        report = ic_krylov_ir(Ahat, bhat, L, method="gmres", delta=config.delta,
-                              delta_krylov=config.delta,
-                              **{"inner_maxit": 2000, "itmax": 1, **inner, **itmax})
+        report = timed("solve_s", ic_krylov_ir, Ahat, bhat, L, method="gmres",
+                       delta=config.delta, delta_krylov=config.delta,
+                       **{"inner_maxit": 2000, "itmax": 1, **inner, **itmax})
     else:
-        report = ic_krylov_ir(Ahat, bhat, L, method=config.solver, delta=config.delta,
-                              delta_krylov=config.delta_krylov, **inner, **itmax)
+        report = timed("solve_s", ic_krylov_ir, Ahat, bhat, L, method=config.solver,
+                       delta=config.delta, delta_krylov=config.delta_krylov, **inner, **itmax)
 
     x_unscaled = report.solution / S.s  # x = S^-1 xhat
     res_unscaled = backward_error(A, x_unscaled, b)
@@ -190,6 +203,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         attempts=[{"alpha": a, "kind": kind, "k": k} for a, kind, k in L.stats.history],
         squeeze_dropped=L.stats.squeeze.dropped_underflow,
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
+        **seconds,
     )
 
 

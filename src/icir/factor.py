@@ -2,7 +2,7 @@
 
 ic_attempt runs an incomplete Cholesky factorization of values stored in a
 fill pattern's order, with every operation rounded into the target format.
-Three breakdown modes are detected:
+Its guards run in every format and report a Breakdown (kind, column):
 
   B1 -- pivot below the threshold tau (or negative);
   B2 -- scaling the column by the pivot could overflow;
@@ -16,6 +16,10 @@ update whose exact value overflows, e.g. a=32, b*c exactly -65488 rounds to
 -65472 and passes the format-precision test although a - b*c = 65520 > x_max.
 The exact-valued guards admit a strict superset of obviously-safe updates and
 never admit an overflow.
+
+In fp64 the guard products round, so near x_max a guard could admit a value
+just past it; l2-scaled input (entries at most 1) keeps fp64's factor far
+from x_max, and the final check still rejects a non-finite or larger value.
 
 Entry (i, j) of the factor takes one update a - l_ik l_jk from every column
 k < j with (i, k) and (j, k) in the pattern, rounded after each, in
@@ -43,12 +47,11 @@ breakdowns in step order.  Number the operations: the pivot of column k is
 2k, the scatter from source column k (all of its tasks) 2k + 1.  An
 operation reads only results of lower-numbered ones, so the lowest-numbered
 failing operation reads clean inputs and is the column loop's first
-breakdown: the same kind, column and detail, or the same FactorizationError.
-After a failure the kernel skips every operation numbered above the lowest
-failure so far, whose inputs may hold failed results, and stops once the
-plan's rest[s], the lowest operation number at step s or later, exceeds it.
-The tasks of one source can span several steps, so the B3 candidate, the
-unsafe pair with the lowest (target column, row), is kept across steps.
+breakdown, of the same kind and column.  After a failure the kernel skips
+every operation numbered above the lowest failure so far, whose inputs may
+hold failed results, and stops once the plan's rest[s], the lowest
+operation number at step s or later, exceeds it.  A step's B3 is its lowest
+source k with an unsafe pair, operation 2k + 1 whatever step it is met in.
 
 shifted_ic wraps ic_attempt in the global-shift loop (Manteuffel, Math.
 Comp. 1980): on breakdown the diagonal shift alpha is doubled (starting from
@@ -83,7 +86,7 @@ __all__ = [
 
 
 class FactorizationError(RuntimeError):
-    """Unexpected numerical failure (e.g. overflow with safety checks disabled)."""
+    """An overflowing shift, or a factor value past x_max the guards missed."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,6 @@ class Breakdown:
 
     kind: str  # "B1" | "B2" | "B3"
     k: int     # column at which it occurred
-    detail: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -231,23 +233,17 @@ def _scatter_into_pattern(Alow: SparseSpd, plan: _StepPlan) -> np.ndarray:
     return vals
 
 
-def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat, safe_checks: bool):
-    """One factorization attempt of the pattern-ordered vals, in place, step
-    by step.  Returns vals on success, else the first Breakdown in column
-    order.
-
-    With safe_checks=False only the B1 pivot test is performed (the intended
-    mode for fp32/fp64, where the scaled problem cannot overflow); an
-    overflow raises the first FactorizationError in column order.
-    """
+def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
+    """One guarded factorization attempt of the pattern-ordered vals, in
+    place, step by step, in any format.  Returns vals on success, else the
+    first Breakdown (kind, column) in column order."""
     smallest = f.x_s_min if f.supports_subnormals else f.x_min
     if not tau > smallest:
         raise ValueError("tau must exceed the smallest positive representable value")
     pattern, keys = plan.pattern, plan.keys
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
-    # the lowest failing operation found so far (2n: none), for a B3 the
-    # target position of its pair, and its Breakdown or error message
-    first, first_t, outcome = 2 * n, 0, None
+    # the lowest failing operation found so far (2n: none) and its Breakdown
+    first, outcome = 2 * n, None
     for s, (task, pairs, shift, diag, below, off) in enumerate(plan.steps):
         if first < 2 * n and plan.rest[s] > first:
             break
@@ -272,76 +268,41 @@ def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat, safe_
             present = keys[t] == tkeys
             if not present.all():
                 t, c, bv, cv = t[present], c[present], bv[present], cv[present]
-            a = vals[t]
-            if safe_checks:
-                v, bad = safe_update_many(a, bv, cv, f)
-            else:
-                w, bad = quantize(bv * cv, f)
-                v, over_v = quantize(a - w, f)
-                bad |= over_v | ~np.isfinite(v)
+            v, bad = safe_update_many(vals[t], bv, cv, f)
             if bad.any():
-                # the failing pair of the lowest source with the lowest
-                # target (column, row), the one the column loop meets first;
-                # the keys ascend, so t orders the targets
-                at = np.flatnonzero(bad)
-                src = np.searchsorted(cp, c[at], side="right") - 1
-                i = np.lexsort((t[at], src))[0]
-                k, at = int(src[i]), at[i]
-                if (2 * k + 1, t[at]) < (first, first_t):
-                    first, first_t = 2 * k + 1, t[at]
-                    outcome = (Breakdown("B3", k, (a[at], bv[at], cv[at])) if safe_checks
-                               else f"update overflowed at k={k} without safe checks")
+                # the lowest source with an unsafe pair (c ascends with it)
+                k = int(np.searchsorted(cp, c[bad].min(), side="right")) - 1
+                if 2 * k + 1 < first:
+                    first, outcome = 2 * k + 1, Breakdown("B3", k)
             vals[t] = v
         if first < 2 * n:
             # and the pivots of those columns, a tail as they ascend
             m = int(np.searchsorted(diag, cp[(first + 1) // 2]))
             diag, below, off = diag[:m], below[:m], off[:int(below[:m].sum())]
         if len(diag):
-            failed = _pivots(vals, diag, below, off, ri, tau, f, safe_checks)
-            if failed is not None:
-                first, outcome = failed
-    if isinstance(outcome, str):
-        raise FactorizationError(outcome)
+            # the step's pivots, ascending; on a failure, only those before it
+            d = vals[diag]
+            low = d < tau                                 # B1; such a root goes unused
+            droot, _ = quantize(np.sqrt(np.maximum(d, tau)), f)
+            dr = np.repeat(droot, below)
+            colv = vals[off]
+            # B2: some entry of a column exceeds droot * x_max while droot < 1
+            bad = ~safe_scale_check(dr, np.abs(colv), f)
+            q, _ = quantize(colv / dr, f)
+            if low.any() or bad.any():
+                ends = np.cumsum(below)
+                low[np.searchsorted(ends, np.flatnonzero(bad), side="right")] = True
+                i = int(np.argmax(low))
+                j, lo = int(ri[diag[i]]), int(ends[i] - below[i])
+                first, outcome = 2 * j, Breakdown("B1" if d[i] < tau else "B2", j)
+                diag, droot, off, q = diag[:i], droot[:i], off[:lo], q[:lo]
+            vals[diag] = droot
+            vals[off] = q
     if outcome is not None:
         return outcome
-    if np.any(np.abs(vals) > f.x_max):
-        raise FactorizationError("stored factor value exceeds x_max")  # defensive
+    if not np.all(np.abs(vals) <= f.x_max):
+        raise FactorizationError("stored factor value is not finite or exceeds x_max")
     return vals
-
-
-def _pivots(vals: np.ndarray, diag, below, off, ri, tau: float, f: FpFormat, safe_checks: bool):
-    """Pivot a step's columns, ascending, in place.  Returns None, or the
-    operation number and outcome of the first failing pivot, having pivoted
-    only the columns before it."""
-    d = vals[diag]
-    low = d < tau                                 # B1; such a root goes unused
-    droot, _ = quantize(np.sqrt(np.maximum(d, tau)), f)
-    dr = np.repeat(droot, below)
-    colv = vals[off]
-    q, over = quantize(colv / dr, f)
-    bad = over | ~np.isfinite(q)
-    if safe_checks:
-        # B2: some entry of a column exceeds droot * x_max while droot < 1
-        bad |= ~safe_scale_check(dr, np.abs(colv), f)
-    failed = None
-    if low.any() or bad.any():
-        ends = np.cumsum(below)
-        low[np.searchsorted(ends, np.flatnonzero(bad), side="right")] = True
-        i = int(np.argmax(low))
-        j, lo = int(ri[diag[i]]), int(ends[i] - below[i])
-        if d[i] < tau:
-            failed = 2 * j, Breakdown("B1", j, (d[i],))
-        elif safe_checks:
-            a = float(np.max(np.abs(colv[lo:ends[i]])))
-            # a scaled entry overflowing under a safe pivot is unreachable
-            detail = (droot[i],) if safe_scale_check(droot[i], a, f) else (droot[i], a)
-            failed = 2 * j, Breakdown("B2", j, detail)
-        else:
-            failed = 2 * j, f"column scaling overflowed at k={j} without safe checks"
-        diag, droot, off, q = diag[:i], droot[:i], off[:lo], q[:lo]
-    vals[diag] = droot
-    vals[off] = q
-    return failed
 
 
 def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
@@ -372,7 +333,7 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
             vals[diag], over = quantize(base[diag] + alpha_f, f)
             if np.any(over):
                 raise FactorizationError("shifted diagonal overflows the target format")
-        result = ic_attempt(vals, plan, tau, f, f.half_width)  # full guards in half width
+        result = ic_attempt(vals, plan, tau, f)
         if not isinstance(result, Breakdown):
             kinds = [b.kind for _, b in history]
             return IcFactor(pattern, result, f, alpha, FactorStats(

@@ -91,7 +91,7 @@ class FpFormat:
             x_max=(2.0 - math.ldexp(1.0, 1 - p)) * math.ldexp(1.0, e_max),
             # wide enough that quantization of a double is the identity
             is_double=p == 53 and self.exponent_bits == 11,
-            # fp16 / bf16: every factor guard, and native LU-IR solves
+            # fp16 / bf16: native LU-IR solves and the larger pivot threshold
             half_width=u >= 1e-4,
             # IEEE binary16 and binary32, which NumPy's cast rounds into
             cast={(11, 5, True): np.float16, (24, 8, True): np.float32}.get(
@@ -178,21 +178,21 @@ def quantize(x: np.ndarray, f: FpFormat):
 def safe_scale_check(d, a, f: FpFormat):
     """True iff dividing any column entry of magnitude <= a by the pivot d cannot overflow.
 
-    Safe when d >= 1 (quotients only shrink) or d >= a / x_max.  The
-    comparison is done as d * x_max >= a: both operands are representable in
-    f, so for formats with p <= 24 the product is exact in fp64 and the test
-    is the exact predicate (no quotient rounding to worry about).  d and a
-    may be aligned arrays, tested elementwise.
+    Safe when d >= 1 (quotients only shrink) or d >= a / x_max, tested as
+    min(d, 1) * x_max >= a, which cannot overflow fp64.  Both operands are
+    representable in f, so up to fp32 the product is exact in fp64 and the
+    test is the exact predicate.  d and a may be aligned arrays, tested
+    elementwise.
     """
-    return (d >= 1.0) | (d * f.x_max >= a)
+    return np.minimum(d, 1.0) * f.x_max >= a
 
 
 def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
     """Guarded updates v = a - b*c in format f over aligned arrays (c may be scalar).
 
     Returns (v, unsafe_mask); entries of v under the mask are invalid.  The
-    guards test the exact fp64 product b*c, for the reason the B3 discussion
-    in factor.py gives; tests/oracles.py holds the scalar reference.
+    guards test the fp64 product b*c, exact up to fp32, for the reason the
+    B3 discussion in factor.py gives; tests/oracles.py holds the reference.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -34,10 +34,10 @@ def require_matrix(name: str) -> str:
     return str(p)
 
 
-def ic_attempt_on(A: SparseSpd, pattern, tau, f, safe_checks):
+def ic_attempt_on(A: SparseSpd, pattern, tau, f):
     """ic_attempt on A's values scattered into the pattern's order."""
     plan = _step_plan(pattern)
-    return ic_attempt(_scatter_into_pattern(A, plan), plan, tau, f, safe_checks)
+    return ic_attempt(_scatter_into_pattern(A, plan), plan, tau, f)
 
 
 def to_dense(A: SparseSpd) -> np.ndarray:

@@ -16,7 +16,10 @@ return.
 
 step_times is the reference of the factor's dataflow step schedule, and
 column_factor of the factor itself: the right-looking column loop, whose
-first breakdown in column order icir.factor.ic_attempt must return.
+first breakdown in column order icir.factor.ic_attempt must return.  Its
+unguarded mode, the B1 test only with overflow raised as an error, is the
+path fp32 and fp64 once took, where the guarded kernel must give the same
+bits or breakdown, or a B2 or B3 in place of the error.
 """
 
 import math
@@ -234,7 +237,8 @@ def _triangular_pairs(m: int):
 
 def column_factor(vals, pattern, keys, tau, f, safe_checks):
     """Factor vals in place column by column (right-looking).  Returns vals or
-    the first Breakdown in column order."""
+    the first Breakdown in column order.  With safe_checks False only the B1
+    test runs, and an overflow raises FactorizationError."""
     n = pattern.n
     col_ptr = pattern.col_ptr
     rows_all = pattern.row_idx
@@ -244,18 +248,18 @@ def column_factor(vals, pattern, keys, tau, f, safe_checks):
         s0, e0 = col_ptr[k], col_ptr[k + 1]
         d = vals[s0]
         if d < tau:
-            return Breakdown("B1", k, (d,))
+            return Breakdown("B1", k)
         droot, _ = _round_scalar(math.sqrt(d), f)
         colv = vals[s0 + 1:e0]
         m = e0 - 1 - s0
         if safe_checks and droot < 1.0:
             a = float(np.max(np.abs(colv))) if m else 0.0
             if not safe_scale_check(droot, a, f):
-                return Breakdown("B2", k, (droot, a))
+                return Breakdown("B2", k)
         q, over = quantize(colv / droot, f)
         if np.any(over) or not np.all(np.isfinite(q)):
             if safe_checks:  # unreachable given the guard; stay conservative
-                return Breakdown("B2", k, (droot,))
+                return Breakdown("B2", k)
             raise FactorizationError(f"column scaling overflowed at k={k} without safe checks")
         vals[s0] = droot
         vals[s0 + 1:e0] = q
@@ -284,8 +288,7 @@ def column_factor(vals, pattern, keys, tau, f, safe_checks):
         if safe_checks:
             v, unsafe = safe_update_many(a, b, c, f)
             if np.any(unsafe):
-                bad = int(np.argmax(unsafe))
-                return Breakdown("B3", k, (a[bad], b[bad], c[bad]))
+                return Breakdown("B3", k)
             vals[pos] = v
         else:
             w, over_w = quantize(b * c, f)

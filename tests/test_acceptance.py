@@ -165,7 +165,7 @@ def test_04_complete_factor_oracle():
         D = B @ B.T + n * np.eye(n)
         A = dense_to_sparse(D)
         pat = full_pattern(n)
-        vals = ic_attempt_on(A, pat, 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, pat, 1e-20, FP64)
         L = np.zeros((n, n))
         for j in range(n):
             L[pat.row_idx[pat.col_ptr[j]:pat.col_ptr[j + 1]], j] = \

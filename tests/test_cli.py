@@ -105,8 +105,17 @@ class TestRunExperiment:
         c = RunConfig(matrix_path=poisson_mtx, level=1)
         r1, r2 = run_experiment(c), run_experiment(c)
         d1, d2 = r1.as_dict(), r2.as_dict()
-        d1.pop("wall_seconds"), d2.pop("wall_seconds")
+        for seconds in ("wall_seconds", "read_s", "scale_s", "pattern_s", "factor_s", "solve_s"):
+            d1.pop(seconds), d2.pop(seconds)
         assert d1 == d2
+
+    def test_lu_ir_divergence_is_the_status(self, tmp_path):
+        # the indefinite matrix of test_inner_status_reaches_json_not_csv,
+        # where LU-IR's iteration matrix has an eigenvalue near 10
+        A = SparseSpd.from_coo(3, [0, 1, 2, 1], [0, 1, 2, 0], [4, -1, 4, 0.5])
+        path = write_mtx(A, tmp_path / "indefinite.mtx")
+        rec = run_experiment(RunConfig(matrix_path=path, solver="lu-ir"))
+        assert rec.status == "diverged" and rec.iouter < 1000
 
     def test_level_increases_fill(self, poisson_mtx):
         r0 = run_experiment(RunConfig(matrix_path=poisson_mtx, level=0))
@@ -235,9 +244,12 @@ class TestMain:
                      "--out", str(out), "--level", "1", "--solver", "gmres"]) == 0
         data = json.loads(out.read_text())
         assert len(data) == 1
+        stages = ["read_s", "scale_s", "pattern_s", "factor_s", "solve_s"]
         assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks",
                                                       "attempts", "squeeze_dropped",
-                                                      "squeeze_flushed"}
+                                                      "squeeze_flushed", *stages}
+        assert all(data[0][s] > 0.0 for s in stages)   # each stage was timed
+        assert sum(data[0][s] for s in stages) <= data[0]["wall_seconds"]
         assert data[0]["status"] == "converged"
         assert len(data[0]["inner_statuses"]) == data[0]["iouter"]
         assert data[0]["overflow_fallbacks"] == 0

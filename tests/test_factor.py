@@ -31,23 +31,22 @@ class TestIcAttempt:
         n = 6
         pat = FillPattern(n, np.arange(n + 1), np.arange(n), level=0)
         A = dense_to_sparse(np.eye(n))
-        vals = ic_attempt_on(A, pat, 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, pat, 1e-20, FP64)
         assert not isinstance(vals, Breakdown)
         assert np.array_equal(vals, np.ones(n))
 
     def test_b1_indefinite(self):
         A = dense_to_sparse(np.array([[1.0, 2.0], [2.0, 1.0]]))
-        out = ic_attempt_on(A, full_pattern(2), 1e-20, FP64, safe_checks=False)
+        out = ic_attempt_on(A, full_pattern(2), 1e-20, FP64)
         assert isinstance(out, Breakdown)
-        assert out.kind == "B1" and out.k == 1
-        assert out.detail[0] == pytest.approx(-3.0)
+        assert out == Breakdown("B1", 1)
 
     def test_matches_dense_cholesky(self):
         for seed in (0, 1):
             n = 40
             D = spd_dense(n, seed)
             A = dense_to_sparse(D)
-            vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
+            vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64)
             L = np.zeros((n, n))
             pat = full_pattern(n)
             for j in range(n):
@@ -60,7 +59,7 @@ class TestIcAttempt:
         # pivot sqrt ~ 3.5e-4, column entry 30 > pivot * x_max ~ 22.7
         d0 = float(np.float16(1.2e-7))
         A = dense_to_sparse(np.array([[d0, 30.0], [30.0, 1.0]]))
-        out = ic_attempt_on(A, full_pattern(2), 1e-7, FP16, safe_checks=True)
+        out = ic_attempt_on(A, full_pattern(2), 1e-7, FP16)
         assert isinstance(out, Breakdown) and out.kind == "B2" and out.k == 0
 
     def test_b3_update_overflow(self):
@@ -68,26 +67,19 @@ class TestIcAttempt:
         d0 = float(np.float16(4e-7))
         D = np.array([[d0, 40.0, 40.0], [40.0, 1.0, 0.0], [40.0, 0.0, 1.0]])
         A = dense_to_sparse(D)
-        out = ic_attempt_on(A, full_pattern(3), 1e-7, FP16, safe_checks=True)
+        out = ic_attempt_on(A, full_pattern(3), 1e-7, FP16)
         assert isinstance(out, Breakdown) and out.kind == "B3" and out.k == 0
-
-    def test_unchecked_overflow_raises(self):
-        d0 = float(np.float16(4e-7))
-        D = np.array([[d0, 40.0, 40.0], [40.0, 1.0, 0.0], [40.0, 0.0, 1.0]])
-        A = dense_to_sparse(D)
-        with pytest.raises(FactorizationError):
-            ic_attempt_on(A, full_pattern(3), 1e-7, FP16, safe_checks=False)
 
     def test_tau_must_be_representable(self):
         A = tridiag(3)
         with pytest.raises(ValueError):
-            ic_attempt_on(A, ic_pattern(A, 0), 1e-9, FP16, safe_checks=True)
+            ic_attempt_on(A, ic_pattern(A, 0), 1e-9, FP16)
 
     def test_pattern_must_cover_structure(self):
         A = tridiag(4)
         narrow = FillPattern(4, np.arange(5), np.arange(4), level=0)  # diagonal only
         with pytest.raises(ValueError):
-            ic_attempt_on(A, narrow, 1e-20, FP64, safe_checks=False)
+            ic_attempt_on(A, narrow, 1e-20, FP64)
 
 
 class TestDefaultTau:
@@ -124,6 +116,22 @@ class TestShiftedIc:
         assert [a for a, _ in exc.value.history] == [0.0, 1e-3, 2e-3, 4e-3]
         L = shifted_ic(A, ic_pattern(A, 0), f=FP64)
         assert L.alpha == 8e-3 and L.stats.nmod == 4 and L.stats.restarts == 4
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"f": None}, "target format required"),
+        ({"f": FP16, "max_restarts": 0}, "max_restarts must be at least 1"),
+    ])
+    def test_bad_arguments(self, kwargs, message):
+        A = tridiag(3)
+        with pytest.raises(ValueError, match=message):
+            shifted_ic(A, ic_pattern(A, 0), **kwargs)
+
+    def test_shifted_diagonal_overflow(self):
+        # column 1 breaks down (B1) until the shift, doubled from 1e-3, takes
+        # column 0's 65504 past fp16's x_max at alpha = 16.384
+        A = dense_to_sparse(np.diag([65504.0, -1000.0]))
+        with pytest.raises(FactorizationError, match="shifted diagonal overflows"):
+            shifted_ic(A, ic_pattern(A, 0), f=FP16)
 
     def test_alpha_in_doubling_set(self):
         D = np.array([[1.0, 1.0], [1.0, 0.99]])

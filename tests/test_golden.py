@@ -14,7 +14,8 @@ A change that alters the numerics on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and names the entries that moved, and why, in CHANGES.md.
+which prints the keys it moved, added and removed, and names those entries,
+and why they changed, in CHANGES.md.
 """
 
 import hashlib
@@ -92,14 +93,29 @@ def compute_digest() -> dict:
     return out
 
 
+def changed_keys(want: dict, got: dict) -> dict:
+    """The keys whose entries moved from want to got, and those got added
+    to want or removed from it."""
+    return {"moved": sorted(k for k in want.keys() & got.keys() if want[k] != got[k]),
+            "added": sorted(got.keys() - want.keys()),
+            "removed": sorted(want.keys() - got.keys())}
+
+
+def test_changed_keys():
+    want = {"a": {"alpha": 0.0}, "b": 1, "c": 2}
+    got = {"a": {"alpha": 1e-3}, "b": 1, "d": 3}
+    assert changed_keys(want, got) == {"moved": ["a"], "added": ["d"], "removed": ["c"]}
+    assert not any(changed_keys(want, dict(want)).values())
+
+
 def test_golden_digest():
     t0 = time.perf_counter()
     got = compute_digest()
     elapsed = time.perf_counter() - t0
     want = json.loads(GOLDEN.read_text())
-    assert sorted(got) == sorted(want)
-    moved = [k for k in want if got[k] != want[k]]
-    assert not moved, {k: (want[k], got[k]) for k in moved[:5]}
+    changes = changed_keys(want, got)
+    assert not any(changes.values()), (
+        changes, {k: (want[k], got[k]) for k in changes["moved"][:5]})
     # 8-10 s on a 2-core host; the bound catches a runaway, not noise
     assert elapsed < 30.0
 
@@ -107,4 +123,8 @@ def test_golden_digest():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
-    GOLDEN.write_text(json.dumps(compute_digest(), indent=1, sort_keys=True) + "\n")
+    digest = compute_digest()
+    for change, keys in changed_keys(json.loads(GOLDEN.read_text()), digest).items():
+        for key in keys:
+            print(f"{change}: {key}")
+    GOLDEN.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n")

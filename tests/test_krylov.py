@@ -5,7 +5,7 @@ import numpy as np
 from conftest import ic_attempt_on, to_dense
 from icir.factor import FactorStats, IcFactor
 from icir.gallery import dense_to_sparse, poisson2d, random_spd, tridiag
-from icir.krylov import CONVERGED, MAX_ITERATIONS, gmres, pcg
+from icir.krylov import CONVERGED, MAX_ITERATIONS, SMALL_CURVATURE, gmres, pcg
 from icir.precision import get_format
 from icir.sparse import l2_scale, matvec_f64
 from icir.trisolve import apply_preconditioner
@@ -16,7 +16,7 @@ IDENT = lambda r: r
 
 
 def exact_preconditioner(A):
-    vals = ic_attempt_on(A, full_pattern(A.n), 1e-20, FP64, safe_checks=False)
+    vals = ic_attempt_on(A, full_pattern(A.n), 1e-20, FP64)
     L = IcFactor(full_pattern(A.n), vals, FP64, 0.0, FactorStats(0, 0, 0))
     return lambda r: apply_preconditioner(L, r)
 
@@ -59,6 +59,16 @@ class TestPcg:
         A = dense_to_sparse(D)
         out = pcg(A, IDENT, np.array([1.0, 1.0, 1.0, 1.0]), 1e-12, 50)
         assert out.status in ("small_curvature", CONVERGED)
+
+    def test_small_curvature_from_the_preconditioner(self):
+        A = dense_to_sparse(np.eye(2))
+        # r.Mr = -|b|^2 at the start
+        out = pcg(A, lambda r: -r, np.array([1.0, 0.5]), 1e-12, 50)
+        assert (out.status, out.iterations) == (SMALL_CURVATURE, 0)
+        assert not out.solution.any()
+        # an indefinite M: r.Mr = 0.75, then -0.48 after the first step
+        out = pcg(A, lambda r: r * np.array([1.0, -1.0]), np.array([1.0, 0.5]), 1e-12, 50)
+        assert (out.status, out.iterations) == (SMALL_CURVATURE, 1)
 
     def test_residual_orthogonality(self):
         A = random_spd(25, seed=3)

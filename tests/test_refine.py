@@ -5,8 +5,8 @@ from conftest import ic_attempt_on, to_dense
 from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import dense_to_sparse, poisson2d, random_spd, wathen
 from icir.precision import get_format
-from icir.refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, backward_error,
-                         ic_krylov_ir, ic_lu_ir)
+from icir.refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, DIVERGENCE_THRESHOLD,
+                         backward_error, ic_krylov_ir, ic_lu_ir)
 from icir.sparse import SparseSpd, l2_scale, matvec_f64
 from icir.symbolic import ic_pattern
 from test_factor import full_pattern
@@ -17,7 +17,7 @@ FP64 = get_format("fp64")
 
 
 def exact_factor(A):
-    vals = ic_attempt_on(A, full_pattern(A.n), 1e-20, FP64, safe_checks=False)
+    vals = ic_attempt_on(A, full_pattern(A.n), 1e-20, FP64)
     return IcFactor(full_pattern(A.n), vals, FP64, 0.0, FactorStats(0, 0, 0))
 
 
@@ -190,6 +190,16 @@ class TestOuterLoop:
         assert not rep.converged and not rep.diverged
         assert rep.resfinal == 1.0
         assert np.array_equal(rep.solution, np.zeros(3))
+
+    def test_lu_ir_divergence_stops(self, indefinite):
+        # I - (L L^T)^-1 A has an eigenvalue near 10, so the residual grows
+        # about tenfold per step until it passes DIVERGENCE_THRESHOLD
+        Ahat, b, L = indefinite
+        rep = ic_lu_ir(Ahat, b, L)
+        assert rep.diverged and not rep.converged
+        assert 250 < rep.iouter < 1000
+        r = b - matvec_f64(Ahat, rep.solution)
+        assert np.abs(r).max() >= DIVERGENCE_THRESHOLD
 
     def test_gmres_converges(self, indefinite):
         Ahat, b, L = indefinite

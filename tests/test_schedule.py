@@ -3,6 +3,7 @@ cast_f64 substitution kernels against the scalar oracle and the rule that
 chooses between them, and the factor's step times and values, breakdowns
 and errors against the column loop's."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -17,10 +18,10 @@ from conftest import ic_attempt_on
 from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
                          ShiftRestartError, _scatter_into_pattern, _step_plan,
                          default_tau, ic_attempt, shifted_ic)
-from icir.gallery import poisson2d, random_spd, tridiag
+from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.schedule import _column_levels, schedule
-from icir.sparse import SparseSpd, l2_scale
+from icir.sparse import SparseSpd, l2_scale, squeeze
 from icir.symbolic import FillPattern, ic_pattern
 from icir.trisolve import (LEVEL_WIDTH_MIN, _ColumnKernel, _LevelKernel,
                            _solve_kernel, apply_preconditioner, backward_solve,
@@ -137,28 +138,34 @@ def test_public_solves_match_oracle():
     assert np.array_equal(backward_solve(L, w), oracles.backward_solve(*args))
 
 
+# the top of fp64's b2b3 entries: near x_max fp64 itself would overflow,
+# in the guarded kernel and the column loop alike
+FP64_TOP = 1e16
+
+
 @st.composite
-def factor_problems(draw):
-    """(A, pattern, f) with A stored on every pattern position.
+def factor_problems(draw, formats=("fp16", "bf16")):
+    """(A, pattern, f) with A stored on every pattern position, f one of
+    the named formats.
 
     Diagonally dominant matrices factor; the others have tiny and negative
     pivots (B1), pivots under 1 beneath entries near x_max (B2), and large
     scaled entries whose products overflow (B3).  Zeros of either sign
     stand for fill positions and stored zeros.
     """
-    # b2b3 twice: half of its draws run unguarded, where B2 and B3 are errors
-    kind = draw(st.sampled_from(["b2b3", "b2b3", "dominant", "mixed", "wild"]))
+    kind = draw(st.sampled_from(["b2b3", "dominant", "mixed", "wild"]))
     patterns = lower_patterns()
     if kind == "b2b3":
         # neither B2 nor B3 without an off-diagonal
         patterns = patterns.filter(lambda drawn: drawn[0].nnz > drawn[0].n)
     pattern, rng = draw(patterns)
-    f = draw(st.sampled_from([get_format("fp16"), get_format("bf16")]))
+    f = get_format(draw(st.sampled_from(formats)))
     n, nnz, cp, ri = pattern.n, pattern.nnz, pattern.col_ptr, pattern.row_idx
     if kind == "b2b3":
         # B2 where an entry exceeds sqrt(d) * x_max, else B3 where a scaled
         # entry exceeds sqrt(x_max)
-        values = rng.choice([-1.0, 1.0], nnz) * f.x_max * 10.0 ** rng.uniform(-4.0, 0.0, nnz)
+        top = FP64_TOP if f.is_double else f.x_max
+        values = rng.choice([-1.0, 1.0], nnz) * top * 10.0 ** rng.uniform(-4.0, 0.0, nnz)
     else:
         values = rng.standard_normal(nnz) * 10.0 ** rng.uniform(-2.0, 4.0 if kind == "wild" else 1.0, nnz)
     zeros = rng.random(nnz) < 0.3
@@ -182,34 +189,84 @@ def factor_problems(draw):
     return SparseSpd(n, cp, ri, values), pattern, f
 
 
-def _result(attempt, A, pattern, f, safe_checks):
+@st.composite
+def scaled_problems(draw):
+    """(A, pattern, f): an l2-scaled gallery matrix rounded into fp32 or
+    fp64, with its IC(0)-IC(3) pattern.  random_spd below dominance 1 may be
+    indefinite."""
+    f = get_format(draw(st.sampled_from(["fp32", "fp64"])))
+    seed = draw(st.integers(0, 2 ** 16))
+    kind = draw(st.sampled_from(["wathen", "poisson", "random"]))
+    if kind == "wathen":
+        A = wathen(draw(st.integers(1, 3)), draw(st.integers(1, 3)), seed=seed)
+    elif kind == "poisson":
+        A = poisson2d(draw(st.integers(1, 7)))
+    else:
+        A = random_spd(draw(st.integers(1, 40)), seed=seed, density=draw(st.floats(0.05, 1.0)),
+                       dominance=draw(st.floats(0.1, 1.2)))
+    Alow, _ = squeeze(l2_scale(A)[0], f)
+    return Alow, ic_pattern(Alow, draw(st.integers(0, 3))), f
+
+
+def _result(attempt, A, pattern, f):
     """attempt's values or Breakdown on A, or its FactorizationError message."""
     plan = _step_plan(pattern)
     try:
-        return attempt(_scatter_into_pattern(A, plan), plan, default_tau(f), f, safe_checks)
+        return attempt(_scatter_into_pattern(A, plan), plan, default_tau(f), f)
     except FactorizationError as exc:
         return str(exc)
 
 
-def _column_attempt(vals, plan, tau, f, safe_checks):
+def _column_attempt(vals, plan, tau, f, safe_checks=True):
     """An attempt of the column loop, the reference of ic_attempt."""
     return oracles.column_factor(vals, plan.pattern, plan.keys, tau, f, safe_checks)
 
 
+def _unguarded_attempt(vals, plan, tau, f):
+    """An attempt of the column loop with the B1 test only."""
+    return _column_attempt(vals, plan, tau, f, safe_checks=False)
+
+
+def _assert_same_bits(got, want):
+    """got holds want's values bit for bit, signed zeros included."""
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=400, deadline=None)
-@given(factor_problems(), st.booleans())
-def test_factor_kernels_agree(problem, safe_checks):
+@given(factor_problems())
+def test_factor_kernels_agree(problem):
     A, pattern, f = problem
-    want = _result(_column_attempt, A, pattern, f, safe_checks)
+    want = _result(_column_attempt, A, pattern, f)
     event(want.kind if isinstance(want, Breakdown) else type(want).__name__)
-    got = _result(ic_attempt, A, pattern, f, safe_checks)
-    # the same bits, signed zeros included, or the same first breakdown in
-    # column order (kind, column and detail), or the same error
+    got = _result(ic_attempt, A, pattern, f)
+    # the same bits or the same first breakdown in column order (kind and
+    # column)
     if isinstance(want, np.ndarray):
-        assert isinstance(got, np.ndarray)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        _assert_same_bits(got, want)
     else:
         assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(factor_problems(("fp32", "fp64")), scaled_problems()))
+def test_guards_only_replace_overflow_errors(problem):
+    # fp32 and fp64 once ran the column loop's B1 test only: the guarded
+    # kernel gives that loop's bits or first B1, and where the loop's column
+    # scaling (operation 2k) or update (2k + 1) overflows, a B2 or B3 at the
+    # same operation or before
+    A, pattern, f = problem
+    want = _result(_unguarded_attempt, A, pattern, f)
+    got = _result(ic_attempt, A, pattern, f)
+    event(f"{f.name} {want.kind if isinstance(want, Breakdown) else type(want).__name__}")
+    if isinstance(want, np.ndarray):
+        _assert_same_bits(got, want)
+    elif isinstance(want, Breakdown):
+        assert got == want
+    else:
+        k = int(re.search(r"at k=(\d+)", want).group(1))
+        assert isinstance(got, Breakdown) and got.kind in ("B2", "B3")
+        assert 2 * got.k + (got.kind == "B3") <= 2 * k + want.startswith("update")
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,19 +316,19 @@ def test_step_times_match_oracle(drawn):
     assert sched.depth <= len(plan.steps) <= widest.sum() + sched.depth
 
 
-def test_b3_detail_is_kept_across_steps():
+def test_b3_of_a_source_spanning_steps():
     # source 3 runs its task into column 5 at step 1 and into column 4 at
-    # step 4, after column 4's chain of sources 0-2; both are unsafe, and the
-    # column loop meets the pair of column 4 first
+    # step 4, after column 4's chain of sources 0-2; both are unsafe, and
+    # both belong to the one scatter from column 3
     fp16 = get_format("fp16")
     pattern = _pattern(6, {(4, 0), (4, 1), (4, 2), (4, 3), (5, 3)})
     values = np.array([1.0, 0.1, 1.0, 0.1, 1.0, 0.1, 1e-4, 5.0, 5.0, 1.0, 1.0])
     A = SparseSpd(6, pattern.col_ptr, pattern.row_idx, quantize(values, fp16)[0])
     T, _ = oracles.step_times(pattern.col_ptr, pattern.row_idx)
     assert (T[7], T[8]) == (4, 1)
-    want = _result(_column_attempt, A, pattern, fp16, True)
-    assert want.kind == "B3" and want.k == 3 and want.detail[1] == want.detail[2]
-    assert _result(ic_attempt, A, pattern, fp16, True) == want
+    want = _result(_column_attempt, A, pattern, fp16)
+    assert want == Breakdown("B3", 3)
+    assert _result(ic_attempt, A, pattern, fp16) == want
 
 
 def test_dense_pattern_is_one_chain_of_pivots():
@@ -328,7 +385,7 @@ def test_shifted_ic_prepares_once_and_keeps_nothing():
     with pytest.raises(ShiftRestartError):
         shifted_ic(A, pattern, f=fp16, max_restarts=8)
     assert _holds_no_factor_state(pattern)
-    out = ic_attempt_on(A, pattern, default_tau(fp16), fp16, True)
+    out = ic_attempt_on(A, pattern, default_tau(fp16), fp16)
     assert out.kind == "B1" and out.k == 1250
     assert _holds_no_factor_state(pattern)
 

@@ -98,6 +98,9 @@ class TestReadMatrixMarket:
 3 1 2.0
 2 2 4.0
 """))
+        for rows, cols in (([0, 2], [0, 1]), ([0, 1], [-1, 1])):
+            with pytest.raises(MatrixFormatError, match="out of range"):
+                SparseSpd.from_coo(2, rows, cols, [1.0, 1.0])
 
     @pytest.mark.parametrize("entry", ["2.7 1.2 0.5", "2 1.5 0.5", "nan 1 0.5", "inf 1 0.5"])
     def test_non_integer_index_rejected(self, entry):
@@ -195,6 +198,11 @@ class TestSqueeze:
         Alow, rep = squeeze(A, FP16)
         assert Alow.nnz == 2
         assert 0 < Alow.values[0] < FP16.x_min
+
+    def test_overflow_raises(self):
+        A = SparseSpd.from_coo(2, [0, 1, 1], [0, 0, 1], [1.0, 1e5, 1.0])
+        with pytest.raises(ValueError, match="entry overflows the target format"):
+            squeeze(A, FP16)
 
     def test_fp64_identity(self):
         A = random_spd(20, seed=1)

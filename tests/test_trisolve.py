@@ -51,7 +51,7 @@ class TestForwardBackward:
     def test_roundtrip_matches_dense_solve(self):
         n = 30
         A = random_spd(n, seed=5)
-        vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64)
         L = IcFactor(full_pattern(n), vals, FP64, 0.0, FactorStats(0, 0, 0))
         rng = np.random.default_rng(0)
         w = rng.standard_normal(n)
@@ -73,24 +73,34 @@ class TestForwardBackward:
     def test_native_overflow_forward(self):
         # y1 = 60000, l21 = 2 -> product 120000 > x_max
         L = make_factor(np.array([[1.0, 0.0], [2.0, 1.0]]), FP16)
-        with pytest.raises(OverflowSignal):
+        with pytest.raises(OverflowSignal, match="product overflow"):
             forward_solve(L, np.array([60000.0, 60000.0]), NATIVE_LOW)
+        # y1 = 30000, l21 = -2 -> 60000 - (-60000) = 120000 > x_max
+        L = make_factor(np.array([[1.0, 0.0], [-2.0, 1.0]]), FP16)
+        with pytest.raises(OverflowSignal, match="subtraction overflow"):
+            forward_solve(L, np.array([30000.0, 60000.0]), NATIVE_LOW)
 
     def test_native_overflow_division(self):
         L = make_factor(np.array([[2.0 ** -14, 0.0], [0.0, 1.0]]), FP16)
-        with pytest.raises(OverflowSignal):
-            forward_solve(L, np.array([8.0, 0.0]), NATIVE_LOW)
+        for solve in (forward_solve, backward_solve):
+            with pytest.raises(OverflowSignal, match="division overflow"):
+                solve(L, np.array([8.0, 0.0]), NATIVE_LOW)
 
     def test_native_overflow_backward(self):
         L = make_factor(np.array([[1.0, 0.0], [2.0, 1.0]]), FP16)
-        with pytest.raises(OverflowSignal):
+        with pytest.raises(OverflowSignal, match="product overflow"):
             backward_solve(L, np.array([60000.0, 60000.0]), NATIVE_LOW)
+        # y2 = 30000, l21 = -2 -> 60000 - (-60000) = 120000 > x_max
+        L = make_factor(np.array([[1.0, 0.0], [-2.0, 1.0]]), FP16)
+        with pytest.raises(OverflowSignal, match="subtraction overflow"):
+            backward_solve(L, np.array([60000.0, 30000.0]), NATIVE_LOW)
 
     def test_zero_diagonal(self):
         L = make_factor(np.array([[1.0, 0.0], [2.0, 1.0]]), FP16)
         L.values[L.pattern.col_ptr[1]] = 0.0
-        with pytest.raises(ZeroDivisionError):
-            forward_solve(L, np.ones(2), NATIVE_LOW)
+        for solve in (forward_solve, backward_solve):
+            with pytest.raises(ZeroDivisionError):
+                solve(L, np.ones(2), NATIVE_LOW)
 
     def test_cast_f64_ignores_declared_format(self):
         Ld = np.array([[2.0, 0.0], [0.5, 1.5]])
@@ -126,7 +136,7 @@ class TestApplyPreconditioner:
     def test_complete_factor_inverts_matvec(self):
         n = 40
         A = random_spd(n, seed=9)
-        vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64, safe_checks=False)
+        vals = ic_attempt_on(A, full_pattern(n), 1e-20, FP64)
         L = IcFactor(full_pattern(n), vals, FP64, 0.0, FactorStats(0, 0, 0))
         rng = np.random.default_rng(2)
         for _ in range(3):
