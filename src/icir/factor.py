@@ -288,16 +288,16 @@ def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
             colv = vals[off]
             # B2: some entry of a column exceeds droot * x_max while droot < 1
             bad = ~safe_scale_check(dr, np.abs(colv), f)
-            q, _ = quantize(colv / dr, f)
             if low.any() or bad.any():
                 ends = np.cumsum(below)
                 low[np.searchsorted(ends, np.flatnonzero(bad), side="right")] = True
                 i = int(np.argmax(low))
                 j, lo = int(ri[diag[i]]), int(ends[i] - below[i])
                 first, outcome = 2 * j, Breakdown("B1" if d[i] < tau else "B2", j)
-                diag, droot, off, q = diag[:i], droot[:i], off[:lo], q[:lo]
+                diag, droot, off, colv, dr = diag[:i], droot[:i], off[:lo], colv[:lo], dr[:lo]
             vals[diag] = droot
-            vals[off] = q
+            # quotients only before a failure: a rejected column's may overflow fp64
+            vals[off], _ = quantize(colv / dr, f)
     if outcome is not None:
         return outcome
     if not np.all(np.abs(vals) <= f.x_max):

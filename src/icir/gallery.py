@@ -31,27 +31,18 @@ def wathen(nx: int, ny: int, seed: int = 0) -> SparseSpd:
     rho = 100.0 * rng.random((nx, ny))
     n = 3 * nx * ny + 2 * nx + 2 * ny + 1
 
-    rows_l = []
-    cols_l = []
-    vals_l = []
-    nn = np.zeros(8, dtype=np.int64)
-    rr, cc = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
-    for j in range(1, ny + 1):
-        for i in range(1, nx + 1):
-            nn[0] = 3 * j * nx + 2 * i + 2 * j + 1
-            nn[1] = nn[0] - 1
-            nn[2] = nn[1] - 1
-            nn[3] = (3 * j - 1) * nx + 2 * j + i - 1
-            nn[4] = 3 * (j - 1) * nx + 2 * i + 2 * j - 3
-            nn[5] = nn[4] + 1
-            nn[6] = nn[5] + 1
-            nn[7] = nn[3] + 1
-            rows_l.append(nn[rr].copy())
-            cols_l.append(nn[cc].copy())
-            vals_l.append(rho[i - 1, j - 1] * _ELEMENT)
-    rows = np.concatenate([a.ravel() for a in rows_l]) - 1  # to 0-based
-    cols = np.concatenate([a.ravel() for a in cols_l]) - 1
-    vals = np.concatenate([a.ravel() for a in vals_l])
+    # the 8 node numbers (0-based) of every element, j outer and i inner
+    j = np.repeat(np.arange(1, ny + 1), nx)
+    i = np.tile(np.arange(1, nx + 1), ny)
+    top = 3 * j * nx + 2 * i + 2 * j
+    mid = (3 * j - 1) * nx + 2 * j + i - 2
+    bottom = 3 * (j - 1) * nx + 2 * i + 2 * j - 4
+    nn = np.stack([top, top - 1, top - 2, mid, bottom, bottom + 1, bottom + 2, mid + 1], axis=1)
+    # each element's 8 x 8 block in row-major order, element by element:
+    # from_coo sums the duplicates in this order
+    rows = np.repeat(nn, 8, axis=1).ravel()
+    cols = np.tile(nn, 8).ravel()
+    vals = np.outer(rho.T, _ELEMENT).ravel()
     lower = rows >= cols
     return SparseSpd.from_coo(n, rows[lower], cols[lower], vals[lower])
 

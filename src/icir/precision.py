@@ -187,12 +187,15 @@ def safe_scale_check(d, a, f: FpFormat):
     return np.minimum(d, 1.0) * f.x_max >= a
 
 
+@np.errstate(over="ignore")
 def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
     """Guarded updates v = a - b*c in format f over aligned arrays (c may be scalar).
 
     Returns (v, unsafe_mask); entries of v under the mask are invalid.  The
     guards test the fp64 product b*c, exact up to fp32, for the reason the
     B3 discussion in factor.py gives; tests/oracles.py holds the reference.
+    Only in fp64 can b*c or a - b*c overflow; the inf is silent, and the
+    guards reject it.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -87,15 +87,13 @@ class SparseSpd:
         summed = np.add.reduceat(vals, start) if len(vals) else vals
         c = (uniq // n).astype(np.int64)
         r = (uniq % n).astype(np.int64)
+        # each (r, c) is stored once, so n diagonal entries means all of them
+        if np.count_nonzero(r == c) != n:
+            raise MatrixFormatError("missing structural diagonal entry")
         col_ptr = np.zeros(n + 1, dtype=np.int64)
         np.add.at(col_ptr, c + 1, 1)
         np.cumsum(col_ptr, out=col_ptr)
-        if np.any(np.diff(col_ptr) == 0):
-            raise MatrixFormatError("missing structural diagonal entry")
-        A = SparseSpd(n, col_ptr, r, summed)
-        if np.any(A.row_idx[A.diag_positions()] != np.arange(n)):
-            raise MatrixFormatError("missing structural diagonal entry")
-        return A
+        return SparseSpd(n, col_ptr, r, summed)
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,8 @@ def read_matrix_market(source) -> SparseSpd:
 
     body = b"".join(content[1:])
     try:
-        arr = np.loadtxt(io.BytesIO(body), ndmin=2) if body else np.empty((0, 3))
+        # comments=None: Matrix Market has no '#' comments, so '#' is a bad token
+        arr = np.loadtxt(io.BytesIO(body), ndmin=2, comments=None) if body else np.empty((0, 3))
     except ValueError as exc:  # ragged rows, tokens that are not numbers
         raise MatrixFormatError(f"bad entry line: {exc}") from None
     if arr.shape[0] != nnz:

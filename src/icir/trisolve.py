@@ -6,12 +6,10 @@ Two execution modes:
                 fp64 on the fly and the substitution runs entirely in double
                 precision using one temporary vector; cannot overflow.
   native_low -- every divide/multiply/subtract is rounded into the factor's
-                format; any rounding that overflows raises OverflowSignal.
+                format; one rule, _checked, raises OverflowSignal for any
+                result past x_max, the overflow the factor's guards test.
                 The right-hand side is expected to be format-representable
                 (apply_preconditioner scales it by its inf-norm first).
-
-In native_low the overflow check is applied to each rounded result, which
-detects exactly the operations the predictive safe tests guard against.
 
 cast_f64 runs from the pattern's elimination schedule (icir.schedule), the
 same column levels the factor ran from, cached on the FillPattern.  Its
@@ -59,6 +57,13 @@ LEVEL_WIDTH_MIN = 2.0
 
 class OverflowSignal(ArithmeticError):
     """A native_low substitution step overflowed the factor's format."""
+
+
+def _checked(rounded, op: str, j: int):
+    value, over = rounded
+    if over is True or over is not False and over.any():   # a bool or a mask
+        raise OverflowSignal(f"{op} overflow at column {j}")
+    return value
 
 
 def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
@@ -195,19 +200,11 @@ def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.n
         d = vals[s]
         if d == 0.0:
             raise ZeroDivisionError(f"zero diagonal at column {j}")
-        yj, over = _round_scalar(yj / d, f)
-        if over:
-            raise OverflowSignal(f"division overflow at column {j}")
-        y[j] = yj
+        y[j] = yj = _checked(_round_scalar(yj / d, f), "division", j)
         if e > s + 1:
-            prod, over_p = quantize(vals[s + 1:e] * yj, f)
-            if np.any(over_p):
-                raise OverflowSignal(f"product overflow at column {j}")
+            prod = _checked(quantize(vals[s + 1:e] * yj, f), "product", j)
             idx = rows_all[s + 1:e]
-            upd, over_u = quantize(y[idx] - prod, f)
-            if np.any(over_u):
-                raise OverflowSignal(f"subtraction overflow at column {j}")
-            y[idx] = upd
+            y[idx] = _checked(quantize(y[idx] - prod, f), "subtraction", j)
     return y
 
 
@@ -229,20 +226,12 @@ def backward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.
             raise ZeroDivisionError(f"zero diagonal at column {j}")
         acc = y[j]
         if e > s + 1:
-            prod, over_p = quantize(vals[s + 1:e] * y[rows_all[s + 1:e]], f)
-            if np.any(over_p):
-                raise OverflowSignal(f"product overflow at column {j}")
+            prod = _checked(quantize(vals[s + 1:e] * y[rows_all[s + 1:e]], f), "product", j)
             # sequential accumulation in storage (ascending row) order
             for p in prod.tolist():
-                if p == 0.0:
-                    continue
-                acc, over = _round_scalar(acc - p, f)
-                if over:
-                    raise OverflowSignal(f"subtraction overflow at column {j}")
-        acc, over = _round_scalar(acc / d, f)
-        if over:
-            raise OverflowSignal(f"division overflow at column {j}")
-        y[j] = acc
+                if p != 0.0:
+                    acc = _checked(_round_scalar(acc - p, f), "subtraction", j)
+        y[j] = _checked(_round_scalar(acc / d, f), "division", j)
     return y
 
 
@@ -258,7 +247,5 @@ def apply_preconditioner(L: IcFactor, r: np.ndarray, exec_mode: str = CAST_F64) 
     nr = inf_norm_vector(r)
     if nr == 0.0:
         return np.zeros(L.n)
-    rs, over = quantize(r / nr, L.format)
-    if np.any(over):  # entries are <= 1 in magnitude; defensive
-        raise OverflowSignal("right-hand side scaling overflowed")
+    rs, _ = quantize(r / nr, L.format)   # |rs| <= 1 < 3 <= every x_max
     return backward_solve(L, forward_solve(L, rs, NATIVE_LOW), NATIVE_LOW) * nr

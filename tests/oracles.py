@@ -10,6 +10,13 @@ operation, and one guarded update.  round_to is built on
 icir.precision._round_scalar, so comparing it with quantize pins the scalar
 and vector rounding paths to each other.
 
+native_forward_solve and native_backward_solve are the references of the
+native_low substitutions of icir.trisolve: one sim_op per operation, the
+first overflow raising OverflowSignal with the kernels' message.
+
+wathen is the reference of icir.gallery.wathen: the per-element loop, whose
+triplets the vectorised generator must give in the same order.
+
 column_pattern is the reference of icir.symbolic.ic_pattern: one
 breadth-first search per column, whose arrays the blocked search must
 return.
@@ -28,9 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from icir.factor import Breakdown, FactorizationError
+from icir.gallery import _ELEMENT
 from icir.precision import (FpFormat, _round_scalar, quantize, safe_scale_check,
                             safe_update_many)
+from icir.sparse import SparseSpd
 from icir.symbolic import FillPattern, _full_adjacency
+from icir.trisolve import OverflowSignal
 
 OVERFLOW = "overflow"
 UNDERFLOW_TO_ZERO = "underflow_to_zero"
@@ -152,6 +162,93 @@ def backward_solve(col_ptr, row_idx, values, w):
             acc -= float(values[p]) * y[int(row_idx[p])]
         y[j] = acc / float(values[col_ptr[j]])
     return y
+
+
+def _native(outcome: RoundOutcome, op: str, j: int) -> float:
+    """The value of a rounded native_low operation of column j; OverflowSignal
+    if it overflowed."""
+    if outcome.overflow:
+        raise OverflowSignal(f"{op} overflow at column {j}")
+    return outcome.value
+
+
+def _pivot(values, col_ptr, j: int) -> float:
+    d = float(values[col_ptr[j]])
+    if d == 0.0:
+        raise ZeroDivisionError(f"zero diagonal at column {j}")
+    return d
+
+
+def native_forward_solve(col_ptr, row_idx, values, w, f: FpFormat) -> np.ndarray:
+    """Solve L y = w in format f, as the native_low forward solve does.
+
+    Column by column: a zero y_j is skipped; else y_j is divided by l_jj,
+    then every product l_ij y_j of column j is formed, then every update
+    y_i - l_ij y_j, both in storage (ascending row) order.
+    """
+    y = [float(v) for v in w]
+    for j in range(len(y)):
+        if y[j] == 0.0:
+            continue
+        y[j] = _native(sim_op("div", y[j], _pivot(values, col_ptr, j), f), "division", j)
+        below = range(col_ptr[j] + 1, col_ptr[j + 1])
+        prods = [_native(sim_op("mul", float(values[p]), y[j], f), "product", j) for p in below]
+        for p, prod in zip(below, prods):
+            i = int(row_idx[p])
+            y[i] = _native(sim_op("sub", y[i], prod, f), "subtraction", j)
+    return np.array(y)
+
+
+def native_backward_solve(col_ptr, row_idx, values, w, f: FpFormat) -> np.ndarray:
+    """Solve L^T y = w in format f, as the native_low backward solve does.
+
+    Unknown j, from the last: every product l_ij y_i of column j in storage
+    (ascending row) order, then the subtractions of the nonzero products in
+    that order, then the division by l_jj.
+    """
+    y = [float(v) for v in w]
+    for j in range(len(y) - 1, -1, -1):
+        d = _pivot(values, col_ptr, j)
+        prods = [_native(sim_op("mul", float(values[p]), y[int(row_idx[p])], f), "product", j)
+                 for p in range(col_ptr[j] + 1, col_ptr[j + 1])]
+        acc = y[j]
+        for prod in prods:
+            if prod != 0.0:
+                acc = _native(sim_op("sub", acc, prod, f), "subtraction", j)
+        y[j] = _native(sim_op("div", acc, d, f), "division", j)
+    return np.array(y)
+
+
+def wathen(nx: int, ny: int, seed: int = 0) -> SparseSpd:
+    """Random Wathen mass matrix, assembled one element at a time (j outer,
+    i inner), each element's 8 x 8 block in row-major order."""
+    rng = np.random.default_rng(seed)
+    rho = 100.0 * rng.random((nx, ny))
+    n = 3 * nx * ny + 2 * nx + 2 * ny + 1
+
+    rows_l = []
+    cols_l = []
+    vals_l = []
+    nn = np.zeros(8, dtype=np.int64)
+    rr, cc = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
+    for j in range(1, ny + 1):
+        for i in range(1, nx + 1):
+            nn[0] = 3 * j * nx + 2 * i + 2 * j + 1
+            nn[1] = nn[0] - 1
+            nn[2] = nn[1] - 1
+            nn[3] = (3 * j - 1) * nx + 2 * j + i - 1
+            nn[4] = 3 * (j - 1) * nx + 2 * i + 2 * j - 3
+            nn[5] = nn[4] + 1
+            nn[6] = nn[5] + 1
+            nn[7] = nn[3] + 1
+            rows_l.append(nn[rr].copy())
+            cols_l.append(nn[cc].copy())
+            vals_l.append(rho[i - 1, j - 1] * _ELEMENT)
+    rows = np.concatenate([a.ravel() for a in rows_l]) - 1  # to 0-based
+    cols = np.concatenate([a.ravel() for a in cols_l]) - 1
+    vals = np.concatenate([a.ravel() for a in vals_l])
+    lower = rows >= cols
+    return SparseSpd.from_coo(n, rows[lower], cols[lower], vals[lower])
 
 
 def column_pattern(A, level):

@@ -70,6 +70,19 @@ class TestIcAttempt:
         out = ic_attempt_on(A, full_pattern(3), 1e-7, FP16)
         assert isinstance(out, Breakdown) and out.kind == "B3" and out.k == 0
 
+    def test_fp64_b2_without_overflow(self):
+        # 1e300 / sqrt(1e-20) would overflow fp64; the rejected column is not divided
+        A = dense_to_sparse([[1e-20, 1e300], [1e300, 1.0]])
+        assert ic_attempt_on(A, full_pattern(2), 1e-30, FP64) == Breakdown("B2", 0)
+
+    @pytest.mark.parametrize("D", [
+        # the guard product 1e160 * 1e160 overflows fp64 to inf
+        [[1.0, 1e160, 1e160], [1e160, 1.0, 0.0], [1e160, 0.0, 1.0]],
+        # -1.5e308 - 1e154 * 1e154 overflows fp64 to -inf
+        [[1.0, 1e154, 0.0], [1e154, -1.5e308, 0.0], [0.0, 0.0, 1.0]]])
+    def test_fp64_b3_without_overflow(self, D):
+        assert ic_attempt_on(dense_to_sparse(D), full_pattern(3), 1e-20, FP64) == Breakdown("B3", 0)
+
     def test_tau_must_be_representable(self):
         A = tridiag(3)
         with pytest.raises(ValueError):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import to_dense
-from icir.gallery import random_spd, tridiag
+from icir.gallery import random_spd, tridiag, wathen
 from icir.precision import get_format
 from icir.sparse import (MatrixFormatError, SparseSpd, inf_norm_matrix,
                          inf_norm_vector, l2_scale, matvec_f64,
@@ -42,6 +43,7 @@ class TestReadMatrixMarket:
         p.write_bytes(SIMPLE)
         assert read_matrix_market(str(p)).nnz == 3
         assert read_matrix_market(io.BytesIO(SIMPLE)).nnz == 3
+        assert read_matrix_market(io.StringIO(SIMPLE.decode())).nnz == 3
 
     def test_upper_triangle_mirrored(self):
         A = read_matrix_market(mm("""
@@ -88,6 +90,9 @@ class TestReadMatrixMarket:
 1 1 4.0
 2 1 2.0
 """))
+        # column 1 holds (2, 1) but not (1, 1)
+        with pytest.raises(MatrixFormatError, match="missing structural diagonal"):
+            SparseSpd.from_coo(3, [0, 2, 2], [0, 1, 2], [1.0, 1.0, 1.0])
 
     def test_index_out_of_range(self):
         with pytest.raises(MatrixFormatError):
@@ -124,6 +129,16 @@ class TestReadMatrixMarket:
 2 3 1
 1 1 4.0
 """))
+
+
+class TestWathen:
+    @pytest.mark.parametrize("nx, ny", [(4, 3), (10, 8), (40, 30), (120, 100), (1, 1), (5, 1)])
+    def test_matches_element_loop(self, nx, ny):
+        got, want = wathen(nx, ny, seed=nx), oracles.wathen(nx, ny, seed=nx)
+        assert got.n == want.n == 3 * nx * ny + 2 * nx + 2 * ny + 1
+        assert np.array_equal(got.col_ptr, want.col_ptr)
+        assert np.array_equal(got.row_idx, want.row_idx)
+        assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
 
 
 class TestL2Scale:
@@ -288,7 +303,9 @@ class TestReaderFuzz:
     @pytest.mark.parametrize("body", [
         "-1 -1 0", "1 1 1\n1 1 nan", "1 1 1\n1 1 inf", "2 2 2\n1 1 4.0\n2 2",
         "1 1 1\n1 1 a", "1 1 1\n1 1 4.0 5.0", "1 1 1\n1e30 1 4.0",
-        "100000000000 100000000000 0"])
+        "100000000000 100000000000 0",
+        # Matrix Market comments start with %; a '#' is a bad token
+        "1 1 1\n1 1 4.0 # junk", "1 1 1\n#"])
     def test_defects_rejected(self, body):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import ic_attempt_on
 from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import random_spd, wathen
-from icir.precision import get_format
+from icir.precision import get_format, quantize
 from icir.sparse import l2_scale, matvec_f64
 from icir.symbolic import FillPattern, ic_pattern
 from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal,
@@ -108,6 +111,47 @@ class TestForwardBackward:
         a = forward_solve(make_factor(Ld, FP64), w, CAST_F64)
         b = forward_solve(make_factor(Ld, FP16), w, CAST_F64)
         assert np.array_equal(a, b)
+
+
+@st.composite
+def native_systems(draw):
+    """(L, w): a fp16 or bf16 shifted_ic factor of an l2-scaled random_spd,
+    some indefinite, at IC(0) or IC(3), now and then with a zeroed pivot,
+    and a representable right-hand side with zero entries, scaled up to near
+    x_max."""
+    f = get_format(draw(st.sampled_from(["fp16", "bf16"])))
+    seed = draw(st.integers(0, 2 ** 16))
+    n = draw(st.integers(1, 30))
+    A, _ = l2_scale(random_spd(n, seed=seed, density=draw(st.floats(0.05, 1.0)),
+                               dominance=draw(st.floats(0.1, 1.2))))
+    L = shifted_ic(A, ic_pattern(A, draw(st.sampled_from([0, 3]))), f=f)
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.1:
+        L.values[L.pattern.col_ptr[rng.integers(n)]] = 0.0
+    w = rng.choice([-1.0, 1.0], n) * f.x_max * 10.0 ** -rng.uniform(0.0, 2.0, n)
+    w[rng.random(n) < 0.3] = 0.0
+    return L, quantize(w, f)[0]
+
+
+def _outcome(solve, *args):
+    """solve's result as int64 views, or its exception's type and message."""
+    try:
+        return solve(*args).view(np.int64).tolist()
+    except (OverflowSignal, ZeroDivisionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(native_systems())
+def test_native_solves_match_scalar_reference(system):
+    L, w = system
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w, L.format)
+    for solve, reference in ((forward_solve, oracles.native_forward_solve),
+                             (backward_solve, oracles.native_backward_solve)):
+        want = _outcome(reference, *args)
+        kind = want[1].split(" at")[0] if isinstance(want, tuple) else "solved"
+        event(f"{solve.__name__}: {kind}")
+        assert _outcome(solve, L, w, NATIVE_LOW) == want
 
 
 class TestApplyPreconditioner:
