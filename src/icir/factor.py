@@ -47,10 +47,11 @@ breakdowns in step order.  Number the operations: the pivot of column k is
 2k, the scatter from source column k (all of its tasks) 2k + 1.  An
 operation reads only results of lower-numbered ones, so the lowest-numbered
 failing operation reads clean inputs and is the column loop's first
-breakdown, of the same kind and column.  After a failure the kernel skips
-every operation numbered above the lowest failure so far, whose inputs may
-hold failed results, and stops once the plan's rest[s], the lowest
-operation number at step s or later, exceeds it.  A step's B3 is its lowest
+breakdown, of the same kind and column.  The kernel records a failure only
+below the lowest so far.  An operation that reads a failed result is
+numbered above that failure and cannot lower it, so it runs on, silently
+(np.errstate), until the plan's rest[s], the lowest operation number at
+step s or later, exceeds the lowest failure.  A step's B3 is its lowest
 source k with an unsafe pair, operation 2k + 1 whatever step it is met in.
 
 shifted_ic wraps ic_attempt in the global-shift loop (Manteuffel, Math.
@@ -233,6 +234,7 @@ def _scatter_into_pattern(Alow: SparseSpd, plan: _StepPlan) -> np.ndarray:
     return vals
 
 
+@np.errstate(all="ignore")
 def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
     """One guarded factorization attempt of the pattern-ordered vals, in
     place, step by step, in any format.  Returns vals on success, else the
@@ -242,21 +244,16 @@ def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
         raise ValueError("tau must exceed the smallest positive representable value")
     pattern, keys = plan.pattern, plan.keys
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
-    # the lowest failing operation found so far (2n: none) and its Breakdown
+    # the lowest failing operation so far (2n: none) and its Breakdown; those
+    # above it may read failed values (a rejected column's quotients overflow)
     first, outcome = 2 * n, None
     for s, (task, pairs, shift, diag, below, off) in enumerate(plan.steps):
-        if first < 2 * n and plan.rest[s] > first:
+        if plan.rest[s] > first:
             break
         if len(task):
             # target (i, j) = (row of b, row of c), b = l_ik, c = l_jk
             c = np.repeat(task, pairs)
             b = np.arange(len(c)) + np.repeat(shift, pairs)
-            if first < 2 * n:
-                # skip the scatters numbered above the failure, those from
-                # the columns from (first + 1) // 2 on, pair by pair, since
-                # shift places every task's pairs within the step
-                kept = np.repeat(task < cp[(first + 1) // 2], pairs)
-                b, c = b[kept], c[kept]
             bv = vals[b]
             cv = vals[c]
             live = (bv != 0.0) & (cv != 0.0)
@@ -275,12 +272,8 @@ def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
                 if 2 * k + 1 < first:
                     first, outcome = 2 * k + 1, Breakdown("B3", k)
             vals[t] = v
-        if first < 2 * n:
-            # and the pivots of those columns, a tail as they ascend
-            m = int(np.searchsorted(diag, cp[(first + 1) // 2]))
-            diag, below, off = diag[:m], below[:m], off[:int(below[:m].sum())]
         if len(diag):
-            # the step's pivots, ascending; on a failure, only those before it
+            # the step's pivots, ascending
             d = vals[diag]
             low = d < tau                                 # B1; such a root goes unused
             droot, _ = quantize(np.sqrt(np.maximum(d, tau)), f)
@@ -289,14 +282,12 @@ def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
             # B2: some entry of a column exceeds droot * x_max while droot < 1
             bad = ~safe_scale_check(dr, np.abs(colv), f)
             if low.any() or bad.any():
-                ends = np.cumsum(below)
-                low[np.searchsorted(ends, np.flatnonzero(bad), side="right")] = True
+                low[np.searchsorted(np.cumsum(below), np.flatnonzero(bad), side="right")] = True
                 i = int(np.argmax(low))
-                j, lo = int(ri[diag[i]]), int(ends[i] - below[i])
-                first, outcome = 2 * j, Breakdown("B1" if d[i] < tau else "B2", j)
-                diag, droot, off, colv, dr = diag[:i], droot[:i], off[:lo], colv[:lo], dr[:lo]
+                j = int(ri[diag[i]])
+                if 2 * j < first:
+                    first, outcome = 2 * j, Breakdown("B1" if d[i] < tau else "B2", j)
             vals[diag] = droot
-            # quotients only before a failure: a rejected column's may overflow fp64
             vals[off], _ = quantize(colv / dr, f)
     if outcome is not None:
         return outcome

@@ -52,17 +52,15 @@ class FpFormat:
     """A binary floating-point format described by its bit widths.
 
     significand_bits counts the implicit leading bit, so fp64 has 53.
-    Derived constants follow the IEEE bias convention:
-    e_max = 2^(exponent_bits-1) - 1, e_min = 1 - e_max.  They are computed
-    once here, since the factor and the solves read them once per column.
+    Derived constants follow the IEEE bias convention e_max =
+    2^(exponent_bits-1) - 1, e_min = 1 - e_max (locals, not fields), and are
+    computed once, since the factor and the solves read them once per column.
     """
 
     name: str
     significand_bits: int
     exponent_bits: int
     supports_subnormals: bool = True
-    e_max: int = field(init=False, repr=False, compare=False)
-    e_min: int = field(init=False, repr=False, compare=False)
     u: float = field(init=False, repr=False, compare=False)
     x_min: float = field(init=False, repr=False, compare=False)
     x_s_min: float | None = field(init=False, repr=False, compare=False)
@@ -83,8 +81,6 @@ class FpFormat:
         u = math.ldexp(1.0, -p)  # unit roundoff = 2^-p for round-to-nearest
         # frozen: the derived fields go straight into the instance dict
         self.__dict__.update(
-            e_max=e_max,
-            e_min=e_min,
             u=u,
             x_min=math.ldexp(1.0, e_min),
             x_s_min=math.ldexp(1.0, e_min - (p - 1)) if self.supports_subnormals else None,

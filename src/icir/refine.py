@@ -88,7 +88,7 @@ def _refine(A: SparseSpd, b: np.ndarray, xp: np.ndarray, x: np.ndarray, correct,
         if res <= delta:
             report.converged = True
             break
-        if inf_norm_vector(r) >= DIVERGENCE_THRESHOLD:
+        if not inf_norm_vector(r) < DIVERGENCE_THRESHOLD:   # NaN included
             report.diverged = True
             break
         if i == itmax or last:

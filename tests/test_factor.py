@@ -71,7 +71,7 @@ class TestIcAttempt:
         assert isinstance(out, Breakdown) and out.kind == "B3" and out.k == 0
 
     def test_fp64_b2_without_overflow(self):
-        # 1e300 / sqrt(1e-20) would overflow fp64; the rejected column is not divided
+        # 1e300 / sqrt(1e-20) overflows fp64; the rejected column is divided, silently
         A = dense_to_sparse([[1e-20, 1e300], [1e300, 1.0]])
         assert ic_attempt_on(A, full_pattern(2), 1e-30, FP64) == Breakdown("B2", 0)
 

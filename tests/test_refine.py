@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ic_attempt_on, to_dense
 from icir.factor import FactorStats, IcFactor, shifted_ic
-from icir.gallery import dense_to_sparse, poisson2d, random_spd, wathen
+from icir.gallery import dense_to_sparse, poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format
 from icir.refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, DIVERGENCE_THRESHOLD,
                          backward_error, ic_krylov_ir, ic_lu_ir)
@@ -206,3 +206,34 @@ class TestOuterLoop:
         rep = ic_krylov_ir(Ahat, b, L, method="gmres")
         assert rep.converged and rep.resfinal <= DELTA_DEFAULT
         assert rep.totits == sum(c for c, _ in rep.per_outer)
+
+
+class TestNanResidual:
+    """A factor fp16 can hold whose fp64 substitution grows about 1e12 per
+    column and overflows: the iterate becomes inf and the residual NaN,
+    which both drivers count as divergence."""
+
+    @pytest.fixture
+    def overflowing(self):
+        n = 40
+        Ld = np.diag(np.full(n, 2.0 ** -24)) + np.diag(np.full(n - 1, -65504.0), -1)
+        A = tridiag(n)
+        return A, matvec_f64(A, np.ones(n)), make_factor(Ld, FP16)
+
+    def test_lu_ir_diverges(self, overflowing):
+        A, b, L = overflowing
+        # the overflow of the fp64 solve is the point of the case
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = ic_lu_ir(A, b, L, itmax=5)
+        assert rep.diverged and not rep.converged
+        assert rep.iouter == 0 and rep.overflow_fallbacks == 1
+        assert np.isnan(rep.resfinal)
+
+    @pytest.mark.parametrize("method", ["cg", "gmres"])
+    def test_krylov_ir_diverges(self, overflowing, method):
+        A, b, L = overflowing
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = ic_krylov_ir(A, b, L, method=method, itmax=3, inner_maxit=50)
+        assert rep.diverged and not rep.converged
+        assert rep.iouter == 1 and len(rep.per_outer) == 1
+        assert np.isnan(rep.resfinal)

@@ -331,6 +331,22 @@ def test_b3_of_a_source_spanning_steps():
     assert _result(ic_attempt, A, pattern, fp16) == want
 
 
+def test_fp64_attempt_runs_past_its_failure():
+    # column 5 breaks down (B2, operation 10) at step 0, while the chain of
+    # columns 0-4 keeps lower operations running to step 4; steps 1 and 2
+    # scatter column 5's overflowed quotients into columns 6 and 7, silently
+    fp64 = get_format("fp64")
+    pattern = _pattern(8, {(1, 0), (2, 1), (3, 2), (4, 3), (6, 5), (7, 5), (7, 6)})
+    values = np.array([1.0, 0.1, 1.0, 0.1, 1.0, 0.1, 1.0, 0.1, 1.0,
+                       1e-20, 1e300, 1e300, 1.0, 0.0, 1.0])
+    A = SparseSpd(8, pattern.col_ptr, pattern.row_idx, values)
+    plan = _step_plan(pattern)
+    assert plan.rest.tolist() == [0, 1, 3, 5, 7]
+    got = ic_attempt(_scatter_into_pattern(A, plan), plan, 1e-30, fp64)
+    assert got == Breakdown("B2", 5)
+    assert got == _column_attempt(_scatter_into_pattern(A, plan), plan, 1e-30, fp64)
+
+
 def test_dense_pattern_is_one_chain_of_pivots():
     A, _ = l2_scale(random_spd(40, density=1.0, seed=0))
     pattern = ic_pattern(A, 3)
