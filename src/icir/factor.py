@@ -35,8 +35,8 @@ r-th task of target j (sources k ascending) runs at step T_r =
 max(T_{r-1} + 1, P(k_r) + 1), and the pivot of j at P(j) = T_last (0
 without tasks), so every entry sees the column loop's order.  A step runs
 its tasks as one vectorised safe_update_many call, then its pivots.  The
-step times are found level by level of the elimination schedule
-(icir.schedule), one segmented running maximum per level.  The plan holds
+step times are found level by level of the pattern's elimination levels
+(icir.symbolic), one segmented running maximum per level.  The plan holds
 the pattern, its position keys and, per step, int32 positions and counts:
 the tasks with their pair counts and the pivot columns with their
 off-diagonals.  ic_attempt factors the values it is given against the plan
@@ -70,9 +70,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .precision import FpFormat, quantize, safe_scale_check, safe_update_many
-from .schedule import _off_diagonals, _split, schedule
 from .sparse import SparseSpd, SqueezeReport, squeeze
-from .symbolic import FillPattern
+from .symbolic import FillPattern, _off_diagonals, _split
 
 __all__ = [
     "Breakdown",
@@ -165,8 +164,7 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     level by level, since a task's time needs its source's pivot time.
     """
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
-    sched = schedule(pattern)
-    level = sched.level
+    level = pattern.column_level
     pos, col = _off_diagonals(pattern)
     keys = col * np.int64(n) + ri
     # tasks by level of their target column, then by target, sources ascending
@@ -185,7 +183,7 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     del first, sizes
     P = np.zeros(n, dtype=np.int64)
     T = np.empty(len(task), dtype=np.int64)
-    for sl in _split(np.bincount(level[tgt], minlength=sched.depth)):
+    for sl in _split(np.bincount(level[tgt], minlength=pattern.depth)):
         if sl.start == sl.stop:
             continue
         v = P[src[sl]] + w[sl]

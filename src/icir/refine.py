@@ -6,6 +6,8 @@ or GMRES run in fp64.  Residuals and solution updates are always fp64.
 Convergence is measured by the normwise backward error
 
     res = ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf).
+
+A correction that overflows fp64 ends the run as diverged, without a warning.
 """
 
 from __future__ import annotations
@@ -99,6 +101,7 @@ def _refine(A: SparseSpd, b: np.ndarray, xp: np.ndarray, x: np.ndarray, correct,
     return report
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
              delta: float = DELTA_DEFAULT, itmax: int = 1000) -> SolveReport:
     """Iterative refinement with substitution-only corrections.
@@ -121,6 +124,7 @@ def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
     return _refine(A, b, x, x, lambda r: (solve(r), False), report, delta, itmax)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ic_krylov_ir(A: SparseSpd, b: np.ndarray, L: IcFactor, method: str = "cg",
                  delta: float = DELTA_DEFAULT,
                  delta_krylov: float = DELTA_KRYLOV_DEFAULT,

@@ -26,6 +26,18 @@ a dense 100-column IC(3) pattern the search's peak allocation is 0.2 MiB
 one column at a time, 1.8 MiB at 32 columns and 3.4 MiB as one block of
 all 100, while 32 columns already take most of the speed-up of larger
 blocks on sparse patterns.
+
+A pattern also carries its elimination levels, found when it is built.
+Column j of L depends on every column k < j with (j, k) in the pattern: the
+factor needs l_jk before it can update column j, and the forward solve
+needs y_k before unknown j.  A column's level in this dependency DAG is one
+more than the largest level among the columns it depends on, so all columns
+of one level are independent and can be processed as one vectorised step
+(level scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., 2003).  The factor's step plan (icir.factor)
+and the cast_f64 solves (icir.trisolve) run from these levels, and the
+solves keep their kernel in the pattern's solve_kernel slot, so every
+factor attempt and solve with one pattern shares one analysis.
 """
 
 from __future__ import annotations
@@ -50,15 +62,61 @@ class FillPattern:
     n: int
     col_ptr: np.ndarray
     row_idx: np.ndarray
-    level: int
-    # elimination schedule of the factor and the cast_f64 solves, built by
-    # icir.schedule on first use; the pattern is treated as immutable after
-    # construction
-    schedule: object = field(default=None, init=False, repr=False, compare=False)
+    # elimination level of every column (int32) and the number of levels
+    column_level: np.ndarray = field(init=False, repr=False, compare=False)
+    depth: int = field(init=False, repr=False, compare=False)
+    # the cast_f64 solves' kernel, built by icir.trisolve on first use; the
+    # pattern is treated as immutable after construction
+    solve_kernel: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.column_level, self.depth = _column_levels(self)
 
     @property
     def nnz(self) -> int:
         return len(self.row_idx)
+
+
+def _column_levels(pattern: FillPattern):
+    """Level of every column in the elimination's dependency DAG, and the depth.
+
+    Found frontier by frontier: a column joins the next frontier once every
+    column it depends on has a level.
+    """
+    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+    below = np.diff(cp) - 1                        # off-diagonals per column
+    pending = np.bincount(ri, minlength=n) - 1     # off-diagonals per row
+    level = np.empty(n, dtype=np.int32)
+    stamp = np.empty(n, dtype=np.intp)
+    frontier = np.flatnonzero(pending == 0)
+    depth = 0
+    while frontier.size:
+        level[frontier] = depth
+        depth += 1
+        counts = below[frontier]
+        ends = np.cumsum(counts)
+        first = np.repeat(cp[frontier] + 1 - ends + counts, counts)
+        succ = ri[first + np.arange(len(first))]
+        np.subtract.at(pending, succ, 1)
+        ready = succ[pending[succ] == 0]
+        # a column reached from several frontier columns is listed once per
+        # edge; keep the one occurrence whose stamp survived
+        at = np.arange(len(ready))
+        stamp[ready] = at
+        frontier = ready[stamp[ready] == at]
+    return level, depth
+
+
+def _split(counts: np.ndarray) -> list:
+    """Consecutive slices of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(e - c, e) for c, e in zip(counts.tolist(), ends)]
+
+
+def _off_diagonals(pattern: FillPattern):
+    """Positions of the off-diagonal entries and the column of every entry (int32)."""
+    col = np.repeat(np.arange(pattern.n, dtype=np.int32), np.diff(pattern.col_ptr))
+    return np.flatnonzero(pattern.row_idx != col), col
 
 
 def _full_adjacency(A: SparseSpd):
@@ -135,4 +193,4 @@ def ic_pattern(A: SparseSpd, level: int) -> FillPattern:
         counts[c0:c0 + m] = np.bincount(c, minlength=m)
     col_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=col_ptr[1:])
-    return FillPattern(n, col_ptr, np.concatenate(rows), level)
+    return FillPattern(n, col_ptr, np.concatenate(rows))

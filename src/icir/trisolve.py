@@ -11,13 +11,13 @@ Two execution modes:
                 The right-hand side is expected to be format-representable
                 (apply_preconditioner scales it by its inf-norm first).
 
-cast_f64 runs from the pattern's elimination schedule (icir.schedule), the
-same column levels the factor ran from, cached on the FillPattern.  Its
-gather lists are built on the first cast_f64 solve and kept on the
-schedule.  All columns of one level are independent, so each level is one
-vectorised step: an np.subtract.at that applies the level's pending
-updates, then one division by the diagonals.  The forward solve walks the
-levels in order, the backward solve walks them in reverse.
+cast_f64 runs from the pattern's elimination levels (icir.symbolic), the
+same column levels the factor ran from.  Its gather lists are built on the
+first cast_f64 solve and kept in the pattern's solve_kernel slot.  All
+columns of one level are independent, so each level is one vectorised
+step: an np.subtract.at that applies the level's pending updates, then one
+division by the diagonals.  The forward solve walks the levels in order,
+the backward solve walks them in reverse.
 
 The summation order is fixed, so cast_f64 results do not depend on the
 BLAS build: unknown j of L y = w takes its updates l_jk y_k in ascending
@@ -41,9 +41,8 @@ import numpy as np
 
 from .factor import IcFactor
 from .precision import _round_scalar, quantize
-from .schedule import _off_diagonals, _split, schedule
 from .sparse import inf_norm_vector
-from .symbolic import FillPattern
+from .symbolic import FillPattern, _off_diagonals, _split
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
@@ -88,8 +87,8 @@ class _LevelKernel:
     are np.intp, which fancy indexing and ufunc.at use without a conversion.
     """
 
-    def __init__(self, pattern: FillPattern, level: np.ndarray, depth: int):
-        n, ri = pattern.n, pattern.row_idx
+    def __init__(self, pattern: FillPattern):
+        n, ri, level, depth = pattern.n, pattern.row_idx, pattern.column_level, pattern.depth
         order = np.argsort(level, kind="stable")
         self.diag = pattern.col_ptr[:-1][order].astype(np.intp)
         rank = np.empty(n, dtype=np.int32)
@@ -127,7 +126,7 @@ def _level_sweep(steps, d: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
 
 
 class _ColumnKernel:
-    """Substitution one column at a time, for schedules too narrow for levels.
+    """Substitution one column at a time, for patterns too narrow for levels.
 
     The forward solve scatters each finished unknown down its column of L,
     the backward solve scatters it along its row, which gives the same
@@ -171,14 +170,11 @@ def _scatter_sweep(order, views, d: list, vals: np.ndarray, y: np.ndarray) -> No
 
 
 def _solve_kernel(pattern: FillPattern):
-    """The cast_f64 kernel of the pattern's schedule, built on first use."""
-    sched = schedule(pattern)
-    if sched.solve_kernel is None:
-        if pattern.n >= LEVEL_WIDTH_MIN * sched.depth:
-            sched.solve_kernel = _LevelKernel(pattern, sched.level, sched.depth)
-        else:
-            sched.solve_kernel = _ColumnKernel(pattern)
-    return sched.solve_kernel
+    """The pattern's cast_f64 kernel, built on first use."""
+    if pattern.solve_kernel is None:
+        wide = pattern.n >= LEVEL_WIDTH_MIN * pattern.depth
+        pattern.solve_kernel = (_LevelKernel if wide else _ColumnKernel)(pattern)
+    return pattern.solve_kernel
 
 
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:

@@ -294,7 +294,7 @@ def column_pattern(A, level):
     col_ptr = np.zeros(n + 1, dtype=np.int64)
     col_ptr[1:] = np.cumsum([len(c) for c in cols])
     row_idx = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
-    return FillPattern(n, col_ptr, row_idx.astype(np.int64), level)
+    return FillPattern(n, col_ptr, row_idx.astype(np.int64))
 
 
 def step_times(col_ptr, row_idx):

@@ -17,7 +17,7 @@ def full_pattern(n):
     cols = [np.arange(j, n) for j in range(n)]
     cp = np.zeros(n + 1, dtype=np.int64)
     cp[1:] = np.cumsum([len(c) for c in cols])
-    return FillPattern(n, cp, np.concatenate(cols), level=n)
+    return FillPattern(n, cp, np.concatenate(cols))
 
 
 def spd_dense(n, seed):
@@ -29,7 +29,7 @@ def spd_dense(n, seed):
 class TestIcAttempt:
     def test_identity(self):
         n = 6
-        pat = FillPattern(n, np.arange(n + 1), np.arange(n), level=0)
+        pat = FillPattern(n, np.arange(n + 1), np.arange(n))
         A = dense_to_sparse(np.eye(n))
         vals = ic_attempt_on(A, pat, 1e-20, FP64)
         assert not isinstance(vals, Breakdown)
@@ -90,7 +90,7 @@ class TestIcAttempt:
 
     def test_pattern_must_cover_structure(self):
         A = tridiag(4)
-        narrow = FillPattern(4, np.arange(5), np.arange(4), level=0)  # diagonal only
+        narrow = FillPattern(4, np.arange(5), np.arange(4))  # diagonal only
         with pytest.raises(ValueError):
             ic_attempt_on(A, narrow, 1e-20, FP64)
 

@@ -1,7 +1,7 @@
-"""The elimination schedule and the kernels that run from it: the two
-cast_f64 substitution kernels against the scalar oracle and the rule that
-chooses between them, and the factor's step times and values, breakdowns
-and errors against the column loop's."""
+"""The elimination levels a FillPattern carries and the kernels that run
+from them: the two cast_f64 substitution kernels against the scalar oracle
+and the rule that chooses between them, and the factor's step times and
+values, breakdowns and errors against the column loop's."""
 
 import re
 from unittest import mock
@@ -13,16 +13,15 @@ from hypothesis import strategies as st
 
 import oracles
 import icir.factor as factor
-import icir.schedule
+import icir.symbolic
 from conftest import ic_attempt_on
 from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
                          ShiftRestartError, _scatter_into_pattern, _step_plan,
                          default_tau, ic_attempt, shifted_ic)
 from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
-from icir.schedule import _column_levels, schedule
 from icir.sparse import SparseSpd, l2_scale, squeeze
-from icir.symbolic import FillPattern, ic_pattern
+from icir.symbolic import FillPattern, _column_levels, ic_pattern
 from icir.trisolve import (LEVEL_WIDTH_MIN, _ColumnKernel, _LevelKernel,
                            _solve_kernel, apply_preconditioner, backward_solve,
                            forward_solve)
@@ -35,7 +34,7 @@ def _pattern(n, entries):
         cols[j].append(i)
     cp = np.zeros(n + 1, dtype=np.int64)
     cp[1:] = np.cumsum([len(c) for c in cols])
-    return FillPattern(n, cp, np.concatenate(cols).astype(np.int64), level=0)
+    return FillPattern(n, cp, np.concatenate(cols).astype(np.int64))
 
 
 @st.composite
@@ -81,8 +80,7 @@ def test_kernels_match_scalar_oracle(system):
     args = (pattern.col_ptr, pattern.row_idx, values, w)
     want_fwd = oracles.forward_solve(*args)
     want_bwd = oracles.backward_solve(*args)
-    level, depth = _column_levels(pattern)
-    for kernel in (_LevelKernel(pattern, level, depth), _ColumnKernel(pattern)):
+    for kernel in (_LevelKernel(pattern), _ColumnKernel(pattern)):
         y = w.copy()
         kernel.forward(values, y)
         assert np.array_equal(y, want_fwd), type(kernel).__name__
@@ -95,7 +93,8 @@ def test_kernels_match_scalar_oracle(system):
 @given(triangular_systems())
 def test_levels_respect_dependencies(system):
     pattern = system[0]
-    level, depth = _column_levels(pattern)
+    level, depth = pattern.column_level, pattern.depth
+    assert level.dtype == np.int32 and level.shape == (pattern.n,)
     cols = np.repeat(np.arange(pattern.n), np.diff(pattern.col_ptr))
     off = pattern.row_idx != cols
     # a target sits below every source, and each level is reached
@@ -114,19 +113,19 @@ def test_width_rule_picks_the_kernel():
     grid = ic_pattern(poisson2d(20), 0)           # depth 2m - 1, width about 10
     assert isinstance(_solve_kernel(chain), _ColumnKernel)
     assert isinstance(_solve_kernel(grid), _LevelKernel)
-    assert grid.n / schedule(grid).depth >= LEVEL_WIDTH_MIN > chain.n / schedule(chain).depth
+    assert grid.n / grid.depth >= LEVEL_WIDTH_MIN > chain.n / chain.depth
 
 
 def test_schedule_built_on_first_solve_and_reused():
     pattern = ic_pattern(poisson2d(6), 1)
     L = _factor(pattern)
-    assert pattern.schedule is None
+    assert pattern.solve_kernel is None
     r = np.linspace(-1.0, 1.0, L.n)
     v = apply_preconditioner(L, r)
-    sched = pattern.schedule
-    assert sched is not None
+    kernel = pattern.solve_kernel
+    assert kernel is not None
     assert np.array_equal(apply_preconditioner(L, r), v)
-    assert pattern.schedule is sched
+    assert pattern.solve_kernel is kernel
 
 
 def test_public_solves_match_oracle():
@@ -310,10 +309,10 @@ def test_step_times_match_oracle(drawn):
     # at least one step per level, and no more steps than R plus the
     # depth, R the sum over the levels of the longest row among the
     # level's columns
-    sched = schedule(pattern)
-    widest = np.zeros(sched.depth, dtype=np.int64)
-    np.maximum.at(widest, sched.level, np.bincount(ri, minlength=n) - 1)
-    assert sched.depth <= len(plan.steps) <= widest.sum() + sched.depth
+    depth = pattern.depth
+    widest = np.zeros(depth, dtype=np.int64)
+    np.maximum.at(widest, pattern.column_level, np.bincount(ri, minlength=n) - 1)
+    assert depth <= len(plan.steps) <= widest.sum() + depth
 
 
 def test_b3_of_a_source_spanning_steps():
@@ -350,7 +349,7 @@ def test_fp64_attempt_runs_past_its_failure():
 def test_dense_pattern_is_one_chain_of_pivots():
     A, _ = l2_scale(random_spd(40, density=1.0, seed=0))
     pattern = ic_pattern(A, 3)
-    assert len(_step_plan(pattern).steps) == schedule(pattern).depth == pattern.n
+    assert len(_step_plan(pattern).steps) == pattern.depth == pattern.n
 
 
 def _zeroed_pivot():
@@ -362,10 +361,10 @@ def _zeroed_pivot():
 
 
 def _holds_no_factor_state(pattern):
-    """The pattern and its schedule hold the levels and nothing of the factor."""
-    return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "level", "schedule"}
-            and set(vars(pattern.schedule)) == {"level", "depth", "solve_kernel"}
-            and pattern.schedule.solve_kernel is None)
+    """The pattern holds its arrays and levels and nothing of the factor;
+    solve_kernel stays the class default until a solve sets it."""
+    return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "column_level", "depth"}
+            and pattern.solve_kernel is None)
 
 
 def test_first_breakdown_without_a_rerun():
@@ -408,7 +407,7 @@ def test_shifted_ic_prepares_once_and_keeps_nothing():
 
 def test_uncovered_pattern_fails_before_any_attempt():
     A = tridiag(4)
-    narrow = FillPattern(4, np.arange(5), np.arange(4), level=0)   # diagonal only
+    narrow = FillPattern(4, np.arange(5), np.arange(4))   # diagonal only
     with mock.patch.object(factor, "ic_attempt") as attempts, \
             pytest.raises(ValueError, match="pattern does not cover the matrix structure"):
         shifted_ic(A, narrow, f=get_format("fp16"))
@@ -418,17 +417,20 @@ def test_uncovered_pattern_fails_before_any_attempt():
 def test_one_schedule_serves_restarts_and_solves():
     A, _ = l2_scale(poisson2d(8))
     A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
-    pattern = ic_pattern(A, 0)
     with mock.patch.object(factor, "ic_attempt", wraps=ic_attempt) as attempts, \
             mock.patch.object(factor, "_step_plan", wraps=_step_plan) as plans, \
-            mock.patch.object(icir.schedule, "_column_levels", wraps=_column_levels) as levels:
+            mock.patch.object(icir.symbolic, "_column_levels", wraps=_column_levels) as levels:
+        pattern = ic_pattern(A, 0)
+        level = pattern.column_level
         L = shifted_ic(A, pattern, f=get_format("fp16"))
-        sched = pattern.schedule
         apply_preconditioner(L, np.ones(L.n))
+        kernel = pattern.solve_kernel
         apply_preconditioner(L, np.arange(L.n, dtype=float))
     assert L.stats.restarts >= 1 and attempts.call_count == L.stats.restarts + 1
-    # the factor's plan found the levels once, the solves reuse them, and
-    # one plan served every restart
+    # building the pattern found the levels once, the factor's plan and the
+    # solves reuse them, and one plan and one kernel served every restart
+    # and solve
     assert levels.call_count == 1
-    assert pattern.schedule is sched and sched.solve_kernel is not None
+    assert pattern.column_level is level
+    assert kernel is not None and pattern.solve_kernel is kernel
     assert plans.call_count == 1

@@ -111,7 +111,7 @@ class TestBlockedSearch:
     @staticmethod
     def assert_same(A, lev):
         got, want = ic_pattern(A, lev), column_pattern(A, lev)
-        assert (got.n, got.level) == (A.n, lev)
+        assert got.n == A.n
         for name in ("col_ptr", "row_idx"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == np.int64, name

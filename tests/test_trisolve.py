@@ -33,7 +33,7 @@ def make_factor(Ldense, f=FP64):
         cols.append(len(nz))
     cp = np.zeros(n + 1, dtype=np.int64)
     cp[1:] = np.cumsum(cols)
-    pat = FillPattern(n, cp, np.concatenate(rows), level=0)
+    pat = FillPattern(n, cp, np.concatenate(rows))
     return IcFactor(pat, np.concatenate(vals), f, 0.0, FactorStats(0, 0, 0))
 
 
