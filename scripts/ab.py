@@ -13,6 +13,8 @@ every workload of BENCHMARK.json, with SECONDS its run_seconds.  Pair i of
 the k-th workload uses the seed 9001 + 100 k + i, and the side that goes
 first alternates from pair to pair, so a slow spell of the host falls on
 both sides.  The last line of each run's standard output is its result.
+After the pairs, each side runs every workload once more with --trace 1 at
+its first pair's seed, for the per-layer metrics.
 
 The output file holds, per workload and end-to-end metric of BENCHMARK.json,
 both sides' medians and quartiles, the pairs the change won, the metric's
@@ -24,7 +26,9 @@ unless every run of the change beats every run of the base; "worse" where
 the change's median is worse than the base's by more than the bound;
 "better" where the change failed no more solves than the base, won at least
 9 in 10 pairs and its median beats the base's by more than the base's
-interquartile range; and "same" otherwise.
+interquartile range; and "same" otherwise.  Per workload, "per_layer" holds
+both sides' traced metrics, their units, and the names of the count metrics
+whose values differ between the sides.
 """
 
 from __future__ import annotations
@@ -96,9 +100,21 @@ def summarize(runs, end_to_end):
     return out
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def layer_summary(parent, change):
+    """Both sides' per-layer metrics, name -> value, from the metrics of one
+    --trace 1 run each, with their units and the sorted names of the count
+    metrics whose values differ or that one side lacks."""
+    units = {k: m["unit"] for metrics in (parent, change) for k, m in metrics.items()}
+    values = {side: {k: m["value"] for k, m in metrics.items()}
+              for side, metrics in zip(SIDES, (parent, change))}
+    diffs = sorted(k for k, unit in units.items()
+                   if unit == "count" and values["parent"].get(k) != values["change"].get(k))
+    return {"units": units, **values, "count_diffs": diffs}
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     done = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True)
     if done.returncode != 0:
@@ -137,16 +153,26 @@ def main(argv=None) -> int:
                 print(f"ab: {w} seed {seed} " + " ".join(
                     f"{side} {pair[side]['metrics']['time_to_solution_s']['value']:.4g}"
                     for side in SIDES), file=sys.stderr)
+        layers = {}
+        for k, w in enumerate(workloads):
+            seed = FIRST_SEED + 100 * k
+            traced = {side: run_once(trees[side], w, seed, seconds, trace=True)["metrics"]
+                      for side in SIDES}
+            layers[w] = {"seed": seed, **layer_summary(traced["parent"], traced["change"])}
+            print(f"ab: {w} traced, count metrics that differ: "
+                  f"{layers[w]['count_diffs'] or 'none'}", file=sys.stderr)
     result = {
         "description": f"benchmark/run.py end-to-end metrics, {PAIRS} alternating "
-                       f"parent/change pairs per workload, --seconds {seconds:g}",
+                       f"parent/change pairs per workload, --seconds {seconds:g}; "
+                       f"per-layer metrics of one --trace 1 run per side",
         "command": "python3 scripts/ab.py " + " ".join(argv if argv is not None else sys.argv[1:]),
         "parent": base_rev,
         "change": change_rev,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__},
         "workloads": {w: {"seeds": [FIRST_SEED + 100 * k + i for i in range(PAIRS)],
-                          **summarize(runs[w], spec["end_to_end"])}
+                          **summarize(runs[w], spec["end_to_end"]),
+                          "per_layer": layers[w]}
                       for k, w in enumerate(workloads)},
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

@@ -34,7 +34,7 @@ def pcg(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutcome
 
     Stops when sqrt(r.M r) drops below tol times its initial value.  A
     curvature guard returns small_curvature when p.Ap is no longer a
-    trustworthy positive quantity.
+    trustworthy positive quantity, or when r.M r is negative or NaN.
     """
     b = np.asarray(b, dtype=np.float64)
     n = A.n
@@ -59,7 +59,7 @@ def pcg(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutcome
         r -= alpha * Ap
         z = M(r)
         rz_new = float(np.dot(r, z))
-        if rz_new < 0.0:
+        if not rz_new >= 0.0:   # NaN included
             return KrylovOutcome(x, it, SMALL_CURVATURE)
         if math.sqrt(rz_new) <= target:
             return KrylovOutcome(x, it, CONVERGED)
@@ -73,7 +73,8 @@ def gmres(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutco
     """Left-preconditioned GMRES with modified Gram-Schmidt Arnoldi, no restarting.
 
     iterations = Krylov basis size used.  Happy breakdown (exact solution in
-    the current space) reports converged.
+    the current space) reports converged; a residual estimate that is NaN or
+    infinite reports stagnated, with the non-finite solution of that basis.
     """
     b = np.asarray(b, dtype=np.float64)
     n = A.n
@@ -130,6 +131,8 @@ def gmres(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutco
         g[k] = cs[k] * g[k]
         if abs(g[k + 1]) <= target or h == 0.0:
             return solve_and_pack(k + 1, CONVERGED)
+        if not abs(g[k + 1]) < math.inf:   # NaN included; the caller sees it in x
+            return solve_and_pack(k + 1, STAGNATED)
         if k + 1 < maxit:
             V[k + 1] = w / h
     return solve_and_pack(maxit, MAX_ITERATIONS)

@@ -16,8 +16,10 @@ same column levels the factor ran from.  Its gather lists are built on the
 first cast_f64 solve and kept in the pattern's solve_kernel slot.  All
 columns of one level are independent, so each level is one vectorised
 step: an np.subtract.at that applies the level's pending updates, then one
-division by the diagonals.  The forward solve walks the levels in order,
-the backward solve walks them in reverse.
+division by the diagonals.  A level of one column runs its updates as one
+np.subtract.reduce instead, which performs the same subtractions in the
+same order in fewer NumPy calls.  The forward solve walks the levels
+in order, the backward solve walks them in reverse.
 
 The summation order is fixed, so cast_f64 results do not depend on the
 BLAS build: unknown j of L y = w takes its updates l_jk y_k in ascending
@@ -25,14 +27,6 @@ source column k, and unknown j of L^T y = w takes its updates l_ij y_i in
 descending source row i.  Each update is one rounded product and one
 rounded subtraction.  The forward order is that of a column-oriented
 substitution and the backward order that of a row-oriented one.
-
-A level step costs about eight NumPy calls, which loses to a plain
-column-by-column substitution when the levels hold about one column each.
-The solve therefore picks its kernel from the mean level width n / depth:
-level steps from LEVEL_WIDTH_MIN up, otherwise a forward column scatter and
-a backward row scatter over per-column and per-row views built once.  Both
-kernels carry out the same operations in the same order, so their results
-are identical apart from the sign of an exact zero.
 """
 
 from __future__ import annotations
@@ -48,11 +42,6 @@ __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_precondit
 
 CAST_F64 = "cast_f64"
 NATIVE_LOW = "native_low"
-
-# mean level width n / depth from which the level kernel beats the column
-# kernel; the two cost about the same at widths 1.6-1.9
-LEVEL_WIDTH_MIN = 2.0
-
 
 class OverflowSignal(ArithmeticError):
     """A native_low substitution step overflowed the factor's format."""
@@ -83,8 +72,10 @@ class _LevelKernel:
     and the level's gather list: targets, sources, and the slice of their
     values in the kernel's value order (fpos, bpos).  Forward targets take
     their sources in ascending column order, backward targets in descending
-    row order, and np.subtract.at applies them in that order.  Index arrays
-    are np.intp, which fancy indexing and ufunc.at use without a conversion.
+    row order, and np.subtract.at applies them in that order.  A level of
+    one column holds its column and diagonal as integers and no targets.
+    Index arrays are np.intp, which fancy indexing and ufunc.at use without
+    a conversion.
     """
 
     def __init__(self, pattern: FillPattern):
@@ -108,8 +99,8 @@ class _LevelKernel:
         levels = _split(np.bincount(level, minlength=depth))
         fsplit = _split(np.bincount(level[ftgt], minlength=depth))
         bsplit = _split(np.bincount(level[btgt], minlength=depth))
-        self.fsteps = [(order[c], c, ftgt[f], fsrc[f], f) for c, f in zip(levels, fsplit)]
-        self.bsteps = [(order[c], c, btgt[b], bsrc[b], b) for c, b in zip(levels, bsplit)][::-1]
+        self.fsteps = [_step(order, c, ftgt, fsrc, f) for c, f in zip(levels, fsplit)]
+        self.bsteps = [_step(order, c, btgt, bsrc, b) for c, b in zip(levels, bsplit)][::-1]
 
     def forward(self, v: np.ndarray, y: np.ndarray) -> None:
         _level_sweep(self.fsteps, v[self.diag], v[self.fpos], y)
@@ -118,62 +109,28 @@ class _LevelKernel:
         _level_sweep(self.bsteps, v[self.diag], v[self.bpos], y)
 
 
+def _step(order, c: slice, tgt, src, vs: slice):
+    """The step of the level whose columns are order[c] and whose updates
+    are the slice vs of tgt and src."""
+    if c.stop - c.start == 1:
+        return int(order[c.start]), c.start, None, src[vs], vs
+    return order[c], c, tgt[vs], src[vs], vs
+
+
 def _level_sweep(steps, d: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
     for cols, ds, tgt, src, vs in steps:
+        if tgt is None:   # one column: its updates in order, then its division
+            y[cols] = np.subtract.reduce(vals[vs] * y[src], initial=y[cols]) / d[ds]
+            continue
         if len(tgt):
             np.subtract.at(y, tgt, vals[vs] * y[src])
         y[cols] /= d[ds]
 
 
-class _ColumnKernel:
-    """Substitution one column at a time, for patterns too narrow for levels.
-
-    The forward solve scatters each finished unknown down its column of L,
-    the backward solve scatters it along its row, which gives the same
-    update order as the level kernel.  below[j] and left[i] are views of the
-    rows below diagonal j and of the columns left of diagonal i, with the
-    slice of their values in CSC and in row (rpos) order, or None where
-    there are none.
-    """
-
-    def __init__(self, pattern: FillPattern):
-        n, cp = pattern.n, pattern.col_ptr
-        ri = pattern.row_idx.astype(np.intp, copy=False)
-        self.diag = cp[:-1].astype(np.intp)
-        ptr = cp.tolist()
-        self.below = [(ri[s + 1:e], slice(s + 1, e)) if e > s + 1 else None
-                      for s, e in zip(ptr[:-1], ptr[1:])]
-        pos, col = _off_diagonals(pattern)
-        # row order of the strict lower triangle; columns ascend within a row
-        self.rpos = pos[np.argsort(ri[pos], kind="stable")]
-        del pos
-        rcols = col[self.rpos].astype(np.intp)
-        self.left = [(rcols[sl], sl) if sl.stop > sl.start else None
-                     for sl in _split(np.bincount(ri[self.rpos], minlength=n))]
-
-    def forward(self, v: np.ndarray, y: np.ndarray) -> None:
-        _scatter_sweep(range(len(y)), self.below, v[self.diag].tolist(), v, y)
-
-    def backward(self, v: np.ndarray, y: np.ndarray) -> None:
-        _scatter_sweep(range(len(y) - 1, -1, -1), self.left, v[self.diag].tolist(),
-                       v[self.rpos], y)
-
-
-def _scatter_sweep(order, views, d: list, vals: np.ndarray, y: np.ndarray) -> None:
-    for j in order:
-        yj = y[j] / d[j]
-        y[j] = yj
-        view = views[j]
-        if view is not None:
-            idx, vs = view
-            y[idx] -= vals[vs] * yj
-
-
-def _solve_kernel(pattern: FillPattern):
+def _solve_kernel(pattern: FillPattern) -> _LevelKernel:
     """The pattern's cast_f64 kernel, built on first use."""
     if pattern.solve_kernel is None:
-        wide = pattern.n >= LEVEL_WIDTH_MIN * pattern.depth
-        pattern.solve_kernel = (_LevelKernel if wide else _ColumnKernel)(pattern)
+        pattern.solve_kernel = _LevelKernel(pattern)
     return pattern.solve_kernel
 
 

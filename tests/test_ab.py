@@ -90,3 +90,30 @@ def test_better_needs_no_more_failed_solves():
     assert out["time_s"]["change_better"] == 10 and out["time_s"]["verdict"] == "same"
     runs = _pairs([1.0] * 10, [0.5] * 10, failed=(1, 1), correct=(True, True))
     assert ab.summarize(runs, SPEC)["time_s"]["verdict"] == "better"
+
+
+def _layers(**values):
+    units = {"factor.attempts": "count", "krylov.iterations": "count",
+             "factor.attempt_s": "s", "factor.alpha": "1"}
+    return {k: {"value": v, "unit": units[k]} for k, v in values.items()}
+
+
+def test_layer_summary_names_the_counts_that_differ():
+    parent = _layers(**{"factor.attempts": 13, "krylov.iterations": 80,
+                        "factor.attempt_s": 0.5, "factor.alpha": 0.1})
+    # times and ratios may move; only count metrics are compared
+    change = _layers(**{"factor.attempts": 13, "krylov.iterations": 81,
+                        "factor.attempt_s": 0.4, "factor.alpha": 0.2})
+    out = ab.layer_summary(parent, change)
+    assert out["count_diffs"] == ["krylov.iterations"]
+    assert out["parent"]["krylov.iterations"] == 80 and out["change"]["krylov.iterations"] == 81
+    assert out["units"]["factor.attempt_s"] == "s"
+    assert ab.layer_summary(parent, parent)["count_diffs"] == []
+
+
+def test_layer_summary_counts_a_metric_one_side_lacks():
+    parent = _layers(**{"factor.attempts": 13, "factor.attempt_s": 0.5})
+    change = _layers(**{"factor.attempts": 13, "krylov.iterations": 0})
+    out = ab.layer_summary(parent, change)
+    assert out["count_diffs"] == ["krylov.iterations"]
+    assert "krylov.iterations" not in out["parent"]

@@ -228,10 +228,14 @@ class TestNanResidual:
         assert rep.iouter == 0 and rep.overflow_fallbacks == 1
         assert np.isnan(rep.resfinal)
 
-    @pytest.mark.parametrize("method", ["cg", "gmres"])
-    def test_krylov_ir_diverges(self, overflowing, method):
+    @pytest.mark.parametrize("method, status", [("cg", "small_curvature"),
+                                                ("gmres", "stagnated")], ids=["cg", "gmres"])
+    def test_krylov_ir_diverges(self, overflowing, method, status):
         A, b, L = overflowing
         rep = ic_krylov_ir(A, b, L, method=method, itmax=3, inner_maxit=50)
         assert rep.diverged and not rep.converged
         assert rep.iouter == 1 and len(rep.per_outer) == 1
+        # the inner solve stops at the first NaN instead of running to inner_maxit
+        (its, got), = rep.per_outer
+        assert its <= 1 and got == status
         assert np.isnan(rep.resfinal)

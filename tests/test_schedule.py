@@ -1,7 +1,7 @@
 """The elimination levels a FillPattern carries and the kernels that run
-from them: the two cast_f64 substitution kernels against the scalar oracle
-and the rule that chooses between them, and the factor's step times and
-values, breakdowns and errors against the column loop's."""
+from them: the cast_f64 substitution kernel against the scalar oracle, bit
+for bit, and the factor's step times and values, breakdowns and errors
+against the column loop's."""
 
 import re
 from unittest import mock
@@ -22,9 +22,7 @@ from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
 from icir.symbolic import FillPattern, _column_levels, ic_pattern
-from icir.trisolve import (LEVEL_WIDTH_MIN, _ColumnKernel, _LevelKernel,
-                           _solve_kernel, apply_preconditioner, backward_solve,
-                           forward_solve)
+from icir.trisolve import _LevelKernel, apply_preconditioner, backward_solve, forward_solve
 
 
 def _pattern(n, entries):
@@ -73,20 +71,24 @@ def triangular_systems(draw):
     return pattern, values, w
 
 
+def _assert_same_bits(got, want):
+    """got holds want's values bit for bit, signed zeros included."""
+    assert isinstance(got, np.ndarray)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @settings(max_examples=300, deadline=None)
 @given(triangular_systems())
 def test_kernels_match_scalar_oracle(system):
     pattern, values, w = system
     args = (pattern.col_ptr, pattern.row_idx, values, w)
-    want_fwd = oracles.forward_solve(*args)
-    want_bwd = oracles.backward_solve(*args)
-    for kernel in (_LevelKernel(pattern), _ColumnKernel(pattern)):
-        y = w.copy()
-        kernel.forward(values, y)
-        assert np.array_equal(y, want_fwd), type(kernel).__name__
-        y = w.copy()
-        kernel.backward(values, y)
-        assert np.array_equal(y, want_bwd), type(kernel).__name__
+    kernel = _LevelKernel(pattern)
+    y = w.copy()
+    kernel.forward(values, y)
+    _assert_same_bits(y, np.array(oracles.forward_solve(*args)))
+    y = w.copy()
+    kernel.backward(values, y)
+    _assert_same_bits(y, np.array(oracles.backward_solve(*args)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -108,14 +110,6 @@ def _factor(pattern):
     return IcFactor(pattern, values, get_format("fp16"), 0.0, FactorStats(0, 0, 0))
 
 
-def test_width_rule_picks_the_kernel():
-    chain = ic_pattern(tridiag(50), 0)            # depth n, width 1
-    grid = ic_pattern(poisson2d(20), 0)           # depth 2m - 1, width about 10
-    assert isinstance(_solve_kernel(chain), _ColumnKernel)
-    assert isinstance(_solve_kernel(grid), _LevelKernel)
-    assert grid.n / grid.depth >= LEVEL_WIDTH_MIN > chain.n / chain.depth
-
-
 def test_schedule_built_on_first_solve_and_reused():
     pattern = ic_pattern(poisson2d(6), 1)
     L = _factor(pattern)
@@ -129,12 +123,13 @@ def test_schedule_built_on_first_solve_and_reused():
 
 
 def test_public_solves_match_oracle():
-    pattern = ic_pattern(poisson2d(7), 2)
-    L = _factor(pattern)
-    w = np.cos(np.arange(L.n, dtype=float))
-    args = (pattern.col_ptr, pattern.row_idx, L.values, w)
-    assert np.array_equal(forward_solve(L, w), oracles.forward_solve(*args))
-    assert np.array_equal(backward_solve(L, w), oracles.backward_solve(*args))
+    # a grid, and a chain, whose levels hold one column each
+    for pattern in (ic_pattern(poisson2d(7), 2), ic_pattern(tridiag(50), 0)):
+        L = _factor(pattern)
+        w = np.cos(np.arange(L.n, dtype=float))
+        args = (pattern.col_ptr, pattern.row_idx, L.values, w)
+        _assert_same_bits(forward_solve(L, w), np.array(oracles.forward_solve(*args)))
+        _assert_same_bits(backward_solve(L, w), np.array(oracles.backward_solve(*args)))
 
 
 # the top of fp64's b2b3 entries: near x_max fp64 itself would overflow,
@@ -224,12 +219,6 @@ def _column_attempt(vals, plan, tau, f, safe_checks=True):
 def _unguarded_attempt(vals, plan, tau, f):
     """An attempt of the column loop with the B1 test only."""
     return _column_attempt(vals, plan, tau, f, safe_checks=False)
-
-
-def _assert_same_bits(got, want):
-    """got holds want's values bit for bit, signed zeros included."""
-    assert isinstance(got, np.ndarray)
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=400, deadline=None)
