@@ -117,7 +117,8 @@ class RunRecord:
     wall_seconds: float
     # JSON only: each inner solve's status, the native_low applications
     # retried in fp64, each failed attempt's shift and breakdown, squeeze's
-    # dropped and flushed entries, and the seconds of each stage
+    # dropped and flushed entries, the seconds of each stage, the levels (the
+    # steps of the native_low backward) and the factor's (and forward's) steps
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
     attempts: list = field(default_factory=list, metadata={"csv": False})
@@ -128,6 +129,8 @@ class RunRecord:
     pattern_s: float = field(default=0.0, metadata={"csv": False})
     factor_s: float = field(default=0.0, metadata={"csv": False})
     solve_s: float = field(default=0.0, metadata={"csv": False})
+    depth: int = field(default=0, metadata={"csv": False})
+    factor_steps: int = field(default=0, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -203,6 +206,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         attempts=[{"alpha": a, "kind": kind, "k": k} for a, kind, k in L.stats.history],
         squeeze_dropped=L.stats.squeeze.dropped_underflow,
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
+        depth=pattern.depth, factor_steps=L.stats.steps,
         **seconds,
     )
 

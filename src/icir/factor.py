@@ -30,15 +30,13 @@ tests/oracles.py keeps as the reference (column_factor).
 The kernel runs a dataflow schedule of tasks and pivots.  A task (j, k) is
 one off-diagonal l_jk: column j takes its update from source column k on
 every present (i, j) with i >= j, the pairs the column loop scatters from
-column k, leaving out those whose b or c is zero as the loop does.  The
-r-th task of target j (sources k ascending) runs at step T_r =
-max(T_{r-1} + 1, P(k_r) + 1), and the pivot of j at P(j) = T_last (0
-without tasks), so every entry sees the column loop's order.  A step runs
-its tasks as one vectorised safe_update_many call, then its pivots.  The
-step times are found level by level of the pattern's elimination levels
-(icir.symbolic), one segmented running maximum per level.  The plan holds
-the pattern, its position keys and, per step, int32 positions and counts:
-the tasks with their pair counts and the pivot columns with their
+column k, leaving out those whose b or c is zero as the loop does.  Every
+task and pivot runs at the earliest step its inputs allow (the step times
+of icir.symbolic._step_times, which the native_low forward solve shares),
+so every entry sees the column loop's order.  A step runs its tasks as one
+vectorised safe_update_many call, then its pivots.  The plan holds the
+pattern, its position keys and, per step, int32 positions and counts: the
+tasks with their pair counts and the pivot columns with their
 off-diagonals.  ic_attempt factors the values it is given against the plan
 it is given and stores nothing.
 
@@ -71,7 +69,7 @@ import numpy as np
 
 from .precision import FpFormat, quantize, safe_scale_check, safe_update_many
 from .sparse import SparseSpd, SqueezeReport, squeeze
-from .symbolic import FillPattern, _off_diagonals, _split
+from .symbolic import FillPattern, _split, _step_times
 
 __all__ = [
     "Breakdown",
@@ -104,6 +102,7 @@ class FactorStats:
     restarts: int  # attempts - 1
     history: tuple = ()  # (alpha, kind, k) of every failed attempt
     squeeze: SqueezeReport | None = None  # entries squeeze dropped and flushed
+    steps: int = 0  # steps of the attempts' dataflow schedule
 
 
 @dataclass
@@ -160,47 +159,20 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     of column k, those of the l_ik), and the shift that puts those positions
     at shift + their index among the step's pairs.  (diag, below, off)
     describe its pivots in ascending column: their diagonal positions,
-    off-diagonal counts and off-diagonal positions.  The step times are found
-    level by level, since a task's time needs its source's pivot time.
+    off-diagonal counts and off-diagonal positions.  The step times come
+    from icir.symbolic._step_times.
     """
-    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
-    level = pattern.column_level
-    pos, col = _off_diagonals(pattern)
-    keys = col * np.int64(n) + ri
-    # tasks by level of their target column, then by target, sources ascending
-    tgt = ri[pos]
-    order = np.lexsort((tgt, level[tgt]))
-    task, tgt = pos[order].astype(np.int32), tgt[order]
-    src = col[task]
-    del pos, order
-    first = np.flatnonzero(np.diff(tgt, prepend=-1))
-    sizes = np.diff(first, append=len(task))
-    # T_r = r + max_{s <= r} (P(k_s) + 1 - s) for the r-th task (from 1) of a
-    # target; one running maximum per level, with the targets kept apart by
-    # offsets wider than the values' range (P < 2n)
-    w = np.repeat(first.astype(np.int64) * (4 * n) + first, sizes)
-    w -= np.arange(1, len(task) + 1)
-    del first, sizes
-    P = np.zeros(n, dtype=np.int64)
-    T = np.empty(len(task), dtype=np.int64)
-    for sl in _split(np.bincount(level[tgt], minlength=pattern.depth)):
-        if sl.start == sl.stop:
-            continue
-        v = P[src[sl]] + w[sl]
-        np.maximum.accumulate(v, out=v)
-        T[sl] = v - w[sl] + 1
-        np.maximum.at(P, tgt[sl], T[sl])
-    del w, tgt
+    n, cp = pattern.n, pattern.col_ptr
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(cp)) + pattern.row_idx
+    task, src, T, P = _step_times(pattern)
     steps = int(P.max(initial=-1)) + 1
     # pivot j is operation 2j, the scatter from source k operation 2k + 1
     rest = np.full(steps, 2 * n, dtype=np.int64)
     np.minimum.at(rest, T, 2 * src.astype(np.int64) + 1)   # ufunc.at is slow when it casts
     np.minimum.at(rest, P, 2 * np.arange(n))
     rest = np.minimum.accumulate(rest[::-1])[::-1].copy()
-    by_step = np.argsort(T, kind="stable")
-    task = task[by_step]
-    pairs = (cp[src[by_step] + 1] - task).astype(np.int32)
-    del src, by_step
+    pairs = (cp[src + 1] - task).astype(np.int32)
+    del src
     per_step = np.bincount(T, minlength=steps)
     # a task's pair positions, from l_jk to the end of column k, are its
     # shift plus the pairs' index within the step
@@ -327,7 +299,7 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
             kinds = [b.kind for _, b in history]
             return IcFactor(pattern, result, f, alpha, FactorStats(
                 kinds.count("B1"), kinds.count("B3"), attempt,
-                tuple((a, b.kind, b.k) for a, b in history), squeezed))
+                tuple((a, b.kind, b.k) for a, b in history), squeezed, len(plan.steps)))
         history.append((alpha, result))
         alpha = max(2.0 * alpha, alpha_s)
     raise ShiftRestartError(history)

@@ -18,9 +18,9 @@ Overflow is reported through a flag or mask, never by producing an infinity:
 carriers must stay finite.  No fused multiply-add anywhere; every multiply and subtract
 rounds separately.
 
-_round_scalar, the scalar twin of quantize, stays for the native_low solves'
-single values, where a one-element quantize costs about eight times as
-much.  TestBitwiseOracle.test_scalar_vector_paths_match
+_round_scalar, the scalar twin of quantize, stays for the native_low
+backward's chains of single values, where a one-element quantize costs
+about eight times as much.  TestBitwiseOracle.test_scalar_vector_paths_match
 in tests/test_precision.py pins the two bit for bit.
 
 For fp16 and fp32, quantize casts to float16 / float32, which rounds a
@@ -153,7 +153,7 @@ def quantize(x: np.ndarray, f: FpFormat):
         return x.copy(), np.zeros(x.shape, dtype=bool)
     if f.cast is not None:
         over = np.abs(x) >= f.over_at
-        if not over.any():
+        if not np.count_nonzero(over):
             return x.astype(f.cast).astype(np.float64), over
     p = f.significand_bits
     ax = np.abs(x)
@@ -161,7 +161,7 @@ def quantize(x: np.ndarray, f: FpFormat):
     q = np.rint(np.ldexp(m, p))  # ties to even
     y = np.ldexp(q, e - p)
     small = ax < f.x_min
-    if small.any():
+    if np.count_nonzero(small):
         if f.supports_subnormals:
             ysub = np.rint(ax / f.x_s_min) * f.x_s_min
         else:

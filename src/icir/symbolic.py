@@ -34,10 +34,11 @@ needs y_k before unknown j.  A column's level in this dependency DAG is one
 more than the largest level among the columns it depends on, so all columns
 of one level are independent and can be processed as one vectorised step
 (level scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
-Sparse Linear Systems, 2nd ed., 2003).  The factor's step plan (icir.factor)
-and the cast_f64 solves (icir.trisolve) run from these levels, and the
-solves keep their kernel in the pattern's solve_kernel slot, so every
-factor attempt and solve with one pattern shares one analysis.
+Sparse Linear Systems, 2nd ed., 2003).  The factor (icir.factor) and the
+native_low forward solve run from the dataflow steps _step_times finds
+from them, the other solves from the levels (icir.trisolve), which keep
+their kernel in the pattern's solve_kernel slot, so every factor attempt
+and solve with one pattern shares one analysis.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class FillPattern:
     # elimination level of every column (int32) and the number of levels
     column_level: np.ndarray = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
-    # the cast_f64 solves' kernel, built by icir.trisolve on first use; the
-    # pattern is treated as immutable after construction
+    # the solves' kernels by exec mode, built by icir.trisolve on a mode's
+    # first solve; the pattern is treated as immutable after construction
     solve_kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,6 +118,39 @@ def _off_diagonals(pattern: FillPattern):
     """Positions of the off-diagonal entries and the column of every entry (int32)."""
     col = np.repeat(np.arange(pattern.n, dtype=np.int32), np.diff(pattern.col_ptr))
     return np.flatnonzero(pattern.row_idx != col), col
+
+
+def _step_times(pattern: FillPattern):
+    """The dataflow step of every task and pivot of the elimination, found
+    level by level: the r-th task (j, k) of target j, an off-diagonal l_jk,
+    runs at T_r = max(T_{r-1} + 1, P(k_r) + 1), sources k ascending, and the
+    pivot of j at P(j) = T_last (0 without tasks).  Returns the tasks'
+    positions and sources (int32) by step, then by level of their target,
+    then by target; their steps; and every pivot's step.
+    """
+    n, ri, level = pattern.n, pattern.row_idx, pattern.column_level
+    pos, col = _off_diagonals(pattern)
+    tgt = ri[pos]
+    order = np.lexsort((tgt, level[tgt]))
+    task, tgt = pos[order].astype(np.int32), tgt[order]
+    src = col[task]
+    del pos, col, order
+    first = np.flatnonzero(np.diff(tgt, prepend=-1))
+    sizes = np.diff(first, append=len(task))
+    # T_r = r + max_{s <= r} (P(k_s) + 1 - s) for the r-th task (from 1) of a
+    # target; one running maximum per level, with the targets kept apart by
+    # offsets wider than the values' range (P < 2n)
+    w = np.repeat(first.astype(np.int64) * (4 * n) + first, sizes)
+    w -= np.arange(1, len(task) + 1)
+    P = np.zeros(n, dtype=np.int64)
+    T = np.empty(len(task), dtype=np.int64)
+    for sl in _split(np.bincount(level[tgt], minlength=pattern.depth)):
+        v = P[src[sl]] + w[sl]
+        np.maximum.accumulate(v, out=v)
+        T[sl] = v - w[sl] + 1
+        np.maximum.at(P, tgt[sl], T[sl])
+    by_step = np.argsort(T, kind="stable")
+    return task[by_step], src[by_step], T[by_step], P
 
 
 def _full_adjacency(A: SparseSpd):

@@ -3,40 +3,52 @@
 Two execution modes:
 
   cast_f64   -- the stored (format-representable) entries are promoted to
-                fp64 on the fly and the substitution runs entirely in double
-                precision using one temporary vector; cannot overflow.
+                fp64 and the substitution runs in double precision; cannot
+                overflow.
   native_low -- every divide/multiply/subtract is rounded into the factor's
-                format; one rule, _checked, raises OverflowSignal for any
-                result past x_max, the overflow the factor's guards test.
-                The right-hand side is expected to be format-representable
+                format; a result past x_max raises OverflowSignal.  The
+                right-hand side is expected to be format-representable
                 (apply_preconditioner scales it by its inf-norm first).
 
-cast_f64 runs from the pattern's elimination levels (icir.symbolic), the
-same column levels the factor ran from.  Its gather lists are built on the
-first cast_f64 solve and kept in the pattern's solve_kernel slot.  All
-columns of one level are independent, so each level is one vectorised
-step: an np.subtract.at that applies the level's pending updates, then one
-division by the diagonals.  A level of one column runs its updates as one
-np.subtract.reduce instead, which performs the same subtractions in the
-same order in fewer NumPy calls.  The forward solve walks the levels
-in order, the backward solve walks them in reverse.
+Both run from the pattern's schedule (icir.symbolic), with index arrays
+built on a mode's first solve and kept by mode in the pattern's
+solve_kernel slot, so a run that uses one mode builds one.  cast_f64
+walks the elimination levels, forward in order, backward in reverse: a
+level is one np.subtract.at of its updates (a level of one column one
+ordered np.subtract.reduce), then one division.
+The order is fixed, so results do not depend on the BLAS build: unknown j
+of L y = w takes its updates l_jk y_k in ascending column k, of L^T y = w
+its updates l_ij y_i in descending row i.
 
-The summation order is fixed, so cast_f64 results do not depend on the
-BLAS build: unknown j of L y = w takes its updates l_jk y_k in ascending
-source column k, and unknown j of L^T y = w takes its updates l_ij y_i in
-descending source row i.  Each update is one rounded product and one
-rounded subtraction.  The forward order is that of a column-oriented
-substitution and the backward order that of a row-oriented one.
+native_low gives the bits of the column loops in tests/oracles.py.  The
+forward runs the factor's dataflow steps (icir.symbolic._step_times): a
+step's tasks, less those whose source y_k was zero at its pivot (the loop
+skips that column), round their products l_jk y_k as one batch and their
+subtractions as another, a target taking at most one; then each of its
+pivots with y_j nonzero divides by l_jj.  The backward walks the levels in
+reverse: one rounded batch of the products l_ij y_i of the level's columns,
+then per column the subtractions of its nonzero products in ascending row,
+one scalar rounding each, and the division.
+
+Operations are numbered in the loops' order: forward, 3k is the zero test
+and division of column k, 3k + 1 its products, 3k + 2 its subtractions;
+backward, with m = n - 1 - j, 4m is the zero test of column j, 4m + 1 its
+products, 4m + 2 its subtractions, 4m + 3 its division.  An operation reads
+only lower-numbered results, so the lowest-numbered failure is the loop's
+first, raised without a rerun.  Operations after it run on silently
+(np.errstate), and the backward skips the scalar chains numbered above it.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
 from .factor import IcFactor
 from .precision import _round_scalar, quantize
 from .sparse import inf_norm_vector
-from .symbolic import FillPattern, _off_diagonals, _split
+from .symbolic import FillPattern, _off_diagonals, _split, _step_times
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
@@ -45,13 +57,6 @@ NATIVE_LOW = "native_low"
 
 class OverflowSignal(ArithmeticError):
     """A native_low substitution step overflowed the factor's format."""
-
-
-def _checked(rounded, op: str, j: int):
-    value, over = rounded
-    if over is True or over is not False and over.any():   # a bool or a mask
-        raise OverflowSignal(f"{op} overflow at column {j}")
-    return value
 
 
 def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
@@ -65,17 +70,15 @@ def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
 
 
 class _LevelKernel:
-    """Substitution one level at a time.
+    """cast_f64 substitution one level at a time.
 
     Each step of fsteps (levels in order) and bsteps (levels in reverse)
     holds the level's columns, the slice of their diagonals in level order,
-    and the level's gather list: targets, sources, and the slice of their
-    values in the kernel's value order (fpos, bpos).  Forward targets take
-    their sources in ascending column order, backward targets in descending
-    row order, and np.subtract.at applies them in that order.  A level of
-    one column holds its column and diagonal as integers and no targets.
-    Index arrays are np.intp, which fancy indexing and ufunc.at use without
-    a conversion.
+    and its updates' targets and sources and the slice of their values in
+    fpos or bpos order, in the order np.subtract.at applies them.  A level
+    of one column holds its column and diagonal as integers and no targets.
+    Index arrays are np.intp, which indexing and ufunc.at take as they are;
+    f, the factor's format, goes unused, since cast_f64 rounds nothing.
     """
 
     def __init__(self, pattern: FillPattern):
@@ -102,10 +105,10 @@ class _LevelKernel:
         self.fsteps = [_step(order, c, ftgt, fsrc, f) for c, f in zip(levels, fsplit)]
         self.bsteps = [_step(order, c, btgt, bsrc, b) for c, b in zip(levels, bsplit)][::-1]
 
-    def forward(self, v: np.ndarray, y: np.ndarray) -> None:
+    def forward(self, v: np.ndarray, y: np.ndarray, f=None) -> None:
         _level_sweep(self.fsteps, v[self.diag], v[self.fpos], y)
 
-    def backward(self, v: np.ndarray, y: np.ndarray) -> None:
+    def backward(self, v: np.ndarray, y: np.ndarray, f=None) -> None:
         _level_sweep(self.bsteps, v[self.diag], v[self.bpos], y)
 
 
@@ -127,64 +130,113 @@ def _level_sweep(steps, d: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
         y[cols] /= d[ds]
 
 
-def _solve_kernel(pattern: FillPattern) -> _LevelKernel:
-    """The pattern's cast_f64 kernel, built on first use."""
-    if pattern.solve_kernel is None:
-        pattern.solve_kernel = _LevelKernel(pattern)
-    return pattern.solve_kernel
+class _NativeSteps:
+    """native_low substitution, the forward from the factor's steps, the
+    backward from the levels in reverse; index arrays are np.intp."""
+
+    def __init__(self, pattern: FillPattern):
+        cp, ri, level = pattern.col_ptr, pattern.row_idx, pattern.column_level
+        task, src, T, P = _step_times(pattern)
+        pos, src, tgt = task.astype(np.intp), src.astype(np.intp), ri[task].astype(np.intp)
+        cols = np.argsort(P, kind="stable")
+        diag = cp[cols].astype(np.intp)
+        split = [_split(np.bincount(t, minlength=int(P.max(initial=-1)) + 1)) for t in (T, P)]
+        self.fsteps = [(src[t], tgt[t], pos[t], cols[p], diag[p]) for t, p in zip(*split)]
+        cols = np.argsort(level, kind="stable")
+        diag = cp[cols].astype(np.intp)
+        below = cp[cols + 1] - 1 - diag
+        ends = np.cumsum(below)
+        pos = (np.arange(below.sum()) + np.repeat(diag + 1 - ends + below, below)).astype(np.intp)
+        rows = ri[pos].astype(np.intp)
+        self.bsteps = []
+        for c in _split(np.bincount(level, minlength=pattern.depth))[::-1]:
+            o = slice(int(ends[c.start] - below[c.start]), int(ends[c.stop - 1]))
+            e = ends[c] - o.start
+            self.bsteps.append((cols[c].tolist(), cols[c], diag[c], pos[o], rows[o],
+                                (e - below[c]).tolist(), e.tolist()))
+
+    @np.errstate(all="ignore")
+    def forward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
+        live = np.empty(len(y), dtype=bool)   # y_j was nonzero at its pivot
+        fail = (3 * len(y), "", 0)            # the lowest failure: number, kind, column
+        for src, tgt, pos, cols, diag in self.fsteps:
+            if len(src):
+                keep, lk = live[src], vals[pos]
+                if np.count_nonzero(keep) < len(keep):
+                    src, tgt, lk = src[keep], tgt[keep], lk[keep]
+                p, over = quantize(lk * y[src], f)
+                if np.count_nonzero(over):
+                    fail = min(fail, (3 * (k := int(src[over].min())) + 1, "product", k))
+                y[tgt], over = quantize(y[tgt] - p, f)
+                if np.count_nonzero(over):
+                    fail = min(fail, (3 * (k := int(src[over].min())) + 2, "subtraction", k))
+            if len(cols):
+                yj, d = y[cols], vals[diag]
+                live[cols] = nz = yj != 0.0
+                if np.count_nonzero(nz) < len(nz):
+                    cols, yj, d = cols[nz], yj[nz], d[nz]
+                # y_j / 0 is infinite, so a zero diagonal overflows as well
+                y[cols], over = quantize(yj / d, f)
+                if np.count_nonzero(over):
+                    j = int(cols[i := int(np.argmax(over))])
+                    fail = min(fail, (3 * j, "division" if d[i] else "zero", j))
+        _raise(*fail)
+
+    @np.errstate(all="ignore")
+    def backward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
+        n = len(y)
+        fail = (4 * n, "", 0)
+        for cols, ci, diag, pos, rows, starts, ends in self.bsteps:
+            p, over = quantize(vals[pos] * y[rows], f)
+            if np.count_nonzero(over):   # the highest column with an overflowed product
+                j = cols[bisect_right(ends, int(np.flatnonzero(over)[-1]))]
+                fail = min(fail, (4 * (n - 1 - j) + 1, "product", j))
+            p = p.tolist()
+            for j, a, b, acc, d in zip(cols, starts, ends, y[ci].tolist(), vals[diag].tolist()):
+                m = 4 * (n - 1 - j)
+                if d == 0.0:
+                    fail = min(fail, (m, "zero", j))
+                elif m + 2 < fail[0]:   # else a lower failure is known, or this is one
+                    for q in p[a:b]:
+                        if q != 0.0:
+                            acc, over = _round_scalar(acc - q, f)
+                            if over:
+                                fail = (m + 2, "subtraction", j)
+                                break
+                    else:
+                        y[j], over = _round_scalar(acc / d, f)
+                        if over:
+                            fail = (m + 3, "division", j)
+        _raise(*fail)
+
+
+def _raise(number: int, kind: str, j: int) -> None:
+    """Raise the failure of kind at column j, if there is one."""
+    if kind == "zero":
+        raise ZeroDivisionError(f"zero diagonal at column {j}")
+    if kind:
+        raise OverflowSignal(f"{kind} overflow at column {j}")
+
+
+def _solve_kernel(pattern: FillPattern, exec_mode: str):
+    """The pattern's kernel for exec_mode, built on the mode's first solve."""
+    kernels = pattern.solve_kernel = pattern.solve_kernel or {}
+    if exec_mode not in kernels:
+        kernels[exec_mode] = (_LevelKernel if exec_mode == CAST_F64 else _NativeSteps)(pattern)
+    return kernels[exec_mode]
 
 
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
     """Solve L y = w by substitution."""
     y = _solve_input(L, w, exec_mode)
-    vals = L.values
-    if exec_mode == CAST_F64:
-        _solve_kernel(L.pattern).forward(vals, y)
-        return y
-
-    cp = L.pattern.col_ptr
-    rows_all = L.pattern.row_idx
-    f = L.format
-    for j in range(L.n):
-        s, e = cp[j], cp[j + 1]
-        yj = y[j]
-        if yj == 0.0:
-            continue
-        d = vals[s]
-        if d == 0.0:
-            raise ZeroDivisionError(f"zero diagonal at column {j}")
-        y[j] = yj = _checked(_round_scalar(yj / d, f), "division", j)
-        if e > s + 1:
-            prod = _checked(quantize(vals[s + 1:e] * yj, f), "product", j)
-            idx = rows_all[s + 1:e]
-            y[idx] = _checked(quantize(y[idx] - prod, f), "subtraction", j)
+    _solve_kernel(L.pattern, exec_mode).forward(L.values, y, L.format)
     return y
 
 
 def backward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
     """Solve L^T y = w; column j of L supplies the updates of unknown j."""
     y = _solve_input(L, w, exec_mode)
-    vals = L.values
-    if exec_mode == CAST_F64:
-        _solve_kernel(L.pattern).backward(vals, y)
-        return y
-
-    cp = L.pattern.col_ptr
-    rows_all = L.pattern.row_idx
-    f = L.format
-    for j in range(L.n - 1, -1, -1):
-        s, e = cp[j], cp[j + 1]
-        d = vals[s]
-        if d == 0.0:
-            raise ZeroDivisionError(f"zero diagonal at column {j}")
-        acc = y[j]
-        if e > s + 1:
-            prod = _checked(quantize(vals[s + 1:e] * y[rows_all[s + 1:e]], f), "product", j)
-            # sequential accumulation in storage (ascending row) order
-            for p in prod.tolist():
-                if p != 0.0:
-                    acc = _checked(_round_scalar(acc - p, f), "subtraction", j)
-        y[j] = _checked(_round_scalar(acc / d, f), "division", j)
+    _solve_kernel(L.pattern, exec_mode).backward(L.values, y, L.format)
     return y
 
 

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 import icir.cli as cli
+import oracles
 from icir.cli import (RECORD_FIELDS, RunConfig, build_rhs, main,
                       run_experiment, run_suite)
-from icir.gallery import poisson2d, tridiag
+from icir.gallery import poisson2d, tridiag, wathen
 from icir.sparse import SparseSpd, matvec_f64
+from icir.symbolic import ic_pattern
 
 
 def write_mtx(A, path):
@@ -116,6 +118,24 @@ class TestRunExperiment:
         path = write_mtx(A, tmp_path / "indefinite.mtx")
         rec = run_experiment(RunConfig(matrix_path=path, solver="lu-ir"))
         assert rec.status == "diverged" and rec.iouter < 1000
+
+    @pytest.mark.parametrize("level", [0, 2])
+    def test_work_counts_match_the_oracle(self, tmp_path, level):
+        # depth is the longest chain of the elimination's dependencies, plus
+        # one, and factor_steps the last pivot step of the column-by-column
+        # step times, plus one
+        for A in (wathen(3, 2, seed=1), poisson2d(5)):
+            path = write_mtx(A, tmp_path / "a.mtx")
+            rec = run_experiment(RunConfig(matrix_path=path, solver="lu-ir",
+                                           factor_format="bf16", level=level))
+            pattern = ic_pattern(A, level)
+            cp, ri = pattern.col_ptr, pattern.row_idx
+            chain = [0] * A.n
+            for k in range(A.n):
+                for i in ri[cp[k] + 1:cp[k + 1]].tolist():
+                    chain[i] = max(chain[i], chain[k] + 1)
+            _, P = oracles.step_times(cp, ri)
+            assert (rec.depth, rec.factor_steps) == (max(chain) + 1, max(P) + 1)
 
     def test_level_increases_fill(self, poisson_mtx):
         r0 = run_experiment(RunConfig(matrix_path=poisson_mtx, level=0))
@@ -247,7 +267,8 @@ class TestMain:
         stages = ["read_s", "scale_s", "pattern_s", "factor_s", "solve_s"]
         assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks",
                                                       "attempts", "squeeze_dropped",
-                                                      "squeeze_flushed", *stages}
+                                                      "squeeze_flushed", *stages,
+                                                      "depth", "factor_steps"}
         assert all(data[0][s] > 0.0 for s in stages)   # each stage was timed
         assert sum(data[0][s] for s in stages) <= data[0]["wall_seconds"]
         assert data[0]["status"] == "converged"

@@ -38,10 +38,10 @@ GOLDEN = Path(__file__).with_name("golden_digest.json")
 FORMATS = ("fp16", "bf16")
 LEVELS = (0, 3)
 SOLVERS = ("cg", "gmres", "lu-ir")
-# LU-IR applies the factor in emulated low precision, which costs about as
-# much as the rest of the digest together; one correction step pins those
-# numerics and keeps the whole test within its budget
-LU_IR_ITMAX = 1
+# LU-IR applies the factor in emulated low precision; eight correction
+# steps pin those numerics past the first correction and keep the whole
+# test within its budget
+LU_IR_ITMAX = 8
 
 
 def corpus():

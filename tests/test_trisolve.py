@@ -1,12 +1,15 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import icir.trisolve as trisolve
 import oracles
 from conftest import ic_attempt_on
 from icir.factor import FactorStats, IcFactor, shifted_ic
-from icir.gallery import random_spd, wathen
+from icir.gallery import poisson2d, random_spd, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import l2_scale, matvec_f64
 from icir.symbolic import FillPattern, ic_pattern
@@ -115,21 +118,31 @@ class TestForwardBackward:
 
 @st.composite
 def native_systems(draw):
-    """(L, w): a fp16 or bf16 shifted_ic factor of an l2-scaled random_spd,
-    some indefinite, at IC(0) or IC(3), now and then with a zeroed pivot,
-    and a representable right-hand side with zero entries, scaled up to near
-    x_max."""
+    """(L, w): a fp16 or bf16 shifted_ic factor, at IC(0) or IC(3), of an
+    l2-scaled random_spd (n <= 30, some indefinite), wathen(2-5, 2-5) or
+    poisson2d(3-8), whose levels hold several columns; now and then with one
+    or two zeroed pivots; and a representable right-hand side with zero
+    entries of either sign, scaled up to near x_max."""
     f = get_format(draw(st.sampled_from(["fp16", "bf16"])))
     seed = draw(st.integers(0, 2 ** 16))
-    n = draw(st.integers(1, 30))
-    A, _ = l2_scale(random_spd(n, seed=seed, density=draw(st.floats(0.05, 1.0)),
-                               dominance=draw(st.floats(0.1, 1.2))))
+    kind = draw(st.sampled_from(["random", "wathen", "poisson"]))
+    if kind == "random":
+        A = random_spd(draw(st.integers(1, 30)), seed=seed, density=draw(st.floats(0.05, 1.0)),
+                       dominance=draw(st.floats(0.1, 1.2)))
+    elif kind == "wathen":
+        A = wathen(draw(st.integers(2, 5)), draw(st.integers(2, 5)), seed=seed)
+    else:
+        A = poisson2d(draw(st.integers(3, 8)))
+    A, _ = l2_scale(A)
+    n = A.n
     L = shifted_ic(A, ic_pattern(A, draw(st.sampled_from([0, 3]))), f=f)
     rng = np.random.default_rng(seed)
-    if rng.random() < 0.1:
-        L.values[L.pattern.col_ptr[rng.integers(n)]] = 0.0
+    if rng.random() < 0.15:
+        L.values[L.pattern.col_ptr[rng.integers(n, size=rng.integers(1, 3))]] = 0.0
     w = rng.choice([-1.0, 1.0], n) * f.x_max * 10.0 ** -rng.uniform(0.0, 2.0, n)
-    w[rng.random(n) < 0.3] = 0.0
+    zeros = rng.random(n) < 0.3
+    w[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    event(kind)
     return L, quantize(w, f)[0]
 
 
@@ -152,6 +165,59 @@ def test_native_solves_match_scalar_reference(system):
         kind = want[1].split(" at")[0] if isinstance(want, tuple) else "solved"
         event(f"{solve.__name__}: {kind}")
         assert _outcome(solve, L, w, NATIVE_LOW) == want
+
+
+def test_lowest_numbered_failure_of_a_step():
+    # columns 0 and 1 form one level, 2 and 3 the next: the forward
+    # multiplies by y_0 and y_1 in one step, the backward by y_2 and y_3 in
+    # one level, and both products overflow
+    L = make_factor(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                              [2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]]), FP16)
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values)
+    assert L.pattern.column_level.tolist() == [0, 0, 1, 1]
+    for solve, reference, w, column in (
+            (forward_solve, oracles.native_forward_solve, [60000.0, 60000.0, 0.0, 0.0], 0),
+            (backward_solve, oracles.native_backward_solve, [0.0, 0.0, 60000.0, 60000.0], 1)):
+        w = np.array(w)
+        want = ("OverflowSignal", f"product overflow at column {column}")
+        assert _outcome(reference, *args, w, FP16) == want
+        assert _outcome(solve, L, w, NATIVE_LOW) == want
+
+
+def test_underflowed_quotient_still_updates():
+    # y_0 = 2^-24 / 4 rounds to +0, but y_0 was nonzero, so column 0 still
+    # subtracts its product -1 * +0 = -0 from y_1 = -0, which gives +0
+    L = make_factor(np.array([[4.0, 0.0], [-1.0, 1.0]]), FP16)
+    w = np.array([2.0 ** -24, -0.0])
+    want = _outcome(oracles.native_forward_solve, L.pattern.col_ptr, L.pattern.row_idx,
+                    L.values, w, FP16)
+    assert want == [0, 0]
+    assert _outcome(forward_solve, L, w, NATIVE_LOW) == want
+
+
+def test_native_steps_built_once_and_never_by_cast_f64():
+    pattern = ic_pattern(poisson2d(6), 1)
+    values = np.full(pattern.nnz, -0.25)
+    values[pattern.col_ptr[:-1]] = 2.0
+    L = IcFactor(pattern, values, FP16, 0.0, FactorStats(0, 0, 0))
+    r = np.linspace(-1.0, 1.0, L.n)
+    with mock.patch.object(trisolve, "_NativeSteps", wraps=trisolve._NativeSteps) as native, \
+            mock.patch.object(trisolve, "_LevelKernel", wraps=trisolve._LevelKernel) as cast:
+        v = apply_preconditioner(L, r, NATIVE_LOW)
+        # a native_low run builds no cast_f64 kernel
+        assert (native.call_count, cast.call_count) == (1, 0)
+        kernels = pattern.solve_kernel
+        steps = kernels[NATIVE_LOW]
+        for _ in range(2):
+            apply_preconditioner(L, r, CAST_F64)
+        assert np.array_equal(apply_preconditioner(L, r, NATIVE_LOW), v)
+    assert (native.call_count, cast.call_count) == (1, 1)
+    assert pattern.solve_kernel is kernels and kernels[NATIVE_LOW] is steps
+    assert set(kernels) == {NATIVE_LOW, CAST_F64}
+    # and a cast_f64 run builds no native_low steps
+    pattern = ic_pattern(poisson2d(6), 1)
+    apply_preconditioner(IcFactor(pattern, values, FP16, 0.0, FactorStats(0, 0, 0)), r, CAST_F64)
+    assert set(pattern.solve_kernel) == {CAST_F64}
 
 
 class TestApplyPreconditioner:
