@@ -134,7 +134,8 @@ def ic_krylov_ir(A: SparseSpd, b: np.ndarray, L: IcFactor, method: str = "cg",
     Preconditioning inside the inner solver is done in fp64 (cast_f64).
     resinit is the backward error of the pure preconditioner solve
     x = (L L^T)^-1 b.  A small_curvature return from CG stops the outer
-    loop, since further corrections from that solver are untrustworthy.
+    loop, since further corrections from that solver are untrustworthy; a
+    GMRES return at its iteration limit or its basis memory budget does not.
     """
     if method not in ("cg", "gmres"):
         raise ValueError(f"unknown inner method {method!r}")

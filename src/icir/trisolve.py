@@ -243,14 +243,18 @@ def backward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.
 def apply_preconditioner(L: IcFactor, r: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:
     """Apply (L L^T)^-1 to r.
 
-    native_low scales the right-hand side by its inf-norm so that the solve
-    input is representable, then rescales the result in fp64.
+    Both solves run in place on one fp64 copy of r.  native_low first
+    scales that copy by its inf-norm and rounds it into the factor's format,
+    so that the solve input is representable, then rescales the result in
+    fp64.
     """
-    r = _solve_input(L, r, exec_mode)
-    if exec_mode == CAST_F64:
-        return backward_solve(L, forward_solve(L, r, CAST_F64), CAST_F64)
-    nr = inf_norm_vector(r)
-    if nr == 0.0:
-        return np.zeros(L.n)
-    rs, _ = quantize(r / nr, L.format)   # |rs| <= 1 < 3 <= every x_max
-    return backward_solve(L, forward_solve(L, rs, NATIVE_LOW), NATIVE_LOW) * nr
+    y = _solve_input(L, r, exec_mode)
+    if exec_mode == NATIVE_LOW:
+        nr = inf_norm_vector(y)
+        if nr == 0.0:
+            return np.zeros(L.n)
+        y, _ = quantize(y / nr, L.format)   # |y| <= 1 < 3 <= every x_max
+    kernel = _solve_kernel(L.pattern, exec_mode)
+    kernel.forward(L.values, y, L.format)
+    kernel.backward(L.values, y, L.format)
+    return y if exec_mode == CAST_F64 else y * nr

@@ -27,6 +27,11 @@ first breakdown in column order icir.factor.ic_attempt must return.  Its
 unguarded mode, the B1 test only with overflow raised as an error, is the
 path fp32 and fp64 once took, where the guarded kernel must give the same
 bits or breakdown, or a B2 or B3 in place of the error.
+
+gmres_reference is the reference of icir.krylov.gmres: the same Arnoldi
+process with its Hessenberg column, rotations and right-hand side kept as
+NumPy arrays and scalars, whose solution, iteration count and status the
+Python-float bookkeeping must give.
 """
 
 import math
@@ -36,9 +41,10 @@ import numpy as np
 
 from icir.factor import Breakdown, FactorizationError
 from icir.gallery import _ELEMENT
+from icir.krylov import CONVERGED, MAX_ITERATIONS, STAGNATED, KrylovOutcome
 from icir.precision import (FpFormat, _round_scalar, quantize, safe_scale_check,
                             safe_update_many)
-from icir.sparse import SparseSpd
+from icir.sparse import SparseSpd, matvec_f64
 from icir.symbolic import FillPattern, _full_adjacency
 from icir.trisolve import OverflowSignal
 
@@ -397,3 +403,74 @@ def column_factor(vals, pattern, keys, tau, f, safe_checks):
     if np.any(np.abs(vals) > f.x_max):
         raise FactorizationError("stored factor value exceeds x_max")  # defensive
     return vals
+
+
+def gmres_reference(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutcome:
+    """Left-preconditioned GMRES with modified Gram-Schmidt Arnoldi, no
+    restarting, its bookkeeping on NumPy scalars and arrays, which
+    icir.krylov.gmres must match bit for bit.
+
+    iterations = Krylov basis size used.  Happy breakdown (exact solution in
+    the current space) reports converged; a residual estimate that is NaN or
+    infinite reports stagnated, with the non-finite solution of that basis.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    n = A.n
+    x = np.zeros(n)
+    if not np.any(b):
+        return KrylovOutcome(x, 0, CONVERGED)
+    r0 = M(b)
+    beta = float(np.linalg.norm(r0))
+    if beta == 0.0:
+        return KrylovOutcome(x, 0, CONVERGED)
+    target = tol * beta
+    maxit = min(maxit, n)
+    m = min(maxit, 32)  # storage for m iterations, grown on demand
+    V = np.zeros((m + 1, n))
+    H = np.zeros((m + 1, m))
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    V[0] = r0 / beta
+
+    def solve_and_pack(k, status):
+        # back-substitute the k x k triangular system H y = g
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - np.dot(H[i, i + 1:k], y[i + 1:k])) / H[i, i]
+        return KrylovOutcome(V[:k].T @ y, k, status)
+
+    for k in range(maxit):
+        if k == m:  # zeros for e more iterations
+            e = min(maxit, 2 * m) - m
+            m += e
+            V, H = np.pad(V, ((0, e), (0, 0))), np.pad(H, (0, e))
+            cs, sn, g = np.pad(cs, (0, e)), np.pad(sn, (0, e)), np.pad(g, (0, e))
+        w = M(matvec_f64(A, V[k]))
+        for i in range(k + 1):
+            H[i, k] = np.dot(V[i], w)
+            w -= H[i, k] * V[i]
+        h = float(np.linalg.norm(w))
+        H[k + 1, k] = h
+        # previously accumulated Givens rotations
+        for i in range(k):
+            t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
+            H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
+            H[i, k] = t
+        denom = math.hypot(H[k, k], H[k + 1, k])
+        if denom == 0.0:
+            return solve_and_pack(k, STAGNATED)
+        cs[k] = H[k, k] / denom
+        sn[k] = H[k + 1, k] / denom
+        H[k, k] = denom
+        H[k + 1, k] = 0.0
+        g[k + 1] = -sn[k] * g[k]
+        g[k] = cs[k] * g[k]
+        if abs(g[k + 1]) <= target or h == 0.0:
+            return solve_and_pack(k + 1, CONVERGED)
+        if not abs(g[k + 1]) < math.inf:   # NaN included; the caller sees it in x
+            return solve_and_pack(k + 1, STAGNATED)
+        if k + 1 < maxit:
+            V[k + 1] = w / h
+    return solve_and_pack(maxit, MAX_ITERATIONS)

@@ -1,16 +1,23 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
+import icir.krylov as krylov
 from conftest import ic_attempt_on, to_dense
-from icir.factor import FactorStats, IcFactor
+from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import dense_to_sparse, poisson2d, random_spd, tridiag
-from icir.krylov import CONVERGED, MAX_ITERATIONS, SMALL_CURVATURE, gmres, pcg
+from icir.krylov import (CONVERGED, MAX_ITERATIONS, MEMORY_BUDGET, SMALL_CURVATURE,
+                         STAGNATED, gmres, pcg)
 from icir.precision import get_format
+from icir.refine import ic_krylov_ir
 from icir.sparse import l2_scale, matvec_f64
+from icir.symbolic import ic_pattern
 from icir.trisolve import apply_preconditioner
+from oracles import gmres_reference
 from test_factor import full_pattern
 
+FP16 = get_format("fp16")
 FP64 = get_format("fp64")
 IDENT = lambda r: r
 
@@ -157,3 +164,107 @@ class TestGmres:
             tracemalloc.stop()
         assert out.status == CONVERGED and out.iterations == 79
         assert peak < 8 * 2 ** 20
+
+
+def _nan_after(calls):
+    """A preconditioner that is the identity for its first calls, then NaN."""
+    count = [0]
+
+    def M(r):
+        count[0] += 1
+        return r * np.nan if count[0] > calls else r.copy()
+    return M
+
+
+def _zero_after(calls):
+    """A preconditioner that is the identity for its first calls, then zero."""
+    count = [0]
+
+    def M(r):
+        count[0] += 1
+        return r * 0.0 if count[0] > calls else r.copy()
+    return M
+
+
+def _ic_preconditioner(m):
+    Ahat, _ = l2_scale(poisson2d(m))
+    L = shifted_ic(Ahat, ic_pattern(Ahat, 0), f=FP16)
+    return Ahat, lambda r: apply_preconditioner(L, r)
+
+
+def _gmres_cases():
+    """(id, A, make_M, b, tol, maxit, status): make_M() gives a fresh M."""
+    ident = lambda: IDENT
+    poisson, _ = l2_scale(poisson2d(60))
+    ic_A, ic_M = _ic_preconditioner(20)
+    rng = np.random.default_rng(11)
+    diag = dense_to_sparse(np.diag([1.0, 2.0, 2.0, 3.0, 5.0]))
+    return [
+        # the basis grows 32 -> 64 -> 128
+        ("past-64", poisson, ident, np.ones(poisson.n), 1e-4, 2000, CONVERGED),
+        ("past-32-maxit", random_spd(120, seed=3, dominance=0.3), ident,
+         rng.standard_normal(120), 1e-30, 50, MAX_ITERATIONS),
+        ("maxit-64", random_spd(100, seed=4, dominance=0.3), ident,
+         rng.standard_normal(100), 1e-30, 64, MAX_ITERATIONS),
+        # A b = 2 b: w is exactly zero after one step
+        ("happy-breakdown", diag, ident, np.array([0.0, 3.0, 0.0, 0.0, 0.0]),
+         1e-300, 10, CONVERGED),
+        ("nan-residual", random_spd(40, seed=5), lambda: _nan_after(4),
+         np.ones(40), 1e-12, 40, STAGNATED),
+        ("zero-preconditioner", random_spd(20, seed=6), lambda: _zero_after(1),
+         np.ones(20), 1e-12, 20, STAGNATED),
+        ("zero-rhs", tridiag(6), ident, np.zeros(6), 1e-10, 10, CONVERGED),
+        ("ic", ic_A, lambda: ic_M, rng.standard_normal(ic_A.n), 1e-12, 400, CONVERGED),
+        ("ic-maxit", ic_A, lambda: ic_M, rng.standard_normal(ic_A.n), 1e-30, 40,
+         MAX_ITERATIONS),
+    ]
+
+
+@pytest.mark.parametrize("case", _gmres_cases(), ids=lambda c: c[0])
+def test_gmres_matches_reference(case):
+    _, A, make_M, b, tol, maxit, status = case
+    with np.errstate(all="ignore"):   # the reference's NaN scalars would warn
+        want = gmres_reference(A, make_M(), b, tol, maxit)
+        got = gmres(A, make_M(), b, tol, maxit)
+    assert got.status == want.status == status
+    assert got.iterations == want.iterations
+    assert got.solution.tobytes() == want.solution.tobytes()
+
+
+def test_gmres_case_shapes():
+    # each case reaches the path it is named after
+    its = {name: gmres(A, make_M(), b, tol, maxit).iterations
+           for name, A, make_M, b, tol, maxit, _ in _gmres_cases()}
+    assert its["past-64"] > 64 and its["past-32-maxit"] == 50 and its["maxit-64"] == 64
+    assert its["happy-breakdown"] == 1 and its["zero-preconditioner"] == 0
+    assert its["nan-residual"] == 4
+    assert its["zero-rhs"] == 0 and its["ic-maxit"] == 40
+
+
+def test_gmres_memory_budget(monkeypatch):
+    # n = 3600: V of 65 rows takes 1.8 MiB, of 129 rows 3.5 MiB
+    A, _ = l2_scale(poisson2d(60))
+    b = np.ones(A.n)
+    monkeypatch.setattr(krylov, "V_BYTES", 2 * 2 ** 20)
+    out = gmres(A, IDENT, b, 1e-4, 2000)
+    assert (out.iterations, out.status) == (64, MEMORY_BUDGET)
+    # the solution of the basis it has: that of a 64-step solve
+    want = gmres_reference(A, IDENT, b, 1e-4, 64)
+    assert want.status == MAX_ITERATIONS
+    assert out.solution.tobytes() == want.solution.tobytes()
+    # a budget below the first 33 rows stops at the first grow step
+    monkeypatch.setattr(krylov, "V_BYTES", 0)
+    assert gmres(A, IDENT, b, 1e-4, 2000).iterations == 32
+    # which a solve that never grows does not reach
+    assert gmres(A, IDENT, b, 1e-4, 20).status == MAX_ITERATIONS
+
+
+def test_refinement_carries_on_after_memory_budget(monkeypatch):
+    Ahat, _ = l2_scale(poisson2d(30))
+    L = shifted_ic(Ahat, ic_pattern(Ahat, 0), f=FP16)
+    b = matvec_f64(Ahat, np.ones(Ahat.n))
+    monkeypatch.setattr(krylov, "V_BYTES", 0)
+    rep = ic_krylov_ir(Ahat, b, L, method="gmres", delta_krylov=1e-15)
+    assert rep.per_outer[0] == (32, MEMORY_BUDGET)
+    assert rep.iouter == len(rep.per_outer) > 1
+    assert rep.converged

@@ -266,3 +266,53 @@ class TestApplyPreconditioner:
                 assert np.all(np.isfinite(v))
             except OverflowSignal:
                 pass
+
+
+def _outcome_of(fn, *args):
+    """The bytes fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args).tobytes()
+    except (OverflowSignal, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _two_solves(L, r, mode):
+    """apply_preconditioner as one forward_solve and one backward_solve."""
+    if mode == CAST_F64:
+        return backward_solve(L, forward_solve(L, r, mode), mode)
+    nr = np.abs(r).max()
+    if nr == 0.0:
+        return np.zeros(L.n)
+    rs, _ = quantize(r / nr, L.format)
+    return backward_solve(L, forward_solve(L, rs, mode), mode) * nr
+
+
+@settings(max_examples=60, deadline=None)
+@given(native_systems(), st.sampled_from([CAST_F64, NATIVE_LOW]))
+def test_apply_preconditioner_is_the_two_solves(system, mode):
+    L, w = system
+    r = w.copy()
+    with np.errstate(all="ignore"):   # cast_f64 divides by a zeroed pivot
+        got = _outcome_of(apply_preconditioner, L, r, mode)
+        want = _outcome_of(_two_solves, L, w, mode)
+    assert r.tobytes() == w.tobytes()   # the input is left as it was
+    event(f"{mode} {'raised' if isinstance(want, tuple) else 'solved'}")
+    assert got == want
+
+
+@pytest.mark.parametrize("Ld, r, message", [
+    ([[1.0, 0.0], [2.0, 1.0]], [1.0, 1.0], "zero diagonal at column 1"),
+    ([[1.0, 0.0], [40000.0, 1.0]], [2.0, 1.0], "product overflow at column 0"),
+    # y = (1, 255), then y_2 = 1 + 256 + 256 * 255 = 65537
+    ([[1.0, 0.0, 0.0], [-256.0, 1.0, 0.0], [-256.0, -256.0, 1.0]], [1.0, -1.0, 1.0],
+     "subtraction overflow at column 1"),
+    ([[2.0 ** -14, 0.0], [0.0, 1.0]], [8.0, 0.0], "division overflow at column 0"),
+], ids=["zero", "product", "subtraction", "division"])
+def test_apply_preconditioner_native_failures(Ld, r, message):
+    L = make_factor(np.array(Ld), FP16)
+    if message.startswith("zero"):
+        L.values[L.pattern.col_ptr[1]] = 0.0
+    r = np.array(r)
+    got = _outcome_of(apply_preconditioner, L, r, NATIVE_LOW)
+    assert got == _outcome_of(_two_solves, L, r, NATIVE_LOW)
+    assert got[1] == message
