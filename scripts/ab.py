@@ -10,9 +10,11 @@ network, no worktree metadata).  Then, for 10 pairs, runs
 
 once from the base tree and once from this checkout's working tree, for
 every workload of BENCHMARK.json, with SECONDS its run_seconds.  Pair i of
-the k-th workload uses the seed 9001 + 100 k + i, and the side that goes
-first alternates from pair to pair, so a slow spell of the host falls on
-both sides.  The last line of each run's standard output is its result.
+the k-th workload uses the seed first_seed(BASE) + 100 k + i, which moves
+with BASE's commit hash: each base is measured on seeds of its own, and a
+rerun against the same base on the same ones.  The side that goes first
+alternates from pair to pair, so a slow spell of the host falls on both
+sides.  The last line of each run's standard output is its result.
 After the pairs, each side runs every workload once more with --trace 1 at
 its first pair's seed, for the per-layer metrics.
 
@@ -48,7 +50,13 @@ import numpy
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
-FIRST_SEED = 9001
+
+
+def first_seed(rev: str) -> int:
+    """The first seed for base commit rev (a full hexadecimal hash): one of
+    100,000 blocks of 10,000 seeds from 10,001 up, above the 9001-9310 that
+    every file up to BENCH_15.json ran."""
+    return 10_000 * (1 + int(rev, 16) % 100_000) + 1
 
 
 def quartiles(values):
@@ -137,6 +145,8 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     base_rev = git("rev-parse", args.base)
     change_rev = git("rev-parse", "HEAD") + ("-dirty" if git("status", "--porcelain") else "")
+    seeds = [[first_seed(base_rev) + 100 * k + i for i in range(PAIRS)]
+             for k in range(len(workloads))]
     runs = {w: [] for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         archive = subprocess.Popen(["git", "archive", base_rev], cwd=ROOT, stdout=subprocess.PIPE)
@@ -146,7 +156,7 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp), "change": ROOT}
         for i in range(PAIRS):
             for k, w in enumerate(workloads):
-                seed = FIRST_SEED + 100 * k + i
+                seed = seeds[k][i]
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {side: run_once(trees[side], w, seed, seconds) for side in order}
                 runs[w].append(pair)
@@ -155,7 +165,7 @@ def main(argv=None) -> int:
                     for side in SIDES), file=sys.stderr)
         layers = {}
         for k, w in enumerate(workloads):
-            seed = FIRST_SEED + 100 * k
+            seed = seeds[k][0]
             traced = {side: run_once(trees[side], w, seed, seconds, trace=True)["metrics"]
                       for side in SIDES}
             layers[w] = {"seed": seed, **layer_summary(traced["parent"], traced["change"])}
@@ -170,7 +180,7 @@ def main(argv=None) -> int:
         "change": change_rev,
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
                  "numpy": numpy.__version__},
-        "workloads": {w: {"seeds": [FIRST_SEED + 100 * k + i for i in range(PAIRS)],
+        "workloads": {w: {"seeds": seeds[k],
                           **summarize(runs[w], spec["end_to_end"]),
                           "per_layer": layers[w]}
                       for k, w in enumerate(workloads)},

@@ -118,7 +118,8 @@ class RunRecord:
     # JSON only: each inner solve's status, the native_low applications
     # retried in fp64, each failed attempt's shift and breakdown, squeeze's
     # dropped and flushed entries, the seconds of each stage, the levels (the
-    # steps of the native_low backward) and the factor's (and forward's) steps
+    # steps of the native_low backward), the factor's (and forward's) steps
+    # and the update pairs an attempt enumerates (c(c - 1)/2 for c entries)
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
     attempts: list = field(default_factory=list, metadata={"csv": False})
@@ -131,6 +132,7 @@ class RunRecord:
     solve_s: float = field(default=0.0, metadata={"csv": False})
     depth: int = field(default=0, metadata={"csv": False})
     factor_steps: int = field(default=0, metadata={"csv": False})
+    update_pairs_enumerated: int = field(default=0, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -186,6 +188,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         report = timed("solve_s", ic_krylov_ir, Ahat, bhat, L, method=config.solver,
                        delta=config.delta, delta_krylov=config.delta_krylov, **inner, **itmax)
 
+    entries = np.diff(pattern.col_ptr)   # per column, the diagonal included
     x_unscaled = report.solution / S.s  # x = S^-1 xhat
     res_unscaled = backward_error(A, x_unscaled, b)
     if report.converged:
@@ -207,6 +210,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         squeeze_dropped=L.stats.squeeze.dropped_underflow,
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
         depth=pattern.depth, factor_steps=L.stats.steps,
+        update_pairs_enumerated=int((entries * (entries - 1) // 2).sum()),
         **seconds,
     )
 

@@ -18,17 +18,19 @@ Overflow is reported through a flag or mask, never by producing an infinity:
 carriers must stay finite.  No fused multiply-add anywhere; every multiply and subtract
 rounds separately.
 
-_round_scalar, the scalar twin of quantize, stays for the native_low
-backward's chains of single values, where a one-element quantize costs
-about eight times as much.  TestBitwiseOracle.test_scalar_vector_paths_match
-in tests/test_precision.py pins the two bit for bit.
-
-For fp16 and fp32, quantize casts to float16 / float32, which rounds a
-double once to nearest-even, subnormals included, at about half the cost of
-the frexp path on short arrays.  An array with a value that would overflow
-takes the frexp path, so overflowed slots keep their finite rounded
-magnitude.  test_02 in tests/test_acceptance.py and
-TestBitwiseOracle.test_cast_and_frexp_paths_match pin the paths to each other.
+quantize copies fp64 and casts fp16 and fp32 to float16 / float32, which
+rounds once to nearest-even, subnormals included.  Other formats take
+Veltkamp's split (Dekker 1971), c = x * (2^(53-p) + 1), y = c - (c - x),
+when every |x| lies in [x_min, over_at): with no overflow or underflow in
+fp64 that is x rounded to p bits, nearest-even (Boldo 2006 for the ties),
+and for p <= 51 and at most 10 exponent bits (else FpFormat.split is None)
+neither occurs there.  Any other array, and one to cast with a value that
+would overflow, takes the frexp path, so overflowed slots keep their finite
+rounded magnitude.  _round_scalar, the scalar twin with the same split,
+serves the native_low backward's chains, where a one-element quantize costs
+10-20 times as much.  In tests/test_precision.py, TestBitwiseOracle pins the
+paths to each other and TestIndependentOracle to the frozen frexp rounding
+of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ class FpFormat:
     half_width: bool = field(init=False, repr=False, compare=False)
     cast: type | None = field(init=False, repr=False, compare=False)
     over_at: float = field(init=False, repr=False, compare=False)
+    split: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.significand_bits < 2 or self.exponent_bits < 2:
@@ -94,6 +97,8 @@ class FpFormat:
                 (p, self.exponent_bits, self.supports_subnormals)),
             # x_max plus half an ulp: magnitudes from here on round past x_max
             over_at=(2.0 - math.ldexp(1.0, -p)) * math.ldexp(1.0, e_max),
+            # Veltkamp's constant 2^(53-p) + 1; see the module docstring
+            split=math.ldexp(1.0, 53 - p) + 1 if p <= 51 and self.exponent_bits <= 10 else None,
         )
 
 
@@ -120,12 +125,15 @@ def _round_scalar(x: float, f: FpFormat):
     """Round one finite double into format f.
 
     Returns (value, overflow) where value is a double exactly representable
-    in f.  Mirrors quantize()'s frexp path operation-for-operation so scalar
-    and vector paths are bit-identical.
+    in f.  Mirrors quantize()'s split and frexp paths operation-for-operation
+    so scalar and vector paths are bit-identical.
     """
+    ax = abs(x)
+    if f.split is not None and f.x_min <= ax < f.over_at:
+        c = x * f.split
+        return c - (c - x), False
     if x == 0.0:
         return x, False  # preserves signed zero
-    ax = abs(x)
     p = f.significand_bits
     if ax >= f.x_min:
         m, e = math.frexp(ax)  # ax = m * 2^e, m in [0.5, 1)
@@ -155,8 +163,11 @@ def quantize(x: np.ndarray, f: FpFormat):
         over = np.abs(x) >= f.over_at
         if not np.count_nonzero(over):
             return x.astype(f.cast).astype(np.float64), over
-    p = f.significand_bits
     ax = np.abs(x)
+    if f.split is not None and ax.size and ax.min() >= f.x_min and ax.max() < f.over_at:
+        c = x * f.split
+        return c - (c - x), np.zeros(x.shape, dtype=bool)
+    p = f.significand_bits
     m, e = np.frexp(ax)
     q = np.rint(np.ldexp(m, p))  # ties to even
     y = np.ldexp(q, e - p)

@@ -6,9 +6,10 @@ to the sign of an exact zero).
 
 round_to, sim_op and safe_update are the scalar references of
 icir.precision: rounding with underflow and subnormal flags, one simulated
-operation, and one guarded update.  round_to is built on
-icir.precision._round_scalar, so comparing it with quantize pins the scalar
-and vector rounding paths to each other.
+operation, and one guarded update.  They are built on _round_scalar, a
+frozen copy of the frexp/ldexp rounding icir.precision once had for every
+scalar, so that a faster rounding in icir.precision is checked against a
+ruler that does not move with it.
 
 native_forward_solve and native_backward_solve are the references of the
 native_low substitutions of icir.trisolve: one sim_op per operation, the
@@ -42,8 +43,7 @@ import numpy as np
 from icir.factor import Breakdown, FactorizationError
 from icir.gallery import _ELEMENT
 from icir.krylov import CONVERGED, MAX_ITERATIONS, STAGNATED, KrylovOutcome
-from icir.precision import (FpFormat, _round_scalar, quantize, safe_scale_check,
-                            safe_update_many)
+from icir.precision import FpFormat, quantize, safe_scale_check, safe_update_many
 from icir.sparse import SparseSpd, matvec_f64
 from icir.symbolic import FillPattern, _full_adjacency
 from icir.trisolve import OverflowSignal
@@ -63,6 +63,32 @@ class RoundOutcome:
     @property
     def overflow(self) -> bool:
         return OVERFLOW in self.flags
+
+
+def _round_scalar(x: float, f: FpFormat):
+    """Round one finite double into format f.
+
+    Returns (value, overflow) where value is a double exactly representable
+    in f.  Mirrors quantize()'s frexp path operation-for-operation so scalar
+    and vector paths are bit-identical.
+    """
+    if x == 0.0:
+        return x, False  # preserves signed zero
+    ax = abs(x)
+    p = f.significand_bits
+    if ax >= f.x_min:
+        m, e = math.frexp(ax)  # ax = m * 2^e, m in [0.5, 1)
+        q = round(math.ldexp(m, p))  # banker's rounding on an exact scale
+        y = math.ldexp(float(q), e - p)
+    elif f.supports_subnormals:
+        q = round(ax / f.x_s_min)  # division by a power of two is exact
+        y = q * f.x_s_min
+    else:
+        # no subnormals: nearest of {0, x_min}; the tie x_min/2 goes to 0 (even)
+        y = f.x_min if ax > 0.5 * f.x_min else 0.0
+    if y > f.x_max:
+        return math.copysign(y, x), True
+    return math.copysign(y, x), False
 
 
 def round_to(x: float, f: FpFormat) -> RoundOutcome:

@@ -267,9 +267,17 @@ def test_08_lu_ir_bcsstk27():
 
 def test_08_lu_ir_apache1_stalls():
     path = require_matrix("apache1")
+    t0 = time.perf_counter()
     rec = run_experiment(RunConfig(matrix_path=path, level=3, solver="lu-ir"))
     assert rec.status != "converged"
     assert rec.iouter >= 1000
+    # Wall bound, scaled by nnz(L) because the native_low apply runs over the
+    # entries of L: one IC(3) fp16 apply on gallery.wathen(120, 100), nnz(L) =
+    # 832,101, took 0.48 s (median of 5 on a 2-core host, Python 3.11, NumPy
+    # 2.4).  1,000 such steps at this run's nnz(L), 3x for a slower host, plus
+    # 600 s to read, scale and factor.
+    per_entry = 0.48 / 832_101
+    assert time.perf_counter() - t0 < 3 * 1000 * per_entry * rec.nnz_L + 600.0
 
 
 TOLERANCE_ROW = [2, 2, 2, 2, 2, 2, 3, 3, 6, 6]  # deltas 1e-10 ... 1e-1

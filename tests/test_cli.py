@@ -122,8 +122,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("level", [0, 2])
     def test_work_counts_match_the_oracle(self, tmp_path, level):
         # depth is the longest chain of the elimination's dependencies, plus
-        # one, and factor_steps the last pivot step of the column-by-column
-        # step times, plus one
+        # one, factor_steps the last pivot step of the column-by-column step
+        # times, plus one, and update_pairs_enumerated the pairs i <= j of
+        # off-diagonal rows of one column, over all columns
         for A in (wathen(3, 2, seed=1), poisson2d(5)):
             path = write_mtx(A, tmp_path / "a.mtx")
             rec = run_experiment(RunConfig(matrix_path=path, solver="lu-ir",
@@ -131,11 +132,15 @@ class TestRunExperiment:
             pattern = ic_pattern(A, level)
             cp, ri = pattern.col_ptr, pattern.row_idx
             chain = [0] * A.n
+            pairs = 0
             for k in range(A.n):
-                for i in ri[cp[k] + 1:cp[k + 1]].tolist():
+                rows = ri[cp[k] + 1:cp[k + 1]].tolist()
+                for i in rows:
                     chain[i] = max(chain[i], chain[k] + 1)
+                pairs += sum(i <= j for i in rows for j in rows)
             _, P = oracles.step_times(cp, ri)
             assert (rec.depth, rec.factor_steps) == (max(chain) + 1, max(P) + 1)
+            assert rec.update_pairs_enumerated == pairs
 
     def test_level_increases_fill(self, poisson_mtx):
         r0 = run_experiment(RunConfig(matrix_path=poisson_mtx, level=0))
@@ -268,7 +273,8 @@ class TestMain:
         assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks",
                                                       "attempts", "squeeze_dropped",
                                                       "squeeze_flushed", *stages,
-                                                      "depth", "factor_steps"}
+                                                      "depth", "factor_steps",
+                                                      "update_pairs_enumerated"}
         assert all(data[0][s] > 0.0 for s in stages)   # each stage was timed
         assert sum(data[0][s] for s in stages) <= data[0]["wall_seconds"]
         assert data[0]["status"] == "converged"

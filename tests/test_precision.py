@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icir.precision import (FpFormat, get_format, quantize, safe_scale_check,
+from icir.precision import (FpFormat, _round_scalar, get_format, quantize, safe_scale_check,
                             safe_update_many)
 from oracles import round_to, safe_update, sim_op
 
@@ -173,6 +173,70 @@ class TestBitwiseOracle:
         assert np.array_equal(y_cast, y[~over])
         assert np.array_equal(np.signbit(y_cast), np.signbit(y[~over]))
         assert y_cast[-2] == f.x_max
+
+
+def _rounding_corpus(f: FpFormat, rng) -> np.ndarray:
+    """Both signs of every exact tie at each exponent from below x_min to
+    past x_max, with both nextafter neighbours (a sample of 64 significands an
+    exponent where p > 12), and of ±0.0, values in (0, x_min), x_min / 2,
+    over_at with its neighbours and 1.79e308."""
+    p = f.significand_bits
+    e_max = 2 ** (f.exponent_bits - 1) - 1
+    if p <= 12:
+        m = np.arange(2.0 ** (p - 1), 2.0 ** p)
+    else:
+        m = np.concatenate([rng.integers(2 ** (p - 1), 2 ** p, 62).astype(np.float64),
+                            [2.0 ** (p - 1), 2.0 ** p - 1]])
+    exps = np.arange(1 - e_max - 2, e_max + 3)
+    ties = [np.ldexp(m + 0.5, e - p + 1) for e in exps]
+    if f.supports_subnormals:
+        ties.append((m - 2.0 ** (p - 1) + 0.5) * f.x_s_min)
+    ties = np.concatenate(ties)
+    ties = ties[np.isfinite(ties)]
+    special = np.array([f.x_min / 2, f.over_at, 1.79e308])
+    xs = np.concatenate([ties, special, rng.uniform(0.0, f.x_min, 200)])
+    xs = np.concatenate([xs, np.nextafter(xs, 0.0), np.nextafter(xs, np.inf), [0.0]])
+    return np.concatenate([xs, -xs])
+
+
+class TestIndependentOracle:
+    """quantize and _round_scalar against round_to, which is built on a
+    frozen copy of the frexp rounding and does not move with icir.precision."""
+
+    @pytest.mark.parametrize("f", [FP16, BF16, FP32, FpFormat("e4m3-ish", 4, 4)],
+                             ids=lambda f: f.name)
+    def test_every_path_matches_round_to(self, f):
+        xs = _rounding_corpus(f, np.random.default_rng(48))
+        # value bits, NaN where the flag is up; the scalar path's beside them
+        ref, scalar = np.full(len(xs), math.nan), np.full(len(xs), math.nan)
+        ref_over, scalar_over, raises = (np.zeros(len(xs), dtype=bool) for _ in range(3))
+        for i, x in enumerate(xs.tolist()):
+            try:
+                out = round_to(x, f)
+            except OverflowError:   # math.ldexp past 2^1024, far past over_at
+                raises[i] = True
+                with pytest.raises(OverflowError):
+                    _round_scalar(x, f)
+                continue
+            ref_over[i] = out.overflow
+            if not out.overflow:
+                ref[i] = out.value
+            y, scalar_over[i] = _round_scalar(x, f)
+            if not scalar_over[i]:
+                scalar[i] = y
+        assert not np.any(raises & (np.abs(xs) <= f.over_at))
+        assert np.array_equal(scalar_over, ref_over)
+        assert np.array_equal(scalar.view(np.int64), ref.view(np.int64))
+        ax = np.abs(xs)
+        # the frexp fallback on overflows, zeros and underflows, the cast and
+        # the split
+        for keep in (ax >= 0.0, ax < f.over_at, (ax > 0.0) & (ax < f.over_at),
+                     (ax >= f.x_min) & (ax < f.over_at)):
+            with np.errstate(over="ignore"):   # 1.79e308 overflows the frexp path
+                y, over = quantize(xs[keep], f)
+            assert np.array_equal(over, ref_over[keep] | raises[keep])
+            ok = ~over
+            assert np.array_equal(y[ok].view(np.int64), ref[keep][ok].view(np.int64))
 
 
 class TestSimOp:
