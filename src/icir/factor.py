@@ -69,7 +69,7 @@ import numpy as np
 
 from .precision import FpFormat, quantize, safe_scale_check, safe_update_many
 from .sparse import SparseSpd, SqueezeReport, squeeze
-from .symbolic import FillPattern, _split, _step_times
+from .symbolic import FillPattern, _split, _steps
 
 __all__ = [
     "Breakdown",
@@ -164,7 +164,7 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     """
     n, cp = pattern.n, pattern.col_ptr
     keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(cp)) + pattern.row_idx
-    task, src, T, P = _step_times(pattern)
+    task, src, T, P = _steps(pattern)
     steps = int(P.max(initial=-1)) + 1
     # pivot j is operation 2j, the scatter from source k operation 2k + 1
     rest = np.full(steps, 2 * n, dtype=np.int64)

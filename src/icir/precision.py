@@ -18,19 +18,19 @@ Overflow is reported through a flag or mask, never by producing an infinity:
 carriers must stay finite.  No fused multiply-add anywhere; every multiply and subtract
 rounds separately.
 
-quantize copies fp64 and casts fp16 and fp32 to float16 / float32, which
-rounds once to nearest-even, subnormals included.  Other formats take
-Veltkamp's split (Dekker 1971), c = x * (2^(53-p) + 1), y = c - (c - x),
-when every |x| lies in [x_min, over_at): with no overflow or underflow in
-fp64 that is x rounded to p bits, nearest-even (Boldo 2006 for the ties),
-and for p <= 51 and at most 10 exponent bits (else FpFormat.split is None)
-neither occurs there.  Any other array, and one to cast with a value that
-would overflow, takes the frexp path, so overflowed slots keep their finite
-rounded magnitude.  _round_scalar, the scalar twin with the same split,
-serves the native_low backward's chains, where a one-element quantize costs
-10-20 times as much.  In tests/test_precision.py, TestBitwiseOracle pins the
-paths to each other and TestIndependentOracle to the frozen frexp rounding
-of tests/oracles.py.
+_round_unchecked rounds with no range test: fp16 and fp32 by NumPy's cast
+to float16 / float32 (nearest-even, subnormals included), exact for |x| <
+over_at; bf16 and custom formats by Veltkamp's split (Dekker 1971), c = x *
+(2^(53-p) + 1), y = c - (c - x), which without fp64 overflow or underflow
+is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
+±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent bits
+(else FpFormat.split is None).  _rounds_exactly is that domain; quantize
+rounds an array inside it so, fp64 by a copy and any other array by the
+frexp path, whose overflowed slots hold over_at.  _round_scalar, the scalar
+twin of the split and frexp paths, serves the native_low backward's chains,
+where a one-element quantize costs 10-20 times as much.  TestBitwiseOracle
+in tests/test_precision.py pins the paths to each other, TestIndependentOracle
+to the frozen frexp rounding of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -124,14 +124,16 @@ def get_format(name: str) -> FpFormat:
 def _round_scalar(x: float, f: FpFormat):
     """Round one finite double into format f.
 
-    Returns (value, overflow) where value is a double exactly representable
-    in f.  Mirrors quantize()'s split and frexp paths operation-for-operation
-    so scalar and vector paths are bit-identical.
+    Returns (value, overflow), value exactly representable in f or over_at.
+    Mirrors quantize()'s split and frexp paths operation-for-operation so
+    scalar and vector paths are bit-identical.
     """
     ax = abs(x)
     if f.split is not None and f.x_min <= ax < f.over_at:
         c = x * f.split
         return c - (c - x), False
+    if ax >= f.over_at:
+        return math.copysign(f.over_at, x), True
     if x == 0.0:
         return x, False  # preserves signed zero
     p = f.significand_bits
@@ -145,40 +147,48 @@ def _round_scalar(x: float, f: FpFormat):
     else:
         # no subnormals: nearest of {0, x_min}; the tie x_min/2 goes to 0 (even)
         y = f.x_min if ax > 0.5 * f.x_min else 0.0
-    if y > f.x_max:
-        return math.copysign(y, x), True
     return math.copysign(y, x), False
+
+
+def _round_unchecked(x: np.ndarray, f: FpFormat) -> np.ndarray:
+    """x rounded into f's cast or split with no range test (see the module docstring)."""
+    if f.cast is not None:
+        return x.astype(f.cast).astype(np.float64)
+    c = x * f.split
+    return c - (c - x)
+
+
+def _rounds_exactly(ax: np.ndarray, f: FpFormat) -> bool:
+    """True iff f has a cast and every |x| in ax is below over_at, or a split
+    and every |x| is 0 or in [x_min, over_at).  NaN fails, an empty ax passes."""
+    if f.cast is None:
+        if f.split is None or ax.min(initial=f.x_min) < f.x_min and ax[ax < f.x_min].any():
+            return False
+    return np.count_nonzero(ax < f.over_at) == ax.size
 
 
 def quantize(x: np.ndarray, f: FpFormat):
     """Vectorized rounding of an array of finite doubles into f.
 
-    Returns (y, overflow_mask).  Overflowed slots keep their (finite, too
-    large) rounded magnitude; callers must honor the mask before using them.
+    Returns (y, overflow_mask).  Overflowed slots hold over_at, finite and
+    too large; callers must honor the mask before using them.
     """
     x = np.asarray(x, dtype=np.float64)
     if f.is_double:
         return x.copy(), np.zeros(x.shape, dtype=bool)
-    if f.cast is not None:
-        over = np.abs(x) >= f.over_at
-        if not np.count_nonzero(over):
-            return x.astype(f.cast).astype(np.float64), over
     ax = np.abs(x)
-    if f.split is not None and ax.size and ax.min() >= f.x_min and ax.max() < f.over_at:
-        c = x * f.split
-        return c - (c - x), np.zeros(x.shape, dtype=bool)
+    if _rounds_exactly(ax, f):
+        return _round_unchecked(x, f), np.zeros(x.shape, dtype=bool)
     p = f.significand_bits
-    m, e = np.frexp(ax)
-    q = np.rint(np.ldexp(m, p))  # ties to even
-    y = np.ldexp(q, e - p)
+    m, e = np.frexp(np.minimum(ax, f.x_max))   # so that no slot rounds past 2^1024
+    y = np.asarray(np.ldexp(np.rint(np.ldexp(m, p)), e - p))   # ties to even; an array for 0-d x
     small = ax < f.x_min
-    if np.count_nonzero(small):
-        if f.supports_subnormals:
-            ysub = np.rint(ax / f.x_s_min) * f.x_s_min
-        else:
-            ysub = np.where(ax > 0.5 * f.x_min, f.x_min, 0.0)
-        y = np.where(small, ysub, y)
-    over = y > f.x_max
+    if small.any():   # no subnormals: the tie x_min/2 goes to 0 (even)
+        a = ax[small]
+        y[small] = (np.rint(a / f.x_s_min) * f.x_s_min if f.supports_subnormals
+                    else np.where(a > 0.5 * f.x_min, f.x_min, 0.0))
+    over = ax >= f.over_at
+    y[over] = f.over_at
     return np.copysign(y, x), over
 
 

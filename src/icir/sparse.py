@@ -47,6 +47,7 @@ class SparseSpd:
     values: np.ndarray   # float64, length nnz
     # column index of each stored entry; derived, cached for the kernels
     entry_col: np.ndarray = field(default=None, repr=False)
+    off: tuple = field(default=None, init=False, repr=False)   # off_diagonal(), on first use
 
     def __post_init__(self):
         self.col_ptr = np.asarray(self.col_ptr, dtype=np.int64)
@@ -64,9 +65,19 @@ class SparseSpd:
         # diagonal is the first entry of every column
         return self.col_ptr[:-1]
 
+    def off_diagonal(self):
+        """Positions, rows and columns of the off-diagonal entries, found on
+        first use and shared with the matrices with_values makes after it."""
+        if self.off is None:
+            pos = np.flatnonzero(self.row_idx != self.entry_col)
+            self.off = pos, self.row_idx[pos], self.entry_col[pos]
+        return self.off
+
     def with_values(self, values: np.ndarray) -> "SparseSpd":
-        return SparseSpd(self.n, self.col_ptr, self.row_idx,
-                         np.asarray(values, dtype=np.float64), self.entry_col)
+        other = SparseSpd(self.n, self.col_ptr, self.row_idx,
+                          np.asarray(values, dtype=np.float64), self.entry_col)
+        other.off = self.off
+        return other
 
     @staticmethod
     def from_coo(n: int, rows, cols, vals) -> "SparseSpd":
@@ -178,13 +189,13 @@ def read_matrix_market(source) -> SparseSpd:
 def _column_sumsq(A: SparseSpd, m=None) -> np.ndarray:
     """Squared 2-norm of each column of the full symmetric matrix, or with m
     of each column j divided by m[j]."""
-    off = A.row_idx != A.entry_col
-    v, w = A.values, A.values[off]
+    pos, rows, _ = A.off_diagonal()
+    v, w = A.values, A.values[pos]
     if m is not None:
-        v, w = v / m[A.entry_col], w / m[A.row_idx[off]]
+        v, w = v / m[A.entry_col], w / m[rows]
     with np.errstate(over="ignore"):   # l2_scale redoes such columns
         sumsq = np.bincount(A.entry_col, weights=v * v, minlength=A.n)
-        sumsq += np.bincount(A.row_idx[off], weights=w * w, minlength=A.n)
+        sumsq += np.bincount(rows, weights=w * w, minlength=A.n)
     return sumsq
 
 
@@ -221,12 +232,12 @@ def squeeze(Ahat: SparseSpd, f: FpFormat):
     y, over = quantize(Ahat.values, f)
     if np.any(over):
         raise ValueError("entry overflows the target format; input not prescaled?")
-    is_diag = Ahat.row_idx == Ahat.entry_col
-    zeroed = (y == 0.0) & (Ahat.values != 0.0)
-    subnormal = (y != 0.0) & (np.abs(y) < f.x_min)
-    drop = ~is_diag & zeroed
-    flush = ~is_diag & subnormal
-    keep = ~(drop | flush)
+    pos = Ahat.off_diagonal()[0]
+    yo = y[pos]
+    drop = (yo == 0.0) & (Ahat.values[pos] != 0.0)
+    flush = (yo != 0.0) & (np.abs(yo) < f.x_min)
+    keep = np.ones(Ahat.nnz, dtype=bool)
+    keep[pos[drop | flush]] = False
     report = SqueezeReport(kept=int(np.count_nonzero(keep)),
                            dropped_underflow=int(np.count_nonzero(drop)),
                            flushed_subnormal=int(np.count_nonzero(flush)))
@@ -244,17 +255,17 @@ def matvec_f64(A: SparseSpd, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (A.n,):
         raise ValueError("dimension mismatch")
+    pos, rows, cols = A.off_diagonal()
     y = np.bincount(A.row_idx, weights=A.values * x[A.entry_col], minlength=A.n)
-    off = A.row_idx != A.entry_col
-    y += np.bincount(A.entry_col[off], weights=A.values[off] * x[A.row_idx[off]], minlength=A.n)
+    y += np.bincount(cols, weights=A.values[pos] * x[rows], minlength=A.n)
     return y
 
 
 def inf_norm_matrix(A: SparseSpd) -> float:
+    pos, _, cols = A.off_diagonal()
     av = np.abs(A.values)
     rowsum = np.bincount(A.row_idx, weights=av, minlength=A.n)
-    off = A.row_idx != A.entry_col
-    rowsum += np.bincount(A.entry_col[off], weights=av[off], minlength=A.n)
+    rowsum += np.bincount(cols, weights=av[pos], minlength=A.n)
     return float(rowsum.max()) if A.n else 0.0
 
 

@@ -36,9 +36,9 @@ of one level are independent and can be processed as one vectorised step
 (level scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
 Sparse Linear Systems, 2nd ed., 2003).  The factor (icir.factor) and the
 native_low forward solve run from the dataflow steps _step_times finds
-from them, the other solves from the levels (icir.trisolve), which keep
-their kernel in the pattern's solve_kernel slot, so every factor attempt
-and solve with one pattern shares one analysis.
+from them (kept in the pattern's step_times slot), the other solves from
+the levels (icir.trisolve), which keep their kernels in its solve_kernel
+slot, so every factor attempt and solve with one pattern shares one analysis.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ class FillPattern:
     # the solves' kernels by exec mode, built by icir.trisolve on a mode's
     # first solve; the pattern is treated as immutable after construction
     solve_kernel: object = field(default=None, init=False, repr=False, compare=False)
+    # _step_times, kept by _steps on first use
+    step_times: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.column_level, self.depth = _column_levels(self)
@@ -153,11 +155,16 @@ def _step_times(pattern: FillPattern):
     return task[by_step], src[by_step], T[by_step], P
 
 
+def _steps(pattern: FillPattern):
+    """_step_times, found on first use and kept on the pattern (16 bytes an off-diagonal)."""
+    if pattern.step_times is None:
+        pattern.step_times = _step_times(pattern)
+    return pattern.step_times
+
+
 def _full_adjacency(A: SparseSpd):
     """CSR adjacency (both directions, no self loops) of the symmetric structure."""
-    off = A.row_idx != A.entry_col
-    r = A.row_idx[off]
-    c = A.entry_col[off]
+    _, r, c = A.off_diagonal()
     src = np.concatenate([r, c])
     dst = np.concatenate([c, r])
     order = np.argsort(src, kind="stable")

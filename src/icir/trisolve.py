@@ -21,7 +21,7 @@ of L y = w takes its updates l_jk y_k in ascending column k, of L^T y = w
 its updates l_ij y_i in descending row i.
 
 native_low gives the bits of the column loops in tests/oracles.py.  The
-forward runs the factor's dataflow steps (icir.symbolic._step_times): a
+forward runs the factor's dataflow steps (icir.symbolic._steps): a
 step's tasks, less those whose source y_k was zero at its pivot (the loop
 skips that column), round their products l_jk y_k as one batch and their
 subtractions as another, a target taking at most one; then each of its
@@ -30,13 +30,18 @@ reverse: one rounded batch of the products l_ij y_i of the level's columns,
 then per column the subtractions of its nonzero products in ascending row,
 one scalar rounding each, and the division.
 
+The forward runs its steps unchecked first, each batch rounded by
+icir.precision._round_unchecked, and tests the unrounded batches once at
+the end with _rounds_exactly; unless all were exact (a zero pivot's
+quotient is not), it restores y and reruns the steps checked, by quantize.
+
 Operations are numbered in the loops' order: forward, 3k is the zero test
 and division of column k, 3k + 1 its products, 3k + 2 its subtractions;
 backward, with m = n - 1 - j, 4m is the zero test of column j, 4m + 1 its
 products, 4m + 2 its subtractions, 4m + 3 its division.  An operation reads
-only lower-numbered results, so the lowest-numbered failure is the loop's
-first, raised without a rerun.  Operations after it run on silently
-(np.errstate), and the backward skips the scalar chains numbered above it.
+only lower-numbered results, so a checked pass's lowest-numbered failure is
+the loop's first, raised with no further rerun.  Operations after it run on
+silently (np.errstate), and the backward skips the chains numbered above it.
 """
 
 from __future__ import annotations
@@ -46,9 +51,9 @@ from bisect import bisect_right
 import numpy as np
 
 from .factor import IcFactor
-from .precision import _round_scalar, quantize
+from .precision import _round_scalar, _round_unchecked, _rounds_exactly, quantize
 from .sparse import inf_norm_vector
-from .symbolic import FillPattern, _off_diagonals, _split, _step_times
+from .symbolic import FillPattern, _off_diagonals, _split, _steps
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
@@ -136,7 +141,7 @@ class _NativeSteps:
 
     def __init__(self, pattern: FillPattern):
         cp, ri, level = pattern.col_ptr, pattern.row_idx, pattern.column_level
-        task, src, T, P = _step_times(pattern)
+        task, src, T, P = _steps(pattern)
         pos, src, tgt = task.astype(np.intp), src.astype(np.intp), ri[task].astype(np.intp)
         cols = np.argsort(P, kind="stable")
         diag = cp[cols].astype(np.intp)
@@ -157,6 +162,23 @@ class _NativeSteps:
 
     @np.errstate(all="ignore")
     def forward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
+        if f.cast or f.split:   # unchecked, then checked unless every rounding was exact
+            w, kept = y.copy(), [np.empty(0)]
+            self._forward(vals, y, f, kept)
+            ax = np.concatenate(kept)   # with kept, about 32 bytes a task until the test
+            if _rounds_exactly(np.abs(ax, out=ax), f):
+                return
+            y[:] = w
+        self._forward(vals, y, f, None)
+
+    def _forward(self, vals: np.ndarray, y: np.ndarray, f, kept) -> None:
+        """One pass, unchecked with the unrounded arrays appended to the list
+        kept, or with kept None checked, raising the lowest failure."""
+        def rounded(x):
+            if kept is None:
+                return quantize(x, f)
+            kept.append(x)
+            return _round_unchecked(x, f), False
         live = np.empty(len(y), dtype=bool)   # y_j was nonzero at its pivot
         fail = (3 * len(y), "", 0)            # the lowest failure: number, kind, column
         for src, tgt, pos, cols, diag in self.fsteps:
@@ -164,10 +186,10 @@ class _NativeSteps:
                 keep, lk = live[src], vals[pos]
                 if np.count_nonzero(keep) < len(keep):
                     src, tgt, lk = src[keep], tgt[keep], lk[keep]
-                p, over = quantize(lk * y[src], f)
+                p, over = rounded(lk * y[src])
                 if np.count_nonzero(over):
                     fail = min(fail, (3 * (k := int(src[over].min())) + 1, "product", k))
-                y[tgt], over = quantize(y[tgt] - p, f)
+                y[tgt], over = rounded(y[tgt] - p)
                 if np.count_nonzero(over):
                     fail = min(fail, (3 * (k := int(src[over].min())) + 2, "subtraction", k))
             if len(cols):
@@ -176,7 +198,7 @@ class _NativeSteps:
                 if np.count_nonzero(nz) < len(nz):
                     cols, yj, d = cols[nz], yj[nz], d[nz]
                 # y_j / 0 is infinite, so a zero diagonal overflows as well
-                y[cols], over = quantize(yj / d, f)
+                y[cols], over = rounded(yj / d)
                 if np.count_nonzero(over):
                     j = int(cols[i := int(np.argmax(over))])
                     fail = min(fail, (3 * j, "division" if d[i] else "zero", j))

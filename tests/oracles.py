@@ -15,6 +15,12 @@ native_forward_solve and native_backward_solve are the references of the
 native_low substitutions of icir.trisolve: one sim_op per operation, the
 first overflow raising OverflowSignal with the kernels' message.
 
+masked_matvec, masked_inf_norm, masked_column_sumsq, masked_squeeze and
+masked_adjacency are the formulas icir.sparse and icir.symbolic had before
+SparseSpd kept its off-diagonal view: each forms the mask row_idx !=
+entry_col (or ==) on every call.  The kernels that read the view must give
+their bytes.
+
 wathen is the reference of icir.gallery.wathen: the per-element loop, whose
 triplets the vectorised generator must give in the same order.
 
@@ -45,7 +51,7 @@ from icir.gallery import _ELEMENT
 from icir.krylov import CONVERGED, MAX_ITERATIONS, STAGNATED, KrylovOutcome
 from icir.precision import FpFormat, quantize, safe_scale_check, safe_update_many
 from icir.sparse import SparseSpd, matvec_f64
-from icir.symbolic import FillPattern, _full_adjacency
+from icir.symbolic import FillPattern
 from icir.trisolve import OverflowSignal
 
 OVERFLOW = "overflow"
@@ -251,6 +257,60 @@ def native_backward_solve(col_ptr, row_idx, values, w, f: FpFormat) -> np.ndarra
     return np.array(y)
 
 
+def masked_matvec(A: SparseSpd, x: np.ndarray) -> np.ndarray:
+    y = np.bincount(A.row_idx, weights=A.values * x[A.entry_col], minlength=A.n)
+    off = A.row_idx != A.entry_col
+    y += np.bincount(A.entry_col[off], weights=A.values[off] * x[A.row_idx[off]], minlength=A.n)
+    return y
+
+
+def masked_inf_norm(A: SparseSpd) -> float:
+    av = np.abs(A.values)
+    rowsum = np.bincount(A.row_idx, weights=av, minlength=A.n)
+    off = A.row_idx != A.entry_col
+    rowsum += np.bincount(A.entry_col[off], weights=av[off], minlength=A.n)
+    return float(rowsum.max()) if A.n else 0.0
+
+
+def masked_column_sumsq(A: SparseSpd, m=None) -> np.ndarray:
+    off = A.row_idx != A.entry_col
+    v, w = A.values, A.values[off]
+    if m is not None:
+        v, w = v / m[A.entry_col], w / m[A.row_idx[off]]
+    with np.errstate(over="ignore"):
+        sumsq = np.bincount(A.entry_col, weights=v * v, minlength=A.n)
+        sumsq += np.bincount(A.row_idx[off], weights=w * w, minlength=A.n)
+    return sumsq
+
+
+def masked_squeeze(Ahat: SparseSpd, f: FpFormat):
+    """squeeze's kept rows and values, column counts and (kept, dropped,
+    flushed) counts."""
+    y, _ = quantize(Ahat.values, f)
+    is_diag = Ahat.row_idx == Ahat.entry_col
+    drop = ~is_diag & (y == 0.0) & (Ahat.values != 0.0)
+    flush = ~is_diag & (y != 0.0) & (np.abs(y) < f.x_min)
+    keep = ~(drop | flush)
+    counts = (int(np.count_nonzero(keep)), int(np.count_nonzero(drop)),
+              int(np.count_nonzero(flush)))
+    return Ahat.row_idx[keep], y[keep], np.bincount(Ahat.entry_col[keep], minlength=Ahat.n), counts
+
+
+def masked_adjacency(A: SparseSpd):
+    """CSR adjacency (both directions, no self loops) of the symmetric structure."""
+    off = A.row_idx != A.entry_col
+    r = A.row_idx[off]
+    c = A.entry_col[off]
+    src = np.concatenate([r, c])
+    dst = np.concatenate([c, r])
+    order = np.argsort(src, kind="stable")
+    src = src[order]
+    dst = dst[order]
+    ptr = np.zeros(A.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=A.n), out=ptr[1:])
+    return ptr, dst
+
+
 def wathen(nx: int, ny: int, seed: int = 0) -> SparseSpd:
     """Random Wathen mass matrix, assembled one element at a time (j outer,
     i inner), each element's 8 x 8 block in row-major order."""
@@ -291,7 +351,7 @@ def column_pattern(A, level):
     the column's rows.
     """
     n = A.n
-    adj_ptr, adj = _full_adjacency(A)
+    adj_ptr, adj = masked_adjacency(A)
 
     cols = []
     visited = np.full(n, -1, dtype=np.int64)  # stamp = source column

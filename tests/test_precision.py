@@ -215,8 +215,7 @@ class TestIndependentOracle:
                 out = round_to(x, f)
             except OverflowError:   # math.ldexp past 2^1024, far past over_at
                 raises[i] = True
-                with pytest.raises(OverflowError):
-                    _round_scalar(x, f)
+                assert _round_scalar(x, f) == (math.copysign(f.over_at, x), True)
                 continue
             ref_over[i] = out.overflow
             if not out.overflow:
@@ -232,11 +231,51 @@ class TestIndependentOracle:
         # the split
         for keep in (ax >= 0.0, ax < f.over_at, (ax > 0.0) & (ax < f.over_at),
                      (ax >= f.x_min) & (ax < f.over_at)):
-            with np.errstate(over="ignore"):   # 1.79e308 overflows the frexp path
-                y, over = quantize(xs[keep], f)
+            y, over = quantize(xs[keep], f)
             assert np.array_equal(over, ref_over[keep] | raises[keep])
             ok = ~over
             assert np.array_equal(y[ok].view(np.int64), ref[keep][ok].view(np.int64))
+
+
+class TestTopOfFp64:
+    """The frexp path past over_at, up to the largest doubles: a finite
+    magnitude above x_max, flagged as overflow, and no warning (the suite
+    turns RuntimeWarning into an error)."""
+
+    E4M3 = FpFormat("e4m3-ish", 4, 4)
+
+    @pytest.mark.parametrize("f", [FP16, BF16, FP32, E4M3], ids=lambda f: f.name)
+    def test_largest_doubles_overflow_finite(self, f):
+        xs = np.array([1.79e308, -1.79e308, np.finfo(np.float64).max, f.over_at])
+        y, over = quantize(xs, f)
+        assert over.all() and np.all(np.isfinite(y)) and np.all(np.abs(y) > f.x_max)
+        assert np.array_equal(np.signbit(y), np.signbit(xs))
+        for x in xs.tolist():
+            v, flag = _round_scalar(x, f)
+            assert flag and math.isfinite(v) and abs(v) > f.x_max
+
+    def test_scalar_past_ldexp_range(self):
+        # the significand rounds up to 2^1024, where math.ldexp would raise
+        assert _round_scalar(1.79e308, self.E4M3) == (self.E4M3.over_at, True)
+        assert _round_scalar(-1.79e308, self.E4M3) == (-self.E4M3.over_at, True)
+
+    @pytest.mark.parametrize("f", [FP16, FP32, E4M3], ids=lambda f: f.name)
+    def test_subnormals_beside_the_largest_doubles(self, f):
+        # the subnormal branch divides by x_s_min, which only the small
+        # entries may meet
+        xs = np.array([f.x_s_min * 1.5, -f.x_s_min * 0.25, 1e305, 1.0])
+        y, over = quantize(xs, f)
+        assert over.tolist() == [False, False, True, False]
+        for x, v in zip(xs[~over].tolist(), y[~over].tolist()):
+            assert np.float64(v).view(np.int64) == np.float64(round_to(x, f).value).view(np.int64)
+
+    def test_fp16_small_and_large(self):
+        y, over = quantize([1e-9, 1e305], FP16)
+        assert over.tolist() == [False, True]
+        assert y[0] == 0.0 and y[1] == FP16.over_at
+        # a scalar takes the same path
+        assert [tuple(quantize(x, FP16)) for x in (1e-9, -1e305)] == [(0.0, False),
+                                                                      (-FP16.over_at, True)]
 
 
 class TestSimOp:

@@ -21,8 +21,9 @@ from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
 from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
-from icir.symbolic import FillPattern, _column_levels, ic_pattern
-from icir.trisolve import _LevelKernel, apply_preconditioner, backward_solve, forward_solve
+from icir.symbolic import FillPattern, _column_levels, _step_times, ic_pattern
+from icir.trisolve import (NATIVE_LOW, _LevelKernel, apply_preconditioner, backward_solve,
+                           forward_solve)
 
 
 def _pattern(n, entries):
@@ -350,9 +351,10 @@ def _zeroed_pivot():
 
 
 def _holds_no_factor_state(pattern):
-    """The pattern holds its arrays and levels and nothing of the factor;
-    solve_kernel stays the class default until a solve sets it."""
-    return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "column_level", "depth"}
+    """The pattern holds its arrays, levels and step times and nothing of the
+    factor; solve_kernel stays the class default until a solve sets it."""
+    return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "column_level", "depth",
+                                   "step_times"}
             and pattern.solve_kernel is None)
 
 
@@ -423,3 +425,19 @@ def test_one_schedule_serves_restarts_and_solves():
     assert pattern.column_level is level
     assert kernel is not None and pattern.solve_kernel is kernel
     assert plans.call_count == 1
+
+
+def test_step_times_found_once_per_pattern():
+    # the factor's plan and the native_low forward share one _step_times
+    bf16 = get_format("bf16")
+    with mock.patch.object(icir.symbolic, "_step_times", wraps=_step_times) as times:
+        for seed in (1, 2):
+            A, _ = l2_scale(wathen(4, 3, seed=seed))
+            pattern = ic_pattern(A, 0)
+            L = shifted_ic(A, pattern, f=bf16)
+            assert times.call_count == seed and pattern.step_times is not None
+            steps = pattern.step_times
+            for r in (np.ones(L.n), np.linspace(-1.0, 2.0, L.n)):
+                apply_preconditioner(L, r, NATIVE_LOW)
+            assert times.call_count == seed and pattern.step_times is steps
+    assert times.call_args.args[0] is pattern

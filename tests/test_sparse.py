@@ -10,9 +10,11 @@ import oracles
 from conftest import to_dense
 from icir.gallery import random_spd, tridiag, wathen
 from icir.precision import get_format
-from icir.sparse import (MatrixFormatError, SparseSpd, inf_norm_matrix,
+from icir.sparse import (MatrixFormatError, SparseSpd, _column_sumsq, inf_norm_matrix,
                          inf_norm_vector, l2_scale, matvec_f64,
                          read_matrix_market, squeeze)
+from icir.symbolic import _full_adjacency
+from test_golden import corpus
 
 FP16 = get_format("fp16")
 FP64 = get_format("fp64")
@@ -311,3 +313,33 @@ class TestReaderFuzz:
             warnings.simplefilter("error")
             with pytest.raises(MatrixFormatError):
                 read_matrix_market(mm(BANNERS[0] + "\n" + body))
+
+
+def test_off_diagonal_view_gives_the_mask_formulas_bytes():
+    """Every reader of SparseSpd.off_diagonal against the mask it replaced,
+    byte for byte, on the golden corpus and the fp64-range extremes."""
+    rng = np.random.default_rng(12)
+    mats = list(corpus().values())
+    mats.append(SparseSpd(2, [0, 2, 3], [0, 1, 1], [1.7e308, 1e308, 1.7e308]))
+    for A in mats:
+        x = rng.standard_normal(A.n) / max(1.0, np.abs(A.values).max())
+        m = np.maximum(np.bincount(A.entry_col, np.abs(A.values), A.n),
+                       np.bincount(A.row_idx, np.abs(A.values), A.n))
+        Ahat, _ = l2_scale(A)
+        assert Ahat.off is A.off   # one view, shared by the scaled matrix
+        for B in (A, Ahat):
+            assert matvec_f64(B, x).tobytes() == oracles.masked_matvec(B, x).tobytes()
+            with np.errstate(over="ignore"):   # the extremes' row sum is inf
+                assert inf_norm_matrix(B) == oracles.masked_inf_norm(B)
+            for scale in (None, m):
+                assert (_column_sumsq(B, scale).tobytes()
+                        == oracles.masked_column_sumsq(B, scale).tobytes())
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(_full_adjacency(B), oracles.masked_adjacency(B)))
+        for f in (get_format("fp16"), get_format("bf16")):
+            Alow, report = squeeze(Ahat, f)
+            rows, vals, counts, kept = oracles.masked_squeeze(Ahat, f)
+            assert (report.kept, report.dropped_underflow, report.flushed_subnormal) == kept
+            assert Alow.row_idx.tobytes() == rows.tobytes()
+            assert Alow.values.tobytes() == vals.tobytes()
+            assert np.array_equal(np.diff(Alow.col_ptr), counts)

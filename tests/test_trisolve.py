@@ -10,7 +10,7 @@ import oracles
 from conftest import ic_attempt_on
 from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import poisson2d, random_spd, wathen
-from icir.precision import get_format, quantize
+from icir.precision import FpFormat, get_format, quantize
 from icir.sparse import l2_scale, matvec_f64
 from icir.symbolic import FillPattern, ic_pattern
 from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal,
@@ -193,6 +193,84 @@ def test_underflowed_quotient_still_updates():
                     L.values, w, FP16)
     assert want == [0, 0]
     assert _outcome(forward_solve, L, w, NATIVE_LOW) == want
+
+
+BF16 = get_format("bf16")
+FP32 = get_format("fp32")
+E4M3 = FpFormat("e4m3-ish", 4, 4)   # x_min 2^-6, x_s_min 2^-9, x_max 240
+TINY = 2.0 ** -126                  # the bf16 x_min
+
+
+@pytest.mark.parametrize("Ld, w, f, entry, want", [
+    # 0.75 * 2^-126 rounds up to x_min: bf16 has no subnormals
+    ([[1.0, 0.0], [0.75 * 2.0 ** -66, 1.0]], [2.0 ** -60, 0.0], BF16, None,
+     [2.0 ** -60, -TINY]),
+    # y_0 = x_min / 4 rounds to +0 but was nonzero, so column 0 still updates
+    ([[4.0, 0.0], [-1.0, 1.0]], [TINY, -0.0], BF16, None, [0.0, 0.0]),
+    ([[1.0, 0.0], [2.0, 1.0]], [60000.0, 60000.0], FP16, None, "product overflow at column 0"),
+    ([[1.0, 0.0], [-2.0, 1.0]], [30000.0, 60000.0], FP16, None,
+     "subtraction overflow at column 0"),
+    ([[2.0 ** -14, 0.0], [0.0, 1.0]], [8.0, 0.0], FP16, None, "division overflow at column 0"),
+    ([[1.0, 0.0], [2.0, 1.0]], [1.0, 1.0], FP16, (2, 0.0), "zero diagonal at column 1"),
+    # y_1 = 2 - 2 = 0 skips the zeroed pivot
+    ([[1.0, 0.0], [2.0, 1.0]], [1.0, 2.0], FP16, (2, 0.0), [1.0, 0.0]),
+    # a stored -0.0: y_1 = -0 - (-0 * 3) = +0
+    ([[1.0, 0.0], [1.0, 1.0]], [3.0, -0.0], FP16, (1, -0.0), [3.0, 0.0]),
+    ([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 4.0]], [0.0, -0.0, 0.0], BF16, None,
+     [0.0, -0.0, 0.0]),
+    ([[2.0]], [3.0], BF16, None, [1.5]),
+    ([[2.0]], [-0.0], FP16, None, [-0.0]),
+    ([[1.0, 0.0], [2.0 ** 100, 1.0]], [2.0 ** 30, 0.0], FP32, None,
+     "product overflow at column 0"),
+    # a product in fp32's subnormal range, kept by the cast
+    ([[1.0, 0.0], [2.0 ** -100, 1.0]], [-(2.0 ** -40) * 3, 0.0], FP32, None,
+     [-(2.0 ** -40) * 3, 3 * 2.0 ** -140]),
+    ([[3.0, 0.0, 0.0], [1.0 / 3.0, 7.0, 0.0], [0.1, -0.2, 1.0]], [1.0, 2.0, 3.0], FP64, None,
+     None),
+    ([[1.0, 0.0], [16.0, 1.0]], [16.0, 0.0], E4M3, None, "product overflow at column 0"),
+    # 2^-4 * 3 * 2^-6 = 1.5 x_s_min, a tie that goes to 2 x_s_min
+    ([[1.0, 0.0], [2.0 ** -4, 1.0]], [3 * 2.0 ** -6, 0.0], E4M3, None,
+     [3 * 2.0 ** -6, -(2.0 ** -8)]),
+], ids=["bf16-product-below-x_min", "bf16-quotient-below-x_min", "fp16-product",
+        "fp16-subtraction", "fp16-division", "zero-pivot", "zero-pivot-skipped",
+        "negative-zero-entry", "all-zero-rhs", "n1", "n1-zero", "fp32-product",
+        "fp32-subnormal", "fp64", "e4m3-product", "e4m3-subnormal-tie"])
+def test_forward_matches_scalar_reference(Ld, w, f, entry, want):
+    """The forward, unchecked pass and all, gives the scalar reference's bits
+    or exception and message; entry is a (position, value) set in L."""
+    L = make_factor(np.array(Ld), f)
+    if entry is not None:
+        L.values[entry[0]] = entry[1]
+    w = np.array(w)
+    got = _outcome(forward_solve, L, w, NATIVE_LOW)
+    assert got == _outcome(oracles.native_forward_solve, L.pattern.col_ptr, L.pattern.row_idx,
+                           L.values, w, f)
+    if isinstance(want, str):
+        assert got[1] == want
+    elif want is not None:
+        assert got == np.array(want).view(np.int64).tolist()
+
+
+def test_forward_checks_once_and_reruns_only_on_failure():
+    A, _ = l2_scale(wathen(4, 3, seed=1))
+    L = shifted_ic(A, ic_pattern(A, 0), f=BF16)
+    steps = trisolve._solve_kernel(L.pattern, NATIVE_LOW)
+    # the quantize calls of one checked pass: a step's products and
+    # subtractions, and its divisions
+    checked = sum(2 * (len(s[0]) > 0) + (len(s[3]) > 0) for s in steps.fsteps)
+    assert 0.5 < L.values[0] < 1.0   # the first pivot
+    in_range = quantize(np.linspace(-1.0, 1.0, L.n), BF16)[0]
+    underflow = in_range.copy()
+    underflow[0] = TINY / 4   # its quotient by the pivot is below x_min
+    overflow = in_range.copy()
+    overflow[0] = BF16.x_max  # and this one past x_max
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values)
+    for w, calls_of_the_forward in ((in_range, 0), (underflow, checked), (overflow, checked)):
+        with mock.patch.object(trisolve, "quantize", wraps=quantize) as calls:
+            got = _outcome(forward_solve, L, w, NATIVE_LOW)
+        assert calls.call_count == calls_of_the_forward
+        assert got == _outcome(oracles.native_forward_solve, *args, w, BF16)
+    assert got == ("OverflowSignal", "division overflow at column 0")
 
 
 def test_native_steps_built_once_and_never_by_cast_f64():
