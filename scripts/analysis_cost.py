@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Build cost of the per-pattern analysis: time and memory of each part.
+
+    python3 scripts/analysis_cost.py
+
+For each pattern below (the four benchmark patterns and the Baseline
+wathen(120, 100) of ROADMAP.md), prints one table row per part:
+icir.symbolic._schedule, icir.factor._step_plan and icir.trisolve's
+_LevelKernel (cast_f64) and _NativeSteps (native_low).  Each runs on a
+freshly built pattern, so a part's figures include the schedule it
+builds on first use.  Two more rows run shifted_ic in fp16 and one
+preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
+
+  ms       median of 7 builds, each on a fresh pattern, untraced
+  kept     tracemalloc bytes still allocated after one more build, with its
+           result held (for the shifted_ic rows, only what the pattern keeps)
+  peak     tracemalloc peak of that build
+
+A run takes two to three minutes on a 2-core host, most of it on the
+Baseline patterns.
+"""
+
+from __future__ import annotations
+
+import gc
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from icir import gallery
+from icir.factor import _step_plan, shifted_ic
+from icir.precision import get_format
+from icir.sparse import l2_scale
+from icir.symbolic import _schedule, ic_pattern
+from icir.trisolve import CAST_F64, NATIVE_LOW, _LevelKernel, _NativeSteps, apply_preconditioner
+
+PATTERNS = [
+    ("wathen(40, 30) IC(3)", lambda: gallery.wathen(40, 30, seed=0), 3),
+    ("poisson2d(50) IC(0)", lambda: gallery.poisson2d(50), 0),
+    ("wathen(10, 8) IC(0)", lambda: gallery.wathen(10, 8, seed=0), 0),
+    ("random_spd(100) IC(0)", lambda: gallery.random_spd(100, seed=0, density=0.3), 0),
+    ("random_spd(100) IC(3)", lambda: gallery.random_spd(100, seed=0, density=0.3), 3),
+    ("wathen(120, 100) IC(0)", lambda: gallery.wathen(120, 100, seed=0), 0),
+    ("wathen(120, 100) IC(3)", lambda: gallery.wathen(120, 100, seed=0), 3),
+]
+
+
+def _factor_and_apply(mode):
+    def run(A, pattern):
+        L = shifted_ic(A, pattern, f=get_format("fp16"))
+        apply_preconditioner(L, np.linspace(-1.0, 1.0, A.n), mode)
+    return run
+
+
+PARTS = [
+    ("_schedule", lambda A, pattern: _schedule(pattern)),
+    ("_step_plan", lambda A, pattern: _step_plan(pattern)),
+    ("_LevelKernel", lambda A, pattern: _LevelKernel(pattern)),
+    ("_NativeSteps", lambda A, pattern: _NativeSteps(pattern)),
+    ("shifted_ic + cast_f64 apply", _factor_and_apply(CAST_F64)),
+    ("shifted_ic + native_low apply", _factor_and_apply(NATIVE_LOW)),
+]
+
+MIB = 1 << 20
+
+
+def _seconds(build, A, level):
+    pattern = ic_pattern(A, level)
+    t0 = time.perf_counter()
+    build(A, pattern)
+    return time.perf_counter() - t0
+
+
+def _bytes(build, A, level):
+    """(kept, peak) tracemalloc bytes of one build on a fresh pattern."""
+    pattern = ic_pattern(A, level)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build(A, pattern)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result, pattern
+    return kept, peak
+
+
+def main() -> None:
+    print("| pattern | n | off-diagonals | part | ms | kept MiB | peak MiB |")
+    print("|---|---|---|---|---|---|---|")
+    for label, make, level in PATTERNS:
+        A, _ = l2_scale(make())
+        pattern = ic_pattern(A, level)
+        off = pattern.nnz - pattern.n
+        for name, build in PARTS:
+            ms = 1e3 * statistics.median(_seconds(build, A, level) for _ in range(7))
+            kept, peak = _bytes(build, A, level)
+            print(f"| {label} | {A.n:,} | {off:,} | {name} | {ms:.1f} | {kept / MIB:.2f} | "
+                  f"{peak / MIB:.2f} |", flush=True)
+
+
+if __name__ == "__main__":
+    main()

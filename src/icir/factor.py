@@ -69,7 +69,7 @@ import numpy as np
 
 from .precision import FpFormat, quantize, safe_scale_check, safe_update_many
 from .sparse import SparseSpd, SqueezeReport, squeeze
-from .symbolic import FillPattern, _split, _steps
+from .symbolic import FillPattern, _schedule, _split
 
 __all__ = [
     "Breakdown",
@@ -134,7 +134,8 @@ class ShiftRestartError(RuntimeError):
     def __init__(self, history):
         self.history = list(history)
         tried = ", ".join(f"alpha={a:g}:{b.kind}@{b.k}" for a, b in self.history)
-        super().__init__(f"shifted factorization failed after {len(self.history)} attempts ({tried})")
+        super().__init__(
+            f"shifted factorization failed after {len(self.history)} attempts ({tried})")
 
 
 def default_tau(f: FpFormat) -> float:
@@ -159,37 +160,33 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     of column k, those of the l_ik), and the shift that puts those positions
     at shift + their index among the step's pairs.  (diag, below, off)
     describe its pivots in ascending column: their diagonal positions,
-    off-diagonal counts and off-diagonal positions.  The step times come
-    from icir.symbolic._step_times.
+    off-diagonal counts and off-diagonal positions, all from the schedule.
     """
     n, cp = pattern.n, pattern.col_ptr
     keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(cp)) + pattern.row_idx
-    task, src, T, P = _steps(pattern)
-    steps = int(P.max(initial=-1)) + 1
+    s = _schedule(pattern)
+    task, src, steps = s.task, s.src, len(s.task_counts)
+    P = np.repeat(np.arange(steps), s.pivot_counts)
     # pivot j is operation 2j, the scatter from source k operation 2k + 1
     rest = np.full(steps, 2 * n, dtype=np.int64)
-    np.minimum.at(rest, T, 2 * src.astype(np.int64) + 1)   # ufunc.at is slow when it casts
-    np.minimum.at(rest, P, 2 * np.arange(n))
+    np.minimum.at(rest, np.repeat(np.arange(steps), s.task_counts), 2 * src.astype(np.int64) + 1)
+    np.minimum.at(rest, P, 2 * s.pivots)
     rest = np.minimum.accumulate(rest[::-1])[::-1].copy()
-    pairs = (cp[src + 1] - task).astype(np.int32)
-    del src
-    per_step = np.bincount(T, minlength=steps)
-    # a task's pair positions, from l_jk to the end of column k, are its
-    # shift plus the pairs' index within the step
-    before = np.cumsum(pairs) - pairs
-    step_first = np.repeat(np.cumsum(per_step) - per_step, per_step)
-    shift = (task - before + before[step_first]).astype(np.int32)
-    del before, step_first
-    pivots = np.argsort(P, kind="stable")
-    diag = cp[pivots].astype(np.int32)
-    below = (cp[pivots + 1] - 1 - diag).astype(np.int32)
+    diag = cp[s.pivots].astype(np.int32)
+    below = (cp[s.pivots + 1] - 1 - diag).astype(np.int32)
     # every off-diagonal, column by column in pivot order
     off = np.arange(len(task)) + np.repeat(diag + 1 - np.cumsum(below) + below, below)
     off = off.astype(np.int32)
-    psplit = _split(np.bincount(P, minlength=steps))
-    osplit = _split(np.bincount(P[pivots], below, minlength=steps).astype(np.int64))
+    pairs = (cp[src + 1] - task).astype(np.int32)
+    # a task's pair positions, from l_jk to the end of column k, are its
+    # shift plus the pairs' index within the step
+    before = np.concatenate(([0], np.cumsum(pairs)))   # the pairs before each task, and all
+    shift = np.repeat(before[np.cumsum(s.task_counts) - s.task_counts], s.task_counts)
+    shift = (shift - before[:-1] + task).astype(np.int32)
+    splits = zip(_split(s.task_counts), _split(s.pivot_counts),
+                 _split(np.bincount(P, below, minlength=steps).astype(np.int64)))
     return _StepPlan(pattern, keys, [(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
-                                     for a, b, o in zip(_split(per_step), psplit, osplit)], rest)
+                                     for a, b, o in splits], rest)
 
 
 def _scatter_into_pattern(Alow: SparseSpd, plan: _StepPlan) -> np.ndarray:
@@ -281,6 +278,7 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
     Alow, squeezed = squeeze(Ahat, f)
     plan = _step_plan(pattern)
     base = _scatter_into_pattern(Alow, plan)
+    del Alow   # the attempts read only base
     diag = pattern.col_ptr[:-1]
 
     alpha = 0.0

@@ -26,11 +26,12 @@ is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
 ±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent bits
 (else FpFormat.split is None).  _rounds_exactly is that domain; quantize
 rounds an array inside it so, fp64 by a copy and any other array by the
-frexp path, whose overflowed slots hold over_at.  _round_scalar, the scalar
-twin of the split and frexp paths, serves the native_low backward's chains,
-where a one-element quantize costs 10-20 times as much.  TestBitwiseOracle
-in tests/test_precision.py pins the paths to each other, TestIndependentOracle
-to the frozen frexp rounding of tests/oracles.py.
+frexp path, whose overflowed slots, inf and NaN among them, hold over_at.
+_round_scalar serves the native_low backward's chains, where a one-element
+quantize costs 10-20 times as much: it rounds the normal range by the split
+and returns a zero as it is, and hands any other value to quantize.
+TestBitwiseOracle in tests/test_precision.py pins the paths to each other,
+TestIndependentOracle to the frozen frexp rounding of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -122,32 +123,15 @@ def get_format(name: str) -> FpFormat:
 
 
 def _round_scalar(x: float, f: FpFormat):
-    """Round one finite double into format f.
-
-    Returns (value, overflow), value exactly representable in f or over_at.
-    Mirrors quantize()'s split and frexp paths operation-for-operation so
-    scalar and vector paths are bit-identical.
-    """
-    ax = abs(x)
-    if f.split is not None and f.x_min <= ax < f.over_at:
+    """Round one double into format f as quantize does: (value, overflow),
+    value exactly representable in f or ±over_at."""
+    if f.split is not None and f.x_min <= abs(x) < f.over_at:
         c = x * f.split
         return c - (c - x), False
-    if ax >= f.over_at:
-        return math.copysign(f.over_at, x), True
     if x == 0.0:
         return x, False  # preserves signed zero
-    p = f.significand_bits
-    if ax >= f.x_min:
-        m, e = math.frexp(ax)  # ax = m * 2^e, m in [0.5, 1)
-        q = round(math.ldexp(m, p))  # banker's rounding on an exact scale
-        y = math.ldexp(float(q), e - p)
-    elif f.supports_subnormals:
-        q = round(ax / f.x_s_min)  # division by a power of two is exact
-        y = q * f.x_s_min
-    else:
-        # no subnormals: nearest of {0, x_min}; the tie x_min/2 goes to 0 (even)
-        y = f.x_min if ax > 0.5 * f.x_min else 0.0
-    return math.copysign(y, x), False
+    y, over = quantize(x, f)
+    return float(y), bool(over)
 
 
 def _round_unchecked(x: np.ndarray, f: FpFormat) -> np.ndarray:
@@ -168,10 +152,11 @@ def _rounds_exactly(ax: np.ndarray, f: FpFormat) -> bool:
 
 
 def quantize(x: np.ndarray, f: FpFormat):
-    """Vectorized rounding of an array of finite doubles into f.
+    """Vectorized rounding of an array of doubles into f.
 
-    Returns (y, overflow_mask).  Overflowed slots hold over_at, finite and
-    too large; callers must honor the mask before using them.
+    Returns (y, overflow_mask).  Overflowed slots, inf and NaN among them,
+    hold ±over_at, finite and too large; callers must honor the mask before
+    using them.  fp64 is copied, with nothing flagged.
     """
     x = np.asarray(x, dtype=np.float64)
     if f.is_double:
@@ -187,7 +172,7 @@ def quantize(x: np.ndarray, f: FpFormat):
         a = ax[small]
         y[small] = (np.rint(a / f.x_s_min) * f.x_s_min if f.supports_subnormals
                     else np.where(a > 0.5 * f.x_min, f.x_min, 0.0))
-    over = ax >= f.over_at
+    over = ~(ax < f.over_at)
     y[over] = f.over_at
     return np.copysign(y, x), over
 

@@ -34,16 +34,18 @@ needs y_k before unknown j.  A column's level in this dependency DAG is one
 more than the largest level among the columns it depends on, so all columns
 of one level are independent and can be processed as one vectorised step
 (level scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
-Sparse Linear Systems, 2nd ed., 2003).  The factor (icir.factor) and the
-native_low forward solve run from the dataflow steps _step_times finds
-from them (kept in the pattern's step_times slot), the other solves from
-the levels (icir.trisolve), which keep their kernels in its solve_kernel
-slot, so every factor attempt and solve with one pattern shares one analysis.
+Sparse Linear Systems, 2nd ed., 2003).  _schedule puts the off-diagonals in
+level order once per pattern, on first use, and keeps them in its schedule
+slot: the factor (icir.factor) and the native_low forward solve run from the
+dataflow steps _step_times refines them into, the other solves from the
+levels (icir.trisolve), whose kernels slice the same arrays.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,8 +71,8 @@ class FillPattern:
     # the solves' kernels by exec mode, built by icir.trisolve on a mode's
     # first solve; the pattern is treated as immutable after construction
     solve_kernel: object = field(default=None, init=False, repr=False, compare=False)
-    # _step_times, kept by _steps on first use
-    step_times: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the elimination schedule, built by _schedule on first use
+    schedule: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.column_level, self.depth = _column_levels(self)
@@ -112,54 +114,94 @@ def _column_levels(pattern: FillPattern):
 
 def _split(counts: np.ndarray) -> list:
     """Consecutive slices of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [slice(e - c, e) for c, e in zip(counts.tolist(), ends)]
+    return [slice(e - c, e) for c, e in zip(counts.tolist(), np.cumsum(counts).tolist())]
 
 
-def _off_diagonals(pattern: FillPattern):
-    """Positions of the off-diagonal entries and the column of every entry (int32)."""
-    col = np.repeat(np.arange(pattern.n, dtype=np.int32), np.diff(pattern.col_ptr))
-    return np.flatnonzero(pattern.row_idx != col), col
+_Order = namedtuple("_Order", "pos rows cols levels")
 
 
-def _step_times(pattern: FillPattern):
-    """The dataflow step of every task and pivot of the elimination, found
-    level by level: the r-th task (j, k) of target j, an off-diagonal l_jk,
-    runs at T_r = max(T_{r-1} + 1, P(k_r) + 1), sources k ascending, and the
-    pivot of j at P(j) = T_last (0 without tasks).  Returns the tasks'
-    positions and sources (int32) by step, then by level of their target,
-    then by target; their steps; and every pivot's step.
+class _Schedule:
+    """A pattern's elimination schedule; index arrays are np.intp unless int32.
+
+    cols, diag, below: the columns by level, ascending within one, their
+    diagonal positions and off-diagonal counts; levels: the slice of every
+    level.  The dataflow steps of _step_times: task and src (int32), every
+    task's position of l_jk and source k, by step, then in forward order;
+    by_step (int32), their forward index; task_counts and pivot_counts, the
+    tasks and pivots of every step; pivots, the columns by step, ascending
+    within one.  forward and backward, found on first use (a factorization
+    reads neither), hold the off-diagonals l_jk as positions, rows j, columns
+    k and per-level slices: by level of row j, then j, then k (task and src
+    put back by by_step), and column by column in cols' order, rows descending.
     """
-    n, ri, level = pattern.n, pattern.row_idx, pattern.column_level
-    pos, col = _off_diagonals(pattern)
-    tgt = ri[pos]
-    order = np.lexsort((tgt, level[tgt]))
-    task, tgt = pos[order].astype(np.int32), tgt[order]
-    src = col[task]
-    del pos, col, order
+
+    def __init__(self, pattern: FillPattern):
+        n, cp, ri, level = pattern.n, pattern.col_ptr, pattern.row_idx, pattern.column_level
+        self.cols = np.argsort(level, kind="stable")
+        self.diag, self.below = cp[self.cols], np.diff(cp)[self.cols] - 1
+        self.levels = _split(np.bincount(level, minlength=pattern.depth))
+        # forward: CSC order (k ascending) stably sorted by the rank of row j in
+        # cols; the diagonal heads its column, so off-diagonal r of k is at r + k + 1
+        rank = np.empty(n, dtype=np.int32)
+        rank[self.cols] = np.arange(n, dtype=np.int32)
+        col = np.repeat(np.arange(n), np.diff(cp) - 1)
+        pos = np.argsort(rank[ri[np.arange(len(col)) + col + 1]], kind="stable")
+        col = col[pos]
+        pos += col + 1
+        per_level = np.bincount(level, np.bincount(ri, minlength=n) - 1, pattern.depth)
+        fw = _Order(pos, ri[pos], col, _split(per_level.astype(np.int64)))
+        self.by_step, self.task_counts, self.pivots, self.pivot_counts = _step_times(fw, n)
+        self.task, self.src = pos[self.by_step].astype(np.int32), col[self.by_step].astype(np.int32)
+        self._row_idx, self._forward_levels = ri, fw.levels
+
+    @cached_property
+    def forward(self) -> _Order:
+        pos, col = np.empty((2, len(self.task)), dtype=np.intp)
+        pos[self.by_step], col[self.by_step] = self.task, self.src
+        return _Order(pos, self._row_idx[pos], col, self._forward_levels)
+
+    @cached_property
+    def backward(self) -> _Order:
+        ends = np.cumsum(self.below)
+        # column k's off-diagonals, rows descending: diag + below down to diag + 1
+        pos = np.repeat(self.diag + ends, self.below)
+        pos -= np.arange(len(pos))
+        ends = [0] + ends.tolist()
+        return _Order(pos, self._row_idx[pos], np.repeat(self.cols, self.below),
+                      [slice(ends[c.start], ends[c.stop]) for c in self.levels])
+
+
+def _schedule(pattern: FillPattern) -> _Schedule:
+    """The pattern's schedule, built on first use and kept in its schedule slot."""
+    pattern.schedule = pattern.schedule or _Schedule(pattern)
+    return pattern.schedule
+
+
+def _step_times(forward: _Order, n: int):
+    """The dataflow step of every task and pivot of the n columns, found level
+    by level in the forward order: the r-th task (j, k) of target j, an
+    off-diagonal l_jk, runs at T_r = max(T_{r-1} + 1, P(k_r) + 1), sources k
+    ascending, and the pivot of j at P(j) = T_last (0 without tasks).
+    Returns the schedule's by_step, task_counts, pivots and pivot_counts."""
+    tgt, src = forward.rows, forward.cols
     first = np.flatnonzero(np.diff(tgt, prepend=-1))
-    sizes = np.diff(first, append=len(task))
+    sizes = np.diff(first, append=len(tgt))
     # T_r = r + max_{s <= r} (P(k_s) + 1 - s) for the r-th task (from 1) of a
     # target; one running maximum per level, with the targets kept apart by
     # offsets wider than the values' range (P < 2n)
     w = np.repeat(first.astype(np.int64) * (4 * n) + first, sizes)
-    w -= np.arange(1, len(task) + 1)
+    w -= np.arange(1, len(tgt) + 1)
     P = np.zeros(n, dtype=np.int64)
-    T = np.empty(len(task), dtype=np.int64)
-    for sl in _split(np.bincount(level[tgt], minlength=pattern.depth)):
+    T = np.empty(len(tgt), dtype=np.int64)
+    for sl in forward.levels:
         v = P[src[sl]] + w[sl]
         np.maximum.accumulate(v, out=v)
         T[sl] = v - w[sl] + 1
         np.maximum.at(P, tgt[sl], T[sl])
-    by_step = np.argsort(T, kind="stable")
-    return task[by_step], src[by_step], T[by_step], P
-
-
-def _steps(pattern: FillPattern):
-    """_step_times, found on first use and kept on the pattern (16 bytes an off-diagonal)."""
-    if pattern.step_times is None:
-        pattern.step_times = _step_times(pattern)
-    return pattern.step_times
+    del w
+    steps = int(P.max(initial=-1)) + 1
+    return (np.argsort(T, kind="stable").astype(np.int32), np.bincount(T, minlength=steps),
+            np.argsort(P, kind="stable"), np.bincount(P, minlength=steps))
 
 
 def _full_adjacency(A: SparseSpd):

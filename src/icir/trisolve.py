@@ -10,9 +10,9 @@ Two execution modes:
                 right-hand side is expected to be format-representable
                 (apply_preconditioner scales it by its inf-norm first).
 
-Both run from the pattern's schedule (icir.symbolic), with index arrays
-built on a mode's first solve and kept by mode in the pattern's
-solve_kernel slot, so a run that uses one mode builds one.  cast_f64
+Both slice the arrays of the pattern's schedule (icir.symbolic._schedule);
+a mode's kernel is built on its first solve and kept by mode in the
+pattern's solve_kernel slot, so a run that uses one mode builds one.  cast_f64
 walks the elimination levels, forward in order, backward in reverse: a
 level is one np.subtract.at of its updates (a level of one column one
 ordered np.subtract.reduce), then one division.
@@ -21,14 +21,15 @@ of L y = w takes its updates l_jk y_k in ascending column k, of L^T y = w
 its updates l_ij y_i in descending row i.
 
 native_low gives the bits of the column loops in tests/oracles.py.  The
-forward runs the factor's dataflow steps (icir.symbolic._steps): a
+forward runs the factor's dataflow steps (icir.symbolic._step_times): a
 step's tasks, less those whose source y_k was zero at its pivot (the loop
 skips that column), round their products l_jk y_k as one batch and their
 subtractions as another, a target taking at most one; then each of its
 pivots with y_j nonzero divides by l_jj.  The backward walks the levels in
 reverse: one rounded batch of the products l_ij y_i of the level's columns,
-then per column the subtractions of its nonzero products in ascending row,
-one scalar rounding each, and the division.
+in the schedule's backward order (rows descending), then per column the
+subtractions of its nonzero products, walked back to ascending row, one
+scalar rounding each, and the division.
 
 The forward runs its steps unchecked first, each batch rounded by
 icir.precision._round_unchecked, and tests the unrounded batches once at
@@ -53,7 +54,7 @@ import numpy as np
 from .factor import IcFactor
 from .precision import _round_scalar, _round_unchecked, _rounds_exactly, quantize
 from .sparse import inf_norm_vector
-from .symbolic import FillPattern, _off_diagonals, _split, _steps
+from .symbolic import FillPattern, _schedule, _split
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
@@ -75,40 +76,24 @@ def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
 
 
 class _LevelKernel:
-    """cast_f64 substitution one level at a time.
+    """cast_f64 substitution one level at a time, on the schedule's arrays.
 
     Each step of fsteps (levels in order) and bsteps (levels in reverse)
-    holds the level's columns, the slice of their diagonals in level order,
-    and its updates' targets and sources and the slice of their values in
-    fpos or bpos order, in the order np.subtract.at applies them.  A level
-    of one column holds its column and diagonal as integers and no targets.
-    Index arrays are np.intp, which indexing and ufunc.at take as they are;
-    f, the factor's format, goes unused, since cast_f64 rounds nothing.
+    holds the level's columns, the slice of their diagonals in diag, and its
+    updates' targets and sources and the slice of their values in fpos or
+    bpos, in the order np.subtract.at applies them.  A level of one column
+    holds its column and diagonal as integers and no targets.  cast_f64
+    rounds nothing, so f, the factor's format, goes unused.
     """
 
     def __init__(self, pattern: FillPattern):
-        n, ri, level, depth = pattern.n, pattern.row_idx, pattern.column_level, pattern.depth
-        order = np.argsort(level, kind="stable")
-        self.diag = pattern.col_ptr[:-1][order].astype(np.intp)
-        rank = np.empty(n, dtype=np.int32)
-        rank[order] = np.arange(n, dtype=np.int32)
-        pos, col = _off_diagonals(pattern)
-        # forward: target row i, source column k; CSC order has k ascending
-        self.fpos = pos[np.argsort(rank[ri[pos]], kind="stable")]
-        ftgt = ri[self.fpos].astype(np.intp)
-        fsrc = col[self.fpos].astype(np.intp)
-        # backward: target column j, source row i; reversed CSC order has i descending
-        pos = pos[::-1]
-        self.bpos = pos[np.argsort(rank[col[pos]], kind="stable")]
-        del pos, rank
-        btgt = col[self.bpos].astype(np.intp)
-        bsrc = ri[self.bpos].astype(np.intp)
-        del col
-        levels = _split(np.bincount(level, minlength=depth))
-        fsplit = _split(np.bincount(level[ftgt], minlength=depth))
-        bsplit = _split(np.bincount(level[btgt], minlength=depth))
-        self.fsteps = [_step(order, c, ftgt, fsrc, f) for c, f in zip(levels, fsplit)]
-        self.bsteps = [_step(order, c, btgt, bsrc, b) for c, b in zip(levels, bsplit)][::-1]
+        s = _schedule(pattern)
+        fw, bw = s.forward, s.backward
+        self.diag, self.fpos, self.bpos = s.diag, fw.pos, bw.pos
+        # forward: target row j, source column k; backward: target column k, source row j
+        self.fsteps = [_step(s.cols, c, fw.rows, fw.cols, u) for c, u in zip(s.levels, fw.levels)]
+        self.bsteps = [_step(s.cols, c, bw.cols, bw.rows, u)
+                       for c, u in zip(s.levels[::-1], bw.levels[::-1])]
 
     def forward(self, v: np.ndarray, y: np.ndarray, f=None) -> None:
         _level_sweep(self.fsteps, v[self.diag], v[self.fpos], y)
@@ -136,29 +121,18 @@ def _level_sweep(steps, d: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
 
 
 class _NativeSteps:
-    """native_low substitution, the forward from the factor's steps, the
-    backward from the levels in reverse; index arrays are np.intp."""
+    """native_low substitution: forward by the factor's steps, backward by levels in reverse."""
 
     def __init__(self, pattern: FillPattern):
-        cp, ri, level = pattern.col_ptr, pattern.row_idx, pattern.column_level
-        task, src, T, P = _steps(pattern)
-        pos, src, tgt = task.astype(np.intp), src.astype(np.intp), ri[task].astype(np.intp)
-        cols = np.argsort(P, kind="stable")
-        diag = cp[cols].astype(np.intp)
-        split = [_split(np.bincount(t, minlength=int(P.max(initial=-1)) + 1)) for t in (T, P)]
-        self.fsteps = [(src[t], tgt[t], pos[t], cols[p], diag[p]) for t, p in zip(*split)]
-        cols = np.argsort(level, kind="stable")
-        diag = cp[cols].astype(np.intp)
-        below = cp[cols + 1] - 1 - diag
-        ends = np.cumsum(below)
-        pos = (np.arange(below.sum()) + np.repeat(diag + 1 - ends + below, below)).astype(np.intp)
-        rows = ri[pos].astype(np.intp)
-        self.bsteps = []
-        for c in _split(np.bincount(level, minlength=pattern.depth))[::-1]:
-            o = slice(int(ends[c.start] - below[c.start]), int(ends[c.stop - 1]))
-            e = ends[c] - o.start
-            self.bsteps.append((cols[c].tolist(), cols[c], diag[c], pos[o], rows[o],
-                                (e - below[c]).tolist(), e.tolist()))
+        s = _schedule(pattern)
+        bw, diag = s.backward, pattern.col_ptr[s.pivots]
+        src, tgt, pos = s.src.astype(np.intp), pattern.row_idx[s.task], s.task.astype(np.intp)
+        self.fsteps = [(src[t], tgt[t], pos[t], s.pivots[p], diag[p])
+                       for t, p in zip(_split(s.task_counts), _split(s.pivot_counts))]
+        ends = np.cumsum(s.below)   # each column's chain: its slice of the level's products
+        self.bsteps = [(s.cols[c].tolist(), s.cols[c], s.diag[c], bw.pos[o], bw.rows[o],
+                        (ends[c] - s.below[c] - o.start).tolist(), (ends[c] - o.start).tolist())
+                       for c, o in zip(s.levels[::-1], bw.levels[::-1])]
 
     @np.errstate(all="ignore")
     def forward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
@@ -219,7 +193,7 @@ class _NativeSteps:
                 if d == 0.0:
                     fail = min(fail, (m, "zero", j))
                 elif m + 2 < fail[0]:   # else a lower failure is known, or this is one
-                    for q in p[a:b]:
+                    for q in reversed(p[a:b]):   # rows ascending
                         if q != 0.0:
                             acc, over = _round_scalar(acc - q, f)
                             if over:

@@ -28,6 +28,11 @@ column_pattern is the reference of icir.symbolic.ic_pattern: one
 breadth-first search per column, whose arrays the blocked search must
 return.
 
+update_orders is the reference of the two orders of icir.symbolic's
+schedule, in which the solves take the off-diagonals: a plain sort on
+(level of the row, row, column) forward and (level of the column, column,
+descending row) backward.
+
 step_times is the reference of the factor's dataflow step schedule, and
 column_factor of the factor itself: the right-looking column loop, whose
 first breakdown in column order icir.factor.ic_attempt must return.  Its
@@ -387,6 +392,17 @@ def column_pattern(A, level):
     col_ptr[1:] = np.cumsum([len(c) for c in cols])
     row_idx = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
     return FillPattern(n, col_ptr, row_idx.astype(np.int64))
+
+
+def update_orders(col_ptr, row_idx, level):
+    """The positions of every off-diagonal l_jk (row j, column k) sorted by
+    (level[j], j, k), the forward order, and by (level[k], k, -j), the
+    backward order."""
+    entries = [(int(row_idx[p]), k, p) for k in range(len(col_ptr) - 1)
+               for p in range(col_ptr[k], col_ptr[k + 1]) if row_idx[p] != k]
+    forward = sorted(entries, key=lambda e: (level[e[0]], e[0], e[1]))
+    backward = sorted(entries, key=lambda e: (level[e[1]], e[1], -e[0]))
+    return [p for _, _, p in forward], [p for _, _, p in backward]
 
 
 def step_times(col_ptr, row_idx):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,19 @@ class TestTopOfFp64:
         assert over.tolist() == [False, False, True, False]
         for x, v in zip(xs[~over].tolist(), y[~over].tolist()):
             assert np.float64(v).view(np.int64) == np.float64(round_to(x, f).value).view(np.int64)
+
+    @pytest.mark.parametrize("f", [FP16, BF16, FP32, E4M3], ids=lambda f: f.name)
+    def test_non_finite_flagged(self, f):
+        # NaN and ±inf come back as ±over_at, flagged, from both paths, with
+        # no exception and no warning of any kind
+        xs = [math.nan, -math.nan, math.inf, -math.inf]
+        want = [math.copysign(f.over_at, x) for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, over = quantize(np.array(xs + [1.0]), f)
+            assert over.tolist() == [True] * 4 + [False]
+            assert y.tolist() == want + [1.0]
+            assert [_round_scalar(x, f) for x in xs] == [(v, True) for v in want]
 
     def test_fp16_small_and_large(self):
         y, over = quantize([1e-9, 1e305], FP16)

@@ -21,9 +21,9 @@ from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
 from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
-from icir.symbolic import FillPattern, _column_levels, _step_times, ic_pattern
-from icir.trisolve import (NATIVE_LOW, _LevelKernel, apply_preconditioner, backward_solve,
-                           forward_solve)
+from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
+from icir.trisolve import (CAST_F64, NATIVE_LOW, _LevelKernel, apply_preconditioner,
+                           backward_solve, forward_solve)
 
 
 def _pattern(n, entries):
@@ -351,10 +351,10 @@ def _zeroed_pivot():
 
 
 def _holds_no_factor_state(pattern):
-    """The pattern holds its arrays, levels and step times and nothing of the
+    """The pattern holds its arrays, levels and schedule and nothing of the
     factor; solve_kernel stays the class default until a solve sets it."""
     return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "column_level", "depth",
-                                   "step_times"}
+                                   "schedule"}
             and pattern.solve_kernel is None)
 
 
@@ -427,17 +427,52 @@ def test_one_schedule_serves_restarts_and_solves():
     assert plans.call_count == 1
 
 
-def test_step_times_found_once_per_pattern():
-    # the factor's plan and the native_low forward share one _step_times
-    bf16 = get_format("bf16")
-    with mock.patch.object(icir.symbolic, "_step_times", wraps=_step_times) as times:
-        for seed in (1, 2):
-            A, _ = l2_scale(wathen(4, 3, seed=seed))
+def test_schedule_built_once_per_pattern_and_shared():
+    # shifted_ic with restarts, a cast_f64 and a native_low apply build one
+    # schedule per pattern, and the kernels index its arrays, not copies
+    A, _ = l2_scale(poisson2d(8))
+    A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
+    with mock.patch.object(icir.symbolic, "_Schedule", wraps=_Schedule) as builds:
+        for count in (1, 2):
             pattern = ic_pattern(A, 0)
-            L = shifted_ic(A, pattern, f=bf16)
-            assert times.call_count == seed and pattern.step_times is not None
-            steps = pattern.step_times
-            for r in (np.ones(L.n), np.linspace(-1.0, 2.0, L.n)):
-                apply_preconditioner(L, r, NATIVE_LOW)
-            assert times.call_count == seed and pattern.step_times is steps
-    assert times.call_args.args[0] is pattern
+            L = shifted_ic(A, pattern, f=get_format("fp16"))
+            assert L.stats.restarts >= 1 and builds.call_count == count
+            for mode in (CAST_F64, NATIVE_LOW, CAST_F64, NATIVE_LOW):
+                apply_preconditioner(L, np.linspace(-1.0, 2.0, L.n), mode)
+            assert builds.call_count == count
+    s = pattern.schedule
+    cast, native = pattern.solve_kernel[CAST_F64], pattern.solve_kernel[NATIVE_LOW]
+    shared = [(cast.diag, s.diag), (cast.fpos, s.forward.pos), (cast.bpos, s.backward.pos)]
+    for steps, tgt_of, src_of in ((cast.fsteps, s.forward.rows, s.forward.cols),
+                                  (cast.bsteps, s.backward.cols, s.backward.rows)):
+        for cols, _, tgt, src, _ in steps:
+            shared.append((src, src_of))
+            if tgt is not None:   # a level of one column holds no targets
+                shared += [(cols, s.cols), (tgt, tgt_of)]
+    shared += [(cols, s.pivots) for _, _, _, cols, _ in native.fsteps]
+    for _, cols, diag, pos, rows, _, _ in native.bsteps:
+        shared += [(cols, s.cols), (diag, s.diag), (pos, s.backward.pos), (rows, s.backward.rows)]
+    assert all(np.shares_memory(view, whole) for view, whole in shared if len(view))
+    assert sum(len(view) > 0 for view, _ in shared) > 100
+
+
+@settings(max_examples=300, deadline=None)
+@given(lower_patterns())
+def test_update_orders_match_oracle(drawn):
+    pattern = drawn[0]
+    n, cp, ri, level = pattern.n, pattern.col_ptr, pattern.row_idx, pattern.column_level
+    cols = np.repeat(np.arange(n), np.diff(cp))
+    s = _schedule(pattern)
+    assert s.cols.tolist() == sorted(range(n), key=lambda j: level[j])
+    assert s.diag.tolist() == cp[s.cols].tolist()
+    forward, backward = oracles.update_orders(cp, ri, level)
+    for got, want, by in ((s.forward, forward, ri), (s.backward, backward, cols)):
+        assert got.pos.tolist() == want
+        assert got.rows.tolist() == ri[want].tolist() and got.cols.tolist() == cols[want].tolist()
+        # the slices tile the order, one level each: a row's level forward,
+        # a column's backward
+        for slices, of in ((s.levels, s.cols), (got.levels, by[got.pos])):
+            assert len(slices) == pattern.depth
+            assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
+            assert sum(sl.stop - sl.start for sl in slices) == len(of)
+            assert all(np.all(level[of[sl]] == d) for d, sl in enumerate(slices))
