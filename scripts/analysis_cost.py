@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Build cost of the per-pattern analysis: time and memory of each part.
+"""Build cost of the per-pattern analysis, and the cost of the solves that use it.
 
     python3 scripts/analysis_cost.py
 
@@ -16,7 +16,15 @@ preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
            result held (for the shifted_ic rows, only what the pattern keeps)
   peak     tracemalloc peak of that build
 
-A run takes two to three minutes on a 2-core host, most of it on the
+A second table times the applies on the same patterns, factored by
+shifted_ic in fp16 and in bf16 on the l2-scaled matrix: one cast_f64
+apply_preconditioner, one native_low forward_solve and one native_low
+backward_solve, each the median of 21 calls after an untimed first one.
+The native_low input is a random vector scaled to |w| <= 1 and rounded
+into the format, the backward's the forward's result (as in an apply).
+A cell reads "overflow" where the solve raises OverflowSignal.
+
+A run takes three to four minutes on a 2-core host, most of it on the
 Baseline patterns.
 """
 
@@ -35,10 +43,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from icir import gallery
 from icir.factor import _step_plan, shifted_ic
-from icir.precision import get_format
+from icir.precision import get_format, quantize
 from icir.sparse import l2_scale
 from icir.symbolic import _schedule, ic_pattern
-from icir.trisolve import CAST_F64, NATIVE_LOW, _LevelKernel, _NativeSteps, apply_preconditioner
+from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, _LevelKernel, _NativeSteps,
+                           apply_preconditioner, backward_solve, forward_solve)
 
 PATTERNS = [
     ("wathen(40, 30) IC(3)", lambda: gallery.wathen(40, 30, seed=0), 3),
@@ -103,6 +112,43 @@ def main() -> None:
             kept, peak = _bytes(build, A, level)
             print(f"| {label} | {A.n:,} | {off:,} | {name} | {ms:.1f} | {kept / MIB:.2f} | "
                   f"{peak / MIB:.2f} |", flush=True)
+    print()
+    print("| pattern | format | cast_f64 apply ms | native_low forward ms | "
+          "native_low backward ms |")
+    print("|---|---|---|---|---|")
+    for label, make, level in PATTERNS:
+        A, _ = l2_scale(make())
+        for name in ("fp16", "bf16"):
+            print(f"| {label} | {name} | {' | '.join(_apply_ms(A, level, get_format(name)))} |",
+                  flush=True)
+
+
+def _apply_ms(A, level, f):
+    """The cells of one row of the apply table."""
+    L = shifted_ic(A, ic_pattern(A, level), f=f)
+    r = np.random.default_rng(0).standard_normal(A.n)
+    w, _ = quantize(r / np.abs(r).max(), f)
+    try:
+        y = forward_solve(L, w, NATIVE_LOW)
+    except OverflowSignal:
+        y = w
+    return [_median_ms(lambda: apply_preconditioner(L, r, CAST_F64)),
+            _median_ms(lambda: forward_solve(L, w, NATIVE_LOW)),
+            _median_ms(lambda: backward_solve(L, y, NATIVE_LOW))]
+
+
+def _median_ms(run):
+    """Median ms of 21 calls of run after an untimed one, or "overflow"."""
+    try:
+        run()
+    except OverflowSignal:
+        return "overflow"
+    times = []
+    for _ in range(21):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return f"{1e3 * statistics.median(times):.2f}"
 
 
 if __name__ == "__main__":

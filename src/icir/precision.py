@@ -27,9 +27,11 @@ is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
 (else FpFormat.split is None).  _rounds_exactly is that domain; quantize
 rounds an array inside it so, fp64 by a copy and any other array by the
 frexp path, whose overflowed slots, inf and NaN among them, hold over_at.
-_round_scalar serves the native_low backward's chains, where a one-element
-quantize costs 10-20 times as much: it rounds the normal range by the split
-and returns a zero as it is, and hands any other value to quantize.
+_round_scalar rounds one double as quantize does, at a tenth to a twentieth
+of a one-element quantize's cost: the normal range by the split, a zero as
+it is, any other value by quantize.  The native_low backward's chains
+inline its split branch and call it for the other values (zeros,
+subnormals, overflows, and every value of a format with no split).
 TestBitwiseOracle in tests/test_precision.py pins the paths to each other,
 TestIndependentOracle to the frozen frexp rounding of tests/oracles.py.
 """

@@ -28,13 +28,20 @@ subtractions as another, a target taking at most one; then each of its
 pivots with y_j nonzero divides by l_jj.  The backward walks the levels in
 reverse: one rounded batch of the products l_ij y_i of the level's columns,
 in the schedule's backward order (rows descending), then per column the
-subtractions of its nonzero products, walked back to ascending row, one
-scalar rounding each, and the division.
+subtractions of its nonzero products, walked back to ascending row, and the
+division, each one scalar rounding: Veltkamp's split inline for a result in
+[x_min, over_at), icir.precision._round_scalar for any other.
 
-The forward runs its steps unchecked first, each batch rounded by
-icir.precision._round_unchecked, and tests the unrounded batches once at
-the end with _rounds_exactly; unless all were exact (a zero pivot's
-quotient is not), it restores y and reruns the steps checked, by quantize.
+Each direction runs one pass unchecked first (_tested_once): the forward
+rounds all its batches, the backward its product batches, by
+icir.precision._round_unchecked, and keeps them unrounded for one
+_rounds_exactly test at the end; unless all were exact (a zero pivot's
+quotient is not), y is restored and the pass rerun checked, by quantize.
+An unchecked pass's own failure counts only once that test has passed: an
+overflowed unchecked product reaches its chain as inf, where the chain
+would report a subtraction.  The chains are checked in both passes; fp16
+chains pass through the subnormals, where the split is inexact, so a
+deferred test of theirs would fail and rerun too often to pay.
 
 Operations are numbered in the loops' order: forward, 3k is the zero test
 and division of column k, 3k + 1 its products, 3k + 2 its subtractions;
@@ -43,6 +50,11 @@ products, 4m + 2 its subtractions, 4m + 3 its division.  An operation reads
 only lower-numbered results, so a checked pass's lowest-numbered failure is
 the loop's first, raised with no further rerun.  Operations after it run on
 silently (np.errstate), and the backward skips the chains numbered above it.
+
+quantize copies fp64 and flags nothing, so a fp64 native_low solve raises
+no OverflowSignal: a result past 2^1024 is left in y as inf or NaN.
+icir.refine.ic_lu_ir runs native_low only in the half-width formats, fp16
+and bf16.
 """
 
 from __future__ import annotations
@@ -134,20 +146,15 @@ class _NativeSteps:
                         (ends[c] - s.below[c] - o.start).tolist(), (ends[c] - o.start).tolist())
                        for c, o in zip(s.levels[::-1], bw.levels[::-1])]
 
-    @np.errstate(all="ignore")
     def forward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
-        if f.cast or f.split:   # unchecked, then checked unless every rounding was exact
-            w, kept = y.copy(), [np.empty(0)]
-            self._forward(vals, y, f, kept)
-            ax = np.concatenate(kept)   # with kept, about 32 bytes a task until the test
-            if _rounds_exactly(np.abs(ax, out=ax), f):
-                return
-            y[:] = w
-        self._forward(vals, y, f, None)
+        _tested_once(self._forward, vals, y, f)
 
-    def _forward(self, vals: np.ndarray, y: np.ndarray, f, kept) -> None:
+    def backward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
+        _tested_once(self._backward, vals, y, f)
+
+    def _forward(self, vals: np.ndarray, y: np.ndarray, f, kept):
         """One pass, unchecked with the unrounded arrays appended to the list
-        kept, or with kept None checked, raising the lowest failure."""
+        kept, or with kept None checked; returns the lowest failure."""
         def rounded(x):
             if kept is None:
                 return quantize(x, f)
@@ -176,17 +183,26 @@ class _NativeSteps:
                 if np.count_nonzero(over):
                     j = int(cols[i := int(np.argmax(over))])
                     fail = min(fail, (3 * j, "division" if d[i] else "zero", j))
-        _raise(*fail)
+        return fail
 
-    @np.errstate(all="ignore")
-    def backward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
-        n = len(y)
+    def _backward(self, vals: np.ndarray, y: np.ndarray, f, kept):
+        """One pass, its product batches unchecked and appended to the list
+        kept, or with kept None checked; the chains are checked either way.
+        Returns the lowest failure."""
+        n, s = len(y), f.split
+        # where the split rounds exactly; with no split, an empty range
+        lo, hi = (f.x_min, f.over_at) if s else (0.0, 0.0)
         fail = (4 * n, "", 0)
         for cols, ci, diag, pos, rows, starts, ends in self.bsteps:
-            p, over = quantize(vals[pos] * y[rows], f)
-            if np.count_nonzero(over):   # the highest column with an overflowed product
-                j = cols[bisect_right(ends, int(np.flatnonzero(over)[-1]))]
-                fail = min(fail, (4 * (n - 1 - j) + 1, "product", j))
+            x = vals[pos] * y[rows]
+            if kept is None:
+                p, over = quantize(x, f)
+                if np.count_nonzero(over):   # the highest column with an overflowed product
+                    j = cols[bisect_right(ends, int(np.flatnonzero(over)[-1]))]
+                    fail = min(fail, (4 * (n - 1 - j) + 1, "product", j))
+            else:
+                kept.append(x)
+                p = _round_unchecked(x, f)
             p = p.tolist()
             for j, a, b, acc, d in zip(cols, starts, ends, y[ci].tolist(), vals[diag].tolist()):
                 m = 4 * (n - 1 - j)
@@ -195,15 +211,41 @@ class _NativeSteps:
                 elif m + 2 < fail[0]:   # else a lower failure is known, or this is one
                     for q in reversed(p[a:b]):   # rows ascending
                         if q != 0.0:
-                            acc, over = _round_scalar(acc - q, f)
+                            t = acc - q
+                            if lo <= abs(t) < hi:   # _round_scalar's split, inline
+                                c = t * s
+                                acc = c - (c - t)
+                                continue
+                            acc, over = _round_scalar(t, f)
                             if over:
                                 fail = (m + 2, "subtraction", j)
                                 break
                     else:
-                        y[j], over = _round_scalar(acc / d, f)
-                        if over:
-                            fail = (m + 3, "division", j)
-        _raise(*fail)
+                        t = acc / d
+                        if lo <= abs(t) < hi:
+                            c = t * s
+                            y[j] = c - (c - t)
+                        else:
+                            y[j], over = _round_scalar(t, f)
+                            if over:
+                                fail = (m + 3, "division", j)
+        return fail
+
+
+@np.errstate(all="ignore")
+def _tested_once(run, vals: np.ndarray, y: np.ndarray, f) -> None:
+    """Run the pass run unchecked and test all it kept once; unless every
+    rounding was exact, restore y and rerun it checked.  Raise the failure
+    of the pass that stands, the unchecked one only if its test passed."""
+    if f.cast or f.split:
+        w, kept = y.copy(), [np.empty(0)]
+        fail = run(vals, y, f, kept)
+        ax = np.concatenate(kept)   # with kept, 16 bytes an element until the test
+        if _rounds_exactly(np.abs(ax, out=ax), f):
+            _raise(*fail)
+            return
+        y[:] = w
+    _raise(*run(vals, y, f, None))
 
 
 def _raise(number: int, kind: str, j: int) -> None:

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from conftest import ic_attempt_on, to_dense
+from icir import refine, trisolve
 from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import dense_to_sparse, poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format
@@ -9,6 +12,7 @@ from icir.refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, DIVERGENCE_THRESHO
                          backward_error, ic_krylov_ir, ic_lu_ir)
 from icir.sparse import SparseSpd, l2_scale, matvec_f64
 from icir.symbolic import ic_pattern
+from icir.trisolve import CAST_F64, NATIVE_LOW
 from test_factor import full_pattern
 from test_trisolve import make_factor
 
@@ -91,6 +95,21 @@ class TestLuIr:
             prev = rep.resfinal
             if rep.converged:
                 break
+
+    def test_native_low_only_in_half_width_formats(self):
+        A = random_spd(20, seed=3)
+        b = np.ones(20)
+        modes = []
+
+        def apply(L, r, mode):
+            modes.append(mode)
+            return trisolve.apply_preconditioner(L, r, mode)
+
+        with mock.patch.object(refine, "apply_preconditioner", apply):
+            for f in (FP16, get_format("fp32"), FP64):
+                ic_lu_ir(A, b, shifted_ic(A, ic_pattern(A, 0), f=f), itmax=2)
+                assert set(modes) == {NATIVE_LOW if f.half_width else CAST_F64}
+                modes.clear()
 
     def test_native_overflow_fallback_counted(self):
         # tiny fp16 pivot: dividing a unit-norm rhs by it overflows, so the

@@ -10,7 +10,7 @@ import oracles
 from conftest import ic_attempt_on
 from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import poisson2d, random_spd, wathen
-from icir.precision import FpFormat, get_format, quantize
+from icir.precision import FpFormat, _round_scalar, get_format, quantize
 from icir.sparse import l2_scale, matvec_f64
 from icir.symbolic import FillPattern, ic_pattern
 from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal,
@@ -238,17 +238,66 @@ TINY = 2.0 ** -126                  # the bf16 x_min
 def test_forward_matches_scalar_reference(Ld, w, f, entry, want):
     """The forward, unchecked pass and all, gives the scalar reference's bits
     or exception and message; entry is a (position, value) set in L."""
+    _matches_reference(forward_solve, oracles.native_forward_solve, Ld, w, f, entry, want)
+
+
+def _matches_reference(solve, reference, Ld, w, f, entry, want):
     L = make_factor(np.array(Ld), f)
     if entry is not None:
         L.values[entry[0]] = entry[1]
     w = np.array(w)
-    got = _outcome(forward_solve, L, w, NATIVE_LOW)
-    assert got == _outcome(oracles.native_forward_solve, L.pattern.col_ptr, L.pattern.row_idx,
-                           L.values, w, f)
+    got = _outcome(solve, L, w, NATIVE_LOW)
+    assert got == _outcome(reference, L.pattern.col_ptr, L.pattern.row_idx, L.values, w, f)
     if isinstance(want, str):
         assert got[1] == want
     elif want is not None:
         assert got == np.array(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("Ld, w, f, entry, want", [
+    # the unchecked product 2 * 60000 is inf in fp16, and 1 - inf would
+    # overflow the chain's subtraction: the product's failure is the lower
+    ([[1.0, 0.0], [2.0, 1.0]], [1.0, 60000.0], FP16, None, "product overflow at column 0"),
+    # the split leaves 4 * 2^127 finite, above x_max
+    ([[1.0, 0.0], [4.0, 1.0]], [1.0, 2.0 ** 127], BF16, None, "product overflow at column 0"),
+    # every product in range, and 60000 - (-5520) is over_at, the least
+    # magnitude that rounds past x_max
+    ([[1.0, 0.0], [-1.0, 1.0]], [60000.0, 5520.0], FP16, None,
+     "subtraction overflow at column 0"),
+    ([[2.0 ** -14, 0.0], [0.0, 1.0]], [8.0, 0.0], FP16, None, "division overflow at column 0"),
+    ([[1.0, 0.0], [2.0, 1.0]], [1.0, 1.0], FP16, (2, 0.0), "zero diagonal at column 1"),
+    # column 1, solved first, overflows its division: the zero test of
+    # column 0 comes later and is not reached
+    ([[1.0, 0.0], [1.0, 2.0 ** -14]], [1.0, 8.0], FP16, (0, 0.0),
+     "division overflow at column 1"),
+    # 0.75 * 2^-126 rounds up to x_min: bf16 has no subnormals
+    ([[1.0, 0.0], [0.75 * 2.0 ** -66, 1.0]], [0.0, 2.0 ** -60], BF16, None,
+     [-TINY, 2.0 ** -60]),
+    # y_1 = x_min; 2^-14 + 3 * 2^-24 - 2^-14 and its half, 1.5 * 2^-24, are
+    # fp16 subnormals, the second a tie that goes to 2^-23
+    ([[2.0, 0.0], [1.0, 1.0]], [2.0 ** -14 + 3 * 2.0 ** -24, 2.0 ** -14], FP16, None,
+     [2.0 ** -23, 2.0 ** -14]),
+    # a stored -0.0: the product -0 * 3 is skipped, so y_0 = -0 / 1 = -0
+    ([[1.0, 0.0], [1.0, 1.0]], [-0.0, 3.0], FP16, (1, -0.0), [-0.0, 3.0]),
+    ([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 4.0]], [0.0, -0.0, 0.0], BF16, None,
+     [0.0, -0.0, 0.0]),
+    # a product in fp32's subnormal range, kept by the cast
+    ([[1.0, 0.0], [2.0 ** -100, 1.0]], [0.0, -(2.0 ** -40) * 3], FP32, None,
+     [3 * 2.0 ** -140, -(2.0 ** -40) * 3]),
+    ([[3.0, 0.0, 0.0], [1.0 / 3.0, 7.0, 0.0], [0.1, -0.2, 1.0]], [1.0, 2.0, 3.0], FP64, None,
+     None),
+    ([[1.0, 0.0], [16.0, 1.0]], [0.0, 16.0], E4M3, None, "product overflow at column 0"),
+    # 2^-4 * 3 * 2^-6 = 1.5 x_s_min, a tie that goes to 2 x_s_min
+    ([[1.0, 0.0], [2.0 ** -4, 1.0]], [0.0, 3 * 2.0 ** -6], E4M3, None,
+     [-(2.0 ** -8), 3 * 2.0 ** -6]),
+], ids=["fp16-product-read-as-inf", "bf16-product", "fp16-subtraction", "fp16-division",
+        "zero-pivot", "zero-pivot-after-a-failure", "bf16-product-below-x_min",
+        "fp16-subnormal-chain", "negative-zero-entry", "all-zero-rhs", "fp32-subnormal",
+        "fp64", "e4m3-product", "e4m3-subnormal-tie"])
+def test_backward_matches_scalar_reference(Ld, w, f, entry, want):
+    """The backward, unchecked pass and all, gives the scalar reference's
+    bits or exception and message; entry is a (position, value) set in L."""
+    _matches_reference(backward_solve, oracles.native_backward_solve, Ld, w, f, entry, want)
 
 
 def test_forward_checks_once_and_reruns_only_on_failure():
@@ -271,6 +320,60 @@ def test_forward_checks_once_and_reruns_only_on_failure():
         assert calls.call_count == calls_of_the_forward
         assert got == _outcome(oracles.native_forward_solve, *args, w, BF16)
     assert got == ("OverflowSignal", "division overflow at column 0")
+
+
+def test_backward_checks_once_and_reruns_only_on_failure():
+    A, _ = l2_scale(wathen(4, 3, seed=1))
+    L = shifted_ic(A, ic_pattern(A, 0), f=BF16)
+    steps = trisolve._solve_kernel(L.pattern, NATIVE_LOW)
+    n, last = L.n, L.pattern.col_ptr[-2] - 1   # the last entry of column n - 2, in row n - 1
+    assert L.pattern.row_idx[last] == n - 1 and 0.0 < abs(L.values[last]) < 0.5
+    in_range = quantize(np.linspace(-1.0, 1.0, n), BF16)[0]
+    underflow = in_range.copy()
+    underflow[-1] = TINY   # y_{n-1} is about 2 x_min, its products below x_min
+    overflow = in_range.copy()
+    overflow[-1] = 2.0 ** 125
+    values = L.values.copy()
+    big = values.copy()
+    big[last] = 2.0 ** 10   # and l_{n-1,n-2} y_{n-1} is past x_max
+    args = (L.pattern.col_ptr, L.pattern.row_idx)
+
+    def calls_of(run):
+        with mock.patch.object(trisolve, "quantize", wraps=quantize) as q, \
+                mock.patch.object(trisolve, "_round_scalar", wraps=_round_scalar) as r:
+            got = run()
+        return got, (q.call_count, r.call_count)
+
+    for w, vals in ((in_range, values), (underflow, values), (overflow, big)):
+        L.values[:] = vals
+        got, calls = calls_of(lambda: _outcome(backward_solve, L, w, NATIVE_LOW))
+        assert got == _outcome(oracles.native_backward_solve, *args, L.values, w, BF16)
+        if w is in_range:
+            assert calls == (0, 0)
+            continue
+        # one unchecked pass, then one checked pass (a quantize call per level)
+        passes = [calls_of(lambda: steps._backward(L.values, w.copy(), BF16, kept))[1]
+                  for kept in ([], None)]
+        assert calls == (len(steps.bsteps), passes[0][1] + passes[1][1])
+        assert passes[0][0] == 0
+    assert got == ("OverflowSignal", f"product overflow at column {n - 2}")
+
+
+def test_fp64_native_low_leaves_overflow_non_finite():
+    """fp64 quantize flags nothing, so neither solve raises past 2^1024: the
+    inf (and the -inf of a subtraction from it) is left in y."""
+    cases = [
+        (forward_solve, [[2.0 ** -10, 0.0], [0.0, 1.0]], [2.0 ** 1020, 0.0], [np.inf, 0.0]),
+        (forward_solve, [[1.0, 0.0], [2.0 ** 10, 1.0]], [2.0 ** 1020, 0.0],
+         [2.0 ** 1020, -np.inf]),
+        (backward_solve, [[2.0 ** -10, 0.0], [0.0, 1.0]], [2.0 ** 1020, 0.0], [np.inf, 0.0]),
+        (backward_solve, [[1.0, 0.0], [2.0 ** 10, 1.0]], [0.0, 2.0 ** 1020],
+         [-np.inf, 2.0 ** 1020]),
+    ]
+    for solve, Ld, w, want in cases:
+        with np.errstate(over="ignore"):
+            got = solve(make_factor(np.array(Ld), FP64), np.array(w), NATIVE_LOW)
+        assert got.tolist() == want
 
 
 def test_native_steps_built_once_and_never_by_cast_f64():
