@@ -22,7 +22,10 @@ apply_preconditioner, one native_low forward_solve and one native_low
 backward_solve, each the median of 21 calls after an untimed first one.
 The native_low input is a random vector scaled to |w| <= 1 and rounded
 into the format, the backward's the forward's result (as in an apply).
-A cell reads "overflow" where the solve raises OverflowSignal.
+A cell reads "overflow" where the solve raises OverflowSignal.  The last
+column counts the icir.precision._round_scalar calls of one native_low
+forward and one backward, the values their batches and inline splits do
+not round exactly.
 
 A run takes three to four minutes on a 2-core host, most of it on the
 Baseline patterns.
@@ -36,12 +39,13 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from icir import gallery
+from icir import gallery, trisolve
 from icir.factor import _step_plan, shifted_ic
 from icir.precision import get_format, quantize
 from icir.sparse import l2_scale
@@ -114,8 +118,8 @@ def main() -> None:
                   f"{peak / MIB:.2f} |", flush=True)
     print()
     print("| pattern | format | cast_f64 apply ms | native_low forward ms | "
-          "native_low backward ms |")
-    print("|---|---|---|---|---|")
+          "native_low backward ms | _round_scalar calls |")
+    print("|---|---|---|---|---|---|")
     for label, make, level in PATTERNS:
         A, _ = l2_scale(make())
         for name in ("fp16", "bf16"):
@@ -134,7 +138,19 @@ def _apply_ms(A, level, f):
         y = w
     return [_median_ms(lambda: apply_preconditioner(L, r, CAST_F64)),
             _median_ms(lambda: forward_solve(L, w, NATIVE_LOW)),
-            _median_ms(lambda: backward_solve(L, y, NATIVE_LOW))]
+            _median_ms(lambda: backward_solve(L, y, NATIVE_LOW)),
+            f"{_slow_calls(lambda: forward_solve(L, w, NATIVE_LOW))} / "
+            f"{_slow_calls(lambda: backward_solve(L, y, NATIVE_LOW))}"]
+
+
+def _slow_calls(run) -> int:
+    """The _round_scalar calls of one run, up to its OverflowSignal if any."""
+    with mock.patch.object(trisolve, "_round_scalar", wraps=trisolve._round_scalar) as calls:
+        try:
+            run()
+        except OverflowSignal:
+            pass
+    return calls.call_count
 
 
 def _median_ms(run):

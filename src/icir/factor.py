@@ -32,7 +32,7 @@ one off-diagonal l_jk: column j takes its update from source column k on
 every present (i, j) with i >= j, the pairs the column loop scatters from
 column k, leaving out those whose b or c is zero as the loop does.  Every
 task and pivot runs at the earliest step its inputs allow (the step times
-of icir.symbolic._step_times, which the native_low forward solve shares),
+of icir.symbolic._step_times, which no solve reads),
 so every entry sees the column loop's order.  A step runs its tasks as one
 vectorised safe_update_many call, then its pivots.  The plan holds the
 pattern, its position keys and, per step, int32 positions and counts: the

@@ -24,16 +24,18 @@ over_at; bf16 and custom formats by Veltkamp's split (Dekker 1971), c = x *
 (2^(53-p) + 1), y = c - (c - x), which without fp64 overflow or underflow
 is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
 ±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent bits
-(else FpFormat.split is None).  _rounds_exactly is that domain; quantize
-rounds an array inside it so, fp64 by a copy and any other array by the
-frexp path, whose overflowed slots, inf and NaN among them, hold over_at.
-_round_scalar rounds one double as quantize does, at a tenth to a twentieth
-of a one-element quantize's cost: the normal range by the split, a zero as
-it is, any other value by quantize.  The native_low backward's chains
-inline its split branch and call it for the other values (zeros,
-subnormals, overflows, and every value of a format with no split).
-TestBitwiseOracle in tests/test_precision.py pins the paths to each other,
-TestIndependentOracle to the frozen frexp rounding of tests/oracles.py.
+(else FpFormat.split is None).  A format with neither, fp64 among them, is
+returned as it is.  _rounds_exactly is the domain of the cast or split;
+quantize rounds an array inside it so, fp64 by a copy and any other array
+by the frexp path, whose overflowed slots, inf and NaN among them, hold
+over_at.  _round_scalar rounds one double as quantize does: a zero as it
+is, any other value by quantize.  The native_low chains of icir.trisolve
+round their results in the split's domain inline and call it only for the
+others (zeros, subnormals, overflows, and every value of a format with no
+split), and for a batch's product that its cast or split may not have
+rounded exactly.  TestBitwiseOracle in tests/test_precision.py pins the
+paths to each other, TestIndependentOracle to the frozen frexp rounding of
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -127,9 +129,6 @@ def get_format(name: str) -> FpFormat:
 def _round_scalar(x: float, f: FpFormat):
     """Round one double into format f as quantize does: (value, overflow),
     value exactly representable in f or ±over_at."""
-    if f.split is not None and f.x_min <= abs(x) < f.over_at:
-        c = x * f.split
-        return c - (c - x), False
     if x == 0.0:
         return x, False  # preserves signed zero
     y, over = quantize(x, f)
@@ -137,9 +136,12 @@ def _round_scalar(x: float, f: FpFormat):
 
 
 def _round_unchecked(x: np.ndarray, f: FpFormat) -> np.ndarray:
-    """x rounded into f's cast or split with no range test (see the module docstring)."""
+    """x rounded into f's cast or split with no range test, or x itself
+    where f has neither (see the module docstring)."""
     if f.cast is not None:
         return x.astype(f.cast).astype(np.float64)
+    if f.split is None:
+        return x
     c = x * f.split
     return c - (c - x)
 

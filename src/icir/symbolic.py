@@ -36,9 +36,9 @@ of one level are independent and can be processed as one vectorised step
 (level scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
 Sparse Linear Systems, 2nd ed., 2003).  _schedule puts the off-diagonals in
 level order once per pattern, on first use, and keeps them in its schedule
-slot: the factor (icir.factor) and the native_low forward solve run from the
-dataflow steps _step_times refines them into, the other solves from the
-levels (icir.trisolve), whose kernels slice the same arrays.
+slot: the factor (icir.factor) runs from the dataflow steps _step_times
+refines them into, and only the factor reads the steps; the solves
+(icir.trisolve) run from the levels, whose kernels slice the same arrays.
 """
 
 from __future__ import annotations
@@ -125,11 +125,12 @@ class _Schedule:
 
     cols, diag, below: the columns by level, ascending within one, their
     diagonal positions and off-diagonal counts; levels: the slice of every
-    level.  The dataflow steps of _step_times: task and src (int32), every
-    task's position of l_jk and source k, by step, then in forward order;
-    by_step (int32), their forward index; task_counts and pivot_counts, the
-    tasks and pivots of every step; pivots, the columns by step, ascending
-    within one.  forward and backward, found on first use (a factorization
+    level.  The dataflow steps of _step_times, which only the factor reads:
+    task and src (int32), every task's position of l_jk and source k, by
+    step, then in forward order; by_step (int32), their forward index;
+    task_counts and pivot_counts, the tasks and pivots of every step;
+    pivots, the columns by step, ascending within one.  forward and
+    backward, found on first use (a factorization
     reads neither), hold the off-diagonals l_jk as positions, rows j, columns
     k and per-level slices: by level of row j, then j, then k (task and src
     put back by by_step), and column by column in cols' order, rows descending.

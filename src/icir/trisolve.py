@@ -20,36 +20,30 @@ The order is fixed, so results do not depend on the BLAS build: unknown j
 of L y = w takes its updates l_jk y_k in ascending column k, of L^T y = w
 its updates l_ij y_i in descending row i.
 
-native_low gives the bits of the column loops in tests/oracles.py.  The
-forward runs the factor's dataflow steps (icir.symbolic._step_times): a
-step's tasks, less those whose source y_k was zero at its pivot (the loop
-skips that column), round their products l_jk y_k as one batch and their
-subtractions as another, a target taking at most one; then each of its
-pivots with y_j nonzero divides by l_jj.  The backward walks the levels in
-reverse: one rounded batch of the products l_ij y_i of the level's columns,
-in the schedule's backward order (rows descending), then per column the
-subtractions of its nonzero products, walked back to ascending row, and the
-division, each one scalar rounding: Veltkamp's split inline for a result in
-[x_min, over_at), icir.precision._round_scalar for any other.
-
-Each direction runs one pass unchecked first (_tested_once): the forward
-rounds all its batches, the backward its product batches, by
-icir.precision._round_unchecked, and keeps them unrounded for one
-_rounds_exactly test at the end; unless all were exact (a zero pivot's
-quotient is not), y is restored and the pass rerun checked, by quantize.
-An unchecked pass's own failure counts only once that test has passed: an
-overflowed unchecked product reaches its chain as inf, where the chain
-would report a subtraction.  The chains are checked in both passes; fp16
-chains pass through the subnormals, where the split is inexact, so a
-deferred test of theirs would fail and rerun too often to pay.
+native_low gives the bits of the column loops in tests/oracles.py in one
+checked pass per direction, by the same levels.  A level rounds its
+products l_jk y_k (forward) or l_ij y_i (backward) as one batch by
+icir.precision._round_unchecked, in the schedule's order; then each of its
+columns runs a Python chain over its products, sources ascending, and its
+division.  A chain's subtractions and division are scalar roundings:
+Veltkamp's split inline for a result in [x_min, over_at), else
+icir.precision._round_scalar.  The chain checks a product q as it reads
+it: q is exact if qmin <= |q| <= x_max, qmin being x_s_min for a cast
+(fp16, fp32) and fp64 (no rounding), x_min for the split (bf16, custom
+formats) and inf for a format with neither (left unrounded).  A zero q is
+exact too: the forward skips it if its y_k was zero at its pivot (the loop
+skips column k), the backward always.  Any other q is rounded again from
+its fp64 product by _round_scalar, which flags its overflow.  The forward
+divides y_j, and tests l_jj, only if y_j is nonzero.
 
 Operations are numbered in the loops' order: forward, 3k is the zero test
 and division of column k, 3k + 1 its products, 3k + 2 its subtractions;
 backward, with m = n - 1 - j, 4m is the zero test of column j, 4m + 1 its
 products, 4m + 2 its subtractions, 4m + 3 its division.  An operation reads
-only lower-numbered results, so a checked pass's lowest-numbered failure is
-the loop's first, raised with no further rerun.  Operations after it run on
-silently (np.errstate), and the backward skips the chains numbered above it.
+only lower-numbered results, so the lowest-numbered failure is the loop's
+first.  Operations after it run on silently (np.errstate); the backward
+skips the chains and divisions above it, but no product after a failed
+subtraction of its column, as the product is numbered below it.
 
 quantize copies fp64 and flags nothing, so a fp64 native_low solve raises
 no OverflowSignal: a result past 2^1024 is left in y as inf or NaN.
@@ -59,14 +53,14 @@ and bf16.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 
 import numpy as np
 
 from .factor import IcFactor
-from .precision import _round_scalar, _round_unchecked, _rounds_exactly, quantize
+from .precision import _round_scalar, _round_unchecked, quantize
 from .sparse import inf_norm_vector
-from .symbolic import FillPattern, _schedule, _split
+from .symbolic import FillPattern, _schedule
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
@@ -133,119 +127,120 @@ def _level_sweep(steps, d: np.ndarray, vals: np.ndarray, y: np.ndarray) -> None:
 
 
 class _NativeSteps:
-    """native_low substitution: forward by the factor's steps, backward by levels in reverse."""
+    """native_low substitution by levels: forward in order, backward in reverse.
+
+    A step of fsteps and bsteps holds a level's columns (a list, and a slice
+    of the schedule's cols), their diagonals, the positions and sources of
+    its updates in the schedule's order, and each column's chain in them.
+    """
 
     def __init__(self, pattern: FillPattern):
         s = _schedule(pattern)
-        bw, diag = s.backward, pattern.col_ptr[s.pivots]
-        src, tgt, pos = s.src.astype(np.intp), pattern.row_idx[s.task], s.task.astype(np.intp)
-        self.fsteps = [(src[t], tgt[t], pos[t], s.pivots[p], diag[p])
-                       for t, p in zip(_split(s.task_counts), _split(s.pivot_counts))]
-        ends = np.cumsum(s.below)   # each column's chain: its slice of the level's products
-        self.bsteps = [(s.cols[c].tolist(), s.cols[c], s.diag[c], bw.pos[o], bw.rows[o],
-                        (ends[c] - s.below[c] - o.start).tolist(), (ends[c] - o.start).tolist())
-                       for c, o in zip(s.levels[::-1], bw.levels[::-1])]
+        fw, bw = s.forward, s.backward
+        self.fsteps = _chains(s, fw, fw.cols, np.bincount(fw.rows, minlength=pattern.n)[s.cols])
+        self.bsteps = _chains(s, bw, bw.rows, s.below)[::-1]
 
+    @np.errstate(all="ignore")
     def forward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
-        _tested_once(self._forward, vals, y, f)
+        qmin, lo, hi, s = _exact_ranges(f)
+        xmax = f.x_max
+        live = [False] * len(y)   # y_k was nonzero at its pivot
+        fail = (3 * len(y), "", 0)   # the lowest failure: number, kind, column
+        for cols, ci, diag, pos, src, starts, ends in self.fsteps:
+            x = vals[pos] * y[src]
+            p = _round_unchecked(x, f).tolist()
+            for j, a, b, acc, d in zip(cols, starts, ends, y[ci].tolist(), vals[diag].tolist()):
+                for i in range(a, b):   # sources ascending
+                    q = p[i]
+                    if not qmin <= abs(q) <= xmax:
+                        k = int(src[i])
+                        if q != 0.0:
+                            q, over = _round_scalar(float(x[i]), f)
+                            if over:
+                                fail = min(fail, (3 * k + 1, "product", k))
+                        elif not live[k]:   # the loop skips column k
+                            continue
+                    t = acc - q
+                    if lo <= abs(t) < hi:   # _round_unchecked's split, inline
+                        c = t * s
+                        acc = c - (c - t)
+                    else:
+                        acc, over = _round_scalar(t, f)
+                        if over:
+                            fail = min(fail, (3 * (k := int(src[i])) + 2, "subtraction", k))
+                if acc != 0.0:
+                    live[j] = True
+                    t = acc / d if d else math.inf
+                    if lo <= abs(t) < hi:
+                        c = t * s
+                        acc = c - (c - t)
+                    else:
+                        acc, over = _round_scalar(t, f)
+                        if over or not d:   # fp64 flags no overflow, a zero diagonal still fails
+                            fail = min(fail, (3 * j, "division" if d else "zero", j))
+                y[j] = acc
+        _raise(*fail)
 
+    @np.errstate(all="ignore")
     def backward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
-        _tested_once(self._backward, vals, y, f)
-
-    def _forward(self, vals: np.ndarray, y: np.ndarray, f, kept):
-        """One pass, unchecked with the unrounded arrays appended to the list
-        kept, or with kept None checked; returns the lowest failure."""
-        def rounded(x):
-            if kept is None:
-                return quantize(x, f)
-            kept.append(x)
-            return _round_unchecked(x, f), False
-        live = np.empty(len(y), dtype=bool)   # y_j was nonzero at its pivot
-        fail = (3 * len(y), "", 0)            # the lowest failure: number, kind, column
-        for src, tgt, pos, cols, diag in self.fsteps:
-            if len(src):
-                keep, lk = live[src], vals[pos]
-                if np.count_nonzero(keep) < len(keep):
-                    src, tgt, lk = src[keep], tgt[keep], lk[keep]
-                p, over = rounded(lk * y[src])
-                if np.count_nonzero(over):
-                    fail = min(fail, (3 * (k := int(src[over].min())) + 1, "product", k))
-                y[tgt], over = rounded(y[tgt] - p)
-                if np.count_nonzero(over):
-                    fail = min(fail, (3 * (k := int(src[over].min())) + 2, "subtraction", k))
-            if len(cols):
-                yj, d = y[cols], vals[diag]
-                live[cols] = nz = yj != 0.0
-                if np.count_nonzero(nz) < len(nz):
-                    cols, yj, d = cols[nz], yj[nz], d[nz]
-                # y_j / 0 is infinite, so a zero diagonal overflows as well
-                y[cols], over = rounded(yj / d)
-                if np.count_nonzero(over):
-                    j = int(cols[i := int(np.argmax(over))])
-                    fail = min(fail, (3 * j, "division" if d[i] else "zero", j))
-        return fail
-
-    def _backward(self, vals: np.ndarray, y: np.ndarray, f, kept):
-        """One pass, its product batches unchecked and appended to the list
-        kept, or with kept None checked; the chains are checked either way.
-        Returns the lowest failure."""
-        n, s = len(y), f.split
-        # where the split rounds exactly; with no split, an empty range
-        lo, hi = (f.x_min, f.over_at) if s else (0.0, 0.0)
+        qmin, lo, hi, s = _exact_ranges(f)
+        n, xmax = len(y), f.x_max
         fail = (4 * n, "", 0)
-        for cols, ci, diag, pos, rows, starts, ends in self.bsteps:
-            x = vals[pos] * y[rows]
-            if kept is None:
-                p, over = quantize(x, f)
-                if np.count_nonzero(over):   # the highest column with an overflowed product
-                    j = cols[bisect_right(ends, int(np.flatnonzero(over)[-1]))]
-                    fail = min(fail, (4 * (n - 1 - j) + 1, "product", j))
-            else:
-                kept.append(x)
-                p = _round_unchecked(x, f)
-            p = p.tolist()
+        for cols, ci, diag, pos, src, starts, ends in self.bsteps:
+            x = vals[pos] * y[src]
+            p = _round_unchecked(x, f).tolist()
             for j, a, b, acc, d in zip(cols, starts, ends, y[ci].tolist(), vals[diag].tolist()):
                 m = 4 * (n - 1 - j)
                 if d == 0.0:
                     fail = min(fail, (m, "zero", j))
-                elif m + 2 < fail[0]:   # else a lower failure is known, or this is one
-                    for q in reversed(p[a:b]):   # rows ascending
-                        if q != 0.0:
-                            t = acc - q
-                            if lo <= abs(t) < hi:   # _round_scalar's split, inline
-                                c = t * s
-                                acc = c - (c - t)
-                                continue
-                            acc, over = _round_scalar(t, f)
-                            if over:
-                                fail = (m + 2, "subtraction", j)
-                                break
+                    continue
+                if m + 1 >= fail[0]:   # a lower failure is known
+                    continue
+                for i in range(b - 1, a - 1, -1):   # rows ascending
+                    q = p[i]
+                    if not qmin <= abs(q) <= xmax:
+                        if q == 0.0:
+                            continue
+                        q, over = _round_scalar(float(x[i]), f)
+                        if over:
+                            fail = (m + 1, "product", j)
+                            break
+                        if q == 0.0:
+                            continue
+                    t = acc - q
+                    if lo <= abs(t) < hi:
+                        c = t * s
+                        acc = c - (c - t)
                     else:
-                        t = acc / d
-                        if lo <= abs(t) < hi:
-                            c = t * s
-                            y[j] = c - (c - t)
-                        else:
-                            y[j], over = _round_scalar(t, f)
-                            if over:
-                                fail = (m + 3, "division", j)
-        return fail
+                        acc, over = _round_scalar(t, f)
+                        if over:   # no break: a later product is numbered below
+                            fail = (m + 2, "subtraction", j)
+                if m + 3 < fail[0]:
+                    t = acc / d
+                    if lo <= abs(t) < hi:
+                        c = t * s
+                        y[j] = c - (c - t)
+                    else:
+                        y[j], over = _round_scalar(t, f)
+                        if over:
+                            fail = (m + 3, "division", j)
+        _raise(*fail)
 
 
-@np.errstate(all="ignore")
-def _tested_once(run, vals: np.ndarray, y: np.ndarray, f) -> None:
-    """Run the pass run unchecked and test all it kept once; unless every
-    rounding was exact, restore y and rerun it checked.  Raise the failure
-    of the pass that stands, the unchecked one only if its test passed."""
-    if f.cast or f.split:
-        w, kept = y.copy(), [np.empty(0)]
-        fail = run(vals, y, f, kept)
-        ax = np.concatenate(kept)   # with kept, 16 bytes an element until the test
-        if _rounds_exactly(np.abs(ax, out=ax), f):
-            _raise(*fail)
-            return
-        y[:] = w
-    _raise(*run(vals, y, f, None))
+def _chains(s, order, src, counts) -> list:
+    """The steps of the levels in order; counts, the chain lengths in cols' order."""
+    ends = np.cumsum(counts)
+    return [(s.cols[c].tolist(), s.cols[c], s.diag[c], order.pos[o], src[o],
+             (ends[c] - counts[c] - o.start).tolist(), (ends[c] - o.start).tolist())
+            for c, o in zip(s.levels, order.levels)]
+
+
+def _exact_ranges(f):
+    """(qmin, lo, hi, split): see the module docstring; lo <= |t| < hi is
+    the split's domain, empty where f has no split."""
+    qmin = f.x_s_min if f.cast or f.is_double else f.x_min if f.split else math.inf
+    lo, hi = (f.x_min, f.over_at) if f.split else (0.0, 0.0)
+    return qmin, lo, hi, f.split
 
 
 def _raise(number: int, kind: str, j: int) -> None:

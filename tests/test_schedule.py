@@ -449,9 +449,10 @@ def test_schedule_built_once_per_pattern_and_shared():
             shared.append((src, src_of))
             if tgt is not None:   # a level of one column holds no targets
                 shared += [(cols, s.cols), (tgt, tgt_of)]
-    shared += [(cols, s.pivots) for _, _, _, cols, _ in native.fsteps]
-    for _, cols, diag, pos, rows, _, _ in native.bsteps:
-        shared += [(cols, s.cols), (diag, s.diag), (pos, s.backward.pos), (rows, s.backward.rows)]
+    for steps, order, src_of in ((native.fsteps, s.forward, s.forward.cols),
+                                 (native.bsteps, s.backward, s.backward.rows)):
+        for _, cols, diag, pos, src, _, _ in steps:
+            shared += [(cols, s.cols), (diag, s.diag), (pos, order.pos), (src, src_of)]
     assert all(np.shares_memory(view, whole) for view, whole in shared if len(view))
     assert sum(len(view) > 0 for view, _ in shared) > 100
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import icir.precision as precision
 import icir.trisolve as trisolve
 import oracles
 from conftest import ic_attempt_on
@@ -146,6 +147,46 @@ def native_systems(draw):
     return L, quantize(w, f)[0]
 
 
+RAW_FORMATS = [get_format(name) for name in ("fp16", "bf16", "fp32", "fp64")] + [
+    FpFormat("e4m3-ish", 4, 4), FpFormat("p3-no-subnormals", 3, 3, supports_subnormals=False),
+    FpFormat("p52-e9", 52, 9)]   # neither a cast nor a split, and finite in fp64
+
+
+@st.composite
+def raw_systems(draw):
+    """(L, w): a random lower-triangular pattern (n <= 8) in one of
+    RAW_FORMATS, its values and right-hand side drawn entry by entry near 1,
+    near x_max, near x_min or anywhere in the format's range (with fp64,
+    within fp64), so that products pass x_max or fall below x_min and into
+    the subnormals; zeros of either sign, and zero pivots now and then."""
+    f = draw(st.sampled_from(RAW_FORMATS))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    present = np.tril(rng.random((n, n)) < rng.uniform(0.1, 1.0), -1)
+    rows = [np.concatenate([[j], np.flatnonzero(present[:, j])]) for j in range(n)]
+    col_ptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    pattern = FillPattern(n, col_ptr, np.concatenate(rows))
+    e_max = 2 ** (f.exponent_bits - 1) - 1
+    lo, hi = max(1 - e_max - f.significand_bits - 2, -1074), min(e_max + 2, 1023)
+
+    def entries(size):
+        ranges = np.array([(-3, 3), (hi - 6, hi), (lo, lo + 8), (lo, hi)])
+        e = ranges[rng.choice(4, size, p=[0.5, 0.15, 0.15, 0.2])]
+        x = rng.uniform(1.0, 2.0, size) * np.exp2(rng.integers(e[:, 0], e[:, 1] + 1))
+        x, over = quantize(rng.choice([-1.0, 1.0], size) * x, f)
+        x[over] = np.copysign(f.x_max, x[over])
+        zeros = rng.random(size) < 0.1
+        x[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        return x
+
+    values = entries(pattern.nnz)
+    diag = col_ptr[:-1]
+    values[diag] = np.where(rng.random(n) < 0.5, 1.0, np.abs(values[diag]))
+    values[diag[rng.random(n) < 0.05]] = 0.0
+    event(f.name)
+    return IcFactor(pattern, values, f, 0.0, FactorStats(0, 0, 0)), entries(n)
+
+
 def _outcome(solve, *args):
     """solve's result as int64 views, or its exception's type and message."""
     try:
@@ -165,6 +206,33 @@ def test_native_solves_match_scalar_reference(system):
         kind = want[1].split(" at")[0] if isinstance(want, tuple) else "solved"
         event(f"{solve.__name__}: {kind}")
         assert _outcome(solve, L, w, NATIVE_LOW) == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_systems())
+def test_raw_solves_match_scalar_reference(system):
+    """Every format kind: a cast (fp16, fp32), the split alone (bf16,
+    e4m3-ish, p3-no-subnormals) and neither (fp64, p52-e9).  fp64 flags nothing,
+    and the reference refuses a non-finite result (ValueError), where a
+    solve must leave a non-finite value in y or raise at a later zero
+    pivot."""
+    L, w = system
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w, L.format)
+    for solve, reference in ((forward_solve, oracles.native_forward_solve),
+                             (backward_solve, oracles.native_backward_solve)):
+        with np.errstate(all="ignore"):
+            got = _outcome(solve, L, w, NATIVE_LOW)
+            try:
+                want = _outcome(reference, *args)
+            except ValueError:
+                assert L.format.is_double
+                event(f"{solve.__name__}: fp64 non-finite")
+                assert (got[0] == "ZeroDivisionError" if isinstance(got, tuple)
+                        else not np.all(np.isfinite(np.array(got).view(np.float64))))
+                continue
+        kind = want[1].split(" at")[0] if isinstance(want, tuple) else "solved"
+        event(f"{solve.__name__}: {kind}")
+        assert got == want
 
 
 def test_lowest_numbered_failure_of_a_step():
@@ -227,17 +295,24 @@ TINY = 2.0 ** -126                  # the bf16 x_min
      [-(2.0 ** -40) * 3, 3 * 2.0 ** -140]),
     ([[3.0, 0.0, 0.0], [1.0 / 3.0, 7.0, 0.0], [0.1, -0.2, 1.0]], [1.0, 2.0, 3.0], FP64, None,
      None),
+    # y_1 = 1 - 2 is nonzero, so its zeroed pivot is tested, in fp64 too
+    ([[1.0, 0.0], [2.0, 1.0]], [1.0, 1.0], FP64, (2, 0.0), "zero diagonal at column 1"),
     ([[1.0, 0.0], [16.0, 1.0]], [16.0, 0.0], E4M3, None, "product overflow at column 0"),
     # 2^-4 * 3 * 2^-6 = 1.5 x_s_min, a tie that goes to 2 x_s_min
     ([[1.0, 0.0], [2.0 ** -4, 1.0]], [3 * 2.0 ** -6, 0.0], E4M3, None,
      [3 * 2.0 ** -6, -(2.0 ** -8)]),
+    # the split leaves that product at 1.5 x_s_min, and 9 - 1.5 would round
+    # to 8 x_s_min: the product is taken again, 9 - 2 = 7 x_s_min
+    ([[1.0, 0.0], [2.0 ** -4, 1.0]], [3 * 2.0 ** -6, 9 * 2.0 ** -9], E4M3, None,
+     [3 * 2.0 ** -6, 7 * 2.0 ** -9]),
 ], ids=["bf16-product-below-x_min", "bf16-quotient-below-x_min", "fp16-product",
         "fp16-subtraction", "fp16-division", "zero-pivot", "zero-pivot-skipped",
         "negative-zero-entry", "all-zero-rhs", "n1", "n1-zero", "fp32-product",
-        "fp32-subnormal", "fp64", "e4m3-product", "e4m3-subnormal-tie"])
+        "fp32-subnormal", "fp64", "fp64-zero-pivot", "e4m3-product", "e4m3-subnormal-tie",
+        "e4m3-subnormal-product"])
 def test_forward_matches_scalar_reference(Ld, w, f, entry, want):
-    """The forward, unchecked pass and all, gives the scalar reference's bits
-    or exception and message; entry is a (position, value) set in L."""
+    """The forward gives the scalar reference's bits or exception and
+    message; entry is a (position, value) set in L."""
     _matches_reference(forward_solve, oracles.native_forward_solve, Ld, w, f, entry, want)
 
 
@@ -255,7 +330,7 @@ def _matches_reference(solve, reference, Ld, w, f, entry, want):
 
 
 @pytest.mark.parametrize("Ld, w, f, entry, want", [
-    # the unchecked product 2 * 60000 is inf in fp16, and 1 - inf would
+    # the batch's product 2 * 60000 is inf in fp16, and 1 - inf would
     # overflow the chain's subtraction: the product's failure is the lower
     ([[1.0, 0.0], [2.0, 1.0]], [1.0, 60000.0], FP16, None, "product overflow at column 0"),
     # the split leaves 4 * 2^127 finite, above x_max
@@ -264,6 +339,10 @@ def _matches_reference(solve, reference, Ld, w, f, entry, want):
     # magnitude that rounds past x_max
     ([[1.0, 0.0], [-1.0, 1.0]], [60000.0, 5520.0], FP16, None,
      "subtraction overflow at column 0"),
+    # column 0's subtraction of -2 * 30000 overflows before its chain reads
+    # the product 2 * 60000, whose failure is the lower
+    ([[1.0, 0.0, 0.0], [-2.0, 1.0, 0.0], [2.0, 0.0, 1.0]], [60000.0, 30000.0, 60000.0], FP16,
+     None, "product overflow at column 0"),
     ([[2.0 ** -14, 0.0], [0.0, 1.0]], [8.0, 0.0], FP16, None, "division overflow at column 0"),
     ([[1.0, 0.0], [2.0, 1.0]], [1.0, 1.0], FP16, (2, 0.0), "zero diagonal at column 1"),
     # column 1, solved first, overflows its division: the zero test of
@@ -290,73 +369,71 @@ def _matches_reference(solve, reference, Ld, w, f, entry, want):
     # 2^-4 * 3 * 2^-6 = 1.5 x_s_min, a tie that goes to 2 x_s_min
     ([[1.0, 0.0], [2.0 ** -4, 1.0]], [0.0, 3 * 2.0 ** -6], E4M3, None,
      [-(2.0 ** -8), 3 * 2.0 ** -6]),
-], ids=["fp16-product-read-as-inf", "bf16-product", "fp16-subtraction", "fp16-division",
+    ([[1.0, 0.0], [2.0 ** -4, 1.0]], [9 * 2.0 ** -9, 3 * 2.0 ** -6], E4M3, None,
+     [7 * 2.0 ** -9, 3 * 2.0 ** -6]),
+], ids=["fp16-product-read-as-inf", "bf16-product", "fp16-subtraction",
+        "fp16-product-after-a-subtraction", "fp16-division",
         "zero-pivot", "zero-pivot-after-a-failure", "bf16-product-below-x_min",
         "fp16-subnormal-chain", "negative-zero-entry", "all-zero-rhs", "fp32-subnormal",
-        "fp64", "e4m3-product", "e4m3-subnormal-tie"])
+        "fp64", "e4m3-product", "e4m3-subnormal-tie", "e4m3-subnormal-product"])
 def test_backward_matches_scalar_reference(Ld, w, f, entry, want):
-    """The backward, unchecked pass and all, gives the scalar reference's
-    bits or exception and message; entry is a (position, value) set in L."""
+    """The backward gives the scalar reference's bits or exception and
+    message; entry is a (position, value) set in L."""
     _matches_reference(backward_solve, oracles.native_backward_solve, Ld, w, f, entry, want)
 
 
-def test_forward_checks_once_and_reruns_only_on_failure():
+def _rounding_calls(run):
+    """run's result, and its calls of quantize (from any module) and of _round_scalar."""
+    with mock.patch.object(precision, "quantize", wraps=quantize) as q, \
+            mock.patch.object(trisolve, "quantize", wraps=quantize) as tq, \
+            mock.patch.object(trisolve, "_round_scalar", wraps=_round_scalar) as r:
+        got = run()
+    return got, (q.call_count + tq.call_count, r.call_count), r.call_args_list
+
+
+def test_in_range_solves_round_only_in_batches_and_chains():
+    # every product, subtraction and division of an in-range bf16 solve is
+    # exact in its batch or by the inline split: no quantize, no _round_scalar
     A, _ = l2_scale(wathen(4, 3, seed=1))
     L = shifted_ic(A, ic_pattern(A, 0), f=BF16)
-    steps = trisolve._solve_kernel(L.pattern, NATIVE_LOW)
-    # the quantize calls of one checked pass: a step's products and
-    # subtractions, and its divisions
-    checked = sum(2 * (len(s[0]) > 0) + (len(s[3]) > 0) for s in steps.fsteps)
-    assert 0.5 < L.values[0] < 1.0   # the first pivot
-    in_range = quantize(np.linspace(-1.0, 1.0, L.n), BF16)[0]
-    underflow = in_range.copy()
-    underflow[0] = TINY / 4   # its quotient by the pivot is below x_min
-    overflow = in_range.copy()
-    overflow[0] = BF16.x_max  # and this one past x_max
-    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values)
-    for w, calls_of_the_forward in ((in_range, 0), (underflow, checked), (overflow, checked)):
-        with mock.patch.object(trisolve, "quantize", wraps=quantize) as calls:
-            got = _outcome(forward_solve, L, w, NATIVE_LOW)
-        assert calls.call_count == calls_of_the_forward
-        assert got == _outcome(oracles.native_forward_solve, *args, w, BF16)
-    assert got == ("OverflowSignal", "division overflow at column 0")
+    w = quantize(np.linspace(-1.0, 1.0, L.n), BF16)[0]
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w, BF16)
+    for solve, reference in ((forward_solve, oracles.native_forward_solve),
+                             (backward_solve, oracles.native_backward_solve)):
+        got, calls, _ = _rounding_calls(lambda: _outcome(solve, L, w, NATIVE_LOW))
+        assert calls == (0, 0)
+        assert got == _outcome(reference, *args) and isinstance(got, list)
 
 
-def test_backward_checks_once_and_reruns_only_on_failure():
-    A, _ = l2_scale(wathen(4, 3, seed=1))
-    L = shifted_ic(A, ic_pattern(A, 0), f=BF16)
-    steps = trisolve._solve_kernel(L.pattern, NATIVE_LOW)
-    n, last = L.n, L.pattern.col_ptr[-2] - 1   # the last entry of column n - 2, in row n - 1
-    assert L.pattern.row_idx[last] == n - 1 and 0.0 < abs(L.values[last]) < 0.5
-    in_range = quantize(np.linspace(-1.0, 1.0, n), BF16)[0]
-    underflow = in_range.copy()
-    underflow[-1] = TINY   # y_{n-1} is about 2 x_min, its products below x_min
-    overflow = in_range.copy()
-    overflow[-1] = 2.0 ** 125
-    values = L.values.copy()
-    big = values.copy()
-    big[last] = 2.0 ** 10   # and l_{n-1,n-2} y_{n-1} is past x_max
-    args = (L.pattern.col_ptr, L.pattern.row_idx)
+def test_subnormal_product_is_exact_in_a_cast_batch():
+    # 2^-20 * 2^-4 and 2^-20 * 1 are fp16 subnormals, which the cast rounds
+    # exactly: neither is taken again by _round_scalar
+    L = make_factor(np.array([[1.0, 0.0], [2.0 ** -20, 1.0]]), FP16)
+    w = np.array([2.0 ** -4, 1.0])
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w, FP16)
+    for solve, reference in ((forward_solve, oracles.native_forward_solve),
+                             (backward_solve, oracles.native_backward_solve)):
+        got, calls, _ = _rounding_calls(lambda: _outcome(solve, L, w, NATIVE_LOW))
+        assert calls[1] == 0
+        assert got == _outcome(reference, *args) and isinstance(got, list)
 
-    def calls_of(run):
-        with mock.patch.object(trisolve, "quantize", wraps=quantize) as q, \
-                mock.patch.object(trisolve, "_round_scalar", wraps=_round_scalar) as r:
-            got = run()
-        return got, (q.call_count, r.call_count)
 
-    for w, vals in ((in_range, values), (underflow, values), (overflow, big)):
-        L.values[:] = vals
-        got, calls = calls_of(lambda: _outcome(backward_solve, L, w, NATIVE_LOW))
-        assert got == _outcome(oracles.native_backward_solve, *args, L.values, w, BF16)
-        if w is in_range:
-            assert calls == (0, 0)
-            continue
-        # one unchecked pass, then one checked pass (a quantize call per level)
-        passes = [calls_of(lambda: steps._backward(L.values, w.copy(), BF16, kept))[1]
-                  for kept in ([], None)]
-        assert calls == (len(steps.bsteps), passes[0][1] + passes[1][1])
-        assert passes[0][0] == 0
-    assert got == ("OverflowSignal", f"product overflow at column {n - 2}")
+@pytest.mark.parametrize("Ld, w, f, product", [
+    ([[1.0, 0.0], [2.0, 1.0]], [60000.0, 1.0], FP16, 120000.0),
+    # the split leaves 4 * 2^127 finite, above x_max
+    ([[1.0, 0.0], [4.0, 1.0]], [2.0 ** 127, 1.0], BF16, 2.0 ** 129),
+    ([[1.0, 0.0], [16.0, 1.0]], [16.0, 1.0], E4M3, 256.0),
+], ids=["fp16", "bf16", "e4m3"])
+def test_overflowed_product_is_rounded_by_round_scalar(Ld, w, f, product):
+    # the forward multiplies by y_0, the backward by y_1: w reversed
+    L = make_factor(np.array(Ld), f)
+    for solve, reference, w in ((forward_solve, oracles.native_forward_solve, w),
+                                (backward_solve, oracles.native_backward_solve, w[::-1])):
+        w = np.array(w)
+        got, _, args = _rounding_calls(lambda: _outcome(solve, L, w, NATIVE_LOW))
+        assert got == _outcome(reference, L.pattern.col_ptr, L.pattern.row_idx, L.values, w, f)
+        assert got == ("OverflowSignal", "product overflow at column 0")
+        assert mock.call(product, f) in args
 
 
 def test_fp64_native_low_leaves_overflow_non_finite():
