@@ -118,8 +118,9 @@ class RunRecord:
     # JSON only: each inner solve's status, the native_low applications
     # retried in fp64, each failed attempt's shift and breakdown, squeeze's
     # dropped and flushed entries, the seconds of each stage, the levels (the
-    # steps of the native_low backward), the factor's (and forward's) steps
-    # and the update pairs an attempt enumerates (c(c - 1)/2 for c entries)
+    # steps of both solves), the factor's steps, the update pairs an attempt
+    # enumerates (c(c - 1)/2 for c entries), and the BLAS library and the
+    # *_NUM_THREADS environment the Krylov dot products ran under
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
     attempts: list = field(default_factory=list, metadata={"csv": False})
@@ -133,6 +134,8 @@ class RunRecord:
     depth: int = field(default=0, metadata={"csv": False})
     factor_steps: int = field(default=0, metadata={"csv": False})
     update_pairs_enumerated: int = field(default=0, metadata={"csv": False})
+    blas: str = field(default="unknown", metadata={"csv": False})
+    blas_threads: dict = field(default_factory=dict, metadata={"csv": False})
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -146,6 +149,15 @@ def build_rhs(A):
     """Right-hand side for the reference solution of all ones."""
     x_true = np.ones(A.n)
     return matvec_f64(A, x_true), x_true
+
+
+def _blas() -> str:
+    """NumPy's BLAS as "name version", or "unknown" (NumPy < 1.26 has no dicts)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        return "unknown"
 
 
 def run_experiment(config: RunConfig) -> RunRecord:
@@ -211,6 +223,8 @@ def run_experiment(config: RunConfig) -> RunRecord:
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
         depth=pattern.depth, factor_steps=L.stats.steps,
         update_pairs_enumerated=int((entries * (entries - 1) // 2).sum()),
+        blas=_blas(),
+        blas_threads={k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
         **seconds,
     )
 

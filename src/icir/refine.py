@@ -8,6 +8,15 @@ Convergence is measured by the normwise backward error
     res = ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf).
 
 A correction that overflows fp64 ends the run as diverged, without a warning.
+
+Each driver's first vectors are computed once.  resinit is the backward
+error of x_p = (L L^T)^-1 b, and its residual b - A x_p is also the first
+residual of LU-IR, which starts from x_p.  Krylov-IR starts from x = 0,
+whose residual is b bit for bit (matvec_f64 of zeros is +0 for a finite A),
+so its first inner solve is given b, and the first preconditioner call of
+that solve returns x_p when its argument has b's bits.  apply_preconditioner
+and matvec_f64 are looked up as module globals at each call, so a wrapper
+set on this module's attributes sees every apply and product made.
 """
 
 from __future__ import annotations
@@ -69,21 +78,23 @@ def backward_error(A: SparseSpd, x: np.ndarray, b: np.ndarray,
     return inf_norm_vector(r) / denom
 
 
-def _refine(A: SparseSpd, b: np.ndarray, xp: np.ndarray, x: np.ndarray, correct,
+def _refine(A: SparseSpd, b: np.ndarray, xp: np.ndarray, from_zero: bool, correct,
             report: SolveReport, delta: float, itmax: int) -> SolveReport:
     """The outer loop of both drivers.
 
     resinit is the backward error of xp, the plain preconditioner solve; the
-    loop starts from x.  Each step takes the fp64 residual and its backward
-    error, and stops on convergence, divergence, after itmax corrections, or
-    after a correction that correct(r) -> (dx, last) reported as the last.
+    loop starts from xp, or from 0 if from_zero, with xp's residual or b as
+    the first.  Each step takes the fp64 residual and its backward error,
+    and stops on convergence, divergence, after itmax corrections, or after
+    a correction that correct(r) -> (dx, last) reported as the last.
     """
     normA = inf_norm_matrix(A)
     normb = inf_norm_vector(b)
-    report.resinit = backward_error(A, xp, b, normA, normb)
+    r = b - matvec_f64(A, xp)
+    report.resinit = backward_error(A, xp, b, normA, normb, r=r)
+    x, r = (np.zeros(A.n), b) if from_zero else (xp, r)
     last = False
     for i in range(itmax + 1):
-        r = b - matvec_f64(A, x)
         res = backward_error(A, x, b, normA, normb, r=r)
         report.resfinal = res
         report.iouter = i
@@ -97,6 +108,7 @@ def _refine(A: SparseSpd, b: np.ndarray, xp: np.ndarray, x: np.ndarray, correct,
             break
         dx, last = correct(r)
         x = x + dx
+        r = b - matvec_f64(A, x)
     report.solution = x
     return report
 
@@ -120,8 +132,7 @@ def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
                 report.overflow_fallbacks += 1
         return apply_preconditioner(L, r, CAST_F64)
 
-    x = solve(b)
-    return _refine(A, b, x, x, lambda r: (solve(r), False), report, delta, itmax)
+    return _refine(A, b, solve(b), False, lambda r: (solve(r), False), report, delta, itmax)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -133,14 +144,26 @@ def ic_krylov_ir(A: SparseSpd, b: np.ndarray, L: IcFactor, method: str = "cg",
 
     Preconditioning inside the inner solver is done in fp64 (cast_f64).
     resinit is the backward error of the pure preconditioner solve
-    x = (L L^T)^-1 b.  A small_curvature return from CG stops the outer
-    loop, since further corrections from that solver are untrustworthy; a
-    GMRES return at its iteration limit or its basis memory budget does not.
+    x_p = (L L^T)^-1 b.  The refinement starts from x = 0, so the first
+    inner solve is given b and its first preconditioner call would compute
+    x_p again: that one call returns x_p instead if its argument has b's
+    bits (compared as integers, so that -0.0 and NaN payloads count).
+    A small_curvature return from CG stops the outer loop, since further
+    corrections from that solver are untrustworthy; a GMRES return at its
+    iteration limit or its basis memory budget does not.
     """
     if method not in ("cg", "gmres"):
         raise ValueError(f"unknown inner method {method!r}")
     b = np.asarray(b, dtype=np.float64)
-    M = lambda r: apply_preconditioner(L, r, CAST_F64)
+    xp = apply_preconditioner(L, b, CAST_F64)
+    first = True
+
+    def M(r):
+        nonlocal first
+        reuse = first and np.array_equal(r.view(np.uint64), b.view(np.uint64))
+        first = False
+        return xp if reuse else apply_preconditioner(L, r, CAST_F64)
+
     inner = pcg if method == "cg" else gmres
     report = SolveReport(resinit=1.0, resfinal=1.0, iouter=0, totits=0)
 
@@ -150,4 +173,4 @@ def ic_krylov_ir(A: SparseSpd, b: np.ndarray, L: IcFactor, method: str = "cg",
         report.totits += out.iterations
         return out.solution, out.status == SMALL_CURVATURE
 
-    return _refine(A, b, M(b), np.zeros(A.n), correct, report, delta, itmax)
+    return _refine(A, b, xp, True, correct, report, delta, itmax)

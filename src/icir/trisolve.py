@@ -137,8 +137,10 @@ class _NativeSteps:
     def __init__(self, pattern: FillPattern):
         s = _schedule(pattern)
         fw, bw = s.forward, s.backward
-        self.fsteps = _chains(s, fw, fw.cols, np.bincount(fw.rows, minlength=pattern.n)[s.cols])
-        self.bsteps = _chains(s, bw, bw.rows, s.below)[::-1]
+        cols = [s.cols[c].tolist() for c in s.levels]   # one list per level, both directions
+        self.fsteps = _chains(s, cols, fw, fw.cols,
+                              np.bincount(fw.rows, minlength=pattern.n)[s.cols])
+        self.bsteps = _chains(s, cols, bw, bw.rows, s.below)[::-1]
 
     @np.errstate(all="ignore")
     def forward(self, vals: np.ndarray, y: np.ndarray, f) -> None:
@@ -227,12 +229,13 @@ class _NativeSteps:
         _raise(*fail)
 
 
-def _chains(s, order, src, counts) -> list:
-    """The steps of the levels in order; counts, the chain lengths in cols' order."""
+def _chains(s, cols, order, src, counts) -> list:
+    """The steps of the levels in order, cols holding each level's columns
+    as a list; counts, the chain lengths in s.cols' order."""
     ends = np.cumsum(counts)
-    return [(s.cols[c].tolist(), s.cols[c], s.diag[c], order.pos[o], src[o],
+    return [(js, s.cols[c], s.diag[c], order.pos[o], src[o],
              (ends[c] - counts[c] - o.start).tolist(), (ends[c] - o.start).tolist())
-            for c, o in zip(s.levels, order.levels)]
+            for js, c, o in zip(cols, s.levels, order.levels)]
 
 
 def _exact_ranges(f):

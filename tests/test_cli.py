@@ -153,6 +153,19 @@ class TestRunExperiment:
                                        outer_itmax=0))
         assert rec.status == "not-converged" and rec.iouter == 0
 
+    def test_blas_and_its_thread_settings(self, poisson_mtx, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        rec = run_experiment(RunConfig(matrix_path=poisson_mtx))
+        assert rec.blas_threads["OPENBLAS_NUM_THREADS"] == "3"
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert rec.blas == f"{blas['name']} {blas['version']}"
+
+        def old_show_config():   # NumPy < 1.26 takes no mode
+            pass
+
+        monkeypatch.setattr(cli.np, "show_config", old_show_config)
+        assert run_experiment(RunConfig(matrix_path=poisson_mtx)).blas == "unknown"
+
     @pytest.mark.parametrize("solver", ["cg", "gmres", "lu-ir", "plain-krylov"])
     def test_unset_limits_take_the_driver_defaults(self, poisson_mtx, monkeypatch, solver):
         calls = []
@@ -274,7 +287,8 @@ class TestMain:
                                                       "attempts", "squeeze_dropped",
                                                       "squeeze_flushed", *stages,
                                                       "depth", "factor_steps",
-                                                      "update_pairs_enumerated"}
+                                                      "update_pairs_enumerated",
+                                                      "blas", "blas_threads"}
         assert all(data[0][s] > 0.0 for s in stages)   # each stage was timed
         assert sum(data[0][s] for s in stages) <= data[0]["wall_seconds"]
         assert data[0]["status"] == "converged"

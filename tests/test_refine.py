@@ -258,3 +258,57 @@ class TestNanResidual:
         (its, got), = rep.per_outer
         assert its <= 1 and got == status
         assert np.isnan(rep.resfinal)
+
+
+class TestWorkCounts:
+    """Each driver computes its first vectors once: b reaches the
+    preconditioner once, and refine forms one residual per iterate plus
+    the one of x_p."""
+
+    @pytest.fixture
+    def system(self):
+        A, _ = l2_scale(poisson2d(10))
+        L = shifted_ic(A, ic_pattern(A, 0), f=FP16)
+        return A, matvec_f64(A, np.ones(A.n)), L
+
+    @staticmethod
+    def counted(run):
+        """run()'s report, the arguments of refine's preconditioner calls and
+        the number of refine's matvecs."""
+        args, matvecs = [], []
+
+        def apply(L, r, mode):
+            args.append(np.array(r))
+            return trisolve.apply_preconditioner(L, r, mode)
+
+        def matvec(A, x):
+            matvecs.append(x)
+            return matvec_f64(A, x)
+
+        with mock.patch.object(refine, "apply_preconditioner", apply), \
+                mock.patch.object(refine, "matvec_f64", matvec):
+            rep = run()
+        return rep, args, len(matvecs)
+
+    @pytest.mark.parametrize("method", ["cg", "gmres"])
+    @pytest.mark.parametrize("signed_zero", [False, True], ids=["b", "b with -0.0"])
+    def test_krylov_ir_applies_the_preconditioner_to_b_once(self, system, method, signed_zero):
+        A, b, L = system
+        if signed_zero:
+            b[3] = -0.0
+        rep, args, _ = self.counted(lambda: ic_krylov_ir(A, b, L, method=method))
+        assert rep.converged and rep.iouter >= 2
+        assert len(args) == sum(count + 1 for count, _ in rep.per_outer)
+        assert [r.tobytes() for r in args].count(b.tobytes()) == 1
+
+    @pytest.mark.parametrize("driver", [
+        lambda A, b, L: ic_lu_ir(A, b, L),
+        lambda A, b, L: ic_lu_ir(A, b, L, itmax=0),
+        lambda A, b, L: ic_krylov_ir(A, b, L, method="cg"),
+        lambda A, b, L: ic_krylov_ir(A, b, L, method="gmres"),
+        lambda A, b, L: ic_krylov_ir(A, b, L, method="cg", itmax=0),
+    ], ids=["lu-ir", "lu-ir itmax 0", "cg", "gmres", "cg itmax 0"])
+    def test_one_matvec_per_iterate_and_one_for_xp(self, system, driver):
+        A, b, L = system
+        rep, _, matvecs = self.counted(lambda: driver(A, b, L))
+        assert matvecs == rep.iouter + 1
