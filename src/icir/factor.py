@@ -15,7 +15,13 @@ the product b*c in fp16 can move it across the x_max boundary and admit an
 update whose exact value overflows, e.g. a=32, b*c exactly -65488 rounds to
 -65472 and passes the format-precision test although a - b*c = 65520 > x_max.
 The exact-valued guards admit a strict superset of obviously-safe updates and
-never admit an overflow.
+never admit an overflow.  A step's updates first meet one bound,
+max|a| + max|b*c| <= x_max/2 (safe_update_many), under which no pair can
+trip a guard and neither rounding can overflow: |b*c| <= x_max/2 and
+|a - round(b*c)| <= x_max, since x_max/2 is representable and rounding is
+monotone.  Such a step is rounded with no guard; only a step that fails the
+bound, as NaN, inf and a failed attempt's over_at do, is guarded pair by
+pair, with the same values and flags.
 
 In fp64 the guard products round, so near x_max a guard could admit a value
 just past it; l2-scaled input (entries at most 1) keeps fp64's factor far

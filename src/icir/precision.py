@@ -36,6 +36,15 @@ split), and for a batch's product that its cast or split may not have
 rounded exactly.  TestBitwiseOracle in tests/test_precision.py pins the
 paths to each other, TestIndependentOracle to the frozen frexp rounding of
 tests/oracles.py.
+
+safe_update_many guards a whole call by one bound, max|a| + max|b*c| <=
+x_max/2, under which no pair can trip a guard or overflow: |b*c| <= x_max/2
+and |a - round(b*c)| <= x_max < over_at, x_max/2 being representable and
+rounding monotone.  NaN and inf fail it.  A call that meets it rounds with
+nothing flagged, by _round_unchecked in a cast format (below over_at is the
+whole of the cast's domain) and by quantize otherwise; any other call runs
+every guard on every pair.  TestSafeUpdate pins both paths to the scalar
+guard of tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -198,19 +207,32 @@ def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
     """Guarded updates v = a - b*c in format f over aligned arrays (c may be scalar).
 
     Returns (v, unsafe_mask); entries of v under the mask are invalid.  The
-    guards test the fp64 product b*c, exact up to fp32, for the reason the
-    B3 discussion in factor.py gives; tests/oracles.py holds the reference.
-    Only in fp64 can b*c or a - b*c overflow; the inf is silent, and the
-    guards reject it.
+    guards test the fp64 product w = b*c, exact up to fp32, for the reason
+    the B3 discussion in factor.py gives; tests/oracles.py holds the
+    reference.  Only in fp64 can b*c or a - b*c overflow; the inf is silent,
+    and the guards reject it.
+
+    One bound first decides the whole call: max|a| + max|w| <= x_max / 2,
+    which NaN, inf and the over_at a failed attempt leaves fail.  Under it
+    no pair trips a guard, and neither rounding overflows: |w| <= x_max/2
+    and |a - round(w)| <= x_max, since x_max/2 is representable and
+    rounding is monotone.  So the call returns round(a - round(w)) with
+    nothing flagged, a cast format rounding by _round_unchecked, whose
+    domain that is; any other call runs the guards pair by pair.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
+    w = b * c
+    if np.abs(a).max(initial=0.0) + np.abs(w).max(initial=0.0) <= 0.5 * f.x_max:
+        if f.cast is not None:
+            v = _round_unchecked(a - _round_unchecked(w, f), f)
+            return v, np.zeros(v.shape, dtype=bool)
+        return quantize(a - quantize(w, f)[0], f)
     xmax = f.x_max
     ab = np.abs(b)
     ac = np.abs(c)
     unsafe = ~((ab <= 1.0) | (ac <= 1.0) | (ab * ac <= xmax))
-    w = b * c
     neg_a = a < 0.0
     bad_pos = ~neg_a & ~((w >= 0.0) | (xmax - a >= -w))
     bad_neg = neg_a & ~((w < 0.0) | (xmax + a >= w))

@@ -152,10 +152,12 @@ def read_matrix_market(source) -> SparseSpd:
         raise MatrixFormatError(f"matrix must be declared symmetric, got {symmetry!r}")
 
     # the size line, then the entries; blank and comment lines are skipped
-    content = [raw for raw in lines if raw.strip() and not raw.lstrip().startswith(b"%")]
-    if not content:
+    for raw in lines:
+        if raw.strip() and not raw.lstrip().startswith(b"%"):
+            break
+    else:
         raise MatrixFormatError("missing size line")
-    size_line = content[0].strip()
+    size_line = raw.strip()
     try:
         nrows, ncols, nnz = (int(t) for t in size_line.split())
     except ValueError:
@@ -165,10 +167,16 @@ def read_matrix_market(source) -> SparseSpd:
     if nrows < 0 or nnz < nrows:  # each diagonal entry must be stored
         raise MatrixFormatError(f"size line {size_line!r} needs 0 <= n <= nnz")
 
-    body = b"".join(content[1:])
+    body = data[lines.tell():]
+    # loadtxt skips blank lines itself, but not comments, nor a blank line
+    # with a carriage return inside it
+    if b"%" in body or b"\r" in body:
+        body = b"".join(raw for raw in io.BytesIO(body)
+                        if raw.strip() and not raw.lstrip().startswith(b"%"))
     try:
         # comments=None: Matrix Market has no '#' comments, so '#' is a bad token
-        arr = np.loadtxt(io.BytesIO(body), ndmin=2, comments=None) if body else np.empty((0, 3))
+        arr = (np.loadtxt(io.BytesIO(body), ndmin=2, comments=None)
+               if body and not body.isspace() else np.empty((0, 3)))
     except ValueError as exc:  # ragged rows, tokens that are not numbers
         raise MatrixFormatError(f"bad entry line: {exc}") from None
     if arr.shape[0] != nnz:

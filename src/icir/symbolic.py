@@ -22,10 +22,11 @@ keys it touched.
 B is BLOCK_COLUMNS, fewer when the stamps would pass STAMP_BYTES, and at
 least 1.  The budget keeps the stamps of a large matrix bounded; the cap
 bounds the per-depth pair arrays, which grow with B times the frontier.  On
-a dense 100-column IC(3) pattern the search's peak allocation is 0.2 MiB
-one column at a time, 1.8 MiB at 32 columns and 3.4 MiB as one block of
-all 100, while 32 columns already take most of the speed-up of larger
-blocks on sparse patterns.
+a dense 100 x 100 matrix the IC(3) search's peak allocation (tracemalloc)
+is 0.4 MiB one column at a time, 6.1 MiB at 32 columns, 7.0 MiB at 64 and
+11.8 MiB as one block of all 100; on wathen(40, 30) it is 2.4 MiB at 32
+and 2.8 MiB at 64 columns, and on the benchmark's sparse patterns 64
+columns take 0.76-0.95 times the time of 32.
 
 A pattern also carries its elimination levels, found when it is built.
 Column j of L depends on every column k < j with (j, k) in the pattern: the
@@ -219,7 +220,7 @@ def _full_adjacency(A: SparseSpd):
 
 
 # Columns searched together, and the byte budget of their stamps.
-BLOCK_COLUMNS = 32
+BLOCK_COLUMNS = 64
 STAMP_BYTES = 8 << 20
 
 

@@ -9,7 +9,9 @@ icir.precision: rounding with underflow and subnormal flags, one simulated
 operation, and one guarded update.  They are built on _round_scalar, a
 frozen copy of the frexp/ldexp rounding icir.precision once had for every
 scalar, so that a faster rounding in icir.precision is checked against a
-ruler that does not move with it.
+ruler that does not move with it.  _safe_update_many is, for the same
+reason, a frozen copy of the pair-by-pair vector guard that
+icir.precision.safe_update_many runs when its one bound fails.
 
 native_forward_solve and native_backward_solve are the references of the
 native_low substitutions of icir.trisolve: one sim_op per operation, the
@@ -54,7 +56,7 @@ import numpy as np
 from icir.factor import Breakdown, FactorizationError
 from icir.gallery import _ELEMENT
 from icir.krylov import CONVERGED, MAX_ITERATIONS, STAGNATED, KrylovOutcome
-from icir.precision import FpFormat, quantize, safe_scale_check, safe_update_many
+from icir.precision import FpFormat, quantize, safe_scale_check
 from icir.sparse import SparseSpd, matvec_f64
 from icir.symbolic import FillPattern
 from icir.trisolve import OverflowSignal
@@ -169,6 +171,25 @@ def safe_update(a: float, b: float, c: float, f: FpFormat):
     if over:
         return None
     return v
+
+
+@np.errstate(over="ignore")
+def _safe_update_many(a, b, c, f: FpFormat):
+    """safe_update over aligned arrays, every guard on every pair: (v,
+    unsafe_mask), entries of v under the mask invalid."""
+    xmax = f.x_max
+    ab = np.abs(b)
+    ac = np.abs(c)
+    unsafe = ~((ab <= 1.0) | (ac <= 1.0) | (ab * ac <= xmax))
+    w = b * c
+    neg_a = a < 0.0
+    bad_pos = ~neg_a & ~((w >= 0.0) | (xmax - a >= -w))
+    bad_neg = neg_a & ~((w < 0.0) | (xmax + a >= w))
+    unsafe |= bad_pos | bad_neg
+    wr, over_w = quantize(w, f)
+    v, over_v = quantize(a - wr, f)
+    unsafe |= over_w | over_v
+    return v, unsafe
 
 
 def forward_solve(col_ptr, row_idx, values, w):
@@ -491,7 +512,7 @@ def column_factor(vals, pattern, keys, tau, f, safe_checks):
         c = c[present]
         a = vals[pos]
         if safe_checks:
-            v, unsafe = safe_update_many(a, b, c, f)
+            v, unsafe = _safe_update_many(a, b, c, f)
             if np.any(unsafe):
                 return Breakdown("B3", k)
             vals[pos] = v

@@ -1,11 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icir import precision
 from icir.precision import (FpFormat, _round_scalar, get_format, quantize, safe_scale_check,
                             safe_update_many)
 from oracles import round_to, safe_update, sim_op
@@ -337,6 +339,55 @@ class TestSafeScaleCheck:
                 assert a / d <= FP16.x_max * (1 + 1e-12)
 
 
+BOUND_FORMATS = [FP16, BF16, FP32, FP64, FpFormat("e4m3-ish", 4, 4)]
+BOUND_CASES = ["under", "at", "just-over", "non-finite"]
+
+
+def _check_against_scalar(a, b, c, f):
+    """safe_update_many against oracles.safe_update element by element, value
+    and None/mask.  A non-finite a, which the oracle does not take, must not
+    give a finite unflagged value, and below fp64 must be flagged."""
+    v, unsafe = safe_update_many(a, b, c, f)
+    for i in range(len(a)):
+        where = (f.name, i, a[i], b[i], c[i])
+        if not math.isfinite(a[i]):
+            assert unsafe[i] or (f.is_double and not math.isfinite(v[i])), where
+            continue
+        s = safe_update(a[i], b[i], c[i], f)
+        assert bool(unsafe[i]) == (s is None), where
+        if s is not None:
+            assert v[i] == s, where
+
+
+def _bound_case(f, case, size=400):
+    """(a, b, c) in f for a bound case: random values of every magnitude from
+    the smallest positive one with |a| <= x_max/8 and |b*c| <= x_max/8,
+    zeros of both signs among them, and in the first pair the case's edge."""
+    rng = np.random.default_rng(22)
+    tiny = math.log2(f.x_s_min if f.supports_subnormals else f.x_min)
+
+    def draw(top):
+        x = np.exp2(rng.uniform(tiny, math.log2(top), size)) * rng.choice([-1.0, 1.0], size)
+        x[rng.integers(0, size, 8)] = 0.0
+        x[rng.integers(0, size, 8)] = -0.0
+        return quantize(x, f)[0]
+
+    quarter = f.x_max / 4   # representable, as is x_max / 2
+    root = math.sqrt(f.x_max / 8)
+    a, b, c = draw(f.x_max / 8), draw(root), draw(root)
+    if case == "at":   # max|a| + max|w| == x_max / 2; a - w = -x_max / 2
+        a[0], b[0], c[0] = -quarter, quarter, 1.0
+    elif case == "just-over":   # a - w is one ulp of x_max/4 past x_max / 2
+        ulp = math.ldexp(1.0, math.frexp(quarter)[1] - f.significand_bits)
+        a[0], b[0], c[0] = quarter + ulp, quarter, -1.0
+        a[1], b[1], c[1] = f.x_max, 1.0, -f.x_min   # unsafe, though it rounds to x_max
+    elif case == "non-finite":
+        a[0:6] = [math.nan, math.nan, math.inf, math.inf, -math.inf, -math.inf]
+        c[0:6] = [1.0, -1.0] * 3   # w of both signs for each
+        b[0:6] = 0.5
+    return a, b, c
+
+
 class TestSafeUpdate:
     def test_zeros(self):
         assert safe_update(0.0, 0.0, 0.0, FP16) == 0.0
@@ -359,15 +410,25 @@ class TestSafeUpdate:
         assert safe_update(a, b, c, FP16) is None
 
     def test_vector_matches_scalar(self):
+        """fp16 draws within ±300, then in every format arrays with max|a| +
+        max|b*c| under, at and just over x_max/2, and with NaN or inf in a,
+        which the bound sends to the pairwise guards."""
         rng = np.random.default_rng(8)
         t = np.float16(rng.uniform(-300, 300, (500, 3))).astype(np.float64)
-        v, unsafe = safe_update_many(t[:, 0], t[:, 1], t[:, 2], FP16)
-        for i in range(500):
-            s = safe_update(t[i, 0], t[i, 1], t[i, 2], FP16)
-            if unsafe[i]:
-                assert s is None
-            else:
-                assert s == v[i]
+        _check_against_scalar(t[:, 0], t[:, 1], t[:, 2], FP16)
+        for f in BOUND_FORMATS:
+            for case in BOUND_CASES:
+                _check_against_scalar(*_bound_case(f, case), f)
+
+    @pytest.mark.parametrize("f", [FP16, FP32], ids=lambda f: f.name)
+    def test_cast_formats_round_under_the_bound_without_quantize(self, f):
+        """The bound's path for a cast format calls quantize on neither
+        rounding; a call that fails the bound calls it on both."""
+        for case, calls in zip(BOUND_CASES, [0, 0, 2, 2]):
+            a, b, c = _bound_case(f, case)
+            with mock.patch.object(precision, "quantize", wraps=precision.quantize) as q:
+                safe_update_many(a, b, c, f)
+            assert q.call_count == calls, case
 
 
 class TestProperties:

@@ -69,6 +69,15 @@ class TestReadMatrixMarket:
         assert A.nnz == 3
         assert np.allclose(to_dense(A), [[4, 2], [2, 4]])
 
+    def test_blank_and_comment_lines_between_entries(self):
+        for sep in ("\n", "\r\n"):
+            A = read_matrix_market(sep.join([
+                "%%MatrixMarket matrix coordinate real symmetric", "% before the size line",
+                "", "2 2 3", "1 1 4.0", "  % between entries", " \t", "2 1 2.0", "",
+                "%", "2 2 4.0", "% after the last entry", ""]).encode())
+            assert A.nnz == 3
+            assert np.array_equal(to_dense(A), [[4, 2], [2, 4]])
+
     def test_general_rejected(self):
         bad = SIMPLE.replace(b"symmetric", b"general")
         with pytest.raises(MatrixFormatError):
@@ -307,7 +316,9 @@ class TestReaderFuzz:
         "1 1 1\n1 1 a", "1 1 1\n1 1 4.0 5.0", "1 1 1\n1e30 1 4.0",
         "100000000000 100000000000 0",
         # Matrix Market comments start with %; a '#' is a bad token
-        "1 1 1\n1 1 4.0 # junk", "1 1 1\n#"])
+        "1 1 1\n1 1 4.0 # junk", "1 1 1\n#",
+        # a '%' that does not start its line is a bad token too
+        "1 1 1\n1 1 4.0 %"])
     def test_defects_rejected(self, body):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
