@@ -24,18 +24,17 @@ over_at; bf16 and custom formats by Veltkamp's split (Dekker 1971), c = x *
 (2^(53-p) + 1), y = c - (c - x), which without fp64 overflow or underflow
 is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
 ±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent bits
-(else FpFormat.split is None).  A format with neither, fp64 among them, is
-returned as it is.  _rounds_exactly is the domain of the cast or split;
-quantize rounds an array inside it so, fp64 by a copy and any other array
-by the frexp path, whose overflowed slots, inf and NaN among them, hold
-over_at.  _round_scalar rounds one double as quantize does: a zero as it
-is, any other value by quantize.  The native_low chains of icir.trisolve
-round their results in the split's domain inline and call it only for the
-others (zeros, subnormals, overflows, and every value of a format with no
-split), and for a batch's product that its cast or split may not have
-rounded exactly.  TestBitwiseOracle in tests/test_precision.py pins the
-paths to each other, TestIndependentOracle to the frozen frexp rounding of
-tests/oracles.py.
+(else FpFormat.split is None).  _rounds_exactly is the domain of the cast
+or split; quantize rounds an array inside it so, fp64 by a copy and any
+other array by the frexp path, whose overflowed slots, inf and NaN among
+them, hold over_at.  _round_scalar rounds one double as quantize does: a
+zero as it is, any other value by quantize.  The native_low chains of
+icir.trisolve, which run only in formats with a split, round their results
+in the split's domain inline and call it only for the others (zeros,
+subnormals and overflows), and for a batch's product that its cast or
+split may not have rounded exactly.  TestBitwiseOracle in
+tests/test_precision.py pins the paths to each other, TestIndependentOracle
+to the frozen frexp rounding of tests/oracles.py.
 
 safe_update_many guards a whole call by one bound, max|a| + max|b*c| <=
 x_max/2, under which no pair can trip a guard or overflow: |b*c| <= x_max/2
@@ -145,12 +144,10 @@ def _round_scalar(x: float, f: FpFormat):
 
 
 def _round_unchecked(x: np.ndarray, f: FpFormat) -> np.ndarray:
-    """x rounded into f's cast or split with no range test, or x itself
-    where f has neither (see the module docstring)."""
+    """x rounded into f's cast or split with no range test (see the module
+    docstring); f has one or the other."""
     if f.cast is not None:
         return x.astype(f.cast).astype(np.float64)
-    if f.split is None:
-        return x
     c = x * f.split
     return c - (c - x)
 

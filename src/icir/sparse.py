@@ -8,6 +8,7 @@ lower triangle is mirrored implicitly.
 from __future__ import annotations
 
 import io
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,11 +175,14 @@ def read_matrix_market(source) -> SparseSpd:
         body = b"".join(raw for raw in io.BytesIO(body)
                         if raw.strip() and not raw.lstrip().startswith(b"%"))
     try:
-        # comments=None: Matrix Market has no '#' comments, so '#' is a bad token
-        arr = (np.loadtxt(io.BytesIO(body), ndmin=2, comments=None)
-               if body and not body.isspace() else np.empty((0, 3)))
+        with warnings.catch_warnings():
+            # a body loadtxt reads as no rows (blank, or only \x1c or \x85) is empty
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # comments=None: Matrix Market has no '#' comments, so '#' is a bad token
+            arr = np.loadtxt(io.BytesIO(body), ndmin=2, comments=None)
     except ValueError as exc:  # ragged rows, tokens that are not numbers
         raise MatrixFormatError(f"bad entry line: {exc}") from None
+    arr = arr if arr.size else np.empty((0, 3))
     if arr.shape[0] != nnz:
         raise MatrixFormatError(f"expected {nnz} entries, found {arr.shape[0]}")
     if arr.shape[1] != 3:

@@ -39,7 +39,7 @@ Sparse Linear Systems, 2nd ed., 2003).  _schedule puts the off-diagonals in
 level order once per pattern, on first use, and keeps them in its schedule
 slot: the factor (icir.factor) runs from the dataflow steps _step_times
 refines them into, and only the factor reads the steps; the solves
-(icir.trisolve) run from the levels, whose kernels slice the same arrays.
+(icir.trisolve) run from the levels, whose record slices the same arrays.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ class FillPattern:
     # elimination level of every column (int32) and the number of levels
     column_level: np.ndarray = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
-    # the solves' kernels by exec mode, built by icir.trisolve on a mode's
-    # first solve; the pattern is treated as immutable after construction
+    # the solves' level record, one for both exec modes, built by
+    # icir.trisolve on the first solve; the pattern is treated as immutable
+    # after construction
     solve_kernel: object = field(default=None, init=False, repr=False, compare=False)
     # the elimination schedule, built by _schedule on first use
     schedule: object = field(default=None, init=False, repr=False, compare=False)

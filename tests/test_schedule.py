@@ -22,7 +22,7 @@ from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
 from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
-from icir.trisolve import (CAST_F64, NATIVE_LOW, _LevelKernel, apply_preconditioner,
+from icir.trisolve import (CAST_F64, NATIVE_LOW, _cast_sweep, _levels, apply_preconditioner,
                            backward_solve, forward_solve)
 
 
@@ -83,12 +83,12 @@ def _assert_same_bits(got, want):
 def test_kernels_match_scalar_oracle(system):
     pattern, values, w = system
     args = (pattern.col_ptr, pattern.row_idx, values, w)
-    kernel = _LevelKernel(pattern)
+    r = _levels(pattern)
     y = w.copy()
-    kernel.forward(values, y)
+    _cast_sweep(r, values, y, True)
     _assert_same_bits(y, np.array(oracles.forward_solve(*args)))
     y = w.copy()
-    kernel.backward(values, y)
+    _cast_sweep(r, values, y, False)
     _assert_same_bits(y, np.array(oracles.backward_solve(*args)))
 
 
@@ -429,7 +429,7 @@ def test_one_schedule_serves_restarts_and_solves():
 
 def test_schedule_built_once_per_pattern_and_shared():
     # shifted_ic with restarts, a cast_f64 and a native_low apply build one
-    # schedule per pattern, and the kernels index its arrays, not copies
+    # schedule per pattern, and the level record indexes its arrays, not copies
     A, _ = l2_scale(poisson2d(8))
     A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
     with mock.patch.object(icir.symbolic, "_Schedule", wraps=_Schedule) as builds:
@@ -440,21 +440,16 @@ def test_schedule_built_once_per_pattern_and_shared():
             for mode in (CAST_F64, NATIVE_LOW, CAST_F64, NATIVE_LOW):
                 apply_preconditioner(L, np.linspace(-1.0, 2.0, L.n), mode)
             assert builds.call_count == count
-    s = pattern.schedule
-    cast, native = pattern.solve_kernel[CAST_F64], pattern.solve_kernel[NATIVE_LOW]
-    shared = [(cast.diag, s.diag), (cast.fpos, s.forward.pos), (cast.bpos, s.backward.pos)]
-    for steps, tgt_of, src_of in ((cast.fsteps, s.forward.rows, s.forward.cols),
-                                  (cast.bsteps, s.backward.cols, s.backward.rows)):
-        for cols, _, tgt, src, _ in steps:
-            shared.append((src, src_of))
-            if tgt is not None:   # a level of one column holds no targets
-                shared += [(cols, s.cols), (tgt, tgt_of)]
-    for steps, order, src_of in ((native.fsteps, s.forward, s.forward.cols),
-                                 (native.bsteps, s.backward, s.backward.rows)):
-        for _, cols, diag, pos, src, _, _ in steps:
-            shared += [(cols, s.cols), (diag, s.diag), (pos, order.pos), (src, src_of)]
+    s, r = pattern.schedule, pattern.solve_kernel
+    shared = [(r.diag, s.diag), (r.fpos, s.forward.pos), (r.bpos, s.backward.pos)]
+    for steps, tgt_of, src_of in ((r.fsteps, s.forward.rows, s.forward.cols),
+                                  (r.bsteps, s.backward.cols, s.backward.rows)):
+        for _, cols, _, _, tgt, src, _ in steps:
+            shared += [(cols, s.cols), (tgt, tgt_of), (src, src_of)]
     assert all(np.shares_memory(view, whole) for view, whole in shared if len(view))
-    assert sum(len(view) > 0 for view, _ in shared) > 100
+    # three views a level and direction, nearly all of them nonempty
+    assert len(shared) == 3 + 6 * pattern.depth
+    assert sum(len(view) > 0 for view, _ in shared) > 80
 
 
 @settings(max_examples=300, deadline=None)

@@ -129,6 +129,15 @@ class TestReadMatrixMarket:
 2 2 4.0
 """))
 
+    @pytest.mark.parametrize("body", [b"", b"\x1c", b"\x85", b" \x1c\n\x85\n"])
+    def test_body_that_loadtxt_reads_as_no_rows(self, body):
+        # loadtxt takes \x1c and \x85 for whitespace, bytes.isspace does not
+        banner = b"%%MatrixMarket matrix coordinate real symmetric\n"
+        A = read_matrix_market(banner + b"0 0 0\n" + body)
+        assert (A.n, A.nnz) == (0, 0)
+        with pytest.raises(MatrixFormatError, match="expected 1 entries, found 0"):
+            read_matrix_market(banner + b"1 1 1\n" + body)
+
     def test_bad_banner(self):
         with pytest.raises(MatrixFormatError):
             read_matrix_market(b"%%NotMatrixMarket foo\n1 1 1\n1 1 1.0\n")
