@@ -5,10 +5,10 @@
 
 For each pattern below (the four benchmark patterns and the Baseline
 wathen(120, 100) of ROADMAP.md), prints one table row per part:
-icir.symbolic._schedule, icir.factor._step_plan and icir.trisolve's
-_levels, the level record both solve modes read.  Each runs on a freshly
-built pattern, so a part's figures include the schedule it builds on
-first use.  Two more rows run shifted_ic in fp16 and one
+icir.symbolic._schedule, icir.factor._step_plan and the solve levels, the
+schedule's forward and backward that both solve modes read.  Each runs on
+a freshly built pattern, so a part's figures include the schedule it
+builds on first use.  Two more rows run shifted_ic in fp16 and one
 preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
 
   ms       median of 7 builds, each on a fresh pattern, untraced
@@ -50,7 +50,7 @@ from icir.factor import _step_plan, shifted_ic
 from icir.precision import get_format, quantize
 from icir.sparse import l2_scale
 from icir.symbolic import _schedule, ic_pattern
-from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, _levels, apply_preconditioner,
+from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, apply_preconditioner,
                            backward_solve, forward_solve)
 
 PATTERNS = [
@@ -71,10 +71,15 @@ def _factor_and_apply(mode):
     return run
 
 
+def _solve_levels(A, pattern):
+    s = _schedule(pattern)
+    return s.forward, s.backward
+
+
 PARTS = [
     ("_schedule", lambda A, pattern: _schedule(pattern)),
     ("_step_plan", lambda A, pattern: _step_plan(pattern)),
-    ("_levels", lambda A, pattern: _levels(pattern)),
+    ("solve levels", _solve_levels),
     ("shifted_ic + cast_f64 apply", _factor_and_apply(CAST_F64)),
     ("shifted_ic + native_low apply", _factor_and_apply(NATIVE_LOW)),
 ]

@@ -39,12 +39,11 @@ Sparse Linear Systems, 2nd ed., 2003).  _schedule puts the off-diagonals in
 level order once per pattern, on first use, and keeps them in its schedule
 slot: the factor (icir.factor) runs from the dataflow steps _step_times
 refines them into, and only the factor reads the steps; the solves
-(icir.trisolve) run from the levels, whose record slices the same arrays.
+(icir.trisolve) run from its levels, found on a solve's first use.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,11 +68,8 @@ class FillPattern:
     # elimination level of every column (int32) and the number of levels
     column_level: np.ndarray = field(init=False, repr=False, compare=False)
     depth: int = field(init=False, repr=False, compare=False)
-    # the solves' level record, one for both exec modes, built by
-    # icir.trisolve on the first solve; the pattern is treated as immutable
-    # after construction
-    solve_kernel: object = field(default=None, init=False, repr=False, compare=False)
-    # the elimination schedule, built by _schedule on first use
+    # the elimination schedule the factor and both solves read, built by
+    # _schedule on first use; the pattern is immutable after construction
     schedule: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,10 +112,8 @@ def _column_levels(pattern: FillPattern):
 
 def _split(counts: np.ndarray) -> list:
     """Consecutive slices of the given lengths."""
-    return [slice(e - c, e) for c, e in zip(counts.tolist(), np.cumsum(counts).tolist())]
-
-
-_Order = namedtuple("_Order", "pos rows cols levels")
+    ends = np.cumsum(counts).tolist()
+    return [slice(a, b) for a, b in zip([0] + ends, ends)]
 
 
 class _Schedule:
@@ -132,10 +126,13 @@ class _Schedule:
     step, then in forward order; by_step (int32), their forward index;
     task_counts and pivot_counts, the tasks and pivots of every step;
     pivots, the columns by step, ascending within one.  forward and
-    backward, found on first use (a factorization
-    reads neither), hold the off-diagonals l_jk as positions, rows j, columns
-    k and per-level slices: by level of row j, then j, then k (task and src
-    put back by by_step), and column by column in cols' order, rows descending.
+    backward, found on a solve's first use (a factorization reads neither),
+    are the solves' (pos, levels).  pos: the off-diagonals l_jk as positions,
+    by level of row j, then j, then k (task and src put back by by_step), and
+    column by column in cols' order, rows descending.  levels, backward in
+    reverse: a level's column as an int if it has one (else None), its view
+    of cols and the slice of cols and diag it is, its slice of pos, views of
+    its targets and sources, and a view of each column's chain end in them.
     """
 
     def __init__(self, pattern: FillPattern):
@@ -152,26 +149,29 @@ class _Schedule:
         col = col[pos]
         pos += col + 1
         per_level = np.bincount(level, np.bincount(ri, minlength=n) - 1, pattern.depth)
-        fw = _Order(pos, ri[pos], col, _split(per_level.astype(np.int64)))
-        self.by_step, self.task_counts, self.pivots, self.pivot_counts = _step_times(fw, n)
+        self._row_idx, self._forward_slices = ri, _split(per_level.astype(np.int64))
+        self.by_step, self.task_counts, self.pivots, self.pivot_counts = _step_times(
+            ri[pos], col, self._forward_slices, n)
         self.task, self.src = pos[self.by_step].astype(np.int32), col[self.by_step].astype(np.int32)
-        self._row_idx, self._forward_levels = ri, fw.levels
 
     @cached_property
-    def forward(self) -> _Order:
+    def forward(self) -> tuple:
         pos, col = np.empty((2, len(self.task)), dtype=np.intp)
         pos[self.by_step], col[self.by_step] = self.task, self.src
-        return _Order(pos, self._row_idx[pos], col, self._forward_levels)
+        rows = self._row_idx[pos]
+        return pos, _steps(self, self._forward_slices, rows, col,
+                           np.bincount(rows, minlength=len(self.cols))[self.cols])
 
     @cached_property
-    def backward(self) -> _Order:
+    def backward(self) -> tuple:
         ends = np.cumsum(self.below)
         # column k's off-diagonals, rows descending: diag + below down to diag + 1
         pos = np.repeat(self.diag + ends, self.below)
         pos -= np.arange(len(pos))
-        ends = [0] + ends.tolist()
-        return _Order(pos, self._row_idx[pos], np.repeat(self.cols, self.below),
-                      [slice(ends[c.start], ends[c.stop]) for c in self.levels])
+        # a level's updates end where its last column's do
+        order = _split(np.diff(ends[[c.stop - 1 for c in self.levels]], prepend=0))
+        return pos, _steps(self, order, np.repeat(self.cols, self.below), self._row_idx[pos],
+                           self.below)[::-1]
 
 
 def _schedule(pattern: FillPattern) -> _Schedule:
@@ -180,13 +180,23 @@ def _schedule(pattern: FillPattern) -> _Schedule:
     return pattern.schedule
 
 
-def _step_times(forward: _Order, n: int):
+def _steps(s: _Schedule, order: list, tgt, src, counts) -> list:
+    """The levels of one direction, in level order: order holds each level's
+    slice of the direction's updates, counts the chain lengths by s.cols."""
+    widths = [c.stop - c.start for c in s.levels]
+    starts = np.repeat([o.start for o in order], widths)   # by column: level's first update
+    ends = (np.cumsum(counts) - starts).astype(np.int32)
+    return [(int(s.cols[c.start]) if w == 1 else None, s.cols[c], c, o, tgt[o], src[o], ends[c])
+            for c, o, w in zip(s.levels, order, widths)]
+
+
+def _step_times(tgt: np.ndarray, src: np.ndarray, levels: list, n: int):
     """The dataflow step of every task and pivot of the n columns, found level
-    by level in the forward order: the r-th task (j, k) of target j, an
-    off-diagonal l_jk, runs at T_r = max(T_{r-1} + 1, P(k_r) + 1), sources k
-    ascending, and the pivot of j at P(j) = T_last (0 without tasks).
+    by level in the forward order (targets tgt, sources src, per-level slices
+    levels): the r-th task (j, k) of target j, an off-diagonal l_jk, runs at
+    T_r = max(T_{r-1} + 1, P(k_r) + 1), sources k ascending, and the pivot of
+    j at P(j) = T_last (0 without tasks).
     Returns the schedule's by_step, task_counts, pivots and pivot_counts."""
-    tgt, src = forward.rows, forward.cols
     first = np.flatnonzero(np.diff(tgt, prepend=-1))
     sizes = np.diff(first, append=len(tgt))
     # T_r = r + max_{s <= r} (P(k_s) + 1 - s) for the r-th task (from 1) of a
@@ -196,7 +206,7 @@ def _step_times(forward: _Order, n: int):
     w -= np.arange(1, len(tgt) + 1)
     P = np.zeros(n, dtype=np.int64)
     T = np.empty(len(tgt), dtype=np.int64)
-    for sl in forward.levels:
+    for sl in levels:
         v = P[src[sl]] + w[sl]
         np.maximum.accumulate(v, out=v)
         T[sl] = v - w[sl] + 1

@@ -11,14 +11,13 @@ Two execution modes:
                 The right-hand side is expected to be format-representable
                 (apply_preconditioner scales it by its inf-norm first).
 
-Both modes read one level record per pattern (_levels), built from its
-schedule (icir.symbolic._schedule) on the first solve of either mode and
-kept in its solve_kernel slot; it walks the elimination levels, forward in
-order, backward in reverse.  cast_f64 runs a level as one np.subtract.at
-of its updates (a level of one column as one ordered np.subtract.reduce),
-then one division.  The order is fixed, so results do not depend on the
-BLAS build: unknown j of L y = w takes its updates l_jk y_k in ascending
-column k, of L^T y = w its updates l_ij y_i in descending row i.
+Both modes read the forward and backward (pos, levels) of the pattern's
+schedule (icir.symbolic._schedule), built on the first solve of either mode.
+cast_f64 runs a level as one np.subtract.at of its updates (a level of one
+column as one ordered np.subtract.reduce), then one division.  The order is
+fixed, so results do not depend on the BLAS build: unknown j of L y = w
+takes its updates l_jk y_k in ascending column k, of L^T y = w its updates
+l_ij y_i in descending row i.
 
 native_low gives the bits of the column loops in tests/oracles.py in one
 checked pass per direction, by the same levels.  A level rounds its
@@ -48,14 +47,13 @@ subtraction of its column, as the product is numbered below it.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
 from .factor import IcFactor
 from .precision import FpFormat, _round_scalar, _round_unchecked, quantize
 from .sparse import inf_norm_vector
-from .symbolic import FillPattern, _schedule
+from .symbolic import _schedule
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
@@ -83,42 +81,10 @@ def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
     return w.copy()
 
 
-_Levels = namedtuple("_Levels", "diag fpos bpos fsteps bsteps")
-
-
-def _levels(pattern: FillPattern) -> _Levels:
-    """The pattern's level record, built on its first solve in either mode.
-
-    diag, fpos and bpos are the schedule's diagonal and forward and backward
-    update positions.  A level of fsteps (in order) and bsteps (in reverse)
-    holds its column as an int if it has one (else None), its view of the
-    schedule's cols and the slice of cols and diag it is, the slice of its
-    updates in the direction's order, views of their targets and sources,
-    and a view of each column's chain end, counted from its first update.
-    """
-    if pattern.solve_kernel is None:
-        s = _schedule(pattern)
-        fw, bw = s.forward, s.backward
-        pattern.solve_kernel = _Levels(
-            s.diag, fw.pos, bw.pos,
-            _steps(s, fw, fw.rows, fw.cols, np.bincount(fw.rows, minlength=pattern.n)[s.cols]),
-            _steps(s, bw, bw.cols, bw.rows, s.below)[::-1])
-    return pattern.solve_kernel
-
-
-def _steps(s, order, tgt, src, counts) -> list:
-    """The levels of one direction in order; counts, the chain lengths in s.cols' order."""
-    widths = [c.stop - c.start for c in s.levels]
-    starts = np.repeat([o.start for o in order.levels], widths)   # by column: level's first update
-    ends = (np.cumsum(counts) - starts).astype(np.int32)
-    return [(int(s.cols[c.start]) if w == 1 else None, s.cols[c], c, o, tgt[o], src[o], ends[c])
-            for c, o, w in zip(s.levels, order.levels, widths)]
-
-
-def _cast_sweep(r: _Levels, vals: np.ndarray, y: np.ndarray, forward: bool) -> None:
-    """cast_f64 L y = w (forward) or L^T y = w in place on y."""
-    v, d = vals[r.fpos if forward else r.bpos], vals[r.diag]
-    for j, cols, c, vs, tgt, src, _ in r.fsteps if forward else r.bsteps:
+def _cast_sweep(v: np.ndarray, d: np.ndarray, levels: list, y: np.ndarray) -> None:
+    """cast_f64 L y = w (forward levels) or L^T y = w in place on y; v, the
+    values at pos of the direction's (pos, levels), d at the schedule's diag."""
+    for j, cols, c, vs, tgt, src, _ in levels:
         if j is not None:   # one column: its updates in order, then its division
             y[j] = np.subtract.reduce(v[vs] * y[src], initial=y[j]) / d[c.start]
             continue
@@ -128,13 +94,13 @@ def _cast_sweep(r: _Levels, vals: np.ndarray, y: np.ndarray, forward: bool) -> N
 
 
 @np.errstate(all="ignore")
-def _native_forward(r: _Levels, vals: np.ndarray, y: np.ndarray, f: FpFormat) -> None:
-    """native_low L y = w in place on y."""
+def _native_forward(v: np.ndarray, dv: np.ndarray, levels: list, y: np.ndarray,
+                    f: FpFormat) -> None:
+    """native_low L y = w in place on y, read as _cast_sweep reads it."""
     qmin, lo, hi, s, xmax = f.x_s_min if f.cast else f.x_min, f.x_min, f.over_at, f.split, f.x_max
-    v, dv = vals[r.fpos], vals[r.diag]
     live = [False] * len(y)   # y_k was nonzero at its pivot
     fail = (3 * len(y), "", 0)   # the lowest failure: number, kind, column
-    for _, cols, cs, vs, _, src, ends in r.fsteps:
+    for _, cols, cs, vs, _, src, ends in levels:
         x = v[vs] * y[src]
         p = _round_unchecked(x, f).tolist()
         b = 0
@@ -173,13 +139,13 @@ def _native_forward(r: _Levels, vals: np.ndarray, y: np.ndarray, f: FpFormat) ->
 
 
 @np.errstate(all="ignore")
-def _native_backward(r: _Levels, vals: np.ndarray, y: np.ndarray, f: FpFormat) -> None:
-    """native_low L^T y = w in place on y."""
+def _native_backward(v: np.ndarray, dv: np.ndarray, levels: list, y: np.ndarray,
+                     f: FpFormat) -> None:
+    """native_low L^T y = w in place on y, read as _cast_sweep reads it."""
     qmin, lo, hi, s, xmax = f.x_s_min if f.cast else f.x_min, f.x_min, f.over_at, f.split, f.x_max
-    v, dv = vals[r.bpos], vals[r.diag]
     n = len(y)
     fail = (4 * n, "", 0)
-    for _, cols, cs, vs, _, src, ends in r.bsteps:
+    for _, cols, cs, vs, _, src, ends in levels:
         x = v[vs] * y[src]
         p = _round_unchecked(x, f).tolist()
         b = 0
@@ -232,11 +198,13 @@ def _raise(number: int, kind: str, j: int) -> None:
 
 def _sweep(L: IcFactor, y: np.ndarray, exec_mode: str, forward: bool) -> None:
     """Solve L y = w (forward) or L^T y = w in place on y, by exec_mode."""
-    r = _levels(L.pattern)
+    s = _schedule(L.pattern)
+    pos, levels = s.forward if forward else s.backward
+    v, d = L.values[pos], L.values[s.diag]
     if exec_mode == CAST_F64:
-        _cast_sweep(r, L.values, y, forward)
+        _cast_sweep(v, d, levels, y)
     else:
-        (_native_forward if forward else _native_backward)(r, L.values, y, L.format)
+        (_native_forward if forward else _native_backward)(v, d, levels, y, L.format)
 
 
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:

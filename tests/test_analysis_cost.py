@@ -1,0 +1,32 @@
+"""scripts/analysis_cost.py's builders and apply row, on a small pattern."""
+
+import importlib.util
+from pathlib import Path
+
+from icir.gallery import poisson2d
+from icir.precision import get_format
+from icir.sparse import l2_scale
+
+_spec = importlib.util.spec_from_file_location(
+    "analysis_cost", Path(__file__).resolve().parent.parent / "scripts" / "analysis_cost.py")
+analysis_cost = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(analysis_cost)
+
+
+def test_every_part_builds_and_is_traced():
+    A, _ = l2_scale(poisson2d(6))
+    names = [name for name, _ in analysis_cost.PARTS]
+    assert "solve levels" in names and len(set(names)) == len(names)
+    for name, build in analysis_cost.PARTS:
+        kept, peak = analysis_cost._bytes(build, A, 1)
+        assert 0 < kept <= peak, name
+
+
+def test_apply_row():
+    A, _ = l2_scale(poisson2d(6))
+    cells = analysis_cost._apply_ms(A, 1, get_format("fp16"))
+    assert len(cells) == 4
+    for ms in cells[:3]:
+        assert float(ms) >= 0.0
+    forward, backward = cells[3].split(" / ")
+    assert int(forward) >= 0 and int(backward) >= 0

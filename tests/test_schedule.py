@@ -22,7 +22,7 @@ from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
 from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
-from icir.trisolve import (CAST_F64, NATIVE_LOW, _cast_sweep, _levels, apply_preconditioner,
+from icir.trisolve import (CAST_F64, NATIVE_LOW, _cast_sweep, apply_preconditioner,
                            backward_solve, forward_solve)
 
 
@@ -83,13 +83,12 @@ def _assert_same_bits(got, want):
 def test_kernels_match_scalar_oracle(system):
     pattern, values, w = system
     args = (pattern.col_ptr, pattern.row_idx, values, w)
-    r = _levels(pattern)
-    y = w.copy()
-    _cast_sweep(r, values, y, True)
-    _assert_same_bits(y, np.array(oracles.forward_solve(*args)))
-    y = w.copy()
-    _cast_sweep(r, values, y, False)
-    _assert_same_bits(y, np.array(oracles.backward_solve(*args)))
+    s = _schedule(pattern)
+    for (pos, levels), solve in ((s.forward, oracles.forward_solve),
+                                 (s.backward, oracles.backward_solve)):
+        y = w.copy()
+        _cast_sweep(values[pos], values[s.diag], levels, y)
+        _assert_same_bits(y, np.array(solve(*args)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,13 +113,14 @@ def _factor(pattern):
 def test_schedule_built_on_first_solve_and_reused():
     pattern = ic_pattern(poisson2d(6), 1)
     L = _factor(pattern)
-    assert pattern.solve_kernel is None
+    assert pattern.schedule is None
     r = np.linspace(-1.0, 1.0, L.n)
     v = apply_preconditioner(L, r)
-    kernel = pattern.solve_kernel
-    assert kernel is not None
+    s = pattern.schedule
+    assert s is not None and {"forward", "backward"} <= set(vars(s))
+    kernel = s.forward, s.backward
     assert np.array_equal(apply_preconditioner(L, r), v)
-    assert pattern.solve_kernel is kernel
+    assert pattern.schedule is s and s.forward is kernel[0] and s.backward is kernel[1]
 
 
 def test_public_solves_match_oracle():
@@ -352,10 +352,10 @@ def _zeroed_pivot():
 
 def _holds_no_factor_state(pattern):
     """The pattern holds its arrays, levels and schedule and nothing of the
-    factor; solve_kernel stays the class default until a solve sets it."""
+    factor, and the schedule holds no solve levels until a solve builds them."""
     return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "column_level", "depth",
                                    "schedule"}
-            and pattern.solve_kernel is None)
+            and not {"forward", "backward"} & set(vars(pattern.schedule)))
 
 
 def test_first_breakdown_without_a_rerun():
@@ -415,21 +415,22 @@ def test_one_schedule_serves_restarts_and_solves():
         level = pattern.column_level
         L = shifted_ic(A, pattern, f=get_format("fp16"))
         apply_preconditioner(L, np.ones(L.n))
-        kernel = pattern.solve_kernel
+        s = pattern.schedule
+        kernel = s.forward, s.backward
         apply_preconditioner(L, np.arange(L.n, dtype=float))
     assert L.stats.restarts >= 1 and attempts.call_count == L.stats.restarts + 1
     # building the pattern found the levels once, the factor's plan and the
-    # solves reuse them, and one plan and one kernel served every restart
-    # and solve
+    # solves reuse them, and one plan and one schedule's solve levels served
+    # every restart and solve
     assert levels.call_count == 1
     assert pattern.column_level is level
-    assert kernel is not None and pattern.solve_kernel is kernel
+    assert pattern.schedule is s and s.forward is kernel[0] and s.backward is kernel[1]
     assert plans.call_count == 1
 
 
 def test_schedule_built_once_per_pattern_and_shared():
     # shifted_ic with restarts, a cast_f64 and a native_low apply build one
-    # schedule per pattern, and the level record indexes its arrays, not copies
+    # schedule per pattern, and its levels index its arrays, not copies
     A, _ = l2_scale(poisson2d(8))
     A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
     with mock.patch.object(icir.symbolic, "_Schedule", wraps=_Schedule) as builds:
@@ -440,16 +441,18 @@ def test_schedule_built_once_per_pattern_and_shared():
             for mode in (CAST_F64, NATIVE_LOW, CAST_F64, NATIVE_LOW):
                 apply_preconditioner(L, np.linspace(-1.0, 2.0, L.n), mode)
             assert builds.call_count == count
-    s, r = pattern.schedule, pattern.solve_kernel
-    shared = [(r.diag, s.diag), (r.fpos, s.forward.pos), (r.bpos, s.backward.pos)]
-    for steps, tgt_of, src_of in ((r.fsteps, s.forward.rows, s.forward.cols),
-                                  (r.bsteps, s.backward.cols, s.backward.rows)):
-        for _, cols, _, _, tgt, src, _ in steps:
-            shared += [(cols, s.cols), (tgt, tgt_of), (src, src_of)]
-    assert all(np.shares_memory(view, whole) for view, whole in shared if len(view))
+    s = pattern.schedule
+    views = []
+    for _, levels in (s.forward, s.backward):
+        # one whole array of each kind per direction, which every level views
+        for kind, whole in ((1, s.cols), (4, None), (5, None)):
+            of = [level[kind] for level in levels]
+            whole = of[0].base if whole is None else whole
+            assert whole is not None and all(view.base is whole for view in of)
+            views += of
     # three views a level and direction, nearly all of them nonempty
-    assert len(shared) == 3 + 6 * pattern.depth
-    assert sum(len(view) > 0 for view, _ in shared) > 80
+    assert len(views) == 6 * pattern.depth
+    assert sum(len(view) > 0 for view in views) > 80
 
 
 @settings(max_examples=300, deadline=None)
@@ -462,12 +465,18 @@ def test_update_orders_match_oracle(drawn):
     assert s.cols.tolist() == sorted(range(n), key=lambda j: level[j])
     assert s.diag.tolist() == cp[s.cols].tolist()
     forward, backward = oracles.update_orders(cp, ri, level)
-    for got, want, by in ((s.forward, forward, ri), (s.backward, backward, cols)):
-        assert got.pos.tolist() == want
-        assert got.rows.tolist() == ri[want].tolist() and got.cols.tolist() == cols[want].tolist()
+    (fpos, flevels), (bpos, blevels) = s.forward, s.backward
+    for pos, levels, want, tgt, src in ((fpos, flevels, forward, ri, cols),
+                                        (bpos, blevels[::-1], backward, cols, ri)):
+        assert pos.tolist() == want
+        # end to end, the levels' targets and sources are the order's rows
+        # and columns forward, its columns and rows backward
+        for kind, of in ((4, tgt), (5, src)):
+            assert np.concatenate([lv[kind] for lv in levels]).tolist() == of[want].tolist()
         # the slices tile the order, one level each: a row's level forward,
         # a column's backward
-        for slices, of in ((s.levels, s.cols), (got.levels, by[got.pos])):
+        assert [lv[2] for lv in levels] == s.levels
+        for slices, of in ((s.levels, s.cols), ([lv[3] for lv in levels], tgt[pos])):
             assert len(slices) == pattern.depth
             assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
             assert sum(sl.stop - sl.start for sl in slices) == len(of)

@@ -6,6 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import icir.precision as precision
+import icir.symbolic as symbolic
 import icir.trisolve as trisolve
 import oracles
 from conftest import ic_attempt_on
@@ -426,15 +427,17 @@ def test_one_level_record_serves_both_modes():
     values[pattern.col_ptr[:-1]] = 2.0
     L = IcFactor(pattern, values, FP16, 0.0, FactorStats(0, 0, 0))
     r = np.linspace(-1.0, 1.0, L.n)
-    assert pattern.solve_kernel is None
-    with mock.patch.object(trisolve, "_steps", wraps=trisolve._steps) as steps:
+    assert pattern.schedule is None
+    with mock.patch.object(symbolic, "_steps", wraps=symbolic._steps) as steps:
         v = apply_preconditioner(L, r, NATIVE_LOW)
-        record = pattern.solve_kernel
-        assert record is not None and steps.call_count == 2   # both directions, once
+        s = pattern.schedule
+        record = s.forward, s.backward
+        assert steps.call_count == 2   # both directions, once
         for _ in range(2):
             apply_preconditioner(L, r, CAST_F64)
         assert np.array_equal(apply_preconditioner(L, r, NATIVE_LOW), v)
-    assert steps.call_count == 2 and pattern.solve_kernel is record
+    assert steps.call_count == 2 and pattern.schedule is s
+    assert s.forward is record[0] and s.backward is record[1]
 
 
 class TestApplyPreconditioner:
