@@ -24,7 +24,16 @@ over_at; bf16 and custom formats by Veltkamp's split (Dekker 1971), c = x *
 (2^(53-p) + 1), y = c - (c - x), which without fp64 overflow or underflow
 is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
 ±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent bits
-(else FpFormat.split is None).  _rounds_exactly is the domain of the cast
+(else FpFormat.split is None).  NumPy's cast rounds a subnormal result in
+software, about 30 times slower than a normal one, so a caller that holds
+ax = |x| passes it, and a cast-format array with some ax below x_min is
+rounded by the split from x_min up and, below it, on the subnormal grid,
+(ax + C) - C with C = FpFormat.grid = 1.5 * 2^52 * x_s_min (Higham &
+Pranesh 2019): ax + C lies in [2^52, 2^53) x_s_min, where the spacing is
+x_s_min, so the sum is ax rounded to a multiple of x_s_min, ties to even
+(C / x_s_min is even), and the subtraction is exact (Sterbenz); np.copysign
+gives the sign back, -0.0 included.  Any other array, the sole cost being
+one min over ax, keeps the cast.  _rounds_exactly is the domain of the cast
 or split; quantize rounds an array inside it so, fp64 by a copy and any
 other array by the frexp path, whose overflowed slots, inf and NaN among
 them, hold over_at.  _round_scalar rounds one double as quantize does: a
@@ -41,7 +50,8 @@ x_max/2, under which no pair can trip a guard or overflow: |b*c| <= x_max/2
 and |a - round(b*c)| <= x_max < over_at, x_max/2 being representable and
 rounding monotone.  NaN and inf fail it.  A call that meets it rounds with
 nothing flagged, by _round_unchecked in a cast format (below over_at is the
-whole of the cast's domain) and by quantize otherwise; any other call runs
+whole of the cast's domain), passed the |b*c| the bound forms, and by
+quantize otherwise; any other call runs
 every guard on every pair.  TestSafeUpdate pins both paths to the scalar
 guard of tests/oracles.py.
 """
@@ -85,6 +95,7 @@ class FpFormat:
     cast: type | None = field(init=False, repr=False, compare=False)
     over_at: float = field(init=False, repr=False, compare=False)
     split: float | None = field(init=False, repr=False, compare=False)
+    grid: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.significand_bits < 2 or self.exponent_bits < 2:
@@ -95,6 +106,8 @@ class FpFormat:
         e_max = 2 ** (self.exponent_bits - 1) - 1
         e_min = 1 - e_max
         u = math.ldexp(1.0, -p)  # unit roundoff = 2^-p for round-to-nearest
+        cast = {(11, 5, True): np.float16, (24, 8, True): np.float32}.get(
+            (p, self.exponent_bits, self.supports_subnormals))
         # frozen: the derived fields go straight into the instance dict
         self.__dict__.update(
             u=u,
@@ -106,12 +119,14 @@ class FpFormat:
             # fp16 / bf16: native LU-IR solves and the larger pivot threshold
             half_width=u >= 1e-4,
             # IEEE binary16 and binary32, which NumPy's cast rounds into
-            cast={(11, 5, True): np.float16, (24, 8, True): np.float32}.get(
-                (p, self.exponent_bits, self.supports_subnormals)),
+            cast=cast,
             # x_max plus half an ulp: magnitudes from here on round past x_max
             over_at=(2.0 - math.ldexp(1.0, -p)) * math.ldexp(1.0, e_max),
             # Veltkamp's constant 2^(53-p) + 1; see the module docstring
             split=math.ldexp(1.0, 53 - p) + 1 if p <= 51 and self.exponent_bits <= 10 else None,
+            # a cast format's subnormal grid constant 1.5 * 2^52 * x_s_min; see the
+            # module docstring
+            grid=math.ldexp(1.5, 53 + e_min - p) if cast else None,
         )
 
 
@@ -143,13 +158,17 @@ def _round_scalar(x: float, f: FpFormat):
     return float(y), bool(over)
 
 
-def _round_unchecked(x: np.ndarray, f: FpFormat) -> np.ndarray:
+def _round_unchecked(x: np.ndarray, f: FpFormat, ax: np.ndarray | None = None) -> np.ndarray:
     """x rounded into f's cast or split with no range test (see the module
-    docstring); f has one or the other."""
-    if f.cast is not None:
+    docstring); f has one or the other.  In a cast format, an ax = |x| with
+    a value below x_min sends x to the split and the subnormal grid."""
+    if f.cast is not None and (ax is None or not ax.min(initial=f.x_min) < f.x_min):
         return x.astype(f.cast).astype(np.float64)
     c = x * f.split
-    return c - (c - x)
+    y = c - (c - x)
+    if f.cast is None:
+        return y
+    return np.where(ax < f.x_min, np.copysign((ax + f.grid) - f.grid, x), y)
 
 
 def _rounds_exactly(ax: np.ndarray, f: FpFormat) -> bool:
@@ -221,9 +240,10 @@ def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
     b = np.asarray(b, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     w = b * c
-    if np.abs(a).max(initial=0.0) + np.abs(w).max(initial=0.0) <= 0.5 * f.x_max:
+    aw = np.abs(w)
+    if np.abs(a).max(initial=0.0) + aw.max(initial=0.0) <= 0.5 * f.x_max:
         if f.cast is not None:
-            v = _round_unchecked(a - _round_unchecked(w, f), f)
+            v = _round_unchecked(a - _round_unchecked(w, f, aw), f)
             return v, np.zeros(v.shape, dtype=bool)
         return quantize(a - quantize(w, f)[0], f)
     xmax = f.x_max
