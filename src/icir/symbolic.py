@@ -130,9 +130,10 @@ class _Schedule:
     are the solves' (pos, levels).  pos: the off-diagonals l_jk as positions,
     by level of row j, then j, then k (task and src put back by by_step), and
     column by column in cols' order, rows descending.  levels, backward in
-    reverse: a level's column as an int if it has one (else None), its view
-    of cols and the slice of cols and diag it is, its slice of pos, views of
-    its targets and sources, and a view of each column's chain end in them.
+    reverse: a level's column and its index into cols and diag as two ints
+    if it has one column (else None), its view of cols and the slice of cols
+    and diag it is, its slice of pos, views of its targets and sources, and
+    a view of each column's chain end in them.
     """
 
     def __init__(self, pattern: FillPattern):
@@ -186,7 +187,8 @@ def _steps(s: _Schedule, order: list, tgt, src, counts) -> list:
     widths = [c.stop - c.start for c in s.levels]
     starts = np.repeat([o.start for o in order], widths)   # by column: level's first update
     ends = (np.cumsum(counts) - starts).astype(np.int32)
-    return [(int(s.cols[c.start]) if w == 1 else None, s.cols[c], c, o, tgt[o], src[o], ends[c])
+    return [((int(s.cols[c.start]), c.start) if w == 1 else None, s.cols[c], c, o, tgt[o], src[o],
+             ends[c])
             for c, o, w in zip(s.levels, order, widths)]
 
 

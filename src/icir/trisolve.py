@@ -84,9 +84,10 @@ def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
 def _cast_sweep(v: np.ndarray, d: np.ndarray, levels: list, y: np.ndarray) -> None:
     """cast_f64 L y = w (forward levels) or L^T y = w in place on y; v, the
     values at pos of the direction's (pos, levels), d at the schedule's diag."""
-    for j, cols, c, vs, tgt, src, _ in levels:
-        if j is not None:   # one column: its updates in order, then its division
-            y[j] = np.subtract.reduce(v[vs] * y[src], initial=y[j]) / d[c.start]
+    for one, cols, c, vs, tgt, src, _ in levels:
+        if one is not None:   # one column: its updates in order, then its division
+            j, k = one
+            y[j] = np.subtract.reduce(v[vs] * y[src], initial=y[j]) / d[k]
             continue
         if len(tgt):
             np.subtract.at(y, tgt, v[vs] * y[src])
