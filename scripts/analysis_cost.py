@@ -22,10 +22,14 @@ apply_preconditioner, one native_low forward_solve and one native_low
 backward_solve, each the median of 21 calls after an untimed first one.
 The native_low input is a random vector scaled to |w| <= 1 and rounded
 into the format, the backward's the forward's result (as in an apply).
-A cell reads "overflow" where the solve raises OverflowSignal.  The last
-column counts the icir.precision._round_scalar calls of one native_low
-forward and one backward, the values their batches and inline splits do
-not round exactly.
+A cell reads "overflow" where the solve raises OverflowSignal.  The
+_round_scalar column counts the icir.precision._round_scalar calls of one
+native_low forward and one backward, the values their batches and inline
+splits do not round exactly.  The last column, in the fp16 rows, gives the
+share of the factor's update products b*c, over every attempt of its
+shifted_ic, that are fp16 subnormals (0 < |b*c| < x_min): the products
+safe_update_many rounds by the split and the subnormal grid where it would
+otherwise pay for NumPy's software float16 cast.
 
 A run takes three to four minutes on a 2-core host, most of it on the
 Baseline patterns.
@@ -45,9 +49,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from icir import gallery, trisolve
+from icir import factor, gallery, trisolve
 from icir.factor import _step_plan, shifted_ic
-from icir.precision import get_format, quantize
+from icir.precision import get_format, quantize, safe_update_many
 from icir.sparse import l2_scale
 from icir.symbolic import _schedule, ic_pattern
 from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, apply_preconditioner,
@@ -122,8 +126,8 @@ def main() -> None:
                   f"{peak / MIB:.2f} |", flush=True)
     print()
     print("| pattern | format | cast_f64 apply ms | native_low forward ms | "
-          "native_low backward ms | _round_scalar calls |")
-    print("|---|---|---|---|---|---|")
+          "native_low backward ms | _round_scalar calls | subnormal update products |")
+    print("|---|---|---|---|---|---|---|")
     for label, make, level in PATTERNS:
         A, _ = l2_scale(make())
         for name in ("fp16", "bf16"):
@@ -133,7 +137,16 @@ def main() -> None:
 
 def _apply_ms(A, level, f):
     """The cells of one row of the apply table."""
-    L = shifted_ic(A, ic_pattern(A, level), f=f)
+    products = []   # (subnormal, all) update products of each safe_update_many call
+
+    def count(a, b, c, g):
+        w = np.abs(np.multiply(b, c))
+        products.append((np.count_nonzero((w > 0.0) & (w < g.x_min)), w.size))
+        return safe_update_many(a, b, c, g)
+
+    with mock.patch.object(factor, "safe_update_many", wraps=count):
+        L = shifted_ic(A, ic_pattern(A, level), f=f)
+    subnormal, total = np.sum(products, axis=0, dtype=np.int64) if products else (0, 0)
     r = np.random.default_rng(0).standard_normal(A.n)
     w, _ = quantize(r / np.abs(r).max(), f)
     try:
@@ -144,7 +157,8 @@ def _apply_ms(A, level, f):
             _median_ms(lambda: forward_solve(L, w, NATIVE_LOW)),
             _median_ms(lambda: backward_solve(L, y, NATIVE_LOW)),
             f"{_slow_calls(lambda: forward_solve(L, w, NATIVE_LOW))} / "
-            f"{_slow_calls(lambda: backward_solve(L, y, NATIVE_LOW))}"]
+            f"{_slow_calls(lambda: backward_solve(L, y, NATIVE_LOW))}",
+            f"{subnormal / max(total, 1):.1%} of {total:,}" if f.name == "fp16" else "-"]
 
 
 def _slow_calls(run) -> int:

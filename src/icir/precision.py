@@ -25,15 +25,17 @@ over_at; bf16 and custom formats by Veltkamp's split (Dekker 1971), c = x *
 is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
 ±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent bits
 (else FpFormat.split is None).  NumPy's cast rounds a subnormal result in
-software, about 30 times slower than a normal one, so a caller that holds
-ax = |x| passes it, and a cast-format array with some ax below x_min is
-rounded by the split from x_min up and, below it, on the subnormal grid,
-(ax + C) - C with C = FpFormat.grid = 1.5 * 2^52 * x_s_min (Higham &
-Pranesh 2019): ax + C lies in [2^52, 2^53) x_s_min, where the spacing is
-x_s_min, so the sum is ax rounded to a multiple of x_s_min, ties to even
-(C / x_s_min is even), and the subtraction is exact (Sterbenz); np.copysign
-gives the sign back, -0.0 included.  Any other array, the sole cost being
-one min over ax, keeps the cast.  _rounds_exactly is the domain of the cast
+software, some 30 times slower than a normal one, so a caller that holds
+ax = |x| may pass it: a cast-format x with some ax below x_min is then
+rounded from x_min up by the split and below x_min on the subnormal grid,
+as (ax + C) - C with C = FpFormat.grid = 1.5 * 2^52 * x_s_min (Higham &
+Pranesh 2019), np.copysign restoring the sign, -0.0 included.  The grid is
+exact: ax + C lies in [2^52, 2^53) * x_s_min, where the spacing is x_s_min,
+so the sum rounds ax once to a multiple of x_s_min, ties to even since
+C / x_s_min is even, and subtracting C is exact (Sterbenz).  An x with no
+ax below x_min keeps the cast, for one min over ax.  Only safe_update_many
+passes ax, for its products b*c; for a - round(b*c) and in quantize the
+branch measured slower.  _rounds_exactly is the domain of the cast
 or split; quantize rounds an array inside it so, fp64 by a copy and any
 other array by the frexp path, whose overflowed slots, inf and NaN among
 them, hold over_at.  _round_scalar rounds one double as quantize does: a
@@ -43,16 +45,16 @@ in the split's domain inline and call it only for the others (zeros,
 subnormals and overflows), and for a batch's product that its cast or
 split may not have rounded exactly.  TestBitwiseOracle in
 tests/test_precision.py pins the paths to each other, TestIndependentOracle
-to the frozen frexp rounding of tests/oracles.py.
+to the frozen frexp rounding of tests/oracles.py, TestSubnormalGrid the
+split-and-grid branch to both.
 
 safe_update_many guards a whole call by one bound, max|a| + max|b*c| <=
 x_max/2, under which no pair can trip a guard or overflow: |b*c| <= x_max/2
 and |a - round(b*c)| <= x_max < over_at, x_max/2 being representable and
 rounding monotone.  NaN and inf fail it.  A call that meets it rounds with
 nothing flagged, by _round_unchecked in a cast format (below over_at is the
-whole of the cast's domain), passed the |b*c| the bound forms, and by
-quantize otherwise; any other call runs
-every guard on every pair.  TestSafeUpdate pins both paths to the scalar
+whole of the cast's domain), b*c with the |b*c| the bound forms, and by
+quantize otherwise; any other call runs every guard on every pair.  TestSafeUpdate pins both paths to the scalar
 guard of tests/oracles.py.
 """
 

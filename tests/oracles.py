@@ -152,13 +152,20 @@ def safe_update(a: float, b: float, c: float, f: FpFormat):
     exact for formats with p <= 24 significand bits -- because evaluating the
     tests in f itself can round a product across the x_max boundary and admit
     an update whose exact value overflows.  See the B3 discussion in factor.py.
+
+    A NaN or infinite a is flagged below fp64, where the vector guard's
+    rounding of a - round(b*c) flags it; in fp64, whose rounding is the
+    identity, it meets the guards, NaN on the side of a >= 0 as in the
+    vector guard, and passes as a - b*c.
     """
+    if not (math.isfinite(a) or f.is_double):
+        return None
     xmax = f.x_max
     ab, ac = abs(b), abs(c)
     if not (ab <= 1.0 or ac <= 1.0 or ab * ac <= xmax):
         return None
     w = b * c  # exact in fp64
-    if a >= 0.0:
+    if not a < 0.0:
         if not (w >= 0.0 or xmax - a >= -w):
             return None
     else:
@@ -167,6 +174,8 @@ def safe_update(a: float, b: float, c: float, f: FpFormat):
     wr, over = _round_scalar(w, f)
     if over:  # cannot happen given the product guard; defensive
         return None
+    if not math.isfinite(a):
+        return a - wr
     v, over = _round_scalar(a - wr, f)
     if over:
         return None

@@ -25,8 +25,11 @@ def test_every_part_builds_and_is_traced():
 def test_apply_row():
     A, _ = l2_scale(poisson2d(6))
     cells = analysis_cost._apply_ms(A, 1, get_format("fp16"))
-    assert len(cells) == 4
+    assert len(cells) == 5
     for ms in cells[:3]:
         assert float(ms) >= 0.0
     forward, backward = cells[3].split(" / ")
     assert int(forward) >= 0 and int(backward) >= 0
+    share, total = cells[4].split("% of ")
+    assert 0.0 <= float(share) <= 100.0 and int(total.replace(",", "")) > 0
+    assert analysis_cost._apply_ms(A, 1, get_format("bf16"))[4] == "-"

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icir import precision
-from icir.precision import (FpFormat, _round_scalar, get_format, quantize, safe_scale_check,
-                            safe_update_many)
+from icir.precision import (FpFormat, _round_scalar, _round_unchecked, get_format, quantize,
+                            safe_scale_check, safe_update_many)
 from oracles import round_to, safe_update, sim_op
 
 FP16 = get_format("fp16")
@@ -240,6 +240,28 @@ class TestIndependentOracle:
             assert np.array_equal(y[ok].view(np.int64), ref[keep][ok].view(np.int64))
 
 
+class TestSubnormalGrid:
+    """_round_unchecked in a cast format given |x| with a value below x_min:
+    the split from x_min up and the subnormal grid below, bit for bit and
+    sign for sign the cast's and the frozen ruler's."""
+
+    @pytest.mark.parametrize("f", [FP16, FP32], ids=lambda f: f.name)
+    def test_matches_cast_and_round_to(self, f):
+        rng = np.random.default_rng(49)
+        xs = _rounding_corpus(f, rng)
+        edge = [f.x_min, np.nextafter(f.x_min, 0.0), np.nextafter(f.x_min, 1.0)]
+        normals = np.exp2(rng.uniform(math.log2(f.x_min), math.log2(f.x_max), 20000))
+        xs = np.concatenate([xs, edge, normals, -normals])
+        xs = rng.permutation(xs[np.abs(xs) < f.over_at])   # the unchecked domain
+        for x in (xs, xs[:1000], np.array([-0.0, 0.0, f.x_min / 2, 1.0])):
+            ax = np.abs(x)
+            assert ax.min() < f.x_min and ax.max() >= f.x_min
+            y = _round_unchecked(x, f, ax)
+            assert np.array_equal(y.view(np.int64), x.astype(f.cast).astype(np.float64).view(np.int64))
+            ruler = np.array([round_to(v, f).value for v in x.tolist()])
+            assert np.array_equal(y.view(np.int64), ruler.view(np.int64))
+
+
 class TestTopOfFp64:
     """The frexp path past over_at, up to the largest doubles: a finite
     magnitude above x_max, flagged as overflow, and no warning (the suite
@@ -345,18 +367,14 @@ BOUND_CASES = ["under", "at", "just-over", "non-finite"]
 
 def _check_against_scalar(a, b, c, f):
     """safe_update_many against oracles.safe_update element by element, value
-    and None/mask.  A non-finite a, which the oracle does not take, must not
-    give a finite unflagged value, and below fp64 must be flagged."""
+    and None/mask, a NaN a's NaN included."""
     v, unsafe = safe_update_many(a, b, c, f)
     for i in range(len(a)):
         where = (f.name, i, a[i], b[i], c[i])
-        if not math.isfinite(a[i]):
-            assert unsafe[i] or (f.is_double and not math.isfinite(v[i])), where
-            continue
         s = safe_update(a[i], b[i], c[i], f)
         assert bool(unsafe[i]) == (s is None), where
         if s is not None:
-            assert v[i] == s, where
+            assert v[i] == s or math.isnan(v[i]) and math.isnan(s), where
 
 
 def _bound_case(f, case, size=400):
@@ -429,6 +447,19 @@ class TestSafeUpdate:
             with mock.patch.object(precision, "quantize", wraps=precision.quantize) as q:
                 safe_update_many(a, b, c, f)
             assert q.call_count == calls, case
+
+    def test_fp16_products_below_x_min_take_the_grid(self):
+        """Under the bound, an fp16 call whose products b*c hold a subnormal
+        rounds them by the split and the subnormal grid (np.where picks
+        between the two), and one whose products hold none by the cast."""
+        b = np.array([0.5, -0.25, 2.0 ** -8, 3.0])
+        for c, grid in ((2.0 ** -10, True), (2.0 ** -4, False)):
+            a = np.array([1.0, -2.0, 2.0 ** -14, 0.0])
+            with mock.patch.object(np, "where", wraps=np.where) as where:
+                v, unsafe = safe_update_many(a, b, c, FP16)
+            assert where.call_count == int(grid) and not unsafe.any()
+            assert (np.abs(b * c) < FP16.x_min).any() == grid
+            assert v.tolist() == [safe_update(*abc, FP16) for abc in zip(a, b, [c] * 4)]
 
 
 class TestProperties:
