@@ -144,7 +144,7 @@ def _apply_ms(A, level, f):
         products.append((np.count_nonzero((w > 0.0) & (w < g.x_min)), w.size))
         return safe_update_many(a, b, c, g)
 
-    with mock.patch.object(factor, "safe_update_many", wraps=count):
+    with mock.patch.object(factor, "safe_update_many", count):
         L = shifted_ic(A, ic_pattern(A, level), f=f)
     subnormal, total = np.sum(products, axis=0, dtype=np.int64) if products else (0, 0)
     r = np.random.default_rng(0).standard_normal(A.n)

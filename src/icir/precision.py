@@ -54,8 +54,8 @@ and |a - round(b*c)| <= x_max < over_at, x_max/2 being representable and
 rounding monotone.  NaN and inf fail it.  A call that meets it rounds with
 nothing flagged, by _round_unchecked in a cast format (below over_at is the
 whole of the cast's domain), b*c with the |b*c| the bound forms, and by
-quantize otherwise; any other call runs every guard on every pair.  TestSafeUpdate pins both paths to the scalar
-guard of tests/oracles.py.
+quantize otherwise; any other call runs every guard on every pair.
+TestSafeUpdate pins both paths to the scalar guard of tests/oracles.py.
 """
 
 from __future__ import annotations
