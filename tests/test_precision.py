@@ -452,9 +452,9 @@ class TestSafeUpdate:
         """Under the bound, an fp16 call whose products b*c hold a subnormal
         rounds them by the split and the subnormal grid (np.where picks
         between the two), and one whose products hold none by the cast."""
+        a = np.array([1.0, -2.0, 2.0 ** -14, 0.0])
         b = np.array([0.5, -0.25, 2.0 ** -8, 3.0])
         for c, grid in ((2.0 ** -10, True), (2.0 ** -4, False)):
-            a = np.array([1.0, -2.0, 2.0 ** -14, 0.0])
             with mock.patch.object(np, "where", wraps=np.where) as where:
                 v, unsafe = safe_update_many(a, b, c, FP16)
             assert where.call_count == int(grid) and not unsafe.any()
