@@ -201,8 +201,8 @@ def run_experiment(config: RunConfig) -> RunRecord:
                        delta=config.delta, delta_krylov=config.delta_krylov, **inner, **itmax)
 
     entries = np.diff(pattern.col_ptr)   # per column, the diagonal included
-    x_unscaled = report.solution / S.s  # x = S^-1 xhat
-    res_unscaled = backward_error(A, x_unscaled, b)
+    with np.errstate(over="ignore", invalid="ignore"):   # a diverged x may overflow
+        res_unscaled = backward_error(A, report.solution / S.s, b)   # x = S^-1 xhat
     if report.converged:
         status = "converged"
     elif report.diverged:
@@ -250,9 +250,18 @@ def run_suite(manifest_path: str):
     return records, errors
 
 
+def _json_safe(v):
+    """v with each non-finite float in it as None, which JSON writes as null."""
+    if isinstance(v, dict):
+        return {k: _json_safe(x) for k, x in v.items()}
+    if isinstance(v, list):
+        return [_json_safe(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
+
+
 def _write_records(records, fmt: str, out):
     if fmt == "json":
-        json.dump([r.as_dict() for r in records], out, indent=2)
+        json.dump(_json_safe([r.as_dict() for r in records]), out, indent=2, allow_nan=False)
         out.write("\n")
     else:
         writer = csv.DictWriter(out, fieldnames=RECORD_FIELDS, extrasaction="ignore")

@@ -20,47 +20,37 @@ rounds separately.
 
 _round_unchecked rounds with no range test: fp16 and fp32 by NumPy's cast
 to float16 / float32 (nearest-even, subnormals included), exact for |x| <
-over_at; bf16 and custom formats by Veltkamp's split (Dekker 1971), c = x *
-(2^(53-p) + 1), y = c - (c - x), which without fp64 overflow or underflow
-is x rounded to p bits, nearest-even (Boldo 2006 for the ties): exact for
-±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent bits
-(else FpFormat.split is None).  NumPy's cast rounds a subnormal result in
-software, some 30 times slower than a normal one, so a caller that holds
-ax = |x| may pass it: a cast-format x with some ax below x_min is then
-rounded from x_min up by the split and below x_min on the subnormal grid,
-as (ax + C) - C with C = FpFormat.grid = 1.5 * 2^52 * x_s_min (Higham &
-Pranesh 2019), np.copysign restoring the sign, -0.0 included.  The grid is
-exact: ax + C lies in [2^52, 2^53) * x_s_min, where the spacing is x_s_min,
-so the sum rounds ax once to a multiple of x_s_min, ties to even since
-C / x_s_min is even, and subtracting C is exact (Sterbenz).  An x with no
-ax below x_min keeps the cast, for one min over ax.  Only safe_update_many
-passes ax, for its products b*c; for a - round(b*c) and in quantize the
-branch measured slower.  _rounds_exactly is the domain of the cast
-or split; quantize rounds an array inside it so, fp64 by a copy and any
-other array by the frexp path, whose overflowed slots, inf and NaN among
-them, hold over_at.  _round_scalar rounds one double as quantize does: a
+over_at; every other format but fp64 by Veltkamp's split (Dekker 1971), c =
+x * (2^(53-p) + 1), y = c - (c - x), which without fp64 overflow or
+underflow is x rounded to p bits, nearest-even (Boldo 2006 for the ties):
+exact for ±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent
+bits, which FpFormat asks of every format but fp64.  NumPy's cast rounds a
+subnormal result in software, some 30 times slower than a normal one, so a
+caller that holds ax = |x| may pass it: a cast-format x with some ax below
+x_min is then rounded from x_min up by the split and below x_min on the
+subnormal grid, as (ax + C) - C with C = FpFormat.grid = 1.5 * 2^52 *
+x_s_min (Higham & Pranesh 2019), np.copysign restoring the sign, -0.0
+included.  The grid is exact for p <= 52: ax < x_min = 2^(p-1) * x_s_min
+puts ax + C in [2^52, 2^53) * x_s_min, where the spacing is x_s_min, so the
+sum rounds ax once to a multiple of x_s_min, ties to even since C / x_s_min
+is even, and subtracting C is exact (Sterbenz).  Only safe_update_many
+passes ax, for its products b*c.  _rounds_exactly is the domain of the cast
+or split; quantize rounds an array inside it so, fp64 by a copy, and any
+other by the split of min(|x|, x_max), the grid (or, without subnormals,
+the flush to 0 or x_min) below x_min, and ±over_at in its overflowed slots,
+inf and NaN among them.  _round_scalar rounds one double as quantize does: a
 zero as it is, any other value by quantize.  The native_low chains of
-icir.trisolve, which run only in formats with a split, round their results
+icir.trisolve, which run only in half-width formats, round their results
 in the split's domain inline and call it only for the others (zeros,
 subnormals and overflows), and for a batch's product that its cast or
 split may not have rounded exactly.  TestBitwiseOracle in
 tests/test_precision.py pins the paths to each other, TestIndependentOracle
 to the frozen frexp rounding of tests/oracles.py, TestSubnormalGrid the
 split-and-grid branch to both.
-
-safe_update_many guards a whole call by one bound, max|a| + max|b*c| <=
-x_max/2, under which no pair can trip a guard or overflow: |b*c| <= x_max/2
-and |a - round(b*c)| <= x_max < over_at, x_max/2 being representable and
-rounding monotone.  NaN and inf fail it.  A call that meets it rounds with
-nothing flagged, by _round_unchecked in a cast format (below over_at is the
-whole of the cast's domain), b*c with the |b*c| the bound forms, and by
-quantize otherwise; any other call runs every guard on every pair.
-TestSafeUpdate pins both paths to the scalar guard of tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,35 +90,37 @@ class FpFormat:
     grid: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.significand_bits < 2 or self.exponent_bits < 2:
+        p, bits = self.significand_bits, self.exponent_bits
+        if p < 2 or bits < 2:
             raise ValueError("format needs at least 2 significand and 2 exponent bits")
-        if self.significand_bits > 53 or self.exponent_bits > 11:
-            raise ValueError("format must be no wider than fp64")
-        p = self.significand_bits
-        e_max = 2 ** (self.exponent_bits - 1) - 1
+        is_double = (p, bits) == (53, 11)
+        if not is_double and (p > 51 or bits > 10):   # no split; see the module docstring
+            raise ValueError("format must be fp64 or have at most 51 significand and "
+                             "10 exponent bits")
+        e_max = 2 ** (bits - 1) - 1
         e_min = 1 - e_max
-        u = math.ldexp(1.0, -p)  # unit roundoff = 2^-p for round-to-nearest
+        u = 2.0 ** -p  # unit roundoff = 2^-p for round-to-nearest
         cast = {(11, 5, True): np.float16, (24, 8, True): np.float32}.get(
-            (p, self.exponent_bits, self.supports_subnormals))
+            (p, bits, self.supports_subnormals))
         # frozen: the derived fields go straight into the instance dict
         self.__dict__.update(
             u=u,
-            x_min=math.ldexp(1.0, e_min),
-            x_s_min=math.ldexp(1.0, e_min - (p - 1)) if self.supports_subnormals else None,
-            x_max=(2.0 - math.ldexp(1.0, 1 - p)) * math.ldexp(1.0, e_max),
+            x_min=2.0 ** e_min,
+            x_s_min=2.0 ** (e_min - (p - 1)) if self.supports_subnormals else None,
+            x_max=(2.0 - 2.0 ** (1 - p)) * 2.0 ** e_max,
             # wide enough that quantization of a double is the identity
-            is_double=p == 53 and self.exponent_bits == 11,
+            is_double=is_double,
             # fp16 / bf16: native LU-IR solves and the larger pivot threshold
             half_width=u >= 1e-4,
             # IEEE binary16 and binary32, which NumPy's cast rounds into
             cast=cast,
             # x_max plus half an ulp: magnitudes from here on round past x_max
-            over_at=(2.0 - math.ldexp(1.0, -p)) * math.ldexp(1.0, e_max),
-            # Veltkamp's constant 2^(53-p) + 1; see the module docstring
-            split=math.ldexp(1.0, 53 - p) + 1 if p <= 51 and self.exponent_bits <= 10 else None,
-            # a cast format's subnormal grid constant 1.5 * 2^52 * x_s_min; see the
-            # module docstring
-            grid=math.ldexp(1.5, 53 + e_min - p) if cast else None,
+            over_at=(2.0 - 2.0 ** -p) * 2.0 ** e_max,
+            # Veltkamp's constant 2^(53-p) + 1, for every format but fp64; see
+            # the module docstring
+            split=None if is_double else 2.0 ** (53 - p) + 1,
+            # the subnormal grid constant 1.5 * 2^52 * x_s_min; see the module docstring
+            grid=1.5 * 2.0 ** (53 + e_min - p) if self.supports_subnormals else None,
         )
 
 
@@ -162,8 +154,8 @@ def _round_scalar(x: float, f: FpFormat):
 
 def _round_unchecked(x: np.ndarray, f: FpFormat, ax: np.ndarray | None = None) -> np.ndarray:
     """x rounded into f's cast or split with no range test (see the module
-    docstring); f has one or the other.  In a cast format, an ax = |x| with
-    a value below x_min sends x to the split and the subnormal grid."""
+    docstring); f is not fp64.  In a cast format, an ax = |x| with a value
+    below x_min sends x to the split and the subnormal grid."""
     if f.cast is not None and (ax is None or not ax.min(initial=f.x_min) < f.x_min):
         return x.astype(f.cast).astype(np.float64)
     c = x * f.split
@@ -174,11 +166,10 @@ def _round_unchecked(x: np.ndarray, f: FpFormat, ax: np.ndarray | None = None) -
 
 
 def _rounds_exactly(ax: np.ndarray, f: FpFormat) -> bool:
-    """True iff f has a cast and every |x| in ax is below over_at, or a split
-    and every |x| is 0 or in [x_min, over_at).  NaN fails, an empty ax passes."""
-    if f.cast is None:
-        if f.split is None or ax.min(initial=f.x_min) < f.x_min and ax[ax < f.x_min].any():
-            return False
+    """True iff f has a cast and every |x| in ax is below over_at, or no
+    cast and every |x| is 0 or in [x_min, over_at).  NaN fails, an empty ax passes."""
+    if f.cast is None and ax.min(initial=f.x_min) < f.x_min and ax[ax < f.x_min].any():
+        return False
     return np.count_nonzero(ax < f.over_at) == ax.size
 
 
@@ -195,13 +186,13 @@ def quantize(x: np.ndarray, f: FpFormat):
     ax = np.abs(x)
     if _rounds_exactly(ax, f):
         return _round_unchecked(x, f), np.zeros(x.shape, dtype=bool)
-    p = f.significand_bits
-    m, e = np.frexp(np.minimum(ax, f.x_max))   # so that no slot rounds past 2^1024
-    y = np.asarray(np.ldexp(np.rint(np.ldexp(m, p)), e - p))   # ties to even; an array for 0-d x
+    m = np.minimum(ax, f.x_max)   # so that the split meets no inf and cannot overflow
+    c = m * f.split
+    y = np.asarray(c - (c - m))   # the split, inline; an array for 0-d x
     small = ax < f.x_min
     if small.any():   # no subnormals: the tie x_min/2 goes to 0 (even)
         a = ax[small]
-        y[small] = (np.rint(a / f.x_s_min) * f.x_s_min if f.supports_subnormals
+        y[small] = ((a + f.grid) - f.grid if f.supports_subnormals
                     else np.where(a > 0.5 * f.x_min, f.x_min, 0.0))
     over = ~(ax < f.over_at)
     y[over] = f.over_at
@@ -236,7 +227,9 @@ def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
     and |a - round(w)| <= x_max, since x_max/2 is representable and
     rounding is monotone.  So the call returns round(a - round(w)) with
     nothing flagged, a cast format rounding by _round_unchecked, whose
-    domain that is; any other call runs the guards pair by pair.
+    domain that is (w with the |w| the bound forms), the others by
+    quantize; any other call runs the guards pair by pair.  TestSafeUpdate
+    pins both paths to the scalar guard of tests/oracles.py.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -1,8 +1,8 @@
 """Outer iterative-refinement drivers.
 
 ic_lu_ir corrects with plain forward/backward substitution (in the factor's
-format when it is half-width with a split); ic_krylov_ir corrects with
-preconditioned CG or GMRES run in fp64.  Residuals and solution updates are always fp64.
+format when it is half-width); ic_krylov_ir corrects with preconditioned CG
+or GMRES run in fp64.  Residuals and solution updates are always fp64.
 Convergence is measured by the normwise backward error
 
     res = ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf).
@@ -28,7 +28,7 @@ import numpy as np
 from .factor import IcFactor
 from .krylov import SMALL_CURVATURE, gmres, pcg
 from .sparse import SparseSpd, inf_norm_matrix, inf_norm_vector, matvec_f64
-from .trisolve import CAST_F64, NATIVE_LOW, OverflowSignal, apply_preconditioner, runs_native_low
+from .trisolve import CAST_F64, NATIVE_LOW, OverflowSignal, apply_preconditioner
 
 __all__ = [
     "DELTA_DEFAULT",
@@ -118,15 +118,15 @@ def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
              delta: float = DELTA_DEFAULT, itmax: int = 1000) -> SolveReport:
     """Iterative refinement with substitution-only corrections.
 
-    Solves in the factor's format when native_low runs in it (a half-width
-    format with a split); an OverflowSignal falls back to a fp64 solve for
-    that application and is counted.
+    Solves in the factor's format when it is half-width (native_low); an
+    OverflowSignal falls back to a fp64 solve for that application and is
+    counted.
     """
     b = np.asarray(b, dtype=np.float64)
     report = SolveReport(resinit=1.0, resfinal=1.0, iouter=0, totits=0)
 
     def solve(r):
-        if runs_native_low(L.format):
+        if L.format.half_width:
             try:
                 return apply_preconditioner(L, r, NATIVE_LOW)
             except OverflowSignal:

@@ -188,7 +188,7 @@ def read_matrix_market(source) -> SparseSpd:
     if arr.shape[1] != 3:
         raise MatrixFormatError("entries must be 'row col value' (pattern files rejected)")
     index = arr[:, :2]
-    if not np.all(np.isfinite(index)) or np.any(index != np.rint(index)):
+    if not np.all(np.isfinite(index)) or np.any(index != np.trunc(index)):
         raise MatrixFormatError("entry indices must be integers")
     if np.any(index < 1) or np.any(index > nrows):  # before the cast can wrap
         raise MatrixFormatError("entry index out of range")

@@ -7,9 +7,10 @@ Two execution modes:
                 overflow.
   native_low -- every divide/multiply/subtract is rounded into the factor's
                 format; a result past x_max raises OverflowSignal.  It runs
-                only where runs_native_low holds, which ic_lu_ir asks too.
-                The right-hand side is expected to be format-representable
-                (apply_preconditioner scales it by its inf-norm first).
+                only in a half-width format (FpFormat.half_width), which
+                ic_lu_ir asks too.  The right-hand side is expected to be
+                format-representable (apply_preconditioner scales it by its
+                inf-norm first).
 
 Both modes read the forward and backward (pos, levels) of the pattern's
 schedule (icir.symbolic._schedule), built on the first solve of either mode.
@@ -64,17 +65,12 @@ class OverflowSignal(ArithmeticError):
     """A native_low substitution step overflowed the factor's format."""
 
 
-def runs_native_low(f: FpFormat) -> bool:
-    """True iff native_low runs in f: a half-width format with a split."""
-    return f.half_width and f.split is not None
-
-
 def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
     """A fp64 copy of the right-hand side w, once it and exec_mode are checked."""
     if exec_mode not in (CAST_F64, NATIVE_LOW):
         raise ValueError(f"unknown exec mode {exec_mode!r}")
-    if exec_mode == NATIVE_LOW and not runs_native_low(L.format):
-        raise ValueError(f"native_low needs a half-width format with a split, not {L.format.name}")
+    if exec_mode == NATIVE_LOW and not L.format.half_width:
+        raise ValueError(f"native_low needs a half-width format, not {L.format.name}")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (L.n,):
         raise ValueError("dimension mismatch")

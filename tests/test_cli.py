@@ -5,15 +5,19 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import icir.cli as cli
 import oracles
 from icir.cli import (RECORD_FIELDS, RunConfig, build_rhs, main,
                       run_experiment, run_suite)
+from icir.factor import FactorizationError, ShiftRestartError
 from icir.gallery import poisson2d, tridiag, wathen
 from icir.sparse import SparseSpd, matvec_f64
 from icir.symbolic import ic_pattern
@@ -32,6 +36,13 @@ def write_mtx(A, path):
 @pytest.fixture
 def poisson_mtx(tmp_path):
     return write_mtx(poisson2d(10), tmp_path / "poisson10.mtx")
+
+
+def strict_json(text):
+    """text parsed as JSON that a strict parser reads: no NaN or Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
 
 
 class TestBuildRhs:
@@ -119,6 +130,25 @@ class TestRunExperiment:
         rec = run_experiment(RunConfig(matrix_path=path, solver="lu-ir"))
         assert rec.status == "diverged" and rec.iouter < 1000
 
+    @pytest.mark.parametrize("values, fmt", [
+        # lower triangle (0, 0), (1, 1) and (1, 0); the x of both overflows fp64
+        # once unscaled, and its residual is NaN
+        ([-1.0111527380795538e-145, 1.1557688898817532e-146, 0.0], "bf16"),
+        ([-7.22676519331039e+66, -1.2765465817880722e+65, -5.293301751538056e+61], "fp32")])
+    def test_diverged_lu_ir_ends_as_a_status_in_strict_json(self, tmp_path, capsys,
+                                                           values, fmt):
+        A = SparseSpd.from_coo(2, [0, 1, 1], [0, 1, 0], values)
+        path = write_mtx(A, tmp_path / "diverges.mtx")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--matrix", path, "--level", "1", "--format", fmt,
+                         "--solver", "lu-ir", "--output", "json"])
+        assert code == 0 and caught == []
+        out, err = capsys.readouterr()
+        rec = strict_json(out)[0]
+        assert rec["status"] == "diverged" and rec["res_unscaled"] is None
+        assert err.endswith("[diverged]\n") and err.count("\n") == 1   # the summary only
+
     @pytest.mark.parametrize("level", [0, 2])
     def test_work_counts_match_the_oracle(self, tmp_path, level):
         # depth is the longest chain of the elimination's dependencies, plus
@@ -184,6 +214,49 @@ class TestRunExperiment:
             assert limits == [{}, {"itmax": 3}]
         else:
             assert limits == [{}, {"inner_maxit": 7, "itmax": 3}]
+
+
+@st.composite
+def small_runs(draw):
+    """The Matrix Market text of a symmetric matrix of order n <= 12, with
+    entries of any sign and of magnitudes from 1e-320 to 1e307, one diagonal
+    missing in about one matrix of 7, and a level, format and solver for it."""
+    n = draw(st.integers(1, 12))
+    missing = draw(st.integers(0, 7 * n))   # a diagonal if below n
+    off = [(i, j) for j in range(n) for i in range(j + 1, n)]
+    entries = [(j, j) for j in range(n) if j != missing]
+    entries += sorted(draw(st.sets(st.sampled_from(off), max_size=2 * n))) if off else []
+    exponents = draw(st.lists(st.floats(-320.0, 307.0), min_size=len(entries),
+                              max_size=len(entries)))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(entries),
+                          max_size=len(entries)))
+    lines = ["%%MatrixMarket matrix coordinate real symmetric", f"{n} {n} {len(entries)}"]
+    lines += [f"{i + 1} {j + 1} {s * 10.0 ** e!r}"
+              for (i, j), e, s in zip(entries, exponents, signs)]
+    return ("\n".join(lines) + "\n", draw(st.integers(0, 3)),
+            draw(st.sampled_from(["fp16", "bf16", "fp32", "fp64"])),
+            draw(st.sampled_from(cli.SOLVERS)))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(small_runs())
+def test_every_small_run_ends_as_a_record_or_a_named_error(tmp_path, run):
+    text, level, fmt, solver = run
+    path = tmp_path / "small.mtx"
+    path.write_text(text)
+    config = RunConfig(matrix_path=str(path), level=level, factor_format=fmt, solver=solver)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rec = run_experiment(config)
+        except (ValueError, FactorizationError, ShiftRestartError):
+            rec = None
+    assert caught == []
+    if rec is not None:
+        buf = io.StringIO()
+        cli._write_records([rec], "json", buf)
+        assert strict_json(buf.getvalue())[0]["status"] == rec.status
 
 
 class TestSuite:

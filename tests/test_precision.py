@@ -59,6 +59,16 @@ class TestFormatConstants:
         # largest finite = (2 - 2^-3) * 2^7
         assert f.x_max == (2 - 2.0 ** -3) * 2.0 ** 7
 
+    def test_every_format_but_fp64_has_a_split(self):
+        # wider than 51 significand or 10 exponent bits, Veltkamp's split
+        # overflows or loses its exactness; only fp64 needs no rounding
+        for p, e in ((8, 11), (52, 9)):
+            with pytest.raises(ValueError, match="at most 51 significand and 10 exponent"):
+                FpFormat("wide", p, e)
+        f = FpFormat("p51-e10", 51, 10)
+        assert f.split == 5.0 and f.grid == 1.5 * 2.0 ** (53 - 510 - 51)
+        assert FpFormat("double", 53, 11).is_double and FP64.split is None
+
 
 class TestRoundTo:
     def test_exact_value_unchanged(self):
@@ -162,9 +172,9 @@ class TestBitwiseOracle:
                 assert out.value == yv
 
     @pytest.mark.parametrize("f, span", [(FP16, (-9, 5)), (FP32, (-47, 39))])
-    def test_cast_and_frexp_paths_match(self, f, span):
-        # an array with an overflowing value takes the frexp path, one
-        # without takes the cast to float16 / float32
+    def test_cast_and_split_paths_match(self, f, span):
+        # an array with an overflowing value takes quantize's split of
+        # min(|x|, x_max), one without takes the cast to float16 / float32
         rng = np.random.default_rng(47)
         xs = 10.0 ** rng.uniform(*span, 20000) * rng.choice([-1, 1], 20000)
         top = np.nextafter(f.over_at, 0.0)
@@ -202,9 +212,25 @@ def _rounding_corpus(f: FpFormat, rng) -> np.ndarray:
     return np.concatenate([xs, -xs])
 
 
+@st.composite
+def formats_and_doubles(draw):
+    """Any format FpFormat accepts besides fp64, with doubles of any
+    magnitude, NaN, ±inf and ±0, and values m * 2^k of p + 2 bits (ties
+    among them) or their neighbours, from below x_s_min to past over_at."""
+    p, e = draw(st.integers(2, 51)), draw(st.integers(2, 10))
+    f = FpFormat(f"p{p}-e{e}", p, e, supports_subnormals=draw(st.booleans()))
+    e_max = 2 ** (e - 1) - 1
+    near = st.builds(lambda m, k, to: math.nextafter(math.ldexp(m, k), to),
+                     st.integers(-2 ** (p + 1), 2 ** (p + 1)),
+                     st.integers(-e_max - p - 2, e_max - p + 2),
+                     st.sampled_from([0.0, -math.inf, math.inf]))
+    return f, draw(st.lists(st.floats() | near, min_size=1, max_size=32))
+
+
 class TestIndependentOracle:
     """quantize and _round_scalar against round_to, which is built on a
-    frozen copy of the frexp rounding and does not move with icir.precision."""
+    frozen copy of the frexp rounding icir.precision once had and does not
+    move with it."""
 
     @pytest.mark.parametrize("f", [FP16, BF16, FP32, FpFormat("e4m3-ish", 4, 4)],
                              ids=lambda f: f.name)
@@ -230,14 +256,40 @@ class TestIndependentOracle:
         assert np.array_equal(scalar_over, ref_over)
         assert np.array_equal(scalar.view(np.int64), ref.view(np.int64))
         ax = np.abs(xs)
-        # the frexp fallback on overflows, zeros and underflows, the cast and
-        # the split
+        # quantize's split of min(|x|, x_max) with the grid or flush on
+        # overflows, zeros and underflows, the cast and the split
         for keep in (ax >= 0.0, ax < f.over_at, (ax > 0.0) & (ax < f.over_at),
                      (ax >= f.x_min) & (ax < f.over_at)):
             y, over = quantize(xs[keep], f)
             assert np.array_equal(over, ref_over[keep] | raises[keep])
             ok = ~over
             assert np.array_equal(y[ok].view(np.int64), ref[keep][ok].view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(formats_and_doubles())
+    def test_every_accepted_format_matches_round_to(self, case):
+        # an overflow, NaN and ±inf among them, is ±over_at, flagged
+        f, xs = case
+        want, want_over = [], []
+        for x in xs:
+            try:
+                out = round_to(x, f)
+            except (ValueError, OverflowError):   # not finite; math.ldexp past 2^1024
+                out = None
+            want_over.append(out is None or out.overflow)
+            want.append(math.copysign(f.over_at, x) if want_over[-1] else out.value)
+        scalar, scalar_over = zip(*(_round_scalar(x, f) for x in xs))
+        xs, want, want_over = np.array(xs), np.array(want), np.array(want_over)
+        assert list(scalar_over) == want_over.tolist()
+        assert np.array_equal(np.array(scalar).view(np.int64), want.view(np.int64))
+        ax = np.abs(xs)
+        # quantize's split of min(|x|, x_max) with the grid or flush and
+        # over_at, and its split alone
+        inside = (ax < f.over_at) & ((ax >= f.x_min) | (ax == 0.0))
+        for keep in (np.ones(len(xs), dtype=bool), inside):
+            y, over = quantize(xs[keep], f)
+            assert np.array_equal(over, want_over[keep])
+            assert np.array_equal(y.view(np.int64), want[keep].view(np.int64))
 
 
 class TestSubnormalGrid:
@@ -263,9 +315,9 @@ class TestSubnormalGrid:
 
 
 class TestTopOfFp64:
-    """The frexp path past over_at, up to the largest doubles: a finite
-    magnitude above x_max, flagged as overflow, and no warning (the suite
-    turns RuntimeWarning into an error)."""
+    """quantize past over_at, up to the largest doubles: a finite magnitude
+    above x_max, flagged as overflow, and no warning (the suite turns
+    RuntimeWarning into an error)."""
 
     E4M3 = FpFormat("e4m3-ish", 4, 4)
 
@@ -280,14 +332,14 @@ class TestTopOfFp64:
             assert flag and math.isfinite(v) and abs(v) > f.x_max
 
     def test_scalar_past_ldexp_range(self):
-        # the significand rounds up to 2^1024, where math.ldexp would raise
+        # the significand rounds up to 2^1024, where a rounding by
+        # math.ldexp would raise
         assert _round_scalar(1.79e308, self.E4M3) == (self.E4M3.over_at, True)
         assert _round_scalar(-1.79e308, self.E4M3) == (-self.E4M3.over_at, True)
 
     @pytest.mark.parametrize("f", [FP16, FP32, E4M3], ids=lambda f: f.name)
     def test_subnormals_beside_the_largest_doubles(self, f):
-        # the subnormal branch divides by x_s_min, which only the small
-        # entries may meet
+        # the subnormal grid, which only the small entries may meet
         xs = np.array([f.x_s_min * 1.5, -f.x_s_min * 0.25, 1e305, 1.0])
         y, over = quantize(xs, f)
         assert over.tolist() == [False, False, True, False]

@@ -7,7 +7,7 @@ from conftest import ic_attempt_on, to_dense
 from icir import refine, trisolve
 from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import dense_to_sparse, poisson2d, random_spd, tridiag, wathen
-from icir.precision import FpFormat, get_format
+from icir.precision import get_format
 from icir.refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, DIVERGENCE_THRESHOLD,
                          backward_error, ic_krylov_ir, ic_lu_ir)
 from icir.sparse import SparseSpd, l2_scale, matvec_f64
@@ -106,9 +106,8 @@ class TestLuIr:
             return trisolve.apply_preconditioner(L, r, mode)
 
         with mock.patch.object(refine, "apply_preconditioner", apply):
-            # 11 exponent bits: half-width, but with no split
             for f, mode in ((FP16, NATIVE_LOW), (get_format("fp32"), CAST_F64),
-                            (FP64, CAST_F64), (FpFormat("h", 8, 11), CAST_F64)):
+                            (FP64, CAST_F64)):
                 ic_lu_ir(A, b, shifted_ic(A, ic_pattern(A, 0), f=f), itmax=2)
                 assert set(modes) == {mode}
                 modes.clear()
