@@ -5,9 +5,11 @@
 
 For each pattern below (the four benchmark patterns and the Baseline
 wathen(120, 100) of ROADMAP.md), prints one table row per part:
-icir.symbolic._schedule, icir.factor._step_plan and the solve levels, the
-schedule's forward and backward that both solve modes read.  Each runs on
-a freshly built pattern, so a part's figures include the schedule it
+icir.symbolic._schedule, with the elimination levels it finds;
+icir.factor._step_plan, with the dataflow steps it finds from the
+schedule's forward order (icir.factor._step_times); and the solve levels,
+the schedule's forward and backward that both solve modes read.  Each runs
+on a freshly built pattern, so a part's figures include the schedule it
 builds on first use.  Two more rows run shifted_ic in fp16 and one
 preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
 

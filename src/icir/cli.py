@@ -117,10 +117,10 @@ class RunRecord:
     wall_seconds: float
     # JSON only: each inner solve's status, the native_low applications
     # retried in fp64, each failed attempt's shift and breakdown, squeeze's
-    # dropped and flushed entries, the seconds of each stage, the levels (the
-    # steps of both solves), the factor's steps, the update pairs an attempt
-    # enumerates (c(c - 1)/2 for c entries), and the BLAS library and the
-    # *_NUM_THREADS environment the Krylov dot products ran under
+    # dropped and flushed entries, the seconds of each stage, the schedule's
+    # levels (the steps of both solves), the factor's steps, the update pairs
+    # an attempt enumerates (c(c - 1)/2 for c entries), and the BLAS library
+    # and the *_NUM_THREADS environment the Krylov dot products ran under
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
     attempts: list = field(default_factory=list, metadata={"csv": False})
@@ -221,7 +221,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         attempts=[{"alpha": a, "kind": kind, "k": k} for a, kind, k in L.stats.history],
         squeeze_dropped=L.stats.squeeze.dropped_underflow,
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
-        depth=pattern.depth, factor_steps=L.stats.steps,
+        depth=len(pattern.schedule.levels), factor_steps=L.stats.steps,
         update_pairs_enumerated=int((entries * (entries - 1) // 2).sum()),
         blas=_blas(),
         blas_threads={k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},

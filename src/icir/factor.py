@@ -37,14 +37,14 @@ The kernel runs a dataflow schedule of tasks and pivots.  A task (j, k) is
 one off-diagonal l_jk: column j takes its update from source column k on
 every present (i, j) with i >= j, the pairs the column loop scatters from
 column k, leaving out those whose b or c is zero as the loop does.  Every
-task and pivot runs at the earliest step its inputs allow (the step times
-of icir.symbolic._step_times, which no solve reads),
-so every entry sees the column loop's order.  A step runs its tasks as one
-vectorised safe_update_many call, then its pivots.  The plan holds the
-pattern, its position keys and, per step, int32 positions and counts: the
-tasks with their pair counts and the pivot columns with their
-off-diagonals.  ic_attempt factors the values it is given against the plan
-it is given and stores nothing.
+task and pivot runs at the earliest step its inputs allow (_step_times,
+from the forward order of the pattern's schedule), so every entry sees the
+column loop's order.  A step runs its tasks as one vectorised
+safe_update_many call, then its pivots.  The plan holds the pattern, its
+position keys and, per step, int32 positions and counts: the tasks with
+their pair counts and the pivot columns with their off-diagonals.
+ic_attempt factors the values it is given against the plan it is given and
+stores nothing.
 
 The kernel returns the column loop's first breakdown, though it meets
 breakdowns in step order.  Number the operations: the pivot of column k is
@@ -158,38 +158,73 @@ class _StepPlan(NamedTuple):
     rest: np.ndarray   # rest[s]: the lowest operation number at step s or later
 
 
+def _step_times(tgt: np.ndarray, src: np.ndarray, levels: list, n: int):
+    """The dataflow step of every task and pivot of the n columns, found level
+    by level in the forward order (targets tgt, sources src, per-level slices
+    levels): the r-th task (j, k) of target j, an off-diagonal l_jk, runs at
+    T_r = max(T_{r-1} + 1, P(k_r) + 1), sources k ascending, and the pivot of
+    j at P(j) = T_last (0 without tasks).
+    Returns the tasks' forward indices by step, the task count of every step,
+    the columns by step (ascending within one) and the pivot count of every
+    step."""
+    first = np.flatnonzero(np.diff(tgt, prepend=-1))
+    sizes = np.diff(first, append=len(tgt))
+    # T_r = r + max_{s <= r} (P(k_s) + 1 - s) for the r-th task (from 1) of a
+    # target; one running maximum per level, with the targets kept apart by
+    # offsets wider than the values' range (P < 2n)
+    w = np.repeat(first.astype(np.int64) * (4 * n) + first, sizes)
+    w -= np.arange(1, len(tgt) + 1)
+    P = np.zeros(n, dtype=np.int64)
+    T = np.empty(len(tgt), dtype=np.int64)
+    for sl in levels:
+        v = P[src[sl]] + w[sl]
+        np.maximum.accumulate(v, out=v)
+        T[sl] = v - w[sl] + 1
+        np.maximum.at(P, tgt[sl], T[sl])
+    del w
+    steps = int(P.max(initial=-1)) + 1
+    return (np.argsort(T, kind="stable"), np.bincount(T, minlength=steps),
+            np.argsort(P, kind="stable"), np.bincount(P, minlength=steps))
+
+
 def _step_plan(pattern: FillPattern) -> _StepPlan:
-    """The step kernel's plan for the pattern.
+    """The step kernel's plan for the pattern, from the dataflow steps of
+    its schedule's forward order.
 
     A step's (task, pairs, shift) describe its tasks: the position of l_jk
     of every task (j, k), its pair count (the positions from l_jk to the end
     of column k, those of the l_ik), and the shift that puts those positions
     at shift + their index among the step's pairs.  (diag, below, off)
     describe its pivots in ascending column: their diagonal positions,
-    off-diagonal counts and off-diagonal positions, all from the schedule.
+    off-diagonal counts and off-diagonal positions.
     """
     n, cp = pattern.n, pattern.col_ptr
-    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(cp)) + pattern.row_idx
     s = _schedule(pattern)
-    task, src, steps = s.task, s.src, len(s.task_counts)
-    P = np.repeat(np.arange(steps), s.pivot_counts)
+    by_step, task_counts, pivots, pivot_counts = _step_times(pattern.row_idx[s.pos], s.src,
+                                                             s.order, n)
+    task, src, steps = s.pos[by_step], s.src[by_step], len(task_counts)
+    del by_step
+    P = np.repeat(np.arange(steps), pivot_counts)
     # pivot j is operation 2j, the scatter from source k operation 2k + 1
     rest = np.full(steps, 2 * n, dtype=np.int64)
-    np.minimum.at(rest, np.repeat(np.arange(steps), s.task_counts), 2 * src.astype(np.int64) + 1)
-    np.minimum.at(rest, P, 2 * s.pivots)
+    np.minimum.at(rest, np.repeat(np.arange(steps), task_counts), 2 * src + 1)
+    np.minimum.at(rest, P, 2 * pivots)
     rest = np.minimum.accumulate(rest[::-1])[::-1].copy()
-    diag = cp[s.pivots].astype(np.int32)
-    below = (cp[s.pivots + 1] - 1 - diag).astype(np.int32)
+    diag = cp[pivots].astype(np.int32)
+    below = (cp[pivots + 1] - 1 - diag).astype(np.int32)
     # every off-diagonal, column by column in pivot order
     off = np.arange(len(task)) + np.repeat(diag + 1 - np.cumsum(below) + below, below)
     off = off.astype(np.int32)
     pairs = (cp[src + 1] - task).astype(np.int32)
+    del src
     # a task's pair positions, from l_jk to the end of column k, are its
     # shift plus the pairs' index within the step
     before = np.concatenate(([0], np.cumsum(pairs)))   # the pairs before each task, and all
-    shift = np.repeat(before[np.cumsum(s.task_counts) - s.task_counts], s.task_counts)
+    shift = np.repeat(before[np.cumsum(task_counts) - task_counts], task_counts)
     shift = (shift - before[:-1] + task).astype(np.int32)
-    splits = zip(_split(s.task_counts), _split(s.pivot_counts),
+    task = task.astype(np.int32)
+    keys = np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(cp)) + pattern.row_idx
+    splits = zip(_split(task_counts), _split(pivot_counts),
                  _split(np.bincount(P, below, minlength=steps).astype(np.int64)))
     return _StepPlan(pattern, keys, [(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
                                      for a, b, o in splits], rest)

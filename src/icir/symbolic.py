@@ -28,18 +28,18 @@ is 0.4 MiB one column at a time, 6.1 MiB at 32 columns, 7.0 MiB at 64 and
 and 2.8 MiB at 64 columns, and on the benchmark's sparse patterns 64
 columns take 0.76-0.95 times the time of 32.
 
-A pattern also carries its elimination levels, found when it is built.
-Column j of L depends on every column k < j with (j, k) in the pattern: the
-factor needs l_jk before it can update column j, and the forward solve
-needs y_k before unknown j.  A column's level in this dependency DAG is one
-more than the largest level among the columns it depends on, so all columns
-of one level are independent and can be processed as one vectorised step
-(level scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
-Sparse Linear Systems, 2nd ed., 2003).  _schedule puts the off-diagonals in
-level order once per pattern, on first use, and keeps them in its schedule
-slot: the factor (icir.factor) runs from the dataflow steps _step_times
-refines them into, and only the factor reads the steps; the solves
-(icir.trisolve) run from its levels, found on a solve's first use.
+A pattern's schedule finds its elimination levels.  Column j of L depends
+on every column k < j with (j, k) in the pattern: the factor needs l_jk
+before it can update column j, and the forward solve needs y_k before
+unknown j.  A column's level in this dependency DAG is one more than the
+largest level among the columns it depends on, so all columns of one level
+are independent and can be processed as one vectorised step (level
+scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
+Sparse Linear Systems, 2nd ed., 2003).  _schedule finds the levels and puts
+the off-diagonals in level order once per pattern, on first use, and keeps
+them in its schedule slot: the solves (icir.trisolve) run from its levels,
+found on a solve's first use, and the factor's plan (icir.factor) refines
+its forward order into dataflow steps, which the schedule does not keep.
 """
 
 from __future__ import annotations
@@ -59,21 +59,17 @@ class FillPattern:
     """Permitted lower-triangular positions, diagonal always included.
 
     CSC layout like SparseSpd: rows sorted ascending within each column, so
-    the diagonal is the first entry of its column.
+    the diagonal is the first entry of its column.  A pattern is its arrays:
+    its schedule finds the elimination levels, the factor's plan the
+    dataflow steps.
     """
 
     n: int
     col_ptr: np.ndarray
     row_idx: np.ndarray
-    # elimination level of every column (int32) and the number of levels
-    column_level: np.ndarray = field(init=False, repr=False, compare=False)
-    depth: int = field(init=False, repr=False, compare=False)
     # the elimination schedule the factor and both solves read, built by
     # _schedule on first use; the pattern is immutable after construction
     schedule: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.column_level, self.depth = _column_levels(self)
 
     @property
     def nnz(self) -> int:
@@ -119,49 +115,43 @@ def _split(counts: np.ndarray) -> list:
 class _Schedule:
     """A pattern's elimination schedule; index arrays are np.intp unless int32.
 
-    cols, diag, below: the columns by level, ascending within one, their
-    diagonal positions and off-diagonal counts; levels: the slice of every
-    level.  The dataflow steps of _step_times, which only the factor reads:
-    task and src (int32), every task's position of l_jk and source k, by
-    step, then in forward order; by_step (int32), their forward index;
-    task_counts and pivot_counts, the tasks and pivots of every step;
-    pivots, the columns by step, ascending within one.  forward and
-    backward, found on a solve's first use (a factorization reads neither),
-    are the solves' (pos, levels).  pos: the off-diagonals l_jk as positions,
-    by level of row j, then j, then k (task and src put back by by_step), and
-    column by column in cols' order, rows descending.  levels, backward in
-    reverse: a level's column and its index into cols and diag as two ints
-    if it has one column (else None), its view of cols and the slice of cols
-    and diag it is, its slice of pos, views of its targets and sources, and
-    a view of each column's chain end in them.
+    cols, diag, below: the columns by level (_column_levels), ascending
+    within one, their diagonal positions and off-diagonal counts; levels:
+    the slice of every level.  pos and src: the forward order, every
+    off-diagonal l_jk as its position and its source column k, by level of
+    row j, then j, then k; order: the slice of every level in it.  The
+    factor's plan finds its dataflow steps from them.  forward and backward,
+    found on a solve's first use (a factorization reads neither), are the
+    solves' (pos, levels): forward's pos is pos, backward's holds the
+    off-diagonals column by column in cols' order, rows descending.  levels,
+    backward in reverse: a level's column and its index into cols and diag
+    as two ints if it has one column (else None), its view of cols and the
+    slice of cols and diag it is, its slice of pos, views of its targets and
+    sources, and a view of each column's chain end in them (int32).
     """
 
     def __init__(self, pattern: FillPattern):
-        n, cp, ri, level = pattern.n, pattern.col_ptr, pattern.row_idx, pattern.column_level
+        n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+        level, depth = _column_levels(pattern)
         self.cols = np.argsort(level, kind="stable")
         self.diag, self.below = cp[self.cols], np.diff(cp)[self.cols] - 1
-        self.levels = _split(np.bincount(level, minlength=pattern.depth))
+        self.levels = _split(np.bincount(level, minlength=depth))
         # forward: CSC order (k ascending) stably sorted by the rank of row j in
         # cols; the diagonal heads its column, so off-diagonal r of k is at r + k + 1
         rank = np.empty(n, dtype=np.int32)
         rank[self.cols] = np.arange(n, dtype=np.int32)
         col = np.repeat(np.arange(n), np.diff(cp) - 1)
-        pos = np.argsort(rank[ri[np.arange(len(col)) + col + 1]], kind="stable")
-        col = col[pos]
-        pos += col + 1
-        per_level = np.bincount(level, np.bincount(ri, minlength=n) - 1, pattern.depth)
-        self._row_idx, self._forward_slices = ri, _split(per_level.astype(np.int64))
-        self.by_step, self.task_counts, self.pivots, self.pivot_counts = _step_times(
-            ri[pos], col, self._forward_slices, n)
-        self.task, self.src = pos[self.by_step].astype(np.int32), col[self.by_step].astype(np.int32)
+        self.pos = np.argsort(rank[ri[np.arange(len(col)) + col + 1]], kind="stable")
+        self.src = col[self.pos]
+        self.pos += self.src + 1
+        per_level = np.bincount(level, np.bincount(ri, minlength=n) - 1, depth)
+        self._row_idx, self.order = ri, _split(per_level.astype(np.int64))
 
     @cached_property
     def forward(self) -> tuple:
-        pos, col = np.empty((2, len(self.task)), dtype=np.intp)
-        pos[self.by_step], col[self.by_step] = self.task, self.src
-        rows = self._row_idx[pos]
-        return pos, _steps(self, self._forward_slices, rows, col,
-                           np.bincount(rows, minlength=len(self.cols))[self.cols])
+        rows = self._row_idx[self.pos]
+        return self.pos, _steps(self, self.order, rows, self.src,
+                                np.bincount(rows, minlength=len(self.cols))[self.cols])
 
     @cached_property
     def backward(self) -> tuple:
@@ -190,33 +180,6 @@ def _steps(s: _Schedule, order: list, tgt, src, counts) -> list:
     return [((int(s.cols[c.start]), c.start) if w == 1 else None, s.cols[c], c, o, tgt[o], src[o],
              ends[c])
             for c, o, w in zip(s.levels, order, widths)]
-
-
-def _step_times(tgt: np.ndarray, src: np.ndarray, levels: list, n: int):
-    """The dataflow step of every task and pivot of the n columns, found level
-    by level in the forward order (targets tgt, sources src, per-level slices
-    levels): the r-th task (j, k) of target j, an off-diagonal l_jk, runs at
-    T_r = max(T_{r-1} + 1, P(k_r) + 1), sources k ascending, and the pivot of
-    j at P(j) = T_last (0 without tasks).
-    Returns the schedule's by_step, task_counts, pivots and pivot_counts."""
-    first = np.flatnonzero(np.diff(tgt, prepend=-1))
-    sizes = np.diff(first, append=len(tgt))
-    # T_r = r + max_{s <= r} (P(k_s) + 1 - s) for the r-th task (from 1) of a
-    # target; one running maximum per level, with the targets kept apart by
-    # offsets wider than the values' range (P < 2n)
-    w = np.repeat(first.astype(np.int64) * (4 * n) + first, sizes)
-    w -= np.arange(1, len(tgt) + 1)
-    P = np.zeros(n, dtype=np.int64)
-    T = np.empty(len(tgt), dtype=np.int64)
-    for sl in levels:
-        v = P[src[sl]] + w[sl]
-        np.maximum.accumulate(v, out=v)
-        T[sl] = v - w[sl] + 1
-        np.maximum.at(P, tgt[sl], T[sl])
-    del w
-    steps = int(P.max(initial=-1)) + 1
-    return (np.argsort(T, kind="stable").astype(np.int32), np.bincount(T, minlength=steps),
-            np.argsort(P, kind="stable"), np.bincount(P, minlength=steps))
 
 
 def _full_adjacency(A: SparseSpd):

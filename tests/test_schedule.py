@@ -1,5 +1,5 @@
-"""The elimination levels a FillPattern carries and the kernels that run
-from them: the cast_f64 substitution kernel against the scalar oracle, bit
+"""The elimination levels a pattern's schedule finds and the kernels that
+run from them: the cast_f64 substitution kernel against the scalar oracle, bit
 for bit, and the factor's step times and values, breakdowns and errors
 against the column loop's."""
 
@@ -95,7 +95,7 @@ def test_kernels_match_scalar_oracle(system):
 @given(triangular_systems())
 def test_levels_respect_dependencies(system):
     pattern = system[0]
-    level, depth = pattern.column_level, pattern.depth
+    level, depth = _column_levels(pattern)
     assert level.dtype == np.int32 and level.shape == (pattern.n,)
     cols = np.repeat(np.arange(pattern.n), np.diff(pattern.col_ptr))
     off = pattern.row_idx != cols
@@ -299,9 +299,9 @@ def test_step_times_match_oracle(drawn):
     # at least one step per level, and no more steps than R plus the
     # depth, R the sum over the levels of the longest row among the
     # level's columns
-    depth = pattern.depth
+    level, depth = _column_levels(pattern)
     widest = np.zeros(depth, dtype=np.int64)
-    np.maximum.at(widest, pattern.column_level, np.bincount(ri, minlength=n) - 1)
+    np.maximum.at(widest, level, np.bincount(ri, minlength=n) - 1)
     assert depth <= len(plan.steps) <= widest.sum() + depth
 
 
@@ -339,7 +339,7 @@ def test_fp64_attempt_runs_past_its_failure():
 def test_dense_pattern_is_one_chain_of_pivots():
     A, _ = l2_scale(random_spd(40, density=1.0, seed=0))
     pattern = ic_pattern(A, 3)
-    assert len(_step_plan(pattern).steps) == pattern.depth == pattern.n
+    assert len(_step_plan(pattern).steps) == len(pattern.schedule.levels) == pattern.n
 
 
 def _zeroed_pivot():
@@ -350,12 +350,13 @@ def _zeroed_pivot():
     return A, ic_pattern(A, 0)
 
 
-def _holds_no_factor_state(pattern):
-    """The pattern holds its arrays, levels and schedule and nothing of the
-    factor, and the schedule holds no solve levels until a solve builds them."""
-    return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "column_level", "depth",
-                                   "schedule"}
-            and not {"forward", "backward"} & set(vars(pattern.schedule)))
+def _holds_no_factor_state(pattern, solves=frozenset()):
+    """The pattern holds its arrays and schedule and nothing of the factor,
+    and the schedule its level and forward orders, no dataflow step, and of
+    the solve levels only those named in solves."""
+    return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "schedule"}
+            and set(vars(pattern.schedule)) == {"cols", "diag", "below", "levels", "pos", "src",
+                                                "order", "_row_idx"} | solves)
 
 
 def test_first_breakdown_without_a_rerun():
@@ -396,6 +397,27 @@ def test_shifted_ic_prepares_once_and_keeps_nothing():
     assert _holds_no_factor_state(pattern)
 
 
+def test_step_times_found_by_each_factorization_only():
+    # solves of either mode on a never-factored pattern find no dataflow
+    # step, each shifted_ic finds them once whatever its restarts, and the
+    # schedule keeps none of them
+    A, _ = l2_scale(poisson2d(8))
+    A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
+    pattern = ic_pattern(A, 1)
+    r = np.linspace(-1.0, 1.0, A.n)
+    with mock.patch.object(factor, "_step_times", wraps=factor._step_times) as times:
+        for mode in (CAST_F64, NATIVE_LOW):
+            apply_preconditioner(_factor(pattern), r, mode)
+        assert times.call_count == 0
+        for count in (1, 2):
+            L = shifted_ic(A, pattern, f=get_format("fp16"))
+            assert L.stats.restarts >= 1 and times.call_count == count
+        for mode in (CAST_F64, NATIVE_LOW):
+            apply_preconditioner(L, r, mode)
+        assert times.call_count == 2
+    assert _holds_no_factor_state(pattern, {"forward", "backward"})
+
+
 def test_uncovered_pattern_fails_before_any_attempt():
     A = tridiag(4)
     narrow = FillPattern(4, np.arange(5), np.arange(4))   # diagonal only
@@ -412,18 +434,16 @@ def test_one_schedule_serves_restarts_and_solves():
             mock.patch.object(factor, "_step_plan", wraps=_step_plan) as plans, \
             mock.patch.object(icir.symbolic, "_column_levels", wraps=_column_levels) as levels:
         pattern = ic_pattern(A, 0)
-        level = pattern.column_level
         L = shifted_ic(A, pattern, f=get_format("fp16"))
         apply_preconditioner(L, np.ones(L.n))
         s = pattern.schedule
         kernel = s.forward, s.backward
         apply_preconditioner(L, np.arange(L.n, dtype=float))
     assert L.stats.restarts >= 1 and attempts.call_count == L.stats.restarts + 1
-    # building the pattern found the levels once, the factor's plan and the
-    # solves reuse them, and one plan and one schedule's solve levels served
-    # every restart and solve
+    # the schedule found the levels once, for the factor's plan and the
+    # solves, and one plan and one schedule's solve levels served every
+    # restart and solve
     assert levels.call_count == 1
-    assert pattern.column_level is level
     assert pattern.schedule is s and s.forward is kernel[0] and s.backward is kernel[1]
     assert plans.call_count == 1
 
@@ -451,7 +471,7 @@ def test_schedule_built_once_per_pattern_and_shared():
             assert whole is not None and all(view.base is whole for view in of)
             views += of
     # three views a level and direction, nearly all of them nonempty
-    assert len(views) == 6 * pattern.depth
+    assert len(views) == 6 * len(s.levels)
     assert sum(len(view) > 0 for view in views) > 80
 
 
@@ -459,7 +479,8 @@ def test_schedule_built_once_per_pattern_and_shared():
 @given(lower_patterns())
 def test_update_orders_match_oracle(drawn):
     pattern = drawn[0]
-    n, cp, ri, level = pattern.n, pattern.col_ptr, pattern.row_idx, pattern.column_level
+    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+    level, depth = _column_levels(pattern)
     cols = np.repeat(np.arange(n), np.diff(cp))
     s = _schedule(pattern)
     assert s.cols.tolist() == sorted(range(n), key=lambda j: level[j])
@@ -477,7 +498,7 @@ def test_update_orders_match_oracle(drawn):
         # a column's backward
         assert [lv[2] for lv in levels] == s.levels
         for slices, of in ((s.levels, s.cols), ([lv[3] for lv in levels], tgt[pos])):
-            assert len(slices) == pattern.depth
+            assert len(slices) == depth
             assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
             assert sum(sl.stop - sl.start for sl in slices) == len(of)
             assert all(np.all(level[of[sl]] == d) for d, sl in enumerate(slices))

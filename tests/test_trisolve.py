@@ -14,7 +14,7 @@ from icir.factor import FactorStats, IcFactor, shifted_ic
 from icir.gallery import poisson2d, random_spd, wathen
 from icir.precision import FpFormat, _round_scalar, get_format, quantize
 from icir.sparse import l2_scale, matvec_f64
-from icir.symbolic import FillPattern, ic_pattern
+from icir.symbolic import FillPattern, _column_levels, ic_pattern
 from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal,
                            apply_preconditioner, backward_solve, forward_solve)
 from test_factor import full_pattern
@@ -232,7 +232,7 @@ def test_lowest_numbered_failure_of_a_step():
     L = make_factor(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
                               [2.0, 0.0, 1.0, 0.0], [0.0, 2.0, 0.0, 1.0]]), FP16)
     args = (L.pattern.col_ptr, L.pattern.row_idx, L.values)
-    assert L.pattern.column_level.tolist() == [0, 0, 1, 1]
+    assert _column_levels(L.pattern)[0].tolist() == [0, 0, 1, 1]
     for solve, reference, w, column in (
             (forward_solve, oracles.native_forward_solve, [60000.0, 60000.0, 0.0, 0.0], 0),
             (backward_solve, oracles.native_backward_solve, [0.0, 0.0, 60000.0, 60000.0], 1)):
