@@ -3,12 +3,18 @@
 
     python3 scripts/analysis_cost.py
 
-For each pattern below (the four benchmark patterns and the Baseline
-wathen(120, 100) of ROADMAP.md), prints one table row per part:
+A first table gives, for each pattern below (the four benchmark patterns
+and the Baseline wathen(120, 100) of ROADMAP.md), its elimination levels,
+the groups of its forward and backward solves, and their inside updates
+(the updates whose source lies in the target's group, which the solves run
+one by one in Python; see icir.symbolic).
+
+The second table prints one row per part and pattern:
 icir.symbolic._schedule, with the elimination levels it finds;
 icir.factor._step_plan, with the dataflow steps it finds from the
 schedule's forward order (icir.factor._step_times); and the solve levels,
-the schedule's forward and backward that both solve modes read.  Each runs
+the schedule's forward and backward that both solve modes read, with the
+groups icir.symbolic._steps finds and the records it builds.  Each runs
 on a freshly built pattern, so a part's figures include the schedule it
 builds on first use.  Two more rows run shifted_ic in fp16 and one
 preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
@@ -18,7 +24,7 @@ preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
            result held (for the shifted_ic rows, only what the pattern keeps)
   peak     tracemalloc peak of that build
 
-A second table times the applies on the same patterns, factored by
+A third table times the applies on the same patterns, factored by
 shifted_ic in fp16 and in bf16 on the l2-scaled matrix: one cast_f64
 apply_preconditioner, one native_low forward_solve and one native_low
 backward_solve, each the median of 21 calls after an untimed first one.
@@ -114,7 +120,22 @@ def _bytes(build, A, level):
     return kept, peak
 
 
+def _group_cells(A, level):
+    """The cells of one row of the groups table."""
+    s = _schedule(ic_pattern(A, level))
+    groups = [s.forward[1], s.backward[1]]
+    inside = [sum(len(g[6][0]) for g in gs if g[6] is not None) for gs in groups]
+    return [f"{len(s.levels):,}", f"{len(groups[0]):,} / {len(groups[1]):,}",
+            f"{inside[0]:,} / {inside[1]:,}"]
+
+
 def main() -> None:
+    print("| pattern | levels | groups forward / backward | inside updates forward / backward |")
+    print("|---|---|---|---|")
+    for label, make, level in PATTERNS:
+        A, _ = l2_scale(make())
+        print(f"| {label} | {' | '.join(_group_cells(A, level))} |", flush=True)
+    print()
     print("| pattern | n | off-diagonals | part | ms | kept MiB | peak MiB |")
     print("|---|---|---|---|---|---|---|")
     for label, make, level in PATTERNS:

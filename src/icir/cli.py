@@ -118,9 +118,10 @@ class RunRecord:
     # JSON only: each inner solve's status, the native_low applications
     # retried in fp64, each failed attempt's shift and breakdown, squeeze's
     # dropped and flushed entries, the seconds of each stage, the schedule's
-    # levels (the steps of both solves), the factor's steps, the update pairs
-    # an attempt enumerates (c(c - 1)/2 for c entries), and the BLAS library
-    # and the *_NUM_THREADS environment the Krylov dot products ran under
+    # levels, the groups of the forward and backward solves (the steps of
+    # either mode), the factor's steps, the update pairs an attempt
+    # enumerates (c(c - 1)/2 for c entries), and the BLAS library and the
+    # *_NUM_THREADS environment the Krylov dot products ran under
     inner_statuses: list = field(default_factory=list, metadata={"csv": False})
     overflow_fallbacks: int = field(default=0, metadata={"csv": False})
     attempts: list = field(default_factory=list, metadata={"csv": False})
@@ -132,6 +133,7 @@ class RunRecord:
     factor_s: float = field(default=0.0, metadata={"csv": False})
     solve_s: float = field(default=0.0, metadata={"csv": False})
     depth: int = field(default=0, metadata={"csv": False})
+    solve_groups: list = field(default_factory=list, metadata={"csv": False})
     factor_steps: int = field(default=0, metadata={"csv": False})
     update_pairs_enumerated: int = field(default=0, metadata={"csv": False})
     blas: str = field(default="unknown", metadata={"csv": False})
@@ -221,7 +223,9 @@ def run_experiment(config: RunConfig) -> RunRecord:
         attempts=[{"alpha": a, "kind": kind, "k": k} for a, kind, k in L.stats.history],
         squeeze_dropped=L.stats.squeeze.dropped_underflow,
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
-        depth=len(pattern.schedule.levels), factor_steps=L.stats.steps,
+        depth=len(pattern.schedule.levels),
+        solve_groups=[len(pattern.schedule.forward[1]), len(pattern.schedule.backward[1])],
+        factor_steps=L.stats.steps,
         update_pairs_enumerated=int((entries * (entries - 1) // 2).sum()),
         blas=_blas(),
         blas_threads={k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},

@@ -37,9 +37,37 @@ are independent and can be processed as one vectorised step (level
 scheduling; Anderson & Saad, IJHSC 1989; Saad, Iterative Methods for
 Sparse Linear Systems, 2nd ed., 2003).  _schedule finds the levels and puts
 the off-diagonals in level order once per pattern, on first use, and keeps
-them in its schedule slot: the solves (icir.trisolve) run from its levels,
-found on a solve's first use, and the factor's plan (icir.factor) refines
-its forward order into dataflow steps, which the schedule does not keep.
+them in its schedule slot: the solves (icir.trisolve) run from groups of its
+levels, found on a solve's first use, and the factor's plan (icir.factor)
+refines its forward order into dataflow steps, which the schedule does not
+keep.
+
+A solve direction takes its levels in groups (_steps): runs of consecutive
+levels in its order (ascending forward, descending backward) of at most
+GROUP_COLUMNS columns in all, or one level of any width.  An update of a
+target from a source in the target's group is inside, any other outside.
+A group runs its outside updates as one batch; then, if it has inside
+updates, it walks its columns level by level, each taking its inside updates
+one by one and its division.  That keeps every target's summation order
+(forward sources k ascending, backward rows i descending) only if each
+target takes its outside updates first: forward, every outside source below
+every inside one; backward, every outside row above every inside one.  So
+a level joins the current group only if each of its columns keeps that
+order.  Read a target's sources in summation order, their levels numbered
+in the direction's order: a descent, a source whose level is below the
+level of the source before it, forbids a group start in the levels above
+the lower and up to the higher, since such a group would hold the earlier
+source inside and the later one outside.  _group_starts marks the forbidden
+starts of every level in one vectorised pass, as bits of the distance back
+to the start, and walks the levels once.  The rule reads the pattern alone.
+A group none of whose columns reads another runs as a level.
+
+GROUP_COLUMNS is 16.  One cast_f64 apply (in-process medians of 11 x 3-20
+calls, caps interleaved, 2-core host) at caps 1 / 8 / 16 / 32: badscale
+IC(0) fp16 368 / 179 / 138 / 153 us, IC(3) fp16 637 / 233 / 228 / 285 us,
+random_spd(100) IC(3) 538 / 194 / 187 / 238 us, poisson2d(50) IC(0) 560 /
+549 / 549 / 587 us, wathen(40, 30) IC(3) 4.03 / 3.96 / 3.84 / 3.79 ms.  A
+larger group runs more inside updates one at a time in Python.
 """
 
 from __future__ import annotations
@@ -122,12 +150,20 @@ class _Schedule:
     row j, then j, then k; order: the slice of every level in it.  The
     factor's plan finds its dataflow steps from them.  forward and backward,
     found on a solve's first use (a factorization reads neither), are the
-    solves' (pos, levels): forward's pos is pos, backward's holds the
-    off-diagonals column by column in cols' order, rows descending.  levels,
-    backward in reverse: a level's column and its index into cols and diag
-    as two ints if it has one column (else None), its view of cols and the
-    slice of cols and diag it is, its slice of pos, views of its targets and
-    sources, and a view of each column's chain end in them (int32).
+    solves' (pos, groups): forward's pos is pos, backward's holds the
+    off-diagonals column by column in cols' order, rows descending.  groups
+    (_steps), in the direction's order: a group's columns in walk order, a
+    view of cols, and the slice of diag they are; its outside updates, as a
+    slice of pos, views of their targets and sources, and each column's
+    chain end in them (int32); and None.  A group with inside updates walks
+    its levels in the direction's order (cols reversed backward) and holds
+    its outside updates as an index array into pos, their targets and
+    sources and the chain ends as arrays of their own, column by column in
+    walk order; its last field is (ivs, loc, src, ranges, chains): the
+    inside updates' indices into pos, their sources' walk positions and
+    source columns (lists), each column's range of them in summation order,
+    and those ranges in the native_low chain's order (rows ascending
+    backward).
     """
 
     def __init__(self, pattern: FillPattern):
@@ -151,7 +187,7 @@ class _Schedule:
     def forward(self) -> tuple:
         rows = self._row_idx[self.pos]
         return self.pos, _steps(self, self.order, rows, self.src,
-                                np.bincount(rows, minlength=len(self.cols))[self.cols])
+                                np.bincount(rows, minlength=len(self.cols))[self.cols], False)
 
     @cached_property
     def backward(self) -> tuple:
@@ -162,7 +198,7 @@ class _Schedule:
         # a level's updates end where its last column's do
         order = _split(np.diff(ends[[c.stop - 1 for c in self.levels]], prepend=0))
         return pos, _steps(self, order, np.repeat(self.cols, self.below), self._row_idx[pos],
-                           self.below)[::-1]
+                           self.below, True)
 
 
 def _schedule(pattern: FillPattern) -> _Schedule:
@@ -171,15 +207,95 @@ def _schedule(pattern: FillPattern) -> _Schedule:
     return pattern.schedule
 
 
-def _steps(s: _Schedule, order: list, tgt, src, counts) -> list:
-    """The levels of one direction, in level order: order holds each level's
-    slice of the direction's updates, counts the chain lengths by s.cols."""
+def _group_starts(widths: list, at, tgt, src_at) -> list:
+    """The first level of every group of one direction, levels numbered in
+    its order: widths holds the columns of each level, at the level of each
+    column, src_at the level of the source of every update, and tgt its
+    target; the updates are listed target by target, each target's in its
+    summation order.
+
+    A descent src_at[i] > src_at[i + 1] of one target at level t forbids a
+    group start a in (src_at[i + 1], src_at[i]], bit t - a of forbid[t]:
+    a group that starts there and holds t would take the earlier source
+    inside and the later one outside, out of order.  Only bits below
+    GROUP_COLUMNS can matter, as a group of more levels has more columns.
+    """
+    down = np.flatnonzero((tgt[1:] == tgt[:-1]) & (src_at[:-1] > src_at[1:]))
+    t = at[tgt[down]]
+    near = t - src_at[down] < GROUP_COLUMNS
+    down, t = down[near], t[near]
+    lo = (t - src_at[down]).astype(np.int64)
+    hi = np.minimum(t - src_at[down + 1] - 1, GROUP_COLUMNS - 1).astype(np.int64)
+    keep = lo <= hi
+    forbid = np.zeros(len(widths), dtype=np.int64)
+    np.bitwise_or.at(forbid, t[keep], (2 << hi[keep]) - (1 << lo[keep]))
+    starts, a, held = [], 0, GROUP_COLUMNS
+    for t, (w, m) in enumerate(zip(widths, forbid.tolist())):
+        if held + w > GROUP_COLUMNS or m >> (t - a) & 1:   # t - a < GROUP_COLUMNS here
+            starts.append(t)
+            a, held = t, 0
+        held += w
+    return starts
+
+
+def _steps(s: _Schedule, order: list, tgt, src, counts, backward: bool) -> list:
+    """The groups of one direction, in its order: order holds each level's
+    slice of the direction's updates, which list the targets as s.cols
+    does, each target's in its summation order, and counts the updates of
+    each column of s.cols."""
+    n, depth = len(s.cols), len(s.levels)
     widths = [c.stop - c.start for c in s.levels]
-    starts = np.repeat([o.start for o in order], widths)   # by column: level's first update
-    ends = (np.cumsum(counts) - starts).astype(np.int32)
-    return [((int(s.cols[c.start]), c.start) if w == 1 else None, s.cols[c], c, o, tgt[o], src[o],
-             ends[c])
-            for c, o, w in zip(s.levels, order, widths)]
+    rank = np.empty(n, dtype=np.intp)
+    rank[s.cols] = np.arange(n)
+    # every column's level, numbered in the direction's order
+    at = np.repeat(np.arange(depth, dtype=np.int32), widths)
+    if backward:
+        at = depth - 1 - at
+        widths = widths[::-1]
+    at = at[rank]
+    starts = _group_starts(widths, at, tgt, at[src])
+    # the group of every level and column, and of every update whether its
+    # source is inside its target's group
+    group = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts + [depth]))
+    of = group[at]
+    tgt_group = of[tgt]
+    inside = of[src] == tgt_group
+    mixed = (np.bincount(tgt_group[inside], minlength=len(starts)) > 0).tolist()
+    del tgt_group
+    # each group's levels, ascending, and its slices of the columns and updates
+    bounds = starts + [depth]
+    spans = [(depth - b, depth - a) if backward else (a, b) for a, b in zip(bounds, bounds[1:])]
+    cs = [slice(s.levels[a].start, s.levels[b - 1].stop) for a, b in spans]
+    us = [slice(order[a].start, order[b - 1].stop) for a, b in spans]
+    first = np.array([o.start for o in us], dtype=np.int64)
+    ends = (np.cumsum(counts) - first[of[s.cols]]).astype(np.int32)   # by column of cols
+    groups = []
+    for c, o, has_inside in zip(cs, us, mixed):
+        m = c.stop - c.start
+        if not has_inside:   # a level, or levels that read nothing of each other
+            groups.append((s.cols[c], c, o, tgt[o], src[o], ends[c], None))
+            continue
+        # the outside updates, then the inside ones, each column by column in
+        # walk order, a column's in its summation order
+        ins = inside[o]
+        walk = rank[tgt[o]] - c.start
+        if backward:
+            walk = m - 1 - walk
+        u = o.start + np.lexsort((walk, ins))
+        k = len(u) - int(np.count_nonzero(ins))
+        vs, ivs = u[:k], u[k:]
+        loc = rank[src[ivs]] - c.start
+        cols = s.cols[c]
+        if backward:
+            loc = m - 1 - loc
+            cols, c = cols[::-1], slice(c.stop - 1, c.start - 1 if c.start else None, -1)
+        cut = np.cumsum(np.bincount(walk[ins], minlength=m)).tolist()
+        ranges = [range(a, b) for a, b in zip([0] + cut, cut)]
+        groups.append((cols, c, vs, tgt[vs], src[vs],
+                       np.cumsum(np.bincount(walk[~ins], minlength=m)).astype(np.int32),
+                       (ivs, loc.tolist(), src[ivs].tolist(), ranges,
+                        [r[::-1] for r in ranges] if backward else ranges)))
+    return groups
 
 
 def _full_adjacency(A: SparseSpd):
@@ -198,6 +314,9 @@ def _full_adjacency(A: SparseSpd):
 # Columns searched together, and the byte budget of their stamps.
 BLOCK_COLUMNS = 64
 STAMP_BYTES = 8 << 20
+# Columns a solve group holds at most, unless it is one level (see the
+# module docstring).
+GROUP_COLUMNS = 16
 
 
 def _neighbour_keys(adj_ptr, adj, base, v):

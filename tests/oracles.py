@@ -201,11 +201,16 @@ def _safe_update_many(a, b, c, f: FpFormat):
     return v, unsafe
 
 
+def _divide(acc: float, d: float) -> float:
+    """acc / d, a zero d giving NumPy's ±inf or NaN where Python would raise."""
+    return acc / d if d else float(np.float64(acc) / d)
+
+
 def forward_solve(col_ptr, row_idx, values, w):
     """Solve L y = w for L in CSC form, diagonal first in every column.
 
     Unknown j takes its updates l_jk * y_k in ascending source column k,
-    then is divided by l_jj.
+    then is divided by l_jj (a zero l_jj as NumPy divides).
     """
     n = len(w)
     sources = [[] for _ in range(n)]   # (k, l_jk) for every target row j
@@ -217,7 +222,7 @@ def forward_solve(col_ptr, row_idx, values, w):
         acc = float(w[j])
         for k, l_jk in sources[j]:
             acc -= l_jk * y[k]
-        y[j] = acc / float(values[col_ptr[j]])
+        y[j] = _divide(acc, float(values[col_ptr[j]]))
     return y
 
 
@@ -225,7 +230,7 @@ def backward_solve(col_ptr, row_idx, values, w):
     """Solve L^T y = w for L in CSC form, diagonal first in every column.
 
     Unknown j takes its updates l_ij * y_i in descending source row i, then
-    is divided by l_jj.
+    is divided by l_jj (a zero l_jj as NumPy divides).
     """
     n = len(w)
     y = [0.0] * n
@@ -233,7 +238,7 @@ def backward_solve(col_ptr, row_idx, values, w):
         acc = float(w[j])
         for p in range(col_ptr[j + 1] - 1, col_ptr[j], -1):
             acc -= float(values[p]) * y[int(row_idx[p])]
-        y[j] = acc / float(values[col_ptr[j]])
+        y[j] = _divide(acc, float(values[col_ptr[j]]))
     return y
 
 

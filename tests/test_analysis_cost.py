@@ -1,4 +1,4 @@
-"""scripts/analysis_cost.py's builders and apply row, on a small pattern."""
+"""scripts/analysis_cost.py's groups row, builders and apply row, on a small pattern."""
 
 import importlib.util
 from pathlib import Path
@@ -33,3 +33,11 @@ def test_apply_row():
     share, total = cells[4].split("% of ")
     assert 0.0 <= float(share) <= 100.0 and int(total.replace(",", "")) > 0
     assert analysis_cost._apply_ms(A, 1, get_format("bf16"))[4] == "-"
+
+
+def test_groups_row():
+    A, _ = l2_scale(poisson2d(6))
+    levels, groups, inside = analysis_cost._group_cells(A, 1)
+    forward, backward = (int(g) for g in groups.split(" / "))
+    assert 1 <= forward <= int(levels) and 1 <= backward <= int(levels)
+    assert all(int(count) >= 0 for count in inside.split(" / "))

@@ -20,7 +20,7 @@ from icir.cli import (RECORD_FIELDS, RunConfig, build_rhs, main,
 from icir.factor import FactorizationError, ShiftRestartError
 from icir.gallery import poisson2d, tridiag, wathen
 from icir.sparse import SparseSpd, matvec_f64
-from icir.symbolic import ic_pattern
+from icir.symbolic import _schedule, ic_pattern
 
 
 def write_mtx(A, path):
@@ -171,6 +171,11 @@ class TestRunExperiment:
             _, P = oracles.step_times(cp, ri)
             assert (rec.depth, rec.factor_steps) == (max(chain) + 1, max(P) + 1)
             assert rec.update_pairs_enumerated == pairs
+            # each solve takes one group per run of levels, at least one and
+            # at most one per level
+            s = _schedule(pattern)
+            assert rec.solve_groups == [len(s.forward[1]), len(s.backward[1])]
+            assert all(1 <= groups <= rec.depth for groups in rec.solve_groups)
 
     def test_level_increases_fill(self, poisson_mtx):
         r0 = run_experiment(RunConfig(matrix_path=poisson_mtx, level=0))
@@ -359,7 +364,8 @@ class TestMain:
         assert set(data[0]) == set(RECORD_FIELDS) | {"inner_statuses", "overflow_fallbacks",
                                                       "attempts", "squeeze_dropped",
                                                       "squeeze_flushed", *stages,
-                                                      "depth", "factor_steps",
+                                                      "depth", "solve_groups",
+                                                      "factor_steps",
                                                       "update_pairs_enumerated",
                                                       "blas", "blas_threads"}
         assert all(data[0][s] > 0.0 for s in stages)   # each stage was timed

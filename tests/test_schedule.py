@@ -21,7 +21,8 @@ from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
 from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
-from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
+from icir.symbolic import (GROUP_COLUMNS, FillPattern, _column_levels, _schedule, _Schedule,
+                           ic_pattern)
 from icir.trisolve import (CAST_F64, NATIVE_LOW, _cast_sweep, apply_preconditioner,
                            backward_solve, forward_solve)
 
@@ -61,12 +62,14 @@ def lower_patterns(draw):
 
 @st.composite
 def triangular_systems(draw):
-    """(pattern, values, w) on a lower_patterns pattern."""
+    """(pattern, values, w) on a lower_patterns pattern; now and then a
+    zeroed pivot."""
     pattern, rng = draw(lower_patterns())
     n = pattern.n
     values = rng.uniform(-1.0, 1.0, pattern.nnz)
     values[rng.random(pattern.nnz) < 0.2] = 0.0          # stored zeros
     values[pattern.col_ptr[:-1]] = rng.choice([-1.0, 1.0], n) * rng.uniform(1.0, 2.0, n)
+    values[pattern.col_ptr[:-1][rng.random(n) < 0.03]] = 0.0
     w = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
     w[rng.random(n) < 0.3] = 0.0                        # zeros in the right-hand side
     return pattern, values, w
@@ -81,14 +84,20 @@ def _assert_same_bits(got, want):
 @settings(max_examples=300, deadline=None)
 @given(triangular_systems())
 def test_kernels_match_scalar_oracle(system):
+    # groups with inside updates, zeros in w and zeroed pivots, whose
+    # divisions give NumPy's inf or NaN in both
     pattern, values, w = system
     args = (pattern.col_ptr, pattern.row_idx, values, w)
     s = _schedule(pattern)
-    for (pos, levels), solve in ((s.forward, oracles.forward_solve),
+    event(f"zeroed pivot: {not np.all(values[pattern.col_ptr[:-1]])}")
+    for (pos, groups), solve in ((s.forward, oracles.forward_solve),
                                  (s.backward, oracles.backward_solve)):
+        event(f"inside updates: {any(g[6] is not None for g in groups)}")
         y = w.copy()
-        _cast_sweep(values[pos], values[s.diag], levels, y)
-        _assert_same_bits(y, np.array(solve(*args)))
+        with np.errstate(all="ignore"):
+            _cast_sweep(values[pos], values[s.diag], groups, y)
+            want = np.array(solve(*args))
+        _assert_same_bits(y, want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -450,8 +459,10 @@ def test_one_schedule_serves_restarts_and_solves():
 
 def test_schedule_built_once_per_pattern_and_shared():
     # shifted_ic with restarts, a cast_f64 and a native_low apply build one
-    # schedule per pattern, and its levels index its arrays, not copies
-    A, _ = l2_scale(poisson2d(8))
+    # schedule per pattern, and its groups index its arrays, not copies; the
+    # grid's middle levels hold more than GROUP_COLUMNS columns, so most
+    # groups are levels
+    A, _ = l2_scale(poisson2d(20))
     A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
     with mock.patch.object(icir.symbolic, "_Schedule", wraps=_Schedule) as builds:
         for count in (1, 2):
@@ -463,16 +474,26 @@ def test_schedule_built_once_per_pattern_and_shared():
             assert builds.call_count == count
     s = pattern.schedule
     views = []
-    for _, levels in (s.forward, s.backward):
-        # one whole array of each kind per direction, which every level views
-        for kind, whole in ((1, s.cols), (4, None), (5, None)):
-            of = [level[kind] for level in levels]
-            whole = of[0].base if whole is None else whole
-            assert whole is not None and all(view.base is whole for view in of)
+    for _, groups in (s.forward, s.backward):
+        # every group views the schedule's columns; one whole array of each
+        # other kind per direction, which every group without inside updates
+        # views (a group with them holds its own)
+        assert all(group[0].base is s.cols for group in groups)
+        levels = [group for group in groups if group[6] is None]
+        for kind in (3, 4):
+            of = [group[kind] for group in levels]
+            assert of[0].base is not None and all(view.base is of[0].base for view in of)
             views += of
-    # three views a level and direction, nearly all of them nonempty
-    assert len(views) == 6 * len(s.levels)
-    assert sum(len(view) > 0 for view in views) > 80
+    # nearly all of these views nonempty
+    assert len(views) > 40 and sum(len(view) > 0 for view in views) >= len(views) - 4
+
+
+def _held(group):
+    """A group's columns in walk order, and its outside and inside updates,
+    as indices into its direction's order."""
+    cols, _, vs, _, _, _, inner = group
+    outside = np.arange(vs.start, vs.stop) if isinstance(vs, slice) else vs
+    return cols.tolist(), outside.tolist(), [] if inner is None else inner[0].tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -485,20 +506,83 @@ def test_update_orders_match_oracle(drawn):
     s = _schedule(pattern)
     assert s.cols.tolist() == sorted(range(n), key=lambda j: level[j])
     assert s.diag.tolist() == cp[s.cols].tolist()
+    # the level slices tile the columns, one level each
+    assert len(s.levels) == depth and sum(sl.stop - sl.start for sl in s.levels) == n
+    assert [sl.start for sl in s.levels] == [0] + [sl.stop for sl in s.levels[:-1]]
+    assert all(np.all(level[s.cols[sl]] == d) for d, sl in enumerate(s.levels))
     forward, backward = oracles.update_orders(cp, ri, level)
-    (fpos, flevels), (bpos, blevels) = s.forward, s.backward
-    for pos, levels, want, tgt, src in ((fpos, flevels, forward, ri, cols),
-                                        (bpos, blevels[::-1], backward, cols, ri)):
+    for (pos, groups), want, tgt, src in ((s.forward, forward, ri, cols),
+                                          (s.backward, backward, cols, ri)):
         assert pos.tolist() == want
-        # end to end, the levels' targets and sources are the order's rows
-        # and columns forward, its columns and rows backward
-        for kind, of in ((4, tgt), (5, src)):
-            assert np.concatenate([lv[kind] for lv in levels]).tolist() == of[want].tolist()
-        # the slices tile the order, one level each: a row's level forward,
-        # a column's backward
-        assert [lv[2] for lv in levels] == s.levels
-        for slices, of in ((s.levels, s.cols), ([lv[3] for lv in levels], tgt[pos])):
-            assert len(slices) == depth
-            assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
-            assert sum(sl.stop - sl.start for sl in slices) == len(of)
-            assert all(np.all(level[of[sl]] == d) for d, sl in enumerate(slices))
+        # each group's targets and sources are the order's rows and columns
+        # forward, its columns and rows backward, at the updates it holds
+        for group in groups:
+            _, outside, inside = _held(group)
+            assert group[3].tolist() == tgt[pos[outside]].tolist()
+            assert group[4].tolist() == src[pos[outside]].tolist()
+            if inside:
+                assert group[6][2] == src[pos[inside]].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lower_patterns())
+def test_groups_keep_every_summation_order(drawn):
+    pattern = drawn[0]
+    n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
+    level, depth = _column_levels(pattern)
+    cols = np.repeat(np.arange(n), np.diff(cp))
+    s = _schedule(pattern)
+    for (pos, groups), backward in ((s.forward, False), (s.backward, True)):
+        tgt, src = (cols, ri) if backward else (ri, cols)
+        tgt, src = tgt[pos], src[pos]
+        levels = list(range(depth))[::-1] if backward else list(range(depth))
+        group_of, taken = np.full(n, -1), 0
+        for g, group in enumerate(groups):
+            walk, outside, inside = _held(group)
+            # a run of whole levels, next in the direction's order; with
+            # inside updates walked level by level in that order
+            held = sorted(set(level[walk].tolist()), reverse=backward)
+            assert held == levels[taken:taken + len(held)]
+            assert sorted(walk) == np.flatnonzero(np.isin(level, held)).tolist()
+            assert not inside or np.all(np.diff(level[walk]) * (-1 if backward else 1) >= 0)
+            taken += len(held)
+            # at most GROUP_COLUMNS columns, unless one level
+            assert len(walk) <= GROUP_COLUMNS or len(held) == 1
+            group_of[walk] = g
+            event(f"{len(held)} levels" if len(held) < 3 else "3+ levels")
+            if inside:
+                # every inside source is walked before its target
+                at = {j: i for i, j in enumerate(walk)}
+                loc = group[6][1]
+                assert [walk[i] for i in loc] == src[inside].tolist()
+                assert all(i < at[j] for i, j in zip(loc, tgt[inside].tolist()))
+        assert taken == depth
+        # every update is held once, by its target's group, inside iff its
+        # source is in that group
+        owner, kinds = np.full(len(pos), -1), np.full(len(pos), -1)
+        for g, group in enumerate(groups):
+            _, outside, inside = _held(group)
+            assert np.all(owner[outside + inside] == -1)
+            owner[outside + inside] = g
+            kinds[outside], kinds[inside] = 0, 1
+        assert np.array_equal(owner, group_of[tgt])
+        assert np.array_equal(kinds, group_of[src] == group_of[tgt])
+        # each target reads its outside sources first in its summation order:
+        # forward (k ascending) each outside source is below each inside one,
+        # backward (rows descending) each outside row above each inside row
+        for j in range(n):
+            k = src[tgt == j]
+            outside, inside = k[group_of[k] != group_of[j]], k[group_of[k] == group_of[j]]
+            if len(outside) and len(inside):
+                assert (outside.min() > inside.max()) if backward else \
+                    (outside.max() < inside.min())
+
+
+def test_dense_random_pattern_takes_few_groups():
+    # random_spd(100, density=0.3) IC(3) has 99 levels, nearly all of one
+    # column, and no descent: groups of GROUP_COLUMNS columns
+    A, _ = l2_scale(random_spd(100, density=0.3))
+    s = _schedule(ic_pattern(A, 3))
+    assert len(s.levels) == 99
+    for _, groups in (s.forward, s.backward):
+        assert len(groups) <= -(-100 // GROUP_COLUMNS) + 1

@@ -187,6 +187,13 @@ def raw_systems(draw):
     return IcFactor(pattern, values, f, 0.0, FactorStats(0, 0, 0)), entries(n)
 
 
+def _inside_event(L):
+    """Record whether a group of L's solves holds inside updates."""
+    s = symbolic._schedule(L.pattern)
+    groups = s.forward[1] + s.backward[1]
+    event(f"inside updates: {any(group[6] is not None for group in groups)}")
+
+
 def _outcome(solve, *args):
     """solve's result as int64 views, or its exception's type and message."""
     try:
@@ -199,6 +206,7 @@ def _outcome(solve, *args):
 @given(native_systems())
 def test_native_solves_match_scalar_reference(system):
     L, w = system
+    _inside_event(L)
     args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w, L.format)
     for solve, reference in ((forward_solve, oracles.native_forward_solve),
                              (backward_solve, oracles.native_backward_solve)):
@@ -214,6 +222,7 @@ def test_raw_solves_match_scalar_reference(system):
     """Every format kind native_low runs in: the cast (fp16) and the split
     alone (bf16, e4m3-ish, p3-no-subnormals)."""
     L, w = system
+    _inside_event(L)
     args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w, L.format)
     for solve, reference in ((forward_solve, oracles.native_forward_solve),
                              (backward_solve, oracles.native_backward_solve)):
@@ -380,17 +389,42 @@ def test_in_range_solves_round_only_in_batches_and_chains():
         assert got == _outcome(reference, *args) and isinstance(got, list)
 
 
-def test_subnormal_product_is_exact_in_a_cast_batch():
-    # 2^-20 * 2^-4 and 2^-20 * 1 are fp16 subnormals, which the cast rounds
-    # exactly: neither is taken again by _round_scalar
-    L = make_factor(np.array([[1.0, 0.0], [2.0 ** -20, 1.0]]), FP16)
-    w = np.array([2.0 ** -4, 1.0])
+def _subnormal_product(n):
+    """An n x n identity with l_{n-1,0} = 2^-20, and w with w_0 = 2^-4, the
+    rest 1: both solves form one product, 2^-20 * 2^-4 forward and 2^-20 * 1
+    backward, both fp16 subnormals."""
+    Ld = np.eye(n)
+    Ld[-1, 0] = 2.0 ** -20
+    w = np.ones(n)
+    w[0] = 2.0 ** -4
+    return make_factor(Ld, FP16), w
+
+
+def _round_scalar_calls(L, w):
+    """The _round_scalar calls of each native_low solve of L and w, once each
+    gives its scalar reference's bits."""
     args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w, FP16)
+    counts = []
     for solve, reference in ((forward_solve, oracles.native_forward_solve),
                              (backward_solve, oracles.native_backward_solve)):
         got, calls, _ = _rounding_calls(lambda: _outcome(solve, L, w, NATIVE_LOW))
-        assert calls[1] == 0
         assert got == _outcome(reference, *args) and isinstance(got, list)
+        counts.append(calls[1])
+    return counts
+
+
+def test_subnormal_product_is_exact_in_a_cast_batch():
+    # column 0's level holds more than GROUP_COLUMNS columns, so columns 0
+    # and n - 1 fall in different groups and the product is an outside
+    # update, rounded in its batch by the cast, exactly: _round_scalar does
+    # not take it again
+    assert _round_scalar_calls(*_subnormal_product(2 + symbolic.GROUP_COLUMNS)) == [0, 0]
+
+
+def test_subnormal_product_inside_a_group_is_exact_on_the_grid():
+    # columns 0 and 1 form one group: the product is an inside update,
+    # rounded in the chain, on the subnormal grid below x_min
+    assert _round_scalar_calls(*_subnormal_product(2)) == [0, 0]
 
 
 @pytest.mark.parametrize("Ld, w, f, product", [
@@ -409,6 +443,76 @@ def test_overflowed_product_is_rounded_by_round_scalar(Ld, w, f, product):
         assert got == _outcome(reference, L.pattern.col_ptr, L.pattern.row_idx, L.values, w, f)
         assert got == ("OverflowSignal", "product overflow at column 0")
         assert mock.call(product, f) in args
+
+
+def _same_group(L, forward, j, k):
+    """Whether columns j and k fall in one group of the direction."""
+    s = symbolic._schedule(L.pattern)
+    return any({j, k} <= set(group[0].tolist())
+               for group in (s.forward if forward else s.backward)[1])
+
+
+def _overflow_case(n, entries, w):
+    """A fp16 factor: the n x n identity with the given (row, column, value)
+    entries, and w with the given (index, value) entries, zero elsewhere."""
+    Ld = np.eye(n)
+    for i, j, value in entries:
+        Ld[i, j] = value
+    y = np.zeros(n)
+    for i, value in w:
+        y[i] = value
+    return make_factor(Ld, FP16), y
+
+
+G = symbolic.GROUP_COLUMNS
+# forward: columns 0..G form a level wider than GROUP_COLUMNS; column G + 1
+# reads column 1, and column G + 2 reads column 0 (outside its group) and
+# column G + 1 (inside it)
+_FORWARD = [(G + 1, 1, 2.0 ** -10), (G + 2, 0, None), (G + 2, G + 1, 2.0)]
+# backward: column 0 reads row 1 (inside its group) and row 2 (outside it),
+# as rows 2..G + 2 form a level wider than GROUP_COLUMNS, which read row 1
+_BACKWARD = [(1, 0, None), (2, 0, None)] + [(i, 1, 2.0 ** -14) for i in range(2, G + 3)]
+
+
+def _fill(entries, *values):
+    values = iter(values)
+    return [(i, j, next(values) if v is None else v) for i, j, v in entries]
+
+
+@pytest.mark.parametrize("forward, n, entries, w, inside, message", [
+    # a 2 x 2 factor is one group: its one update is inside
+    (True, 2, [(1, 0, 2.0)], [(0, 60000.0), (1, 1.0)], (1, 0), "product overflow at column 0"),
+    (True, 2, [(1, 0, -2.0)], [(0, 30000.0), (1, 60000.0)], (1, 0),
+     "subtraction overflow at column 0"),
+    (False, 2, [(1, 0, 2.0)], [(0, 1.0), (1, 60000.0)], (0, 1), "product overflow at column 0"),
+    (False, 2, [(1, 0, -2.0)], [(0, 60000.0), (1, 30000.0)], (0, 1),
+     "subtraction overflow at column 0"),
+    # the outside subtraction of source 0 (operation 2) comes before the
+    # inside product of source G + 1
+    (True, G + 3, _fill(_FORWARD, -1.0), [(0, 40000.0), (G + 1, 60000.0), (G + 2, 40000.0)],
+     (G + 2, G + 1), "subtraction overflow at column 0"),
+    (True, G + 3, _fill(_FORWARD, 1.0), [(0, 1.0), (G + 1, 60000.0), (G + 2, 1.0)],
+     (G + 2, G + 1), f"product overflow at column {G + 1}"),
+    # column 0's products come before its subtractions, whichever runs first:
+    # an inside product with an outside subtraction, an inside subtraction
+    # with an outside product
+    (False, G + 3, _fill(_BACKWARD, 2.0, -1.0), [(0, 40000.0), (1, 60000.0), (2, 40000.0)],
+     (0, 1), "product overflow at column 0"),
+    (False, G + 3, _fill(_BACKWARD, -1.0, 2.0), [(0, 40000.0), (1, 40000.0), (2, 60000.0)],
+     (0, 1), "product overflow at column 0"),
+], ids=["forward-product", "forward-subtraction", "backward-product", "backward-subtraction",
+        "forward-outside-first", "forward-inside", "backward-inside-product",
+        "backward-outside-product"])
+def test_overflow_on_an_inside_update(forward, n, entries, w, inside, message):
+    L, w = _overflow_case(n, entries, w)
+    assert _same_group(L, forward, *inside)
+    if n > 2:   # column 0 and row 2 (backward) or column 0 and G + 2 (forward) do not
+        assert not _same_group(L, forward, 0, 2 if not forward else G + 2)
+    solve, reference = ((forward_solve, oracles.native_forward_solve) if forward
+                        else (backward_solve, oracles.native_backward_solve))
+    want = _outcome(reference, L.pattern.col_ptr, L.pattern.row_idx, L.values, w, FP16)
+    assert want == ("OverflowSignal", message)
+    assert _outcome(solve, L, w, NATIVE_LOW) == want
 
 
 @pytest.mark.parametrize("f", [FP32, FP64], ids=lambda f: f.name)
