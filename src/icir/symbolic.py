@@ -186,18 +186,15 @@ class _Schedule:
     @cached_property
     def forward(self) -> tuple:
         rows = self._row_idx[self.pos]
-        return self.pos, _steps(self, self.order, rows, self.src,
+        return self.pos, _steps(self, rows, self.src,
                                 np.bincount(rows, minlength=len(self.cols))[self.cols], False)
 
     @cached_property
     def backward(self) -> tuple:
-        ends = np.cumsum(self.below)
         # column k's off-diagonals, rows descending: diag + below down to diag + 1
-        pos = np.repeat(self.diag + ends, self.below)
+        pos = np.repeat(self.diag + np.cumsum(self.below), self.below)
         pos -= np.arange(len(pos))
-        # a level's updates end where its last column's do
-        order = _split(np.diff(ends[[c.stop - 1 for c in self.levels]], prepend=0))
-        return pos, _steps(self, order, np.repeat(self.cols, self.below), self._row_idx[pos],
+        return pos, _steps(self, np.repeat(self.cols, self.below), self._row_idx[pos],
                            self.below, True)
 
 
@@ -222,13 +219,11 @@ def _group_starts(widths: list, at, tgt, src_at) -> list:
     """
     down = np.flatnonzero((tgt[1:] == tgt[:-1]) & (src_at[:-1] > src_at[1:]))
     t = at[tgt[down]]
-    near = t - src_at[down] < GROUP_COLUMNS
-    down, t = down[near], t[near]
-    lo = (t - src_at[down]).astype(np.int64)
-    hi = np.minimum(t - src_at[down + 1] - 1, GROUP_COLUMNS - 1).astype(np.int64)
-    keep = lo <= hi
-    forbid = np.zeros(len(widths), dtype=np.int64)
-    np.bitwise_or.at(forbid, t[keep], (2 << hi[keep]) - (1 << lo[keep]))
+    lo, hi = t - src_at[down], t - src_at[down + 1] - 1   # 1 <= lo <= hi
+    near = lo < GROUP_COLUMNS
+    forbid = np.zeros(len(widths), dtype=np.int32)
+    np.bitwise_or.at(forbid, t[near],
+                     (2 << np.minimum(hi[near], GROUP_COLUMNS - 1)) - (1 << lo[near]))
     starts, a, held = [], 0, GROUP_COLUMNS
     for t, (w, m) in enumerate(zip(widths, forbid.tolist())):
         if held + w > GROUP_COLUMNS or m >> (t - a) & 1:   # t - a < GROUP_COLUMNS here
@@ -238,64 +233,55 @@ def _group_starts(widths: list, at, tgt, src_at) -> list:
     return starts
 
 
-def _steps(s: _Schedule, order: list, tgt, src, counts, backward: bool) -> list:
-    """The groups of one direction, in its order: order holds each level's
-    slice of the direction's updates, which list the targets as s.cols
-    does, each target's in its summation order, and counts the updates of
-    each column of s.cols."""
+def _steps(s: _Schedule, tgt, src, counts, backward: bool) -> list:
+    """The groups of one direction, in its order: its updates list their
+    targets as s.cols does, each target's in its summation order, and counts
+    holds the updates of each column of s.cols."""
     n, depth = len(s.cols), len(s.levels)
     widths = [c.stop - c.start for c in s.levels]
-    rank = np.empty(n, dtype=np.intp)
-    rank[s.cols] = np.arange(n)
     # every column's level, numbered in the direction's order
-    at = np.repeat(np.arange(depth, dtype=np.int32), widths)
-    if backward:
-        at = depth - 1 - at
-        widths = widths[::-1]
-    at = at[rank]
-    starts = _group_starts(widths, at, tgt, at[src])
-    # the group of every level and column, and of every update whether its
-    # source is inside its target's group
-    group = np.repeat(np.arange(len(starts), dtype=np.int32), np.diff(starts + [depth]))
-    of = group[at]
-    tgt_group = of[tgt]
-    inside = of[src] == tgt_group
-    mixed = (np.bincount(tgt_group[inside], minlength=len(starts)) > 0).tolist()
-    del tgt_group
-    # each group's levels, ascending, and its slices of the columns and updates
-    bounds = starts + [depth]
-    spans = [(depth - b, depth - a) if backward else (a, b) for a, b in zip(bounds, bounds[1:])]
-    cs = [slice(s.levels[a].start, s.levels[b - 1].stop) for a, b in spans]
-    us = [slice(order[a].start, order[b - 1].stop) for a, b in spans]
-    first = np.array([o.start for o in us], dtype=np.int64)
-    ends = (np.cumsum(counts) - first[of[s.cols]]).astype(np.int32)   # by column of cols
-    groups = []
-    for c, o, has_inside in zip(cs, us, mixed):
-        m = c.stop - c.start
-        if not has_inside:   # a level, or levels that read nothing of each other
-            groups.append((s.cols[c], c, o, tgt[o], src[o], ends[c], None))
+    at = np.empty(n, dtype=np.int32)
+    at[s.cols] = np.repeat(np.arange(depth - 1, -1, -1) if backward else np.arange(depth), widths)
+    starts = _group_starts(widths[::-1] if backward else widths, at, tgt, at[src])
+    # the groups' level bounds, ascending, and where each level starts in
+    # cols and in the updates
+    cuts = [0] + [depth - t for t in reversed(starts)] if backward else starts + [depth]
+    col_at = [c.start for c in s.levels] + [n]
+    begin = np.zeros(n + 1, dtype=np.int64)   # by place in cols: a column's first update
+    np.cumsum(counts, out=begin[1:])
+    upd_at = begin[col_at].tolist()
+    # by place in cols: a column's chain end, from its group's first update
+    group_at = [col_at[a] for a in cuts]
+    ends = (begin[1:] - np.repeat(begin[group_at[:-1]], np.diff(group_at))).astype(np.int32)
+    groups, rank, cs = [], None, s.cols
+    for a, b in zip(cuts, cuts[1:]):
+        c, o = slice(col_at[a], col_at[b]), slice(upd_at[a], upd_at[b])
+        # a source comes before its target: inside iff it comes no earlier
+        # than the group's first level
+        if b - a == 1 or not (ins := at[src[o]] >= (depth - b if backward else a)).any():
+            groups.append((cs[c], c, o, tgt[o], src[o], ends[c], None))   # as a level
             continue
         # the outside updates, then the inside ones, each column by column in
         # walk order, a column's in its summation order
-        ins = inside[o]
-        walk = rank[tgt[o]] - c.start
-        if backward:
-            walk = m - 1 - walk
-        u = o.start + np.lexsort((walk, ins))
+        if rank is None:
+            rank = np.empty(n, dtype=np.intp)
+            rank[s.cols] = np.arange(n)
+        m, first, cols = c.stop - c.start, c.start, cs[c]
+        # the places in the walk of every update's target and source
+        walk, loc = rank[tgt[o]] - first, rank[src[o]] - first
+        if backward:   # from the last level
+            walk, loc = m - 1 - walk, m - 1 - loc
+            cols, c = cols[::-1], slice(c.stop - 1, first - 1 if first else None, -1)
+        u = np.lexsort((walk, ins))
         k = len(u) - int(np.count_nonzero(ins))
-        vs, ivs = u[:k], u[k:]
-        loc = rank[src[ivs]] - c.start
-        cols = s.cols[c]
-        if backward:
-            loc = m - 1 - loc
-            cols, c = cols[::-1], slice(c.stop - 1, c.start - 1 if c.start else None, -1)
+        vs, ivs = o.start + u[:k], o.start + u[k:]
         cut = np.cumsum(np.bincount(walk[ins], minlength=m)).tolist()
         ranges = [range(a, b) for a, b in zip([0] + cut, cut)]
         groups.append((cols, c, vs, tgt[vs], src[vs],
                        np.cumsum(np.bincount(walk[~ins], minlength=m)).astype(np.int32),
-                       (ivs, loc.tolist(), src[ivs].tolist(), ranges,
+                       (ivs, loc[u[k:]].tolist(), src[ivs].tolist(), ranges,
                         [r[::-1] for r in ranges] if backward else ranges)))
-    return groups
+    return groups[::-1] if backward else groups
 
 
 def _full_adjacency(A: SparseSpd):

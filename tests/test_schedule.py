@@ -579,8 +579,8 @@ def test_groups_keep_every_summation_order(drawn):
 
 
 def test_dense_random_pattern_takes_few_groups():
-    # random_spd(100, density=0.3) IC(3) has 99 levels, nearly all of one
-    # column, and no descent: groups of GROUP_COLUMNS columns
+    # random_spd(100, density=0.3) IC(3) has 99 levels, all but one of one
+    # column, which merge into groups of up to GROUP_COLUMNS columns
     A, _ = l2_scale(random_spd(100, density=0.3))
     s = _schedule(ic_pattern(A, 3))
     assert len(s.levels) == 99
