@@ -234,9 +234,10 @@ def _group_starts(widths: list, at, tgt, src_at) -> list:
 
 
 def _steps(s: _Schedule, tgt, src, counts, backward: bool) -> list:
-    """The groups of one direction, in its order: its updates list their
-    targets as s.cols does, each target's in its summation order, and counts
-    holds the updates of each column of s.cols."""
+    """The groups of one direction, in its order, as _Schedule describes
+    them: the direction's updates list their targets as s.cols does, each
+    target's in its summation order, and counts holds the updates of each
+    column of s.cols."""
     n, depth = len(s.cols), len(s.levels)
     widths = [c.stop - c.start for c in s.levels]
     # every column's level, numbered in the direction's order
@@ -253,20 +254,20 @@ def _steps(s: _Schedule, tgt, src, counts, backward: bool) -> list:
     # by place in cols: a column's chain end, from its group's first update
     group_at = [col_at[a] for a in cuts]
     ends = (begin[1:] - np.repeat(begin[group_at[:-1]], np.diff(group_at))).astype(np.int32)
-    groups, rank, cs = [], None, s.cols
+    groups, rank = [], None
     for a, b in zip(cuts, cuts[1:]):
         c, o = slice(col_at[a], col_at[b]), slice(upd_at[a], upd_at[b])
         # a source comes before its target: inside iff it comes no earlier
         # than the group's first level
         if b - a == 1 or not (ins := at[src[o]] >= (depth - b if backward else a)).any():
-            groups.append((cs[c], c, o, tgt[o], src[o], ends[c], None))   # as a level
+            groups.append((s.cols[c], c, o, tgt[o], src[o], ends[c], None))   # as a level
             continue
         # the outside updates, then the inside ones, each column by column in
         # walk order, a column's in its summation order
         if rank is None:
             rank = np.empty(n, dtype=np.intp)
             rank[s.cols] = np.arange(n)
-        m, first, cols = c.stop - c.start, c.start, cs[c]
+        m, first, cols = c.stop - c.start, c.start, s.cols[c]
         # the places in the walk of every update's target and source
         walk, loc = rank[tgt[o]] - first, rank[src[o]] - first
         if backward:   # from the last level
