@@ -123,7 +123,7 @@ def _bytes(build, A, level):
 def _group_cells(A, level):
     """The cells of one row of the groups table."""
     s = _schedule(ic_pattern(A, level))
-    groups = [s.forward[1], s.backward[1]]
+    groups = [s.forward[2], s.backward[2]]
     inside = [sum(len(g[6][0]) for g in gs if g[6] is not None) for gs in groups]
     return [f"{len(s.levels):,}", f"{len(groups[0]):,} / {len(groups[1]):,}",
             f"{inside[0]:,} / {inside[1]:,}"]
@@ -185,7 +185,7 @@ def _apply_ms(A, level, f):
 
 
 def _slow_calls(run) -> int:
-    """The _round_scalar calls of one run, up to its OverflowSignal if any."""
+    """The _round_scalar calls of one run."""
     with mock.patch.object(trisolve, "_round_scalar", wraps=trisolve._round_scalar) as calls:
         try:
             run()

@@ -224,7 +224,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         squeeze_dropped=L.stats.squeeze.dropped_underflow,
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
         depth=len(pattern.schedule.levels),
-        solve_groups=[len(pattern.schedule.forward[1]), len(pattern.schedule.backward[1])],
+        solve_groups=[len(pattern.schedule.forward[2]), len(pattern.schedule.backward[2])],
         factor_steps=L.stats.steps,
         update_pairs_enumerated=int((entries * (entries - 1) // 2).sum()),
         blas=_blas(),

@@ -39,12 +39,7 @@ or split; quantize rounds an array inside it so, fp64 by a copy, and any
 other by the split of min(|x|, x_max), the grid (or, without subnormals,
 the flush to 0 or x_min) below x_min, and ±over_at in its overflowed slots,
 inf and NaN among them.  _round_scalar rounds one double as quantize does: a
-zero as it is, any other value by quantize.  The native_low chains of
-icir.trisolve, which run only in half-width formats, round their results
-in the split's domain inline, and an inside product below x_min on the
-grid where the format has subnormals, and call it only for the others
-(zeros, subnormals and overflows), and for a batch's product that its cast
-or split may not have rounded exactly.  TestBitwiseOracle in
+zero as it is, any other value by quantize.  TestBitwiseOracle in
 tests/test_precision.py pins the paths to each other, TestIndependentOracle
 to the frozen frexp rounding of tests/oracles.py, TestSubnormalGrid the
 split-and-grid branch to both.

@@ -7,7 +7,8 @@ Convergence is measured by the normwise backward error
 
     res = ||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf).
 
-A correction that overflows fp64 ends the run as diverged, without a warning.
+A correction that overflows fp64, or divides by a zero pivot, ends the run
+as diverged, without a warning.
 
 Each driver's first vectors are computed once.  resinit is the backward
 error of x_p = (L L^T)^-1 b, and its residual b - A x_p is also the first
@@ -113,7 +114,7 @@ def _refine(A: SparseSpd, b: np.ndarray, xp: np.ndarray, from_zero: bool, correc
     return report
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
              delta: float = DELTA_DEFAULT, itmax: int = 1000) -> SolveReport:
     """Iterative refinement with substitution-only corrections.
@@ -136,7 +137,7 @@ def ic_lu_ir(A: SparseSpd, b: np.ndarray, L: IcFactor,
     return _refine(A, b, solve(b), False, lambda r: (solve(r), False), report, delta, itmax)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def ic_krylov_ir(A: SparseSpd, b: np.ndarray, L: IcFactor, method: str = "cg",
                  delta: float = DELTA_DEFAULT,
                  delta_krylov: float = DELTA_KRYLOV_DEFAULT,

@@ -150,20 +150,19 @@ class _Schedule:
     row j, then j, then k; order: the slice of every level in it.  The
     factor's plan finds its dataflow steps from them.  forward and backward,
     found on a solve's first use (a factorization reads neither), are the
-    solves' (pos, groups): forward's pos is pos, backward's holds the
-    off-diagonals column by column in cols' order, rows descending.  groups
-    (_steps), in the direction's order: a group's columns in walk order, a
-    view of cols, and the slice of diag they are; its outside updates, as a
-    slice of pos, views of their targets and sources, and each column's
-    chain end in them (int32); and None.  A group with inside updates walks
-    its levels in the direction's order (cols reversed backward) and holds
-    its outside updates as an index array into pos, their targets and
-    sources and the chain ends as arrays of their own, column by column in
-    walk order; its last field is (ivs, loc, src, ranges, chains): the
-    inside updates' indices into pos, their sources' walk positions and
-    source columns (lists), each column's range of them in summation order,
-    and those ranges in the native_low chain's order (rows ascending
-    backward).
+    solves' (pos, diag, groups) (_steps).  forward walks cols, and its pos
+    is pos; backward walks cols reversed, levels and the columns of each
+    descending, diag with them, and its pos holds the off-diagonals column
+    by column in that order, rows descending.  groups, runs of levels in
+    the walk: a group's columns, a view of the walk's, and the ascending
+    slice of them (and of diag) they are; its outside updates, as a slice
+    of pos, views of their targets and sources, and each column's chain end
+    in them (int32); and None.  A group with inside updates holds its
+    outside updates as an index array into pos, their targets and sources
+    and the chain ends as arrays of their own, column by column; its last
+    field is (ivs, loc, src, ranges): the inside updates' indices into pos,
+    their sources' places in the group and source columns (lists), and each
+    column's range of them in summation order.
     """
 
     def __init__(self, pattern: FillPattern):
@@ -186,16 +185,18 @@ class _Schedule:
     @cached_property
     def forward(self) -> tuple:
         rows = self._row_idx[self.pos]
-        return self.pos, _steps(self, rows, self.src,
-                                np.bincount(rows, minlength=len(self.cols))[self.cols], False)
+        return _steps(self.cols, self.diag, self.levels, self.pos, rows, self.src,
+                      np.bincount(rows, minlength=len(self.cols))[self.cols])
 
     @cached_property
     def backward(self) -> tuple:
-        # column k's off-diagonals, rows descending: diag + below down to diag + 1
-        pos = np.repeat(self.diag + np.cumsum(self.below), self.below)
+        # cols reversed, and column k's off-diagonals rows descending: diag +
+        # below down to diag + 1
+        cols, diag, below = self.cols[::-1], self.diag[::-1], self.below[::-1]
+        pos = np.repeat(diag + np.cumsum(below), below)
         pos -= np.arange(len(pos))
-        return pos, _steps(self, np.repeat(self.cols, self.below), self._row_idx[pos],
-                           self.below, True)
+        levels = _split([c.stop - c.start for c in reversed(self.levels)])
+        return _steps(cols, diag, levels, pos, np.repeat(cols, below), self._row_idx[pos], below)
 
 
 def _schedule(pattern: FillPattern) -> _Schedule:
@@ -233,56 +234,54 @@ def _group_starts(widths: list, at, tgt, src_at) -> list:
     return starts
 
 
-def _steps(s: _Schedule, tgt, src, counts, backward: bool) -> list:
-    """The groups of one direction, in its order, as _Schedule describes
-    them: the direction's updates list their targets as s.cols does, each
-    target's in its summation order, and counts holds the updates of each
-    column of s.cols."""
-    n, depth = len(s.cols), len(s.levels)
-    widths = [c.stop - c.start for c in s.levels]
-    # every column's level, numbered in the direction's order
-    at = np.empty(n, dtype=np.int32)
-    at[s.cols] = np.repeat(np.arange(depth - 1, -1, -1) if backward else np.arange(depth), widths)
-    starts = _group_starts(widths[::-1] if backward else widths, at, tgt, at[src])
-    # the groups' level bounds, ascending, and where each level starts in
-    # cols and in the updates
-    cuts = [0] + [depth - t for t in reversed(starts)] if backward else starts + [depth]
-    col_at = [c.start for c in s.levels] + [n]
+def _steps(cols, diag, levels: list, pos, tgt, src, counts) -> tuple:
+    """One direction's (pos, diag, groups), as _Schedule describes them:
+    cols, diag and levels are its columns, their diagonal positions and the
+    slice of each level, in its order; pos, tgt and src its updates'
+    positions, targets and sources, which list their targets as cols does,
+    each target's in its summation order; counts the updates of each column
+    of cols."""
+    n, depth = len(cols), len(levels)
+    widths = [c.stop - c.start for c in levels]
+    at = np.empty(n, dtype=np.int32)   # every column's level
+    at[cols] = np.repeat(np.arange(depth, dtype=np.int32), widths)
+    src_at = at[src]
+    cuts = _group_starts(widths, at, tgt, src_at) + [depth]
+    col_at = [c.start for c in levels] + [n]
     begin = np.zeros(n + 1, dtype=np.int64)   # by place in cols: a column's first update
     np.cumsum(counts, out=begin[1:])
     upd_at = begin[col_at].tolist()
+    # a source comes before its target: inside iff it comes no earlier than
+    # the first level of its target's group
+    first = [upd_at[a] for a in cuts]   # each group's first update
+    ins = src_at >= np.repeat(np.array(cuts[:-1], dtype=np.int32), np.diff(first))
+    # the inside updates before the first of each group
+    held = np.searchsorted(np.flatnonzero(ins), first).tolist()
     # by place in cols: a column's chain end, from its group's first update
     group_at = [col_at[a] for a in cuts]
-    ends = (begin[1:] - np.repeat(begin[group_at[:-1]], np.diff(group_at))).astype(np.int32)
-    groups, rank = [], None
-    for a, b in zip(cuts, cuts[1:]):
+    ends = (begin[1:] - np.repeat(first[:-1], np.diff(group_at))).astype(np.int32)
+    rank = np.empty(n, dtype=np.intp)   # every column's place in cols
+    rank[cols] = np.arange(n)
+    groups = []
+    for a, b, h, hb in zip(cuts, cuts[1:], held, held[1:]):
         c, o = slice(col_at[a], col_at[b]), slice(upd_at[a], upd_at[b])
-        # a source comes before its target: inside iff it comes no earlier
-        # than the group's first level
-        if b - a == 1 or not (ins := at[src[o]] >= (depth - b if backward else a)).any():
-            groups.append((s.cols[c], c, o, tgt[o], src[o], ends[c], None))   # as a level
+        if h == hb:
+            groups.append((cols[c], c, o, tgt[o], src[o], ends[c], None))   # as a level
             continue
         # the outside updates, then the inside ones, each column by column in
         # walk order, a column's in its summation order
-        if rank is None:
-            rank = np.empty(n, dtype=np.intp)
-            rank[s.cols] = np.arange(n)
-        m, first, cols = c.stop - c.start, c.start, s.cols[c]
+        m, i = c.stop - c.start, ins[o]
         # the places in the walk of every update's target and source
-        walk, loc = rank[tgt[o]] - first, rank[src[o]] - first
-        if backward:   # from the last level
-            walk, loc = m - 1 - walk, m - 1 - loc
-            cols, c = cols[::-1], slice(c.stop - 1, first - 1 if first else None, -1)
-        u = np.lexsort((walk, ins))
-        k = len(u) - int(np.count_nonzero(ins))
+        walk, loc = rank[tgt[o]] - c.start, rank[src[o]] - c.start
+        u = np.lexsort((walk, i))
+        k = len(u) - (hb - h)
         vs, ivs = o.start + u[:k], o.start + u[k:]
-        cut = np.cumsum(np.bincount(walk[ins], minlength=m)).tolist()
-        ranges = [range(a, b) for a, b in zip([0] + cut, cut)]
-        groups.append((cols, c, vs, tgt[vs], src[vs],
-                       np.cumsum(np.bincount(walk[~ins], minlength=m)).astype(np.int32),
-                       (ivs, loc[u[k:]].tolist(), src[ivs].tolist(), ranges,
-                        [r[::-1] for r in ranges] if backward else ranges)))
-    return groups[::-1] if backward else groups
+        cut = np.cumsum(np.bincount(walk[i], minlength=m)).tolist()
+        groups.append((cols[c], c, vs, tgt[vs], src[vs],
+                       np.cumsum(np.bincount(walk[~i], minlength=m)).astype(np.int32),
+                       (ivs, loc[u[k:]].tolist(), src[ivs].tolist(),
+                        [range(a, b) for a, b in zip([0] + cut, cut)])))
+    return pos, diag, groups
 
 
 def _full_adjacency(A: SparseSpd):

@@ -6,24 +6,26 @@ Two execution modes:
                 fp64 and the substitution runs in double precision; cannot
                 overflow.
   native_low -- every divide/multiply/subtract is rounded into the factor's
-                format; a result past x_max raises OverflowSignal.  It runs
-                only in a half-width format (FpFormat.half_width), which
-                ic_lu_ir asks too.  The right-hand side is expected to be
-                format-representable (apply_preconditioner scales it by its
-                inf-norm first).
+                format; a pass with a result past x_max raises
+                OverflowSignal at its end.  It runs only in a half-width
+                format (FpFormat.half_width), which ic_lu_ir asks too.
+                The right-hand side is expected to be format-representable
+                (apply_preconditioner scales it by its inf-norm first).
 
-Both modes read the forward and backward (pos, groups) of the pattern's
-schedule (icir.symbolic._schedule), built on the first solve of either mode.
-A group is a run of consecutive levels; an update whose source lies in its
-target's group is inside, any other outside (see icir.symbolic).  cast_f64
-runs a group's outside updates as one np.subtract.at.  A group without
-inside updates then divides its columns at once, as a level; one with them
-walks its columns level by level on Python floats, each taking its inside
-updates and its division, a zero pivot giving NumPy's inf or NaN.  The order
-is fixed, so results do not depend on the BLAS build: unknown j of L y = w
-takes its updates l_jk y_k in ascending column k, of L^T y = w its updates
-l_ij y_i in descending row i, and the group rule puts every target's
-outside updates first in that order.
+Both modes read the forward and backward (pos, diag, groups) of the
+pattern's schedule (icir.symbolic._schedule), built on the first solve of
+either mode: the forward walks the columns by level, ascending, the
+backward the same columns reversed.  A group is a run of consecutive levels
+of that walk; an update whose source lies in its target's group is inside,
+any other outside (see icir.symbolic).  cast_f64 runs a group's outside
+updates as one np.subtract.at.  A group without inside updates then divides
+its columns at once, as a level; one with them walks its columns on Python
+floats, each taking its inside updates and its division, a zero pivot
+giving NumPy's inf or NaN.  The order is fixed, so results do not depend on
+the BLAS build: unknown j of L y = w takes its updates l_jk y_k in
+ascending column k, of L^T y = w its updates l_ij y_i in descending row i,
+and the group rule puts every target's outside updates first in that
+order.
 
 native_low gives the bits of the column loops in tests/oracles.py in one
 checked pass per direction, by the same groups.  A group rounds the
@@ -42,18 +44,14 @@ qmin being x_s_min for the cast (fp16) and x_min for the split alone.  A
 zero q is exact too: the forward skips it if its y_k was zero at its pivot
 (the loop skips column k), the backward always.  Any other q is rounded
 again from its fp64 product by _round_scalar, which flags its overflow.
-The forward divides y_j, and tests l_jj, only if y_j is nonzero.  A group
-without inside updates runs its chains with no inside part, as a level.
+The forward divides y_j only if y_j is nonzero, and a zero pivot gives
+inf, which overflows.  A group without inside updates runs its chains with
+no inside part, as a level.
 
-Operations are numbered in the loops' order: forward, 3k is the zero test
-and division of column k, 3k + 1 its products, 3k + 2 its subtractions;
-backward, with m = n - 1 - j, 4m is the zero test of column j, 4m + 1 its
-products, 4m + 2 its subtractions, 4m + 3 its division.  An operation reads
-only lower-numbered results, so the lowest-numbered failure is the loop's
-first.  Operations after it run on silently (np.errstate); the backward
-skips the chains and divisions above it, but no product after a failed
-subtraction of its column, as the product is numbered below it, and runs
-a column's outside products after a failed inside one, keeping its number.
+A pass raises OverflowSignal at its end if any of its roundings
+overflowed.  Up to the loop's first failure, an overflow or a division by
+a zero pivot, the pass performs the loop's operations bit for bit, and
+after it runs on silently (np.errstate); so it raises iff the loop fails.
 """
 
 from __future__ import annotations
@@ -89,15 +87,15 @@ def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
 
 
 def _cast_sweep(v: np.ndarray, d: np.ndarray, groups: list, y: np.ndarray) -> None:
-    """cast_f64 L y = w (forward groups) or L^T y = w in place on y; v, the
-    values at pos of the direction's (pos, groups), d at the schedule's diag."""
+    """cast_f64 L y = w (forward groups) or L^T y = w in place on y; v and d,
+    the values at pos and diag of the direction's (pos, diag, groups)."""
     for cols, c, vs, tgt, src, _, inner in groups:
         if len(tgt):
             np.subtract.at(y, tgt, v[vs] * y[src])
         if inner is None:
             y[cols] /= d[c]
             continue
-        ivs, loc, _, ranges, _ = inner
+        ivs, loc, _, ranges = inner
         vi = v[ivs].tolist()
         out = []   # the group's results, in walk order
         for acc, dj, r in zip(y[cols].tolist(), d[c].tolist(), ranges):
@@ -114,14 +112,14 @@ def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
     qmin, lo, hi, s, xmax = f.x_s_min if f.cast else f.x_min, f.x_min, f.over_at, f.split, f.x_max
     g = f.grid
     live = [False] * len(y)   # y_k was nonzero at its pivot
-    fail = (3 * len(y), "", 0)   # the lowest failure: number, kind, column
+    bad = False
     for cols, cs, vs, _, src, ends, inner in groups:
         x = v[vs] * y[src]
         p = _round_unchecked(x, f).tolist()
         if inner is None:
             rs = vi = loc = isrc = None
         else:
-            ivs, loc, isrc, rs, _ = inner
+            ivs, loc, isrc, rs = inner
             vi = v[ivs].tolist()
         out = []
         b = 0
@@ -130,12 +128,10 @@ def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
             for i in range(a, b):   # outside sources ascending
                 q = p[i]
                 if not qmin <= abs(q) <= xmax:
-                    k = int(src[i])
                     if q != 0.0:
                         q, over = _round_scalar(float(x[i]), f)
-                        if over:
-                            fail = min(fail, (3 * k + 1, "product", k))
-                    elif not live[k]:   # the loop skips column k
+                        bad |= over
+                    elif not live[src[i]]:   # the loop skips that column
                         continue
                 t = acc - q
                 if lo <= abs(t) < hi:   # _round_unchecked's split, inline
@@ -143,12 +139,10 @@ def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                     acc = c - (c - t)
                 else:
                     acc, over = _round_scalar(t, f)
-                    if over:
-                        fail = min(fail, (3 * (k := int(src[i])) + 2, "subtraction", k))
+                    bad |= over
             if rs:   # len(out) is the column's place in the walk
                 for i in rs[len(out)]:   # then the inside ones, each product rounded here
-                    k = isrc[i]
-                    if not live[k]:
+                    if not live[isrc[i]]:
                         continue
                     q = vi[i] * out[loc[i]]
                     aq = abs(q)
@@ -159,16 +153,14 @@ def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                         q = math.copysign((aq + g) - g, q)
                     elif q != 0.0:
                         q, over = _round_scalar(q, f)
-                        if over:
-                            fail = min(fail, (3 * k + 1, "product", k))
+                        bad |= over
                     t = acc - q
                     if lo <= abs(t) < hi:
                         c = t * s
                         acc = c - (c - t)
                     else:
                         acc, over = _round_scalar(t, f)
-                        if over:
-                            fail = min(fail, (3 * k + 2, "subtraction", k))
+                        bad |= over
             if acc != 0.0:
                 live[j] = True
                 t = acc / d if d else math.inf
@@ -177,11 +169,11 @@ def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                     acc = c - (c - t)
                 else:
                     acc, over = _round_scalar(t, f)
-                    if over:   # a zero diagonal gives inf, which overflows
-                        fail = min(fail, (3 * j, "division" if d else "zero", j))
+                    bad |= over
             out.append(acc)
         y[cols] = out
-    _raise(*fail)
+    if bad:
+        raise OverflowSignal(f"{f.name} forward solve overflowed")
 
 
 @np.errstate(all="ignore")
@@ -190,28 +182,21 @@ def _native_backward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
     """native_low L^T y = w in place on y, read as _cast_sweep reads it."""
     qmin, lo, hi, s, xmax = f.x_s_min if f.cast else f.x_min, f.x_min, f.over_at, f.split, f.x_max
     g = f.grid
-    n = len(y)
-    fail = (4 * n, "", 0)
+    bad = False
     for cols, cs, vs, _, src, ends, inner in groups:
         x = v[vs] * y[src]
         p = _round_unchecked(x, f).tolist()
         if inner is None:
             rs = vi = loc = None
         else:
-            ivs, loc, _, _, rs = inner
+            ivs, loc, _, rs = inner
             vi = v[ivs].tolist()
         out = []
         b = 0
-        for j, e, acc, d in zip(cols.tolist(), ends.tolist(), y[cols].tolist(), dv[cs].tolist()):
+        for e, acc, d in zip(ends.tolist(), y[cols].tolist(), dv[cs].tolist()):
             a, b = b, e
-            m = 4 * (n - 1 - j)
-            if d == 0.0:
-                fail = min(fail, (m, "zero", j))
-            if m + 1 >= fail[0]:   # a lower failure is known
-                out.append(acc)
-                continue
             if rs:
-                for i in rs[len(out)]:   # inside rows ascending, each product rounded here
+                for i in reversed(rs[len(out)]):   # inside rows ascending, products rounded here
                     q = vi[i] * out[loc[i]]
                     aq = abs(q)
                     if lo <= aq < hi:
@@ -222,9 +207,7 @@ def _native_backward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                             q = math.copysign((aq + g) - g, q)
                         elif q != 0.0:
                             q, over = _round_scalar(q, f)
-                            if over:
-                                fail = (m + 1, "product", j)
-                                break
+                            bad |= over
                         if q == 0.0:
                             continue
                     t = acc - q
@@ -233,17 +216,14 @@ def _native_backward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                         acc = c - (c - t)
                     else:
                         acc, over = _round_scalar(t, f)
-                        if over:   # no break: a later product is numbered below
-                            fail = (m + 2, "subtraction", j)
+                        bad |= over
             for i in range(b - 1, a - 1, -1):   # then the outside rows ascending
                 q = p[i]
                 if not qmin <= abs(q) <= xmax:
                     if q == 0.0:
                         continue
                     q, over = _round_scalar(float(x[i]), f)
-                    if over:
-                        fail = (m + 1, "product", j)
-                        break
+                    bad |= over
                     if q == 0.0:
                         continue
                 t = acc - q
@@ -252,35 +232,25 @@ def _native_backward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                     acc = c - (c - t)
                 else:
                     acc, over = _round_scalar(t, f)
-                    if over:   # a failed product of this column stays the lowest
-                        fail = min(fail, (m + 2, "subtraction", j))
-            if m + 3 < fail[0]:
-                t = acc / d
-                if lo <= abs(t) < hi:
-                    c = t * s
-                    acc = c - (c - t)
-                else:
-                    acc, over = _round_scalar(t, f)
-                    if over:
-                        fail = (m + 3, "division", j)
+                    bad |= over
+            t = acc / d if d else math.inf
+            if lo <= abs(t) < hi:
+                c = t * s
+                acc = c - (c - t)
+            else:
+                acc, over = _round_scalar(t, f)
+                bad |= over
             out.append(acc)
         y[cols] = out
-    _raise(*fail)
-
-
-def _raise(number: int, kind: str, j: int) -> None:
-    """Raise the failure of kind at column j, if there is one."""
-    if kind == "zero":
-        raise ZeroDivisionError(f"zero diagonal at column {j}")
-    if kind:
-        raise OverflowSignal(f"{kind} overflow at column {j}")
+    if bad:
+        raise OverflowSignal(f"{f.name} backward solve overflowed")
 
 
 def _sweep(L: IcFactor, y: np.ndarray, exec_mode: str, forward: bool) -> None:
     """Solve L y = w (forward) or L^T y = w in place on y, by exec_mode."""
     s = _schedule(L.pattern)
-    pos, groups = s.forward if forward else s.backward
-    v, d = L.values[pos], L.values[s.diag]
+    pos, diag, groups = s.forward if forward else s.backward
+    v, d = L.values[pos], L.values[diag]
     if exec_mode == CAST_F64:
         _cast_sweep(v, d, groups, y)
     else:

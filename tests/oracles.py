@@ -15,7 +15,8 @@ icir.precision.safe_update_many runs when its one bound fails.
 
 native_forward_solve and native_backward_solve are the references of the
 native_low substitutions of icir.trisolve: one sim_op per operation, the
-first overflow raising OverflowSignal with the kernels' message.
+first overflow raising OverflowSignal and a zero pivot ZeroDivisionError,
+where the kernels raise OverflowSignal.
 
 masked_matvec, masked_inf_norm, masked_column_sumsq, masked_squeeze and
 masked_adjacency are the formulas icir.sparse and icir.symbolic had before
@@ -33,7 +34,7 @@ return.
 update_orders is the reference of the two orders of icir.symbolic's
 schedule, in which the solves take the off-diagonals: a plain sort on
 (level of the row, row, column) forward and (level of the column, column,
-descending row) backward.
+row), all descending, backward.
 
 step_times is the reference of the factor's dataflow step schedule, and
 column_factor of the factor itself: the right-looking column loop, whose
@@ -431,12 +432,12 @@ def column_pattern(A, level):
 
 def update_orders(col_ptr, row_idx, level):
     """The positions of every off-diagonal l_jk (row j, column k) sorted by
-    (level[j], j, k), the forward order, and by (level[k], k, -j), the
-    backward order."""
+    (level[j], j, k), the forward order, and by (-level[k], -k, -j), the
+    backward order: the schedule's columns reversed, rows descending."""
     entries = [(int(row_idx[p]), k, p) for k in range(len(col_ptr) - 1)
                for p in range(col_ptr[k], col_ptr[k + 1]) if row_idx[p] != k]
     forward = sorted(entries, key=lambda e: (level[e[0]], e[0], e[1]))
-    backward = sorted(entries, key=lambda e: (level[e[1]], e[1], -e[0]))
+    backward = sorted(entries, key=lambda e: (-level[e[1]], -e[1], -e[0]))
     return [p for _, _, p in forward], [p for _, _, p in backward]
 
 

@@ -174,7 +174,7 @@ class TestRunExperiment:
             # each solve takes one group per run of levels, at least one and
             # at most one per level
             s = _schedule(pattern)
-            assert rec.solve_groups == [len(s.forward[1]), len(s.backward[1])]
+            assert rec.solve_groups == [len(s.forward[2]), len(s.backward[2])]
             assert all(1 <= groups <= rec.depth for groups in rec.solve_groups)
 
     def test_level_increases_fill(self, poisson_mtx):

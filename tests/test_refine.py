@@ -261,6 +261,29 @@ class TestNanResidual:
         assert np.isnan(rep.resfinal)
 
 
+class TestZeroPivot:
+    """A fp16 or bf16 factor with a zero pivot, l_11 = 0, which its fp64
+    substitution divides by: as in TestNanResidual, both drivers count the
+    NaN residual as divergence, without a RuntimeWarning; LU-IR's native_low
+    solve overflows at the pivot and falls back."""
+
+    @pytest.fixture(params=["fp16", "bf16"])
+    def zero_pivot(self, request):
+        L = make_factor(np.eye(2), get_format(request.param))
+        L.values[L.pattern.col_ptr[1]] = 0.0
+        return tridiag(2), np.ones(2), L
+
+    def test_lu_ir_diverges(self, zero_pivot):
+        rep = ic_lu_ir(*zero_pivot, itmax=5)
+        assert rep.diverged and rep.iouter == 0 and rep.overflow_fallbacks == 1
+
+    @pytest.mark.parametrize("method, status", [("cg", "small_curvature"),
+                                                ("gmres", "stagnated")], ids=["cg", "gmres"])
+    def test_krylov_ir_diverges(self, zero_pivot, method, status):
+        rep = ic_krylov_ir(*zero_pivot, method=method, itmax=3, inner_maxit=50)
+        assert rep.diverged and rep.per_outer == [(1, status)]
+
+
 class TestWorkCounts:
     """Each driver computes its first vectors once: b reaches the
     preconditioner once, and refine forms one residual per iterate plus

@@ -90,12 +90,12 @@ def test_kernels_match_scalar_oracle(system):
     args = (pattern.col_ptr, pattern.row_idx, values, w)
     s = _schedule(pattern)
     event(f"zeroed pivot: {not np.all(values[pattern.col_ptr[:-1]])}")
-    for (pos, groups), solve in ((s.forward, oracles.forward_solve),
-                                 (s.backward, oracles.backward_solve)):
+    for (pos, diag, groups), solve in ((s.forward, oracles.forward_solve),
+                                       (s.backward, oracles.backward_solve)):
         event(f"inside updates: {any(g[6] is not None for g in groups)}")
         y = w.copy()
         with np.errstate(all="ignore"):
-            _cast_sweep(values[pos], values[s.diag], groups, y)
+            _cast_sweep(values[pos], values[diag], groups, y)
             want = np.array(solve(*args))
         _assert_same_bits(y, want)
 
@@ -474,7 +474,7 @@ def test_schedule_built_once_per_pattern_and_shared():
             assert builds.call_count == count
     s = pattern.schedule
     views = []
-    for _, groups in (s.forward, s.backward):
+    for _, _, groups in (s.forward, s.backward):
         # every group views the schedule's columns; one whole array of each
         # other kind per direction, which every group without inside updates
         # views (a group with them holds its own)
@@ -511,9 +511,15 @@ def test_update_orders_match_oracle(drawn):
     assert [sl.start for sl in s.levels] == [0] + [sl.stop for sl in s.levels[:-1]]
     assert all(np.all(level[s.cols[sl]] == d) for d, sl in enumerate(s.levels))
     forward, backward = oracles.update_orders(cp, ri, level)
-    for (pos, groups), want, tgt, src in ((s.forward, forward, ri, cols),
-                                          (s.backward, backward, cols, ri)):
+    for (pos, diag, groups), want, walk, tgt, src in (
+            (s.forward, forward, s.cols, ri, cols), (s.backward, backward, s.cols[::-1], cols, ri)):
         assert pos.tolist() == want
+        # the direction walks cols, forward, or cols reversed, backward, with
+        # their diagonals; its groups are ascending slices of that walk
+        assert diag.tolist() == cp[walk].tolist()
+        assert [group[1].step for group in groups] == [None] * len(groups)
+        assert [g[1].start for g in groups[1:]] == [g[1].stop for g in groups[:-1]]
+        assert all(group[0].tolist() == walk[group[1]].tolist() for group in groups)
         # each group's targets and sources are the order's rows and columns
         # forward, its columns and rows backward, at the updates it holds
         for group in groups:
@@ -532,7 +538,7 @@ def test_groups_keep_every_summation_order(drawn):
     level, depth = _column_levels(pattern)
     cols = np.repeat(np.arange(n), np.diff(cp))
     s = _schedule(pattern)
-    for (pos, groups), backward in ((s.forward, False), (s.backward, True)):
+    for (pos, _, groups), backward in ((s.forward, False), (s.backward, True)):
         tgt, src = (cols, ri) if backward else (ri, cols)
         tgt, src = tgt[pos], src[pos]
         levels = list(range(depth))[::-1] if backward else list(range(depth))
@@ -584,5 +590,5 @@ def test_dense_random_pattern_takes_few_groups():
     A, _ = l2_scale(random_spd(100, density=0.3))
     s = _schedule(ic_pattern(A, 3))
     assert len(s.levels) == 99
-    for _, groups in (s.forward, s.backward):
+    for _, _, groups in (s.forward, s.backward):
         assert len(groups) <= -(-100 // GROUP_COLUMNS) + 1
