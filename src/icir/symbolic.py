@@ -190,9 +190,10 @@ class _Schedule:
 
     @cached_property
     def backward(self) -> tuple:
-        # cols reversed, and column k's off-diagonals rows descending: diag +
-        # below down to diag + 1
-        cols, diag, below = self.cols[::-1], self.diag[::-1], self.below[::-1]
+        # cols reversed (a copy: the groups index y by views of it, and a
+        # reversed view gathers slower), and column k's off-diagonals rows
+        # descending: diag + below down to diag + 1
+        cols, diag, below = self.cols[::-1].copy(), self.diag[::-1], self.below[::-1]
         pos = np.repeat(diag + np.cumsum(below), below)
         pos -= np.arange(len(pos))
         levels = _split([c.stop - c.start for c in reversed(self.levels)])

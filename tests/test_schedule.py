@@ -475,15 +475,18 @@ def test_schedule_built_once_per_pattern_and_shared():
     s = pattern.schedule
     views = []
     for _, _, groups in (s.forward, s.backward):
-        # every group views the schedule's columns; one whole array of each
-        # other kind per direction, which every group without inside updates
-        # views (a group with them holds its own)
-        assert all(group[0].base is s.cols for group in groups)
+        # every group views its direction's columns (s.cols forward, a
+        # reversed copy backward); one whole array of each other kind per
+        # direction, which every group without inside updates views (a group
+        # with them holds its own)
+        cols = groups[0][0].base
+        assert cols is not None and all(group[0].base is cols for group in groups)
         levels = [group for group in groups if group[6] is None]
         for kind in (3, 4):
             of = [group[kind] for group in levels]
             assert of[0].base is not None and all(view.base is of[0].base for view in of)
             views += of
+    assert s.forward[2][0][0].base is s.cols
     # nearly all of these views nonempty
     assert len(views) > 40 and sum(len(view) > 0 for view in views) >= len(views) - 4
 

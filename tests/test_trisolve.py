@@ -461,6 +461,22 @@ def _same_group(L, forward, j, k):
                for group in (s.forward if forward else s.backward)[2])
 
 
+def test_overflowed_batch_product_alone_fails_the_pass():
+    # columns 0 and n - 1 fall in different groups, so l_{n-1,0} = 2 is an
+    # outside update, whose product with 60000 overflows in its batch; the
+    # subtraction 60000 - over_at after it is in range, so only the
+    # product's own flag makes the pass raise
+    n = 2 + symbolic.GROUP_COLUMNS
+    L, w = _overflow_case(n, [(n - 1, 0, 2.0)], [(0, 60000.0), (n - 1, 60000.0)])
+    for forward, solve, reference in ((True, forward_solve, oracles.native_forward_solve),
+                                      (False, backward_solve, oracles.native_backward_solve)):
+        assert not _same_group(L, forward, 0, n - 1)
+        with pytest.raises(OverflowSignal, match="^product overflow at column 0$"):
+            reference(L.pattern.col_ptr, L.pattern.row_idx, L.values, w, FP16)
+        with pytest.raises(OverflowSignal):
+            solve(L, w, NATIVE_LOW)
+
+
 def _overflow_case(n, entries, w):
     """A fp16 factor: the n x n identity with the given (row, column, value)
     entries, and w with the given (index, value) entries, zero elsewhere."""
