@@ -7,14 +7,14 @@ A first table gives, for each pattern below (the four benchmark patterns
 and the Baseline wathen(120, 100) of ROADMAP.md), its elimination levels,
 the groups of its forward and backward solves, and their inside updates
 (the updates whose source lies in the target's group, which the solves run
-one by one in Python; see icir.symbolic).
+one by one in Python; see icir.trisolve).
 
 The second table prints one row per part and pattern:
 icir.symbolic._schedule, with the elimination levels it finds;
 icir.factor._step_plan, with the dataflow steps it finds from the
 schedule's forward order (icir.factor._step_times); and the solve levels,
-the schedule's forward and backward that both solve modes read, with the
-groups icir.symbolic._steps finds and the records it builds.  Each runs
+the forward and backward records that both solve modes read, with the
+groups icir.trisolve._steps finds, built by icir.trisolve._records.  Each runs
 on a freshly built pattern, so a part's figures include the schedule it
 builds on first use.  Two more rows run shifted_ic in fp16 and one
 preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
@@ -62,7 +62,7 @@ from icir.factor import _step_plan, shifted_ic
 from icir.precision import get_format, quantize, safe_update_many
 from icir.sparse import l2_scale
 from icir.symbolic import _schedule, ic_pattern
-from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, apply_preconditioner,
+from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, _records, apply_preconditioner,
                            backward_solve, forward_solve)
 
 PATTERNS = [
@@ -84,8 +84,7 @@ def _factor_and_apply(mode):
 
 
 def _solve_levels(A, pattern):
-    s = _schedule(pattern)
-    return s.forward, s.backward
+    return _records(pattern, True), _records(pattern, False)
 
 
 PARTS = [
@@ -122,10 +121,10 @@ def _bytes(build, A, level):
 
 def _group_cells(A, level):
     """The cells of one row of the groups table."""
-    s = _schedule(ic_pattern(A, level))
-    groups = [s.forward[2], s.backward[2]]
+    pattern = ic_pattern(A, level)
+    groups = [_records(pattern, forward)[2] for forward in (True, False)]
     inside = [sum(len(g[6][0]) for g in gs if g[6] is not None) for gs in groups]
-    return [f"{len(s.levels):,}", f"{len(groups[0]):,} / {len(groups[1]):,}",
+    return [f"{len(_schedule(pattern).levels):,}", f"{len(groups[0]):,} / {len(groups[1]):,}",
             f"{inside[0]:,} / {inside[1]:,}"]
 
 

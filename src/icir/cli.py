@@ -29,6 +29,7 @@ from .refine import (DELTA_DEFAULT, DELTA_KRYLOV_DEFAULT, backward_error,
 from .sparse import (inf_norm_matrix, inf_norm_vector, l2_scale, matvec_f64,
                      read_matrix_market)
 from .symbolic import ic_pattern
+from .trisolve import _group_counts
 
 __all__ = ["RunConfig", "RunRecord", "build_rhs", "run_experiment", "run_suite", "main"]
 
@@ -224,7 +225,7 @@ def run_experiment(config: RunConfig) -> RunRecord:
         squeeze_dropped=L.stats.squeeze.dropped_underflow,
         squeeze_flushed=L.stats.squeeze.flushed_subnormal,
         depth=len(pattern.schedule.levels),
-        solve_groups=[len(pattern.schedule.forward[2]), len(pattern.schedule.backward[2])],
+        solve_groups=_group_counts(pattern),
         factor_steps=L.stats.steps,
         update_pairs_enumerated=int((entries * (entries - 1) // 2).sum()),
         blas=_blas(),

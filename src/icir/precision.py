@@ -25,24 +25,23 @@ x * (2^(53-p) + 1), y = c - (c - x), which without fp64 overflow or
 underflow is x rounded to p bits, nearest-even (Boldo 2006 for the ties):
 exact for ±0 and x_min <= |x| < over_at if p <= 51 with at most 10 exponent
 bits, which FpFormat asks of every format but fp64.  NumPy's cast rounds a
-subnormal result in software, some 30 times slower than a normal one, so a
-caller that holds ax = |x| may pass it: a cast-format x with some ax below
-x_min is then rounded from x_min up by the split and below x_min on the
-subnormal grid, as (ax + C) - C with C = FpFormat.grid = 1.5 * 2^52 *
-x_s_min (Higham & Pranesh 2019), np.copysign restoring the sign, -0.0
+subnormal result in software, some 30 times slower than a normal one, and
+the split rounds no value below x_min, so a caller may pass ax = |x|: an x
+with some ax below x_min is then rounded from x_min up by the split, and
+below x_min on the subnormal grid, as (ax + C) - C with C = FpFormat.grid =
+1.5 * 2^52 * x_s_min (Higham & Pranesh 2019), or without subnormals to 0 or
+x_min, the tie x_min/2 to 0 (even), np.copysign restoring the sign, -0.0
 included.  The grid is exact for p <= 52: ax < x_min = 2^(p-1) * x_s_min
 puts ax + C in [2^52, 2^53) * x_s_min, where the spacing is x_s_min, so the
 sum rounds ax once to a multiple of x_s_min, ties to even since C / x_s_min
-is even, and subtracting C is exact (Sterbenz).  Only safe_update_many
-passes ax, for its products b*c.  _rounds_exactly is the domain of the cast
-or split; quantize rounds an array inside it so, fp64 by a copy, and any
-other by the split of min(|x|, x_max), the grid (or, without subnormals,
-the flush to 0 or x_min) below x_min, and ±over_at in its overflowed slots,
-inf and NaN among them.  _round_scalar rounds one double as quantize does: a
-zero as it is, any other value by quantize.  TestBitwiseOracle in
-tests/test_precision.py pins the paths to each other, TestIndependentOracle
-to the frozen frexp rounding of tests/oracles.py, TestSubnormalGrid the
-split-and-grid branch to both.
+is even, and subtracting C is exact (Sterbenz).  _rounds_exactly is the
+domain of the cast or split; quantize rounds an array inside it so, fp64 by
+a copy, and any other as x with |x| clipped to x_max, given that ax, and
+±over_at in its overflowed slots, inf and NaN among them.  _round_scalar
+rounds one double as quantize does: a zero as it is, any other value by
+quantize.  TestBitwiseOracle in tests/test_precision.py pins the paths to
+each other, TestIndependentOracle to the frozen frexp rounding of
+tests/oracles.py, TestSubnormalGrid the split-and-grid branch to both.
 """
 
 from __future__ import annotations
@@ -150,15 +149,19 @@ def _round_scalar(x: float, f: FpFormat):
 
 def _round_unchecked(x: np.ndarray, f: FpFormat, ax: np.ndarray | None = None) -> np.ndarray:
     """x rounded into f's cast or split with no range test (see the module
-    docstring); f is not fp64.  In a cast format, an ax = |x| with a value
-    below x_min sends x to the split and the subnormal grid."""
-    if f.cast is not None and (ax is None or not ax.min(initial=f.x_min) < f.x_min):
+    docstring); f is not fp64.  Given ax = |x| with a value below x_min, x
+    goes to the split, and those values to the subnormal grid, or without
+    subnormals to 0 or x_min (the tie x_min/2 to 0, even)."""
+    small = ax is not None and ax.min(initial=f.x_min) < f.x_min
+    if f.cast is not None and not small:
         return x.astype(f.cast).astype(np.float64)
     c = x * f.split
     y = c - (c - x)
-    if f.cast is None:
+    if not small:
         return y
-    return np.where(ax < f.x_min, np.copysign((ax + f.grid) - f.grid, x), y)
+    t = ((ax + f.grid) - f.grid if f.supports_subnormals
+         else np.where(ax > 0.5 * f.x_min, f.x_min, 0.0))
+    return np.where(ax < f.x_min, np.copysign(t, x), y)
 
 
 def _rounds_exactly(ax: np.ndarray, f: FpFormat) -> bool:
@@ -182,17 +185,11 @@ def quantize(x: np.ndarray, f: FpFormat):
     ax = np.abs(x)
     if _rounds_exactly(ax, f):
         return _round_unchecked(x, f), np.zeros(x.shape, dtype=bool)
-    m = np.minimum(ax, f.x_max)   # so that the split meets no inf and cannot overflow
-    c = m * f.split
-    y = np.asarray(c - (c - m))   # the split, inline; an array for 0-d x
-    small = ax < f.x_min
-    if small.any():   # no subnormals: the tie x_min/2 goes to 0 (even)
-        a = ax[small]
-        y[small] = ((a + f.grid) - f.grid if f.supports_subnormals
-                    else np.where(a > 0.5 * f.x_min, f.x_min, 0.0))
+    # fmin: no inf for the split, and no NaN to hide a small value from its test
+    m = np.fmin(ax, f.x_max)
     over = ~(ax < f.over_at)
-    y[over] = f.over_at
-    return np.copysign(y, x), over
+    y = _round_unchecked(np.copysign(m, x), f, m)
+    return np.where(over, np.copysign(f.over_at, x), y), over
 
 
 def safe_scale_check(d, a, f: FpFormat):
@@ -222,10 +219,10 @@ def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
     no pair trips a guard, and neither rounding overflows: |w| <= x_max/2
     and |a - round(w)| <= x_max, since x_max/2 is representable and
     rounding is monotone.  So the call returns round(a - round(w)) with
-    nothing flagged, a cast format rounding by _round_unchecked, whose
-    domain that is (w with the |w| the bound forms), the others by
-    quantize; any other call runs the guards pair by pair.  TestSafeUpdate
-    pins both paths to the scalar guard of tests/oracles.py.
+    nothing flagged, fp64 a - w, any other format rounding by
+    _round_unchecked, whose domain that is, given |w| and, without a cast,
+    |a - round(w)|; any other call runs the guards pair by pair.
+    TestSafeUpdate pins both paths to the scalar guard of tests/oracles.py.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -233,10 +230,12 @@ def safe_update_many(a: np.ndarray, b: np.ndarray, c, f: FpFormat):
     w = b * c
     aw = np.abs(w)
     if np.abs(a).max(initial=0.0) + aw.max(initial=0.0) <= 0.5 * f.x_max:
-        if f.cast is not None:
-            v = _round_unchecked(a - _round_unchecked(w, f, aw), f)
-            return v, np.zeros(v.shape, dtype=bool)
-        return quantize(a - quantize(w, f)[0], f)
+        if f.is_double:
+            v = a - w
+        else:
+            v = a - _round_unchecked(w, f, aw)
+            v = _round_unchecked(v, f, None if f.cast else np.abs(v))
+        return v, np.zeros(v.shape, dtype=bool)
     xmax = f.x_max
     ab = np.abs(b)
     ac = np.abs(c)

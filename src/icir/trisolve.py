@@ -12,20 +12,39 @@ Two execution modes:
                 The right-hand side is expected to be format-representable
                 (apply_preconditioner scales it by its inf-norm first).
 
-Both modes read the forward and backward (pos, diag, groups) of the
-pattern's schedule (icir.symbolic._schedule), built on the first solve of
-either mode: the forward walks the columns by level, ascending, the
-backward the same columns reversed.  A group is a run of consecutive levels
-of that walk; an update whose source lies in its target's group is inside,
-any other outside (see icir.symbolic).  cast_f64 runs a group's outside
-updates as one np.subtract.at.  A group without inside updates then divides
-its columns at once, as a level; one with them walks its columns on Python
-floats, each taking its inside updates and its division, a zero pivot
-giving NumPy's inf or NaN.  The order is fixed, so results do not depend on
-the BLAS build: unknown j of L y = w takes its updates l_jk y_k in
-ascending column k, of L^T y = w its updates l_ij y_i in descending row i,
-and the group rule puts every target's outside updates first in that
-order.
+Both modes run from groups of the elimination levels of the pattern's
+schedule (icir.symbolic._schedule), which _records builds for a direction
+on its first solve and keeps in the schedule.  A direction walks the
+schedule's columns by level, ascending forward, reversed backward; a group
+(_steps) is a run of consecutive levels of its walk of at most
+GROUP_COLUMNS columns in all, or one level of any width.  An update of a
+target from a source in the target's group is inside, any other outside.
+A group runs its outside updates as one batch, then walks its columns,
+each taking its inside updates one by one and its division.  That keeps
+every target's summation order (forward sources k ascending, backward rows
+i descending; fixed, so results do not depend on the BLAS build) only if
+each target takes its outside updates first: forward, every outside source
+below every inside one; backward, every outside row above every inside one.
+So a level joins the current group only if each of its columns keeps that
+order.  Read a target's sources in summation order, their levels numbered
+in the direction's order: a descent, a source whose level is below the
+level of the source before it, forbids a group start in the levels above
+the lower and up to the higher, since such a group would hold the earlier
+source inside and the later one outside.  _group_starts marks the forbidden
+starts of every level in one vectorised pass, as bits of the distance back
+to the start, and walks the levels once.  The rule reads the pattern alone.
+A group none of whose columns reads another runs as a level.
+
+GROUP_COLUMNS is 16.  One cast_f64 apply (in-process medians of 11 x 3-20
+calls, caps interleaved, 2-core host) at caps 1 / 8 / 16 / 32: badscale
+IC(0) fp16 368 / 179 / 138 / 153 us, IC(3) fp16 637 / 233 / 228 / 285 us,
+random_spd(100) IC(3) 538 / 194 / 187 / 238 us, poisson2d(50) IC(0) 560 /
+549 / 549 / 587 us, wathen(40, 30) IC(3) 4.03 / 3.96 / 3.84 / 3.79 ms.  A
+larger group runs more inside updates one at a time in Python.
+
+cast_f64 runs a group's outside updates as one np.subtract.at, then divides
+its columns at once, or, with inside updates, walks them on Python floats,
+a zero pivot giving NumPy's inf or NaN.
 
 native_low gives the bits of the column loops in tests/oracles.py in one
 checked pass per direction, by the same groups.  A group rounds the
@@ -63,12 +82,15 @@ import numpy as np
 from .factor import IcFactor
 from .precision import FpFormat, _round_scalar, _round_unchecked, quantize
 from .sparse import inf_norm_vector
-from .symbolic import _schedule
+from .symbolic import FillPattern, _schedule, _split
 
 __all__ = ["OverflowSignal", "forward_solve", "backward_solve", "apply_preconditioner"]
 
 CAST_F64 = "cast_f64"
 NATIVE_LOW = "native_low"
+# Columns a solve group holds at most, unless it is one level (see the
+# module docstring).
+GROUP_COLUMNS = 16
 
 class OverflowSignal(ArithmeticError):
     """A native_low substitution step overflowed the factor's format."""
@@ -84,6 +106,124 @@ def _solve_input(L: IcFactor, w: np.ndarray, exec_mode: str) -> np.ndarray:
     if w.shape != (L.n,):
         raise ValueError("dimension mismatch")
     return w.copy()
+
+
+def _group_starts(widths: list, at, tgt, src_at) -> list:
+    """The first level of every group of one direction, levels numbered in
+    its order: widths holds the columns of each level, at the level of each
+    column, src_at the level of the source of every update, and tgt its
+    target; the updates are listed target by target, each target's in its
+    summation order.
+
+    A descent src_at[i] > src_at[i + 1] of one target at level t forbids a
+    group start a in (src_at[i + 1], src_at[i]], bit t - a of forbid[t]:
+    a group that starts there and holds t would take the earlier source
+    inside and the later one outside, out of order.  Only bits below
+    GROUP_COLUMNS can matter, as a group of more levels has more columns.
+    """
+    down = np.flatnonzero((tgt[1:] == tgt[:-1]) & (src_at[:-1] > src_at[1:]))
+    t = at[tgt[down]]
+    lo, hi = t - src_at[down], t - src_at[down + 1] - 1   # 1 <= lo <= hi
+    near = lo < GROUP_COLUMNS
+    forbid = np.zeros(len(widths), dtype=np.int32)
+    np.bitwise_or.at(forbid, t[near],
+                     (2 << np.minimum(hi[near], GROUP_COLUMNS - 1)) - (1 << lo[near]))
+    starts, a, held = [], 0, GROUP_COLUMNS
+    for t, (w, m) in enumerate(zip(widths, forbid.tolist())):
+        if held + w > GROUP_COLUMNS or m >> (t - a) & 1:   # t - a < GROUP_COLUMNS here
+            starts.append(t)
+            a, held = t, 0
+        held += w
+    return starts
+
+
+def _steps(cols, diag, levels: list, pos, tgt, src, counts) -> tuple:
+    """One direction's (pos, diag, groups): cols, diag and levels are its
+    columns, their diagonal positions and the slice of each level, in its
+    walk; pos, tgt and src its updates' positions, targets and sources,
+    which list their targets as cols does, each target's in its summation
+    order; counts the updates of each column of cols.
+
+    groups, runs of levels in the walk: a group's columns, a view of cols,
+    and the ascending slice of them (and of diag) they are; its outside
+    updates, as a slice of pos, views of their targets and sources, and each
+    column's chain end in them (int32); and None.  A group with inside
+    updates holds its outside updates as an index array into pos, their
+    targets and sources and the chain ends as arrays of their own, column by
+    column; its last field is (ivs, loc, src, ranges): the inside updates'
+    indices into pos, their sources' places in the group and source columns
+    (lists), and each column's range of them in summation order.
+    """
+    n, depth = len(cols), len(levels)
+    widths = [c.stop - c.start for c in levels]
+    at = np.empty(n, dtype=np.int32)   # every column's level
+    at[cols] = np.repeat(np.arange(depth, dtype=np.int32), widths)
+    src_at = at[src]
+    cuts = _group_starts(widths, at, tgt, src_at) + [depth]
+    col_at = [c.start for c in levels] + [n]
+    begin = np.zeros(n + 1, dtype=np.int64)   # by place in cols: a column's first update
+    np.cumsum(counts, out=begin[1:])
+    upd_at = begin[col_at].tolist()
+    # a source comes before its target: inside iff it comes no earlier than
+    # the first level of its target's group
+    first = [upd_at[a] for a in cuts]   # each group's first update
+    ins = src_at >= np.repeat(np.array(cuts[:-1], dtype=np.int32), np.diff(first))
+    # the inside updates before the first of each group
+    held = np.searchsorted(np.flatnonzero(ins), first).tolist()
+    # by place in cols: a column's chain end, from its group's first update
+    group_at = [col_at[a] for a in cuts]
+    ends = (begin[1:] - np.repeat(first[:-1], np.diff(group_at))).astype(np.int32)
+    rank = np.empty(n, dtype=np.intp)   # every column's place in cols
+    rank[cols] = np.arange(n)
+    groups = []
+    for a, b, h, hb in zip(cuts, cuts[1:], held, held[1:]):
+        c, o = slice(col_at[a], col_at[b]), slice(upd_at[a], upd_at[b])
+        if h == hb:
+            groups.append((cols[c], c, o, tgt[o], src[o], ends[c], None))   # as a level
+            continue
+        # the outside updates, then the inside ones, each column by column in
+        # walk order, a column's in its summation order, as the updates are
+        m, i = c.stop - c.start, ins[o]
+        walk = rank[tgt[o]] - c.start   # the places in the walk of the targets
+        vs, ivs = o.start + np.flatnonzero(~i), o.start + np.flatnonzero(i)
+        cut = np.cumsum(np.bincount(walk[i], minlength=m)).tolist()
+        groups.append((cols[c], c, vs, tgt[vs], src[vs],
+                       np.cumsum(np.bincount(walk[~i], minlength=m)).astype(np.int32),
+                       (ivs, (rank[src[ivs]] - c.start).tolist(), src[ivs].tolist(),
+                        [range(a, b) for a, b in zip([0] + cut, cut)])))
+    return pos, diag, groups
+
+
+def _records(pattern: FillPattern, forward: bool) -> tuple:
+    """The forward or backward (pos, diag, groups) of the pattern's solves
+    (_steps), built on that direction's first solve and kept in its
+    schedule's solves.  The forward walks the schedule's cols, and its pos
+    is the schedule's; the backward walks cols reversed, and its pos holds
+    the off-diagonals column by column in that order, rows descending."""
+    s = _schedule(pattern)
+    if forward not in s.solves:
+        cp, ri = pattern.col_ptr, pattern.row_idx
+        if forward:
+            rows = ri[s.pos]
+            s.solves[True] = _steps(s.cols, cp[s.cols], s.levels, s.pos, rows, s.src,
+                                    np.bincount(rows, minlength=pattern.n)[s.cols])
+        else:
+            # cols reversed (a copy: the groups index y by views of it, and a
+            # reversed view gathers slower), and column k's off-diagonals rows
+            # descending: diag + below down to diag + 1
+            cols = s.cols[::-1].copy()
+            diag, below = cp[cols], np.diff(cp)[cols] - 1
+            pos = np.repeat(diag + np.cumsum(below), below)
+            pos -= np.arange(len(pos))
+            levels = _split([c.stop - c.start for c in reversed(s.levels)])
+            s.solves[False] = _steps(cols, diag, levels, pos, np.repeat(cols, below), ri[pos],
+                                     below)
+    return s.solves[forward]
+
+
+def _group_counts(pattern: FillPattern) -> list:
+    """The groups of the pattern's forward and backward solves."""
+    return [len(_records(pattern, forward)[2]) for forward in (True, False)]
 
 
 def _cast_sweep(v: np.ndarray, d: np.ndarray, groups: list, y: np.ndarray) -> None:
@@ -248,8 +388,7 @@ def _native_backward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
 
 def _sweep(L: IcFactor, y: np.ndarray, exec_mode: str, forward: bool) -> None:
     """Solve L y = w (forward) or L^T y = w in place on y, by exec_mode."""
-    s = _schedule(L.pattern)
-    pos, diag, groups = s.forward if forward else s.backward
+    pos, diag, groups = _records(L.pattern, forward)
     v, d = L.values[pos], L.values[diag]
     if exec_mode == CAST_F64:
         _cast_sweep(v, d, groups, y)

@@ -20,7 +20,8 @@ from icir.cli import (RECORD_FIELDS, RunConfig, build_rhs, main,
 from icir.factor import FactorizationError, ShiftRestartError
 from icir.gallery import poisson2d, tridiag, wathen
 from icir.sparse import SparseSpd, matvec_f64
-from icir.symbolic import _schedule, ic_pattern
+from icir.symbolic import ic_pattern
+from icir.trisolve import _records
 
 
 def write_mtx(A, path):
@@ -173,8 +174,8 @@ class TestRunExperiment:
             assert rec.update_pairs_enumerated == pairs
             # each solve takes one group per run of levels, at least one and
             # at most one per level
-            s = _schedule(pattern)
-            assert rec.solve_groups == [len(s.forward[2]), len(s.backward[2])]
+            assert rec.solve_groups == [len(_records(pattern, forward)[2])
+                                        for forward in (True, False)]
             assert all(1 <= groups <= rec.depth for groups in rec.solve_groups)
 
     def test_level_increases_fill(self, poisson_mtx):

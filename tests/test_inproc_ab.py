@@ -1,0 +1,36 @@
+"""scripts/inproc_ab.py against HEAD on the tiny workloads: one row per
+workload and layer, equal bits on both sides (the script asserts them)."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _in_git_checkout() -> bool:
+    done = subprocess.run(["git", "rev-parse", "--verify", "HEAD"], cwd=ROOT,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a HEAD")
+def test_rows_against_head():
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "inproc_ab.py"), "HEAD",
+                           "--tiny", "--reps", "2"], cwd=ROOT, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    rows = [line.strip("|").split(" | ") for line in done.stdout.splitlines()
+            if line.startswith("| ") and not line.startswith("| workload")]
+    want = [("wathen-ic3-cg", "shifted_ic"), ("wathen-ic3-cg", "cast_f64"),
+            ("poisson-ic0-gmres", "shifted_ic"), ("poisson-ic0-gmres", "cast_f64"),
+            ("wathen-luir-bf16", "shifted_ic"), ("wathen-luir-bf16", "native_low"),
+            ("badscale-restart", "shifted_ic"), ("badscale-restart", "cast_f64")]
+    assert [(row[0].strip(), row[1]) for row in rows] == want
+    for row in rows:
+        base, change, ratio = (float(cell) for cell in row[2:5])
+        assert base > 0.0 and change > 0.0 and ratio > 0.0
+        won, reps = row[5].strip().split("/")
+        assert reps == "2" and 0 <= int(won) <= 2

@@ -292,6 +292,24 @@ class TestIndependentOracle:
             assert np.array_equal(y.view(np.int64), want[keep].view(np.int64))
 
 
+@settings(max_examples=300, deadline=None)
+@given(formats_and_doubles())
+def test_round_unchecked_given_ax_is_quantize_below_over_at(case):
+    # every accepted format, with ±0, values across the subnormal range (or
+    # the flushed range) and both signs of the tie x_min/2 and its neighbours
+    f, xs = case
+    tie = f.x_min / 2
+    edge = [0.0, -0.0, tie, -tie, math.nextafter(tie, 0.0), math.nextafter(tie, 1.0),
+            f.x_min / 3, -f.x_min * 0.75, math.nextafter(f.x_min, 0.0)]
+    if f.supports_subnormals:
+        edge += [f.x_s_min, -f.x_s_min / 2, 1.5 * f.x_s_min, -2.5 * f.x_s_min]
+    x = np.array(xs + edge)
+    x = x[np.abs(x) < f.over_at]
+    for x in (x, x[np.abs(x) >= f.x_min]):
+        y = _round_unchecked(x, f, np.abs(x))
+        assert np.array_equal(y.view(np.int64), quantize(x, f)[0].view(np.int64))
+
+
 class TestSubnormalGrid:
     """_round_unchecked in a cast format given |x| with a value below x_min:
     the split from x_min up and the subnormal grid below, bit for bit and

@@ -21,10 +21,14 @@ from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
 from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
-from icir.symbolic import (GROUP_COLUMNS, FillPattern, _column_levels, _schedule, _Schedule,
-                           ic_pattern)
-from icir.trisolve import (CAST_F64, NATIVE_LOW, _cast_sweep, apply_preconditioner,
-                           backward_solve, forward_solve)
+from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
+from icir.trisolve import (CAST_F64, GROUP_COLUMNS, NATIVE_LOW, _cast_sweep, _records,
+                           apply_preconditioner, backward_solve, forward_solve)
+
+
+def _both(pattern):
+    """The pattern's forward and backward solve records."""
+    return _records(pattern, True), _records(pattern, False)
 
 
 def _pattern(n, entries):
@@ -88,10 +92,9 @@ def test_kernels_match_scalar_oracle(system):
     # divisions give NumPy's inf or NaN in both
     pattern, values, w = system
     args = (pattern.col_ptr, pattern.row_idx, values, w)
-    s = _schedule(pattern)
     event(f"zeroed pivot: {not np.all(values[pattern.col_ptr[:-1]])}")
-    for (pos, diag, groups), solve in ((s.forward, oracles.forward_solve),
-                                       (s.backward, oracles.backward_solve)):
+    for (pos, diag, groups), solve in zip(_both(pattern),
+                                          (oracles.forward_solve, oracles.backward_solve)):
         event(f"inside updates: {any(g[6] is not None for g in groups)}")
         y = w.copy()
         with np.errstate(all="ignore"):
@@ -126,10 +129,10 @@ def test_schedule_built_on_first_solve_and_reused():
     r = np.linspace(-1.0, 1.0, L.n)
     v = apply_preconditioner(L, r)
     s = pattern.schedule
-    assert s is not None and {"forward", "backward"} <= set(vars(s))
-    kernel = s.forward, s.backward
+    assert s is not None and set(s.solves) == {True, False}
+    kernel = s.solves[True], s.solves[False]
     assert np.array_equal(apply_preconditioner(L, r), v)
-    assert pattern.schedule is s and s.forward is kernel[0] and s.backward is kernel[1]
+    assert pattern.schedule is s and s.solves[True] is kernel[0] and s.solves[False] is kernel[1]
 
 
 def test_public_solves_match_oracle():
@@ -362,10 +365,10 @@ def _zeroed_pivot():
 def _holds_no_factor_state(pattern, solves=frozenset()):
     """The pattern holds its arrays and schedule and nothing of the factor,
     and the schedule its level and forward orders, no dataflow step, and of
-    the solve levels only those named in solves."""
+    the solves' records only the directions in solves (True forward)."""
     return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "schedule"}
-            and set(vars(pattern.schedule)) == {"cols", "diag", "below", "levels", "pos", "src",
-                                                "order", "_row_idx"} | solves)
+            and set(vars(pattern.schedule)) == {"cols", "levels", "pos", "src", "order", "solves"}
+            and set(pattern.schedule.solves) == solves)
 
 
 def test_first_breakdown_without_a_rerun():
@@ -424,7 +427,7 @@ def test_step_times_found_by_each_factorization_only():
         for mode in (CAST_F64, NATIVE_LOW):
             apply_preconditioner(L, r, mode)
         assert times.call_count == 2
-    assert _holds_no_factor_state(pattern, {"forward", "backward"})
+    assert _holds_no_factor_state(pattern, {True, False})
 
 
 def test_uncovered_pattern_fails_before_any_attempt():
@@ -446,14 +449,14 @@ def test_one_schedule_serves_restarts_and_solves():
         L = shifted_ic(A, pattern, f=get_format("fp16"))
         apply_preconditioner(L, np.ones(L.n))
         s = pattern.schedule
-        kernel = s.forward, s.backward
+        kernel = s.solves[True], s.solves[False]
         apply_preconditioner(L, np.arange(L.n, dtype=float))
     assert L.stats.restarts >= 1 and attempts.call_count == L.stats.restarts + 1
     # the schedule found the levels once, for the factor's plan and the
     # solves, and one plan and one schedule's solve levels served every
     # restart and solve
     assert levels.call_count == 1
-    assert pattern.schedule is s and s.forward is kernel[0] and s.backward is kernel[1]
+    assert pattern.schedule is s and s.solves[True] is kernel[0] and s.solves[False] is kernel[1]
     assert plans.call_count == 1
 
 
@@ -474,7 +477,7 @@ def test_schedule_built_once_per_pattern_and_shared():
             assert builds.call_count == count
     s = pattern.schedule
     views = []
-    for _, _, groups in (s.forward, s.backward):
+    for _, _, groups in _both(pattern):
         # every group views its direction's columns (s.cols forward, a
         # reversed copy backward); one whole array of each other kind per
         # direction, which every group without inside updates views (a group
@@ -486,7 +489,7 @@ def test_schedule_built_once_per_pattern_and_shared():
             of = [group[kind] for group in levels]
             assert of[0].base is not None and all(view.base is of[0].base for view in of)
             views += of
-    assert s.forward[2][0][0].base is s.cols
+    assert s.solves[True][2][0][0].base is s.cols
     # nearly all of these views nonempty
     assert len(views) > 40 and sum(len(view) > 0 for view in views) >= len(views) - 4
 
@@ -508,14 +511,14 @@ def test_update_orders_match_oracle(drawn):
     cols = np.repeat(np.arange(n), np.diff(cp))
     s = _schedule(pattern)
     assert s.cols.tolist() == sorted(range(n), key=lambda j: level[j])
-    assert s.diag.tolist() == cp[s.cols].tolist()
     # the level slices tile the columns, one level each
     assert len(s.levels) == depth and sum(sl.stop - sl.start for sl in s.levels) == n
     assert [sl.start for sl in s.levels] == [0] + [sl.stop for sl in s.levels[:-1]]
     assert all(np.all(level[s.cols[sl]] == d) for d, sl in enumerate(s.levels))
     forward, backward = oracles.update_orders(cp, ri, level)
     for (pos, diag, groups), want, walk, tgt, src in (
-            (s.forward, forward, s.cols, ri, cols), (s.backward, backward, s.cols[::-1], cols, ri)):
+            (_records(pattern, True), forward, s.cols, ri, cols),
+            (_records(pattern, False), backward, s.cols[::-1], cols, ri)):
         assert pos.tolist() == want
         # the direction walks cols, forward, or cols reversed, backward, with
         # their diagonals; its groups are ascending slices of that walk
@@ -540,8 +543,7 @@ def test_groups_keep_every_summation_order(drawn):
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
     level, depth = _column_levels(pattern)
     cols = np.repeat(np.arange(n), np.diff(cp))
-    s = _schedule(pattern)
-    for (pos, _, groups), backward in ((s.forward, False), (s.backward, True)):
+    for (pos, _, groups), backward in zip(_both(pattern), (False, True)):
         tgt, src = (cols, ri) if backward else (ri, cols)
         tgt, src = tgt[pos], src[pos]
         levels = list(range(depth))[::-1] if backward else list(range(depth))
@@ -591,7 +593,7 @@ def test_dense_random_pattern_takes_few_groups():
     # random_spd(100, density=0.3) IC(3) has 99 levels, all but one of one
     # column, which merge into groups of up to GROUP_COLUMNS columns
     A, _ = l2_scale(random_spd(100, density=0.3))
-    s = _schedule(ic_pattern(A, 3))
-    assert len(s.levels) == 99
-    for _, _, groups in (s.forward, s.backward):
+    pattern = ic_pattern(A, 3)
+    assert len(_schedule(pattern).levels) == 99
+    for _, _, groups in _both(pattern):
         assert len(groups) <= -(-100 // GROUP_COLUMNS) + 1

@@ -6,7 +6,6 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import icir.precision as precision
-import icir.symbolic as symbolic
 import icir.trisolve as trisolve
 import oracles
 from conftest import ic_attempt_on
@@ -190,8 +189,7 @@ def raw_systems(draw):
 
 def _inside_event(L):
     """Record whether a group of L's solves holds inside updates."""
-    s = symbolic._schedule(L.pattern)
-    groups = s.forward[2] + s.backward[2]
+    groups = trisolve._records(L.pattern, True)[2] + trisolve._records(L.pattern, False)[2]
     event(f"inside updates: {any(group[6] is not None for group in groups)}")
 
 
@@ -427,7 +425,7 @@ def test_subnormal_product_is_exact_in_a_cast_batch():
     # and n - 1 fall in different groups and the product is an outside
     # update, rounded in its batch by the cast, exactly: _round_scalar does
     # not take it again
-    assert _round_scalar_calls(*_subnormal_product(2 + symbolic.GROUP_COLUMNS)) == [0, 0]
+    assert _round_scalar_calls(*_subnormal_product(2 + trisolve.GROUP_COLUMNS)) == [0, 0]
 
 
 def test_subnormal_product_inside_a_group_is_exact_on_the_grid():
@@ -456,9 +454,8 @@ def test_overflowed_product_is_rounded_by_round_scalar(Ld, w, f, product):
 
 def _same_group(L, forward, j, k):
     """Whether columns j and k fall in one group of the direction."""
-    s = symbolic._schedule(L.pattern)
     return any({j, k} <= set(group[0].tolist())
-               for group in (s.forward if forward else s.backward)[2])
+               for group in trisolve._records(L.pattern, forward)[2])
 
 
 def test_overflowed_batch_product_alone_fails_the_pass():
@@ -466,7 +463,7 @@ def test_overflowed_batch_product_alone_fails_the_pass():
     # outside update, whose product with 60000 overflows in its batch; the
     # subtraction 60000 - over_at after it is in range, so only the
     # product's own flag makes the pass raise
-    n = 2 + symbolic.GROUP_COLUMNS
+    n = 2 + trisolve.GROUP_COLUMNS
     L, w = _overflow_case(n, [(n - 1, 0, 2.0)], [(0, 60000.0), (n - 1, 60000.0)])
     for forward, solve, reference in ((True, forward_solve, oracles.native_forward_solve),
                                       (False, backward_solve, oracles.native_backward_solve)):
@@ -489,7 +486,7 @@ def _overflow_case(n, entries, w):
     return make_factor(Ld, FP16), y
 
 
-G = symbolic.GROUP_COLUMNS
+G = trisolve.GROUP_COLUMNS
 # forward: columns 0..G form a level wider than GROUP_COLUMNS; column G + 1
 # reads column 1, and column G + 2 reads column 0 (outside its group) and
 # column G + 1 (inside it)
@@ -558,16 +555,16 @@ def test_one_level_record_serves_both_modes():
     L = IcFactor(pattern, values, FP16, 0.0, FactorStats(0, 0, 0))
     r = np.linspace(-1.0, 1.0, L.n)
     assert pattern.schedule is None
-    with mock.patch.object(symbolic, "_steps", wraps=symbolic._steps) as steps:
+    with mock.patch.object(trisolve, "_steps", wraps=trisolve._steps) as steps:
         v = apply_preconditioner(L, r, NATIVE_LOW)
         s = pattern.schedule
-        record = s.forward, s.backward
+        record = s.solves[True], s.solves[False]
         assert steps.call_count == 2   # both directions, once
         for _ in range(2):
             apply_preconditioner(L, r, CAST_F64)
         assert np.array_equal(apply_preconditioner(L, r, NATIVE_LOW), v)
     assert steps.call_count == 2 and pattern.schedule is s
-    assert s.forward is record[0] and s.backward is record[1]
+    assert s.solves[True] is record[0] and s.solves[False] is record[1]
 
 
 class TestApplyPreconditioner:
