@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """In-process, interleaved A/B of the factor and the preconditioner apply.
 
-    python3 scripts/inproc_ab.py BASE [--reps N] [--tiny]
+    python3 scripts/inproc_ab.py BASE [--reps N] [--tiny] [--baseline]
 
 Unpacks BASE's src/icir with `git archive BASE src/icir | tar -x` into a
 temporary directory as the package icir_base (its imports are relative), so
@@ -21,6 +21,14 @@ apply's bits again.  One row per workload and layer gives both sides'
 median milliseconds per round, the change's median over the base's, and
 the rounds the change took less time.  A run of the four full workloads at
 the default rounds takes about 20 seconds on a 2-core host.
+
+--baseline adds rows at the paper's size, which no workload runs: the
+l2-scaled gallery.wathen(120, 100) (n = 36,441; wathen(6, 5) with --tiny)
+at IC(0) and IC(3), in fp16 and bf16.  Each times shifted_ic, one cast_f64
+apply of linspace(-1, 1, n), and one native_low forward solve of that
+vector rounded into the format and one backward solve of the forward's
+result (of the vector itself where the forward overflowed), with the same
+bit checks.  A round of the four patterns takes about 4 seconds a side.
 """
 
 from __future__ import annotations
@@ -56,10 +64,10 @@ def _unpack(rev: str, tmp: Path) -> None:
     (tmp / "src" / "icir").rename(tmp / "icir_base")
 
 
-def _apply(icir, L, r, mode):
-    """One apply's result, or "overflow" where it raised OverflowSignal."""
+def _outcome(icir, solve, *args):
+    """solve(*args), or "overflow" where it raised OverflowSignal."""
     try:
-        return icir.apply_preconditioner(L, r, mode)
+        return solve(*args)
     except icir.OverflowSignal:
         return "overflow"
 
@@ -85,7 +93,19 @@ def _factor(icir, prepared):
 
 
 def _applies(icir, factors, prepared, mode):
-    return [_apply(icir, L, r, mode) for L, (_, _, _, r) in zip(factors, prepared)]
+    return [_outcome(icir, icir.apply_preconditioner, L, r, mode)
+            for L, (_, _, _, r) in zip(factors, prepared)]
+
+
+def _interleaved(reps, rounds):
+    """N rounds of rounds(side), {layer: seconds}, the side that goes first
+    alternating: (layer, base times, change times) per layer."""
+    times = {}
+    for i in range(reps):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for layer, t in rounds(side).items():
+                times.setdefault(layer, {s: [] for s in SIDES})[side].append(t)
+    return [(layer, t["base"], t["change"]) for layer, t in times.items()]
 
 
 def _rows(name, cases, paths, packages, reps):
@@ -100,20 +120,68 @@ def _rows(name, cases, paths, packages, reps):
                  for side in SIDES}
     assert all(map(_same, solutions["base"], solutions["change"])), \
         f"{name}: the solutions differ"
-    times = {(layer, side): [] for layer in ("shifted_ic", mode) for side in SIDES}
-    for i in range(reps):
-        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            icir = packages[side]
-            t0 = time.perf_counter()
-            _factor(icir, prepared[side])
-            t1 = time.perf_counter()
-            got = _applies(icir, factors[side], prepared[side], mode)
-            t2 = time.perf_counter()
-            times["shifted_ic", side].append(t1 - t0)
-            times[mode, side].append(t2 - t1)
-            assert all(map(_same, got, solutions["base"])), f"{name}: the solutions differ"
-    return [(layer, times[layer, "base"], times[layer, "change"])
-            for layer in ("shifted_ic", mode)]
+
+    def rounds(side):
+        icir = packages[side]
+        t0 = time.perf_counter()
+        _factor(icir, prepared[side])
+        t1 = time.perf_counter()
+        got = _applies(icir, factors[side], prepared[side], mode)
+        t2 = time.perf_counter()
+        assert all(map(_same, got, solutions["base"])), f"{name}: the solutions differ"
+        return {"shifted_ic": t1 - t0, mode: t2 - t1}
+
+    return _interleaved(reps, rounds)
+
+
+def _baseline_rows(name, size, level, fmt, packages, reps):
+    """One --baseline pattern's rows, as _rows gives them."""
+    cases = {}
+    for side in SIDES:
+        icir = packages[side]
+        gallery = importlib.import_module(f"{icir.__name__}.gallery")
+        A, _ = icir.l2_scale(gallery.wathen(*size, seed=0))
+        pattern, f = icir.ic_pattern(A, level), icir.get_format(fmt)
+        r = np.linspace(-1.0, 1.0, A.n)
+        cases[side] = (A, pattern, f, r, icir.precision.quantize(r, f)[0])
+    results = {}
+    for side in SIDES:
+        icir = packages[side]
+        A, pattern, f, r, w = cases[side]
+        L = icir.shifted_ic(A, pattern, f=f)
+        y = _outcome(icir, icir.forward_solve, L, w, "native_low")
+        wb = w if isinstance(y, str) else y
+        results[side] = (L, wb, [L.values, _outcome(icir, icir.apply_preconditioner, L, r),
+                                 y, _outcome(icir, icir.backward_solve, L, wb, "native_low")])
+    (Lb, _, want), (Lc, _, got) = results["base"], results["change"]
+    assert Lb.alpha == Lc.alpha and all(map(_same, want, got)), f"{name}: the results differ"
+
+    def rounds(side):
+        icir = packages[side]
+        A, pattern, f, r, w = cases[side]
+        L, wb, _ = results[side]
+        t0 = time.perf_counter()
+        icir.shifted_ic(A, pattern, f=f)
+        t1 = time.perf_counter()
+        out = [_outcome(icir, icir.apply_preconditioner, L, r)]
+        t2 = time.perf_counter()
+        out.append(_outcome(icir, icir.forward_solve, L, w, "native_low"))
+        t3 = time.perf_counter()
+        out.append(_outcome(icir, icir.backward_solve, L, wb, "native_low"))
+        t4 = time.perf_counter()
+        assert all(map(_same, out, want[1:])), f"{name}: the results differ"
+        return {"shifted_ic": t1 - t0, "cast_f64": t2 - t1, "native_low forward": t3 - t2,
+                "native_low backward": t4 - t3}
+
+    return _interleaved(reps, rounds)
+
+
+def _print_rows(name, rows, reps):
+    for layer, base, change in rows:
+        b, c = statistics.median(base), statistics.median(change)
+        won = sum(y < x for x, y in zip(base, change))
+        print(f"| {name} | {layer} | {1e3 * b:.3f} | {1e3 * c:.3f} | {c / b:.3f} | "
+              f"{won}/{reps} |", flush=True)
 
 
 def main(argv=None) -> int:
@@ -121,6 +189,8 @@ def main(argv=None) -> int:
     ap.add_argument("base", help="git revision to compare against")
     ap.add_argument("--reps", type=int, default=16, help="timed rounds (default 16)")
     ap.add_argument("--tiny", action="store_true", help="the workloads' tiny cases")
+    ap.add_argument("--baseline", action="store_true",
+                    help="add rows for gallery.wathen(120, 100) at IC(0) and IC(3)")
     args = ap.parse_args(argv)
     if args.reps < 1:
         ap.error("--reps must be at least 1")
@@ -139,11 +209,13 @@ def main(argv=None) -> int:
             directory = tmp / name
             directory.mkdir()
             paths = workloads.write_inputs(cases, directory)
-            for layer, base, change in _rows(name, cases, paths, packages, args.reps):
-                b, c = statistics.median(base), statistics.median(change)
-                won = sum(y < x for x, y in zip(base, change))
-                print(f"| {name} | {layer} | {1e3 * b:.3f} | {1e3 * c:.3f} | {c / b:.3f} | "
-                      f"{won}/{args.reps} |", flush=True)
+            _print_rows(name, _rows(name, cases, paths, packages, args.reps), args.reps)
+        size = (6, 5) if args.tiny else (120, 100)
+        for level, fmt in ((0, "fp16"), (0, "bf16"), (3, "fp16"), (3, "bf16")):
+            if args.baseline:
+                name = f"wathen{size} IC({level}) {fmt}"
+                _print_rows(name, _baseline_rows(name, size, level, fmt, packages, args.reps),
+                            args.reps)
     return 0
 
 

@@ -47,25 +47,32 @@ its columns at once, or, with inside updates, walks them on Python floats,
 a zero pivot giving NumPy's inf or NaN.
 
 native_low gives the bits of the column loops in tests/oracles.py in one
-checked pass per direction, by the same groups.  A group rounds the
-products l_jk y_k (forward) or l_ij y_i (backward) of its outside updates
-as one batch by icir.precision._round_unchecked; then each of its columns
-runs a Python chain over its products and its division.  The forward chain
-takes the outside products, then the inside ones, sources ascending; the
-backward chain, rows ascending, takes the inside ones first, as the group
-rule leaves every outside row above them.  A chain's subtractions and
-division, and the inside products it forms, are scalar roundings:
-Veltkamp's split inline for a result in [x_min, over_at), an inside
-product below x_min on the subnormal grid where the format has subnormals
-(as quantize rounds), else icir.precision._round_scalar.  The chain checks
-a batch's product q as it reads it: q is exact if qmin <= |q| <= x_max,
-qmin being x_s_min for the cast (fp16) and x_min for the split alone.  A
-zero q is exact too: the forward skips it if its y_k was zero at its pivot
-(the loop skips column k), the backward always.  Any other q is rounded
-again from its fp64 product by _round_scalar, which flags its overflow.
-The forward divides y_j only if y_j is nonzero, and a zero pivot gives
-inf, which overflows.  A group without inside updates runs its chains with
-no inside part, as a level.
+checked pass that both directions run, by the same groups.  A group rounds
+the products l_jk y_k (forward) or l_ij y_i (backward) of all its updates
+as one batch by icir.precision._round_unchecked, each column's chain of
+them back to back, its outside updates then its inside ones as the group
+rule orders them; an inside product, whose source the group has not
+solved yet, holds NaN there, as the pass sets its l to NaN.  Each column
+then reads its chain (_chains, built on the direction's first native_low
+solve) in a Python loop and divides.  The forward reads the batch as it is,
+sources ascending; the backward reverses it once and reads it the same
+way, which gives inside rows ascending, then outside rows ascending.  A
+chain's subtractions and division, and its inside products, are scalar
+roundings: Veltkamp's split inline for a result in [x_min, over_at), an
+inside product below x_min on the subnormal grid where the format has
+subnormals (as quantize rounds), else icir.precision._round_scalar.  The
+chain checks a product q as it reads it: q is exact if qmin <= |q| <=
+x_max, qmin being x_s_min for the cast (fp16) and x_min for the split
+alone.  NaN fails that test, and the chain forms and rounds the inside
+product from its source's result.  A
+zero q is exact too, and skipped if the pass is backward or its source is
+dead: the forward's dead set holds the columns whose y_k was zero at its
+pivot (the loop skips column k).  Any other q is rounded again from its
+fp64 product by _round_scalar, which flags its overflow; a nonzero batch
+product re-rounds to a nonzero value, as _round_unchecked rounds as
+quantize does, so no re-rounded zero needs a skip.  A column divides if it
+is nonzero or the pass is backward, and a zero pivot gives inf, which
+overflows.
 
 A pass raises OverflowSignal at its end if any of its roundings
 overflowed.  Up to the loop's first failure, an overflow or a division by
@@ -144,15 +151,18 @@ def _steps(cols, diag, levels: list, pos, tgt, src, counts) -> tuple:
     which list their targets as cols does, each target's in its summation
     order; counts the updates of each column of cols.
 
-    groups, runs of levels in the walk: a group's columns, a view of cols,
-    and the ascending slice of them (and of diag) they are; its outside
-    updates, as a slice of pos, views of their targets and sources, and each
-    column's chain end in them (int32); and None.  A group with inside
-    updates holds its outside updates as an index array into pos, their
-    targets and sources and the chain ends as arrays of their own, column by
-    column; its last field is (ivs, loc, src, ranges): the inside updates'
-    indices into pos, their sources' places in the group and source columns
-    (lists), and each column's range of them in summation order.
+    groups, runs of levels in the walk, each (cols, c, vs, tgt, src,
+    native, inner): the group's columns, a view of cols, and the ascending
+    slice of them (and of diag) they are; its outside updates, as a slice
+    of pos and views of their targets and sources; native_low's batch
+    (o, src, ends): the slice of pos holding all the group's updates, a
+    column's outside ones then its inside ones (the group rule orders them
+    so), a view of their sources and each column's chain end in it
+    (int32); and None.  A group with inside updates holds its outside
+    updates as an index array into pos, their targets and sources as
+    arrays of their own; its inner is (ivs, loc, ranges): the inside
+    updates' indices into pos, their sources' places in the group (a list)
+    and each column's range of them in summation order.
     """
     n, depth = len(cols), len(levels)
     widths = [c.stop - c.start for c in levels]
@@ -178,18 +188,18 @@ def _steps(cols, diag, levels: list, pos, tgt, src, counts) -> tuple:
     groups = []
     for a, b, h, hb in zip(cuts, cuts[1:], held, held[1:]):
         c, o = slice(col_at[a], col_at[b]), slice(upd_at[a], upd_at[b])
+        native = o, src[o], ends[c]
         if h == hb:
-            groups.append((cols[c], c, o, tgt[o], src[o], ends[c], None))   # as a level
+            groups.append((cols[c], c, o, tgt[o], native[1], native, None))   # as a level
             continue
-        # the outside updates, then the inside ones, each column by column in
-        # walk order, a column's in its summation order, as the updates are
+        # cast_f64's outside updates, then its inside ones, each column by
+        # column in walk order, a column's in its summation order
         m, i = c.stop - c.start, ins[o]
         walk = rank[tgt[o]] - c.start   # the places in the walk of the targets
         vs, ivs = o.start + np.flatnonzero(~i), o.start + np.flatnonzero(i)
         cut = np.cumsum(np.bincount(walk[i], minlength=m)).tolist()
-        groups.append((cols[c], c, vs, tgt[vs], src[vs],
-                       np.cumsum(np.bincount(walk[~i], minlength=m)).astype(np.int32),
-                       (ivs, (rank[src[ivs]] - c.start).tolist(), src[ivs].tolist(),
+        groups.append((cols[c], c, vs, tgt[vs], src[vs], native,
+                       (ivs, (rank[src[ivs]] - c.start).tolist(),
                         [range(a, b) for a, b in zip([0] + cut, cut)])))
     return pos, diag, groups
 
@@ -221,6 +231,36 @@ def _records(pattern: FillPattern, forward: bool) -> tuple:
     return s.solves[forward]
 
 
+def _chains(pattern: FillPattern, forward: bool) -> tuple:
+    """The forward or backward (ivs, chains) of native_low, built on that
+    direction's first native_low solve and kept in its schedule's solves,
+    so that a cast_f64 run builds none.  ivs holds every inside update's
+    index into pos, group by group.  chains holds each group's (ranges,
+    inside): each column's chain as a range into the group's batch read in
+    the direction's order, backward reversed, so that [a, b) becomes
+    [size - b, size - a); and, None without inside updates, a list by
+    place in that read of each inside update's place in ivs and its
+    source's place in the group, None at an outside update."""
+    s = _schedule(pattern)
+    key = forward, NATIVE_LOW
+    if key not in s.solves:
+        ivs, chains = [], []
+        for *_, (o, _, ends), inner in _records(pattern, forward)[2]:
+            ends = ends.tolist()
+            starts, size = [0] + ends[:-1], ends[-1]
+            if not forward:
+                starts, ends = [size - b for b in ends], [size - a for a in starts]
+            inside = None
+            if inner is not None:
+                inside = [None] * size
+                for m, (k, w) in enumerate(zip(inner[0].tolist(), inner[1]), len(ivs)):
+                    inside[k - o.start if forward else o.stop - 1 - k] = m, w
+                    ivs.append(k)
+            chains.append((list(map(range, starts, ends)), inside))
+        s.solves[key] = np.array(ivs, dtype=np.intp), chains
+    return s.solves[key]
+
+
 def _group_counts(pattern: FillPattern) -> list:
     """The groups of the pattern's forward and backward solves."""
     return [len(_records(pattern, forward)[2]) for forward in (True, False)]
@@ -235,7 +275,7 @@ def _cast_sweep(v: np.ndarray, d: np.ndarray, groups: list, y: np.ndarray) -> No
         if inner is None:
             y[cols] /= d[c]
             continue
-        ivs, loc, _, ranges = inner
+        ivs, loc, ranges = inner
         vi = v[ivs].tolist()
         out = []   # the group's results, in walk order
         for acc, dj, r in zip(y[cols].tolist(), d[c].tolist(), ranges):
@@ -246,32 +286,43 @@ def _cast_sweep(v: np.ndarray, d: np.ndarray, groups: list, y: np.ndarray) -> No
 
 
 @np.errstate(all="ignore")
-def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
-                    f: FpFormat) -> None:
-    """native_low L y = w in place on y, read as _cast_sweep reads it."""
+def _native_sweep(v: np.ndarray, dv: np.ndarray, groups: list, ivs: np.ndarray, chains: list,
+                  y: np.ndarray, f: FpFormat, back: bool) -> None:
+    """native_low L y = w (forward groups) or L^T y = w (backward) in place
+    on y; v and dv as _cast_sweep reads them, (ivs, chains) the direction's
+    _chains (see the module docstring)."""
     qmin, lo, hi, s, xmax = f.x_s_min if f.cast else f.x_min, f.x_min, f.over_at, f.split, f.x_max
     g = f.grid
-    live = [False] * len(y)   # y_k was nonzero at its pivot
+    vi = v[ivs].tolist()
+    v[ivs] = math.nan   # an inside product is formed in its chain
+    dead = set()   # forward: the columns whose y_j was zero at its pivot
     bad = False
-    for cols, cs, vs, _, src, ends, inner in groups:
+    for (cols, cs, _, _, _, (vs, src, _), _), (rs, inside) in zip(groups, chains):
         x = v[vs] * y[src]
         p = _round_unchecked(x, f).tolist()
-        if inner is None:
-            rs = vi = loc = isrc = None
-        else:
-            ivs, loc, isrc, rs = inner
-            vi = v[ivs].tolist()
+        if back:
+            p.reverse()
         out = []
-        b = 0
-        for j, e, acc, d in zip(cols.tolist(), ends.tolist(), y[cols].tolist(), dv[cs].tolist()):
-            a, b = b, e
-            for i in range(a, b):   # outside sources ascending
+        for j, r, acc, d in zip(cols.tolist(), rs, y[cols].tolist(), dv[cs].tolist()):
+            for i in r:
                 q = p[i]
                 if not qmin <= abs(q) <= xmax:
-                    if q != 0.0:
-                        q, over = _round_scalar(float(x[i]), f)
+                    if inside and inside[i]:   # an inside product, formed here
+                        m, w = inside[i]
+                        q = vi[m] * out[w]
+                        aq = abs(q)
+                        if lo <= aq < hi:
+                            c = q * s
+                            q = c - (c - q)
+                        elif aq < lo and g:   # the subnormal grid, as quantize rounds
+                            q = math.copysign((aq + g) - g, q)
+                        elif q != 0.0:
+                            q, over = _round_scalar(q, f)
+                            bad |= over
+                    elif q != 0.0:   # x[~i]: the batch as read backward
+                        q, over = _round_scalar(float(x[~i if back else i]), f)
                         bad |= over
-                    elif not live[src[i]]:   # the loop skips that column
+                    if q == 0.0 and (back or src[i] in dead):
                         continue
                 t = acc - q
                 if lo <= abs(t) < hi:   # _round_unchecked's split, inline
@@ -280,29 +331,7 @@ def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                 else:
                     acc, over = _round_scalar(t, f)
                     bad |= over
-            if rs:   # len(out) is the column's place in the walk
-                for i in rs[len(out)]:   # then the inside ones, each product rounded here
-                    if not live[isrc[i]]:
-                        continue
-                    q = vi[i] * out[loc[i]]
-                    aq = abs(q)
-                    if lo <= aq < hi:
-                        c = q * s
-                        q = c - (c - q)
-                    elif aq < lo and g:   # the subnormal grid, as quantize rounds
-                        q = math.copysign((aq + g) - g, q)
-                    elif q != 0.0:
-                        q, over = _round_scalar(q, f)
-                        bad |= over
-                    t = acc - q
-                    if lo <= abs(t) < hi:
-                        c = t * s
-                        acc = c - (c - t)
-                    else:
-                        acc, over = _round_scalar(t, f)
-                        bad |= over
-            if acc != 0.0:
-                live[j] = True
+            if acc != 0.0 or back:
                 t = acc / d if d else math.inf
                 if lo <= abs(t) < hi:
                     c = t * s
@@ -310,80 +339,12 @@ def _native_forward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
                 else:
                     acc, over = _round_scalar(t, f)
                     bad |= over
-            out.append(acc)
-        y[cols] = out
-    if bad:
-        raise OverflowSignal(f"{f.name} forward solve overflowed")
-
-
-@np.errstate(all="ignore")
-def _native_backward(v: np.ndarray, dv: np.ndarray, groups: list, y: np.ndarray,
-                     f: FpFormat) -> None:
-    """native_low L^T y = w in place on y, read as _cast_sweep reads it."""
-    qmin, lo, hi, s, xmax = f.x_s_min if f.cast else f.x_min, f.x_min, f.over_at, f.split, f.x_max
-    g = f.grid
-    bad = False
-    for cols, cs, vs, _, src, ends, inner in groups:
-        x = v[vs] * y[src]
-        p = _round_unchecked(x, f).tolist()
-        if inner is None:
-            rs = vi = loc = None
-        else:
-            ivs, loc, _, rs = inner
-            vi = v[ivs].tolist()
-        out = []
-        b = 0
-        for e, acc, d in zip(ends.tolist(), y[cols].tolist(), dv[cs].tolist()):
-            a, b = b, e
-            if rs:
-                for i in reversed(rs[len(out)]):   # inside rows ascending, products rounded here
-                    q = vi[i] * out[loc[i]]
-                    aq = abs(q)
-                    if lo <= aq < hi:
-                        c = q * s
-                        q = c - (c - q)
-                    else:
-                        if aq < lo and g:   # the subnormal grid, as quantize rounds
-                            q = math.copysign((aq + g) - g, q)
-                        elif q != 0.0:
-                            q, over = _round_scalar(q, f)
-                            bad |= over
-                        if q == 0.0:
-                            continue
-                    t = acc - q
-                    if lo <= abs(t) < hi:
-                        c = t * s
-                        acc = c - (c - t)
-                    else:
-                        acc, over = _round_scalar(t, f)
-                        bad |= over
-            for i in range(b - 1, a - 1, -1):   # then the outside rows ascending
-                q = p[i]
-                if not qmin <= abs(q) <= xmax:
-                    if q == 0.0:
-                        continue
-                    q, over = _round_scalar(float(x[i]), f)
-                    bad |= over
-                    if q == 0.0:
-                        continue
-                t = acc - q
-                if lo <= abs(t) < hi:
-                    c = t * s
-                    acc = c - (c - t)
-                else:
-                    acc, over = _round_scalar(t, f)
-                    bad |= over
-            t = acc / d if d else math.inf
-            if lo <= abs(t) < hi:
-                c = t * s
-                acc = c - (c - t)
             else:
-                acc, over = _round_scalar(t, f)
-                bad |= over
+                dead.add(j)
             out.append(acc)
         y[cols] = out
     if bad:
-        raise OverflowSignal(f"{f.name} backward solve overflowed")
+        raise OverflowSignal(f"{f.name} {'backward' if back else 'forward'} solve overflowed")
 
 
 def _sweep(L: IcFactor, y: np.ndarray, exec_mode: str, forward: bool) -> None:
@@ -393,7 +354,7 @@ def _sweep(L: IcFactor, y: np.ndarray, exec_mode: str, forward: bool) -> None:
     if exec_mode == CAST_F64:
         _cast_sweep(v, d, groups, y)
     else:
-        (_native_forward if forward else _native_backward)(v, d, groups, y, L.format)
+        _native_sweep(v, d, groups, *_chains(L.pattern, forward), y, L.format, not forward)
 
 
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:

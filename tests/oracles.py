@@ -46,7 +46,9 @@ bits or breakdown, or a B2 or B3 in place of the error.
 gmres_reference is the reference of icir.krylov.gmres: the same Arnoldi
 process with its Hessenberg column, rotations and right-hand side kept as
 NumPy arrays and scalars, whose solution, iteration count and status the
-Python-float bookkeeping must give.
+Python-float bookkeeping must give.  pcg_reference is that of
+icir.krylov.pcg: the same recurrences with every np.dot result kept as a
+NumPy scalar, where pcg takes Python floats.
 """
 
 import math
@@ -56,9 +58,10 @@ import numpy as np
 
 from icir.factor import Breakdown, FactorizationError
 from icir.gallery import _ELEMENT
-from icir.krylov import CONVERGED, MAX_ITERATIONS, STAGNATED, KrylovOutcome
+from icir.krylov import (CONVERGED, MAX_ITERATIONS, SMALL_CURVATURE, STAGNATED,
+                         KrylovOutcome)
 from icir.precision import FpFormat, quantize, safe_scale_check
-from icir.sparse import SparseSpd, matvec_f64
+from icir.sparse import SparseSpd, inf_norm_matrix, matvec_f64
 from icir.symbolic import FillPattern
 from icir.trisolve import OverflowSignal
 
@@ -612,3 +615,43 @@ def gmres_reference(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> K
         if k + 1 < maxit:
             V[k + 1] = w / h
     return solve_and_pack(maxit, MAX_ITERATIONS)
+
+
+def pcg_reference(A: SparseSpd, M, b: np.ndarray, tol: float, maxit: int) -> KrylovOutcome:
+    """Preconditioned conjugate gradients from x0 = 0, its scalars the NumPy
+    scalars np.dot returns, which icir.krylov.pcg must match bit for bit.
+
+    Stops converged when sqrt(r.M r) drops below tol times its initial
+    value; small_curvature when p.Ap <= 1e2 u ||A||_inf p.p, or r.M r is not
+    positive at the start or not >= 0 (NaN) after a step.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    x = np.zeros(A.n)
+    if not np.any(b):
+        return KrylovOutcome(x, 0, CONVERGED)
+    tiny = 1e2 * 2.0 ** -53 * inf_norm_matrix(A)
+    r = b.copy()
+    z = M(r)
+    rz = np.dot(r, z)
+    if rz <= 0.0:
+        return KrylovOutcome(x, 0, SMALL_CURVATURE)
+    target = tol * np.sqrt(rz)
+    p = z.copy()
+    for it in range(1, maxit + 1):
+        Ap = matvec_f64(A, p)
+        pAp = np.dot(p, Ap)
+        if pAp <= tiny * np.dot(p, p):
+            return KrylovOutcome(x, it - 1, SMALL_CURVATURE)
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        z = M(r)
+        rz_new = np.dot(r, z)
+        if not rz_new >= 0.0:
+            return KrylovOutcome(x, it, SMALL_CURVATURE)
+        if np.sqrt(rz_new) <= target:
+            return KrylovOutcome(x, it, CONVERGED)
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    return KrylovOutcome(x, maxit, MAX_ITERATIONS)

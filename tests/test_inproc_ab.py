@@ -1,5 +1,6 @@
-"""scripts/inproc_ab.py against HEAD on the tiny workloads: one row per
-workload and layer, equal bits on both sides (the script asserts them)."""
+"""scripts/inproc_ab.py against HEAD on the tiny workloads and the tiny
+--baseline patterns: one row per workload or pattern and layer, equal bits
+on both sides (the script asserts them)."""
 
 import subprocess
 import sys
@@ -19,7 +20,7 @@ def _in_git_checkout() -> bool:
 @pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a HEAD")
 def test_rows_against_head():
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / "inproc_ab.py"), "HEAD",
-                           "--tiny", "--reps", "2"], cwd=ROOT, stdout=subprocess.PIPE,
+                           "--tiny", "--reps", "2", "--baseline"], cwd=ROOT, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True, timeout=600)
     assert done.returncode == 0, done.stderr[-2000:]
     rows = [line.strip("|").split(" | ") for line in done.stdout.splitlines()
@@ -28,6 +29,9 @@ def test_rows_against_head():
             ("poisson-ic0-gmres", "shifted_ic"), ("poisson-ic0-gmres", "cast_f64"),
             ("wathen-luir-bf16", "shifted_ic"), ("wathen-luir-bf16", "native_low"),
             ("badscale-restart", "shifted_ic"), ("badscale-restart", "cast_f64")]
+    want += [(f"wathen(6, 5) IC({level}) {fmt}", layer)
+             for level, fmt in ((0, "fp16"), (0, "bf16"), (3, "fp16"), (3, "bf16"))
+             for layer in ("shifted_ic", "cast_f64", "native_low forward", "native_low backward")]
     assert [(row[0].strip(), row[1]) for row in rows] == want
     for row in rows:
         base, change, ratio = (float(cell) for cell in row[2:5])

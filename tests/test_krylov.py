@@ -14,7 +14,7 @@ from icir.refine import ic_krylov_ir
 from icir.sparse import l2_scale, matvec_f64
 from icir.symbolic import ic_pattern
 from icir.trisolve import apply_preconditioner
-from oracles import gmres_reference
+from oracles import gmres_reference, pcg_reference
 from test_factor import full_pattern
 
 FP16 = get_format("fp16")
@@ -218,6 +218,29 @@ def _gmres_cases():
         ("ic-maxit", ic_A, lambda: ic_M, rng.standard_normal(ic_A.n), 1e-30, 40,
          MAX_ITERATIONS),
     ]
+
+
+def _pcg_cases():
+    """(id, A, M, b, tol, maxit, status, iterations)."""
+    ic_A, ic_M = _ic_preconditioner(20)
+    rng = np.random.default_rng(12)
+    return [
+        ("converged", ic_A, ic_M, rng.standard_normal(ic_A.n), 1e-10, 400, CONVERGED, 27),
+        # an indefinite M: r.Mr = 0.75, then -0.48 after the first step
+        ("small-curvature", dense_to_sparse(np.eye(2)), lambda r: r * np.array([1.0, -1.0]),
+         np.array([1.0, 0.5]), 1e-12, 50, SMALL_CURVATURE, 1),
+        ("max-iterations", random_spd(40, seed=1, dominance=0.5), IDENT,
+         rng.standard_normal(40), 1e-30, 12, MAX_ITERATIONS, 12),
+    ]
+
+
+@pytest.mark.parametrize("case", _pcg_cases(), ids=lambda c: c[0])
+def test_pcg_matches_reference(case):
+    _, A, M, b, tol, maxit, status, iterations = case
+    want = pcg_reference(A, M, b, tol, maxit)
+    got = pcg(A, M, b, tol, maxit)
+    assert (got.status, got.iterations) == (want.status, want.iterations) == (status, iterations)
+    assert got.solution.tobytes() == want.solution.tobytes()
 
 
 @pytest.mark.parametrize("case", _gmres_cases(), ids=lambda c: c[0])

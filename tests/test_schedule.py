@@ -22,7 +22,7 @@ from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
 from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
-from icir.trisolve import (CAST_F64, GROUP_COLUMNS, NATIVE_LOW, _cast_sweep, _records,
+from icir.trisolve import (CAST_F64, GROUP_COLUMNS, NATIVE_LOW, _cast_sweep, _chains, _records,
                            apply_preconditioner, backward_solve, forward_solve)
 
 
@@ -365,7 +365,8 @@ def _zeroed_pivot():
 def _holds_no_factor_state(pattern, solves=frozenset()):
     """The pattern holds its arrays and schedule and nothing of the factor,
     and the schedule its level and forward orders, no dataflow step, and of
-    the solves' records only the directions in solves (True forward)."""
+    the solves' records only the keys in solves: the directions (True
+    forward) and, for native_low, (direction, NATIVE_LOW) for the chains."""
     return (set(vars(pattern)) == {"n", "col_ptr", "row_idx", "schedule"}
             and set(vars(pattern.schedule)) == {"cols", "levels", "pos", "src", "order", "solves"}
             and set(pattern.schedule.solves) == solves)
@@ -427,7 +428,7 @@ def test_step_times_found_by_each_factorization_only():
         for mode in (CAST_F64, NATIVE_LOW):
             apply_preconditioner(L, r, mode)
         assert times.call_count == 2
-    assert _holds_no_factor_state(pattern, {True, False})
+    assert _holds_no_factor_state(pattern, {True, False, (True, NATIVE_LOW), (False, NATIVE_LOW)})
 
 
 def test_uncovered_pattern_fails_before_any_attempt():
@@ -528,12 +529,14 @@ def test_update_orders_match_oracle(drawn):
         assert all(group[0].tolist() == walk[group[1]].tolist() for group in groups)
         # each group's targets and sources are the order's rows and columns
         # forward, its columns and rows backward, at the updates it holds
+        # native_low's batch holds all of a group's updates, in record order
         for group in groups:
             _, outside, inside = _held(group)
             assert group[3].tolist() == tgt[pos[outside]].tolist()
             assert group[4].tolist() == src[pos[outside]].tolist()
-            if inside:
-                assert group[6][2] == src[pos[inside]].tolist()
+            o, batch_src = group[5][:2]
+            assert list(range(o.start, o.stop)) == sorted(outside + inside)
+            assert batch_src.tolist() == src[pos[o]].tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -548,6 +551,8 @@ def test_groups_keep_every_summation_order(drawn):
         tgt, src = tgt[pos], src[pos]
         levels = list(range(depth))[::-1] if backward else list(range(depth))
         group_of, taken = np.full(n, -1), 0
+        ivs, chains = _chains(pattern, not backward)
+        assert ivs.tolist() == sum((_held(group)[2] for group in groups), [])
         for g, group in enumerate(groups):
             walk, outside, inside = _held(group)
             # a run of whole levels, next in the direction's order; with
@@ -567,6 +572,22 @@ def test_groups_keep_every_summation_order(drawn):
                 loc = group[6][1]
                 assert [walk[i] for i in loc] == src[inside].tolist()
                 assert all(i < at[j] for i, j in zip(loc, tgt[inside].tolist()))
+            # each column's native_low chain, read in the direction's order
+            # from its group's batch, takes every update of the column once,
+            # in the order of the native loops of tests/oracles.py: sources
+            # ascending forward, rows ascending backward; the inside slots
+            # name their updates and their sources' places in the walk
+            o = group[5][0]
+            batch = list(range(o.start, o.stop))[::-1 if backward else 1]
+            runs, slots = chains[g]
+            for j, chain in zip(walk, runs):
+                read = [batch[i] for i in chain]
+                assert sorted(read) == np.flatnonzero(tgt == j).tolist()
+                assert src[read].tolist() == sorted(set(src[read].tolist()))
+            marked = {i: e for i, e in enumerate(slots or ()) if e is not None}
+            assert sorted(batch[i] for i in marked) == inside
+            assert all(batch[i] == ivs[m] and walk[w] == src[ivs[m]]
+                       for i, (m, w) in marked.items())
         assert taken == depth
         # every update is held once, by its target's group, inside iff its
         # source is in that group
