@@ -51,25 +51,24 @@ checked pass that both directions run, by the same groups.  A group rounds
 the products l_jk y_k (forward) or l_ij y_i (backward) of all its updates
 as one batch by icir.precision._round_unchecked, each column's chain of
 them back to back, its outside updates then its inside ones as the group
-rule orders them; an inside product, whose source the group has not
-solved yet, holds NaN there, as the pass sets its l to NaN.  Each column
-then reads its chain (_chains, built on the direction's first native_low
-solve) in a Python loop and divides.  The forward reads the batch as it is,
-sources ascending; the backward reverses it once and reads it the same
-way, which gives inside rows ascending, then outside rows ascending.  A
-chain's subtractions and division, and its inside products, are scalar
-roundings: Veltkamp's split inline for a result in [x_min, over_at), an
-inside product below x_min on the subnormal grid where the format has
-subnormals (as quantize rounds), else icir.precision._round_scalar.  The
-chain checks a product q as it reads it: q is exact if qmin <= |q| <=
-x_max, qmin being x_s_min for the cast (fp16) and x_min for the split
-alone.  NaN fails that test, and the chain forms and rounds the inside
-product from its source's result.  A
-zero q is exact too, and skipped if the pass is backward or its source is
-dead: the forward's dead set holds the columns whose y_k was zero at its
-pivot (the loop skips column k).  Any other q is rounded again from its
-fp64 product by _round_scalar, which flags its overflow; a nonzero batch
-product re-rounds to a nonzero value, as _round_unchecked rounds as
+rule orders them; an inside product, whose source the group has not solved
+yet, holds NaN there, as the pass sets its l to NaN.  Each column then
+reads its chain (_chains, built on the direction's first native_low solve)
+in a Python loop and divides.  The forward reads the batch as it is,
+sources ascending; the backward reverses it once and reads it the same way,
+which gives inside rows ascending, then outside rows ascending.  A chain's
+subtractions and division, and its inside products, are scalar roundings:
+Veltkamp's split inline for a result in [x_min, over_at), an inside product
+below x_min on the subnormal grid where the format has subnormals (as
+quantize rounds), else icir.precision._round_scalar.  The chain checks a
+product q as it reads it: q is exact if qmin <= |q| <= x_max, qmin being
+x_s_min for the cast (fp16) and x_min for the split alone.  NaN fails that
+test, and the chain forms and rounds the inside product from its source's
+result.  A zero q is exact too, and skipped if the pass is backward or its
+source is dead: the forward's dead set holds the columns whose y_k was zero
+at its pivot (the loop skips column k).  Any other q is rounded again from
+its fp64 product by _round_scalar, which flags its overflow; a nonzero
+batch product re-rounds to a nonzero value, as _round_unchecked rounds as
 quantize does, so no re-rounded zero needs a skip.  A column divides if it
 is nonzero or the pass is backward, and a zero pivot gives inf, which
 overflows.
