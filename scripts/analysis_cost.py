@@ -17,7 +17,11 @@ the forward and backward records that both solve modes read, with the
 groups icir.trisolve._steps finds, built by icir.trisolve._records.  Each runs
 on a freshly built pattern, so a part's figures include the schedule it
 builds on first use.  Two more rows run shifted_ic in fp16 and one
-preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.
+preconditioner apply, cast_f64 or native_low, on an l2-scaled matrix.  The
+last two bind such a factor's values into both directions' groups of one
+mode (icir.trisolve._bound, which an apply runs on the factor's first
+solve of each direction and mode), on a pattern whose records and chains
+are built: ms is the median of 7 binds, kept what the factor keeps of one.
 
   ms       median of 7 builds, each on a fresh pattern, untraced
   kept     tracemalloc bytes still allocated after one more build, with its
@@ -62,8 +66,8 @@ from icir.factor import _step_plan, shifted_ic
 from icir.precision import get_format, quantize, safe_update_many
 from icir.sparse import l2_scale
 from icir.symbolic import _schedule, ic_pattern
-from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, _records, apply_preconditioner,
-                           backward_solve, forward_solve)
+from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, _bound, _records,
+                           apply_preconditioner, backward_solve, forward_solve)
 
 PATTERNS = [
     ("wathen(40, 30) IC(3)", lambda: gallery.wathen(40, 30, seed=0), 3),
@@ -119,6 +123,33 @@ def _bytes(build, A, level):
     return kept, peak
 
 
+def _bind_cells(A, level, mode):
+    """(ms, kept, peak bytes) of binding an fp16 shifted_ic factor's values
+    into both directions' groups of mode."""
+    L = shifted_ic(A, ic_pattern(A, level), f=get_format("fp16"))
+
+    def bind():
+        L.bound.clear()
+        for forward in (True, False):
+            _bound(L, forward, mode)
+
+    bind()   # the records and chains
+    times = []
+    for _ in range(7):
+        t0 = time.perf_counter()
+        bind()
+        times.append(time.perf_counter() - t0)
+    L.bound.clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bind()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return 1e3 * statistics.median(times), kept, peak
+
+
 def _group_cells(A, level):
     """The cells of one row of the groups table."""
     pattern = ic_pattern(A, level)
@@ -146,6 +177,10 @@ def main() -> None:
             kept, peak = _bytes(build, A, level)
             print(f"| {label} | {A.n:,} | {off:,} | {name} | {ms:.1f} | {kept / MIB:.2f} | "
                   f"{peak / MIB:.2f} |", flush=True)
+        for mode in (CAST_F64, NATIVE_LOW):
+            ms, kept, peak = _bind_cells(A, level, mode)
+            print(f"| {label} | {A.n:,} | {off:,} | {mode} bound values | {ms:.1f} | "
+                  f"{kept / MIB:.2f} | {peak / MIB:.2f} |", flush=True)
     print()
     print("| pattern | format | cast_f64 apply ms | native_low forward ms | "
           "native_low backward ms | _round_scalar calls | subnormal update products |")

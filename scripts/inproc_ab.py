@@ -16,11 +16,16 @@ both sides.  The check's solves build each side's schedule and solve
 records, so the timed rounds run on warm patterns.
 
 Then N rounds (default 16), the side that goes first alternating, time on
-each side shifted_ic over the cases and one apply per case, checking every
+each side shifted_ic over the cases, one apply per case on the factors
+that round's shifted_ic returned ("first apply": a factor binds its values
+into the solve groups on its first solve of each direction and mode), and
+one more apply per case on the warm factors of the check, checking every
 apply's bits again.  One row per workload and layer gives both sides'
-median milliseconds per round, the change's median over the base's, and
-the rounds the change took less time.  A run of the four full workloads at
-the default rounds takes about 20 seconds on a 2-core host.
+median milliseconds per round, the change's median over the base's, the
+interquartile range of the per-round ratio change / base, and the rounds
+the change took less time.  A ratio whose interquartile range holds 1 is
+not resolved.  A run of the four full workloads at the default rounds
+takes about 25 seconds on a 2-core host.
 
 --baseline adds rows at the paper's size, which no workload runs: the
 l2-scaled gallery.wathen(120, 100) (n = 36,441; wathen(6, 5) with --tiny)
@@ -124,12 +129,15 @@ def _rows(name, cases, paths, packages, reps):
     def rounds(side):
         icir = packages[side]
         t0 = time.perf_counter()
-        _factor(icir, prepared[side])
+        fresh = _factor(icir, prepared[side])
         t1 = time.perf_counter()
-        got = _applies(icir, factors[side], prepared[side], mode)
+        first = _applies(icir, fresh, prepared[side], mode)
         t2 = time.perf_counter()
-        assert all(map(_same, got, solutions["base"])), f"{name}: the solutions differ"
-        return {"shifted_ic": t1 - t0, mode: t2 - t1}
+        got = _applies(icir, factors[side], prepared[side], mode)
+        t3 = time.perf_counter()
+        assert all(map(_same, first + got, 2 * solutions["base"])), \
+            f"{name}: the solutions differ"
+        return {"shifted_ic": t1 - t0, "first apply": t2 - t1, mode: t3 - t2}
 
     return _interleaved(reps, rounds)
 
@@ -176,12 +184,21 @@ def _baseline_rows(name, size, level, fmt, packages, reps):
     return _interleaved(reps, rounds)
 
 
+def _quartiles(values):
+    """First and third quartile, inclusive method (the value itself for one)."""
+    if len(values) == 1:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def _print_rows(name, rows, reps):
     for layer, base, change in rows:
         b, c = statistics.median(base), statistics.median(change)
+        q1, q3 = _quartiles([y / x for x, y in zip(base, change)])
         won = sum(y < x for x, y in zip(base, change))
         print(f"| {name} | {layer} | {1e3 * b:.3f} | {1e3 * c:.3f} | {c / b:.3f} | "
-              f"{won}/{reps} |", flush=True)
+              f"{q1:.3f}-{q3:.3f} | {won}/{reps} |", flush=True)
 
 
 def main(argv=None) -> int:
@@ -202,8 +219,8 @@ def main(argv=None) -> int:
                     "change": importlib.import_module("icir")}
         print(f"in-process A/B of {args.base} (base) and this checkout (change), "
               f"seed {SEED}, {args.reps} rounds{', tiny cases' if args.tiny else ''}")
-        print("| workload | layer | base ms | change ms | ratio | rounds won |")
-        print("|---|---|---|---|---|---|")
+        print("| workload | layer | base ms | change ms | ratio | ratio IQR | rounds won |")
+        print("|---|---|---|---|---|---|---|")
         for name in workloads.WORKLOADS:
             cases = workloads.build(name, SEED, tiny=args.tiny)
             directory = tmp / name

@@ -68,7 +68,7 @@ call, an analyse-once, factorize-many split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -116,7 +116,9 @@ class IcFactor:
     """Incomplete Cholesky factor L with S{L} = pattern.
 
     values are fp64 carriers of format-representable numbers, column-major
-    with the diagonal first in each column.
+    with the diagonal first in each column.  They must not change once the
+    factor has been solved with: its first solve of each direction and mode
+    binds them into that direction's solve groups (icir.trisolve).
     """
 
     pattern: FillPattern
@@ -124,6 +126,9 @@ class IcFactor:
     format: FpFormat
     alpha: float
     stats: FactorStats
+    # the values bound into the solve groups, by (forward, exec mode),
+    # filled by icir.trisolve on each one's first solve
+    bound: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:

@@ -42,6 +42,16 @@ random_spd(100) IC(3) 538 / 194 / 187 / 238 us, poisson2d(50) IC(0) 560 /
 549 / 549 / 587 us, wathen(40, 30) IC(3) 4.03 / 3.96 / 3.84 / 3.79 ms.  A
 larger group runs more inside updates one at a time in Python.
 
+The records (_records, and native_low's _chains) are the pattern's, and
+the values are the factor's.  A factor's first solve of each direction and
+mode reads its values into that direction's groups once (_bound) and keeps
+them in IcFactor.bound, so an apply gathers nothing that stays the same for
+the factor's life.  cast_f64 binds each column's inside updates as a list
+of (l, place of the source) tuples, so a chain step is one unpacking: a
+value list and a place list zipped together took 1.26x the tuples' time
+per apply on badscale-restart's factors (median of 30 interleaved rounds,
+2-core host).
+
 cast_f64 runs a group's outside updates as one np.subtract.at, then divides
 its columns at once, or, with inside updates, walks them on Python floats,
 a zero pivot giving NumPy's inf or NaN.
@@ -52,7 +62,7 @@ the products l_jk y_k (forward) or l_ij y_i (backward) of all its updates
 as one batch by icir.precision._round_unchecked, each column's chain of
 them back to back, its outside updates then its inside ones as the group
 rule orders them; an inside product, whose source the group has not solved
-yet, holds NaN there, as the pass sets its l to NaN.  Each column then
+yet, holds NaN there, as its bound l is NaN.  Each column then
 reads its chain (_chains, built on the direction's first native_low solve)
 in a Python loop and divides.  The forward reads the batch as it is,
 sources ascending; the backward reverses it once and reads it the same way,
@@ -265,44 +275,77 @@ def _group_counts(pattern: FillPattern) -> list:
     return [len(_records(pattern, forward)[2]) for forward in (True, False)]
 
 
-def _cast_sweep(v: np.ndarray, d: np.ndarray, groups: list, y: np.ndarray) -> None:
-    """cast_f64 L y = w (forward groups) or L^T y = w in place on y; v and d,
-    the values at pos and diag of the direction's (pos, diag, groups)."""
-    for cols, c, vs, tgt, src, _, inner in groups:
+def _bound(L: IcFactor, forward: bool, exec_mode: str):
+    """L's values bound into the forward or backward groups of exec_mode,
+    read on the first such solve and kept in L.bound.
+
+    cast_f64: per group (cols, tgt, src, lv, dv, chains): the record's
+    columns and outside targets and sources, lv the outside values, dv the
+    pivots (an array, a list with inside updates) and chains None or, per
+    column, its inside updates as (l, place of the source) tuples.
+    native_low: (v, vi, groups): the values at pos with NaN at the inside
+    slots, the inside values in the order of _chains' ivs, and per group
+    (cols, o, src, js, dv, ranges, inside): the record's columns and batch
+    slice and sources, cols and the pivots as lists, and the group's
+    _chains."""
+    key = forward, exec_mode
+    if key not in L.bound:
+        pos, diag, groups = _records(L.pattern, forward)
+        v, d = L.values[pos], L.values[diag]
+        if exec_mode == CAST_F64:
+            bound = []
+            for cols, c, vs, tgt, src, _, inner in groups:
+                if inner is None:
+                    bound.append((cols, tgt, src, v[vs], d[c], None))
+                    continue
+                ivs, loc, ranges = inner
+                pairs = list(zip(v[ivs].tolist(), loc))
+                bound.append((cols, tgt, src, v[vs], d[c].tolist(),
+                              [pairs[r.start:r.stop] for r in ranges]))
+        else:
+            ivs, chains = _chains(L.pattern, forward)
+            vi = v[ivs].tolist()
+            v[ivs] = math.nan   # an inside product is formed in its chain
+            bound = v, vi, [(cols, o, src, cols.tolist(), d[c].tolist(), *chain)
+                            for (cols, c, _, _, _, (o, src, _), _), chain in zip(groups, chains)]
+        L.bound[key] = bound
+    return L.bound[key]
+
+
+def _cast_sweep(groups: list, y: np.ndarray) -> None:
+    """cast_f64 L y = w (forward groups) or L^T y = w in place on y, by the
+    direction's _bound groups."""
+    for cols, tgt, src, lv, dv, chains in groups:
         if len(tgt):
-            np.subtract.at(y, tgt, v[vs] * y[src])
-        if inner is None:
-            y[cols] /= d[c]
+            np.subtract.at(y, tgt, lv * y[src])
+        if chains is None:
+            y[cols] /= dv
             continue
-        ivs, loc, ranges = inner
-        vi = v[ivs].tolist()
         out = []   # the group's results, in walk order
-        for acc, dj, r in zip(y[cols].tolist(), d[c].tolist(), ranges):
-            for i in r:
-                acc -= vi[i] * out[loc[i]]
+        for acc, dj, r in zip(y[cols].tolist(), dv, chains):
+            for a, w in r:
+                acc -= a * out[w]
             out.append(acc / dj if dj else float(np.divide(acc, dj)))   # NumPy's inf or NaN
         y[cols] = out
 
 
 @np.errstate(all="ignore")
-def _native_sweep(v: np.ndarray, dv: np.ndarray, groups: list, ivs: np.ndarray, chains: list,
-                  y: np.ndarray, f: FpFormat, back: bool) -> None:
+def _native_sweep(v: np.ndarray, vi: list, groups: list, y: np.ndarray, f: FpFormat,
+                  back: bool) -> None:
     """native_low L y = w (forward groups) or L^T y = w (backward) in place
-    on y; v and dv as _cast_sweep reads them, (ivs, chains) the direction's
-    _chains (see the module docstring)."""
+    on y, by the direction's _bound (v, vi, groups) (see the module
+    docstring)."""
     qmin, lo, hi, s, xmax = f.x_s_min if f.cast else f.x_min, f.x_min, f.over_at, f.split, f.x_max
     g = f.grid
-    vi = v[ivs].tolist()
-    v[ivs] = math.nan   # an inside product is formed in its chain
     dead = set()   # forward: the columns whose y_j was zero at its pivot
     bad = False
-    for (cols, cs, _, _, _, (vs, src, _), _), (rs, inside) in zip(groups, chains):
-        x = v[vs] * y[src]
+    for cols, o, src, js, dv, rs, inside in groups:
+        x = v[o] * y[src]
         p = _round_unchecked(x, f).tolist()
         if back:
             p.reverse()
         out = []
-        for j, r, acc, d in zip(cols.tolist(), rs, y[cols].tolist(), dv[cs].tolist()):
+        for j, r, acc, d in zip(js, rs, y[cols].tolist(), dv):
             for i in r:
                 q = p[i]
                 if not qmin <= abs(q) <= xmax:
@@ -348,12 +391,10 @@ def _native_sweep(v: np.ndarray, dv: np.ndarray, groups: list, ivs: np.ndarray, 
 
 def _sweep(L: IcFactor, y: np.ndarray, exec_mode: str, forward: bool) -> None:
     """Solve L y = w (forward) or L^T y = w in place on y, by exec_mode."""
-    pos, diag, groups = _records(L.pattern, forward)
-    v, d = L.values[pos], L.values[diag]
     if exec_mode == CAST_F64:
-        _cast_sweep(v, d, groups, y)
+        _cast_sweep(_bound(L, forward, CAST_F64), y)
     else:
-        _native_sweep(v, d, groups, *_chains(L.pattern, forward), y, L.format, not forward)
+        _native_sweep(*_bound(L, forward, NATIVE_LOW), y, L.format, not forward)
 
 
 def forward_solve(L: IcFactor, w: np.ndarray, exec_mode: str = CAST_F64) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""scripts/analysis_cost.py's groups row, builders and apply row, on a small pattern."""
+"""scripts/analysis_cost.py's groups row, builders, bound values rows and apply row, on a
+small pattern."""
 
 import importlib.util
 from pathlib import Path
@@ -20,6 +21,13 @@ def test_every_part_builds_and_is_traced():
     for name, build in analysis_cost.PARTS:
         kept, peak = analysis_cost._bytes(build, A, 1)
         assert 0 < kept <= peak, name
+
+
+def test_bound_values_rows():
+    A, _ = l2_scale(poisson2d(6))
+    for mode in ("cast_f64", "native_low"):
+        ms, kept, peak = analysis_cost._bind_cells(A, 1, mode)
+        assert ms >= 0.0 and 0 < kept <= peak, mode
 
 
 def test_apply_row():

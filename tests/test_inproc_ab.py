@@ -25,10 +25,10 @@ def test_rows_against_head():
     assert done.returncode == 0, done.stderr[-2000:]
     rows = [line.strip("|").split(" | ") for line in done.stdout.splitlines()
             if line.startswith("| ") and not line.startswith("| workload")]
-    want = [("wathen-ic3-cg", "shifted_ic"), ("wathen-ic3-cg", "cast_f64"),
-            ("poisson-ic0-gmres", "shifted_ic"), ("poisson-ic0-gmres", "cast_f64"),
-            ("wathen-luir-bf16", "shifted_ic"), ("wathen-luir-bf16", "native_low"),
-            ("badscale-restart", "shifted_ic"), ("badscale-restart", "cast_f64")]
+    want = [(name, layer) for name, mode in (
+                ("wathen-ic3-cg", "cast_f64"), ("poisson-ic0-gmres", "cast_f64"),
+                ("wathen-luir-bf16", "native_low"), ("badscale-restart", "cast_f64"))
+            for layer in ("shifted_ic", "first apply", mode)]
     want += [(f"wathen(6, 5) IC({level}) {fmt}", layer)
              for level, fmt in ((0, "fp16"), (0, "bf16"), (3, "fp16"), (3, "bf16"))
              for layer in ("shifted_ic", "cast_f64", "native_low forward", "native_low backward")]
@@ -36,5 +36,7 @@ def test_rows_against_head():
     for row in rows:
         base, change, ratio = (float(cell) for cell in row[2:5])
         assert base > 0.0 and change > 0.0 and ratio > 0.0
-        won, reps = row[5].strip().split("/")
+        q1, q3 = (float(cell) for cell in row[5].split("-"))
+        assert 0.0 < q1 <= q3
+        won, reps = row[6].strip().split("/")
         assert reps == "2" and 0 <= int(won) <= 2

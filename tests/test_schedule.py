@@ -22,8 +22,8 @@ from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
 from icir.sparse import SparseSpd, l2_scale, squeeze
 from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
-from icir.trisolve import (CAST_F64, GROUP_COLUMNS, NATIVE_LOW, _cast_sweep, _chains, _records,
-                           apply_preconditioner, backward_solve, forward_solve)
+from icir.trisolve import (CAST_F64, GROUP_COLUMNS, NATIVE_LOW, _bound, _cast_sweep, _chains,
+                           _records, apply_preconditioner, backward_solve, forward_solve)
 
 
 def _both(pattern):
@@ -93,12 +93,12 @@ def test_kernels_match_scalar_oracle(system):
     pattern, values, w = system
     args = (pattern.col_ptr, pattern.row_idx, values, w)
     event(f"zeroed pivot: {not np.all(values[pattern.col_ptr[:-1]])}")
-    for (pos, diag, groups), solve in zip(_both(pattern),
-                                          (oracles.forward_solve, oracles.backward_solve)):
-        event(f"inside updates: {any(g[6] is not None for g in groups)}")
+    L = IcFactor(pattern, values, get_format("fp64"), 0.0, FactorStats(0, 0, 0))
+    for forward, solve in ((True, oracles.forward_solve), (False, oracles.backward_solve)):
+        event(f"inside updates: {any(g[6] is not None for g in _records(pattern, forward)[2])}")
         y = w.copy()
         with np.errstate(all="ignore"):
-            _cast_sweep(values[pos], values[diag], groups, y)
+            _cast_sweep(_bound(L, forward, CAST_F64), y)
             want = np.array(solve(*args))
         _assert_same_bits(y, want)
 

@@ -567,6 +567,79 @@ def test_one_level_record_serves_both_modes():
     assert s.solves[True] is record[0] and s.solves[False] is record[1]
 
 
+def _binding_case():
+    """An l2-scaled wathen(4, 3) and its IC(0) pattern, whose solve groups
+    of both directions hold inside updates."""
+    A, _ = l2_scale(wathen(4, 3, seed=1))
+    pattern = ic_pattern(A, 0)
+    for forward in (True, False):
+        assert any(group[6] is not None for group in trisolve._records(pattern, forward)[2])
+    return A, pattern
+
+
+def _oracle_apply(L, r, mode):
+    """apply_preconditioner(L, r, mode) by tests/oracles.py's column loops."""
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values)
+    if mode == CAST_F64:
+        return np.array(oracles.backward_solve(*args, np.array(oracles.forward_solve(*args, r))))
+    nr = np.abs(r).max()
+    w, _ = quantize(r / nr, L.format)
+    y = oracles.native_forward_solve(*args, w, L.format)
+    return oracles.native_backward_solve(*args, y, L.format) * nr
+
+
+def _same_bits(got, want):
+    return np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_shifted_ic_binds_nothing_and_a_solve_its_own_direction_and_mode():
+    A, pattern = _binding_case()
+    L = shifted_ic(A, pattern, f=FP16)
+    assert L.bound == {} and "bound" not in repr(L)
+    w = quantize(np.linspace(-1.0, 1.0, L.n), FP16)[0]
+    args = (L.pattern.col_ptr, L.pattern.row_idx, L.values, w)
+    assert _same_bits(forward_solve(L, w), np.array(oracles.forward_solve(*args)))
+    assert set(L.bound) == {(True, CAST_F64)}
+    assert _same_bits(backward_solve(L, w, NATIVE_LOW),
+                      oracles.native_backward_solve(*args, FP16))
+    assert set(L.bound) == {(True, CAST_F64), (False, NATIVE_LOW)}
+
+
+@pytest.mark.parametrize("mode, other", [(CAST_F64, NATIVE_LOW), (NATIVE_LOW, CAST_F64)])
+def test_an_apply_binds_both_directions_of_its_mode_only(mode, other):
+    A, pattern = _binding_case()
+    L = shifted_ic(A, pattern, f=FP16)
+    r = np.linspace(-1.0, 1.0, L.n)
+    got = apply_preconditioner(L, r, mode)
+    assert set(L.bound) == {(True, mode), (False, mode)}
+    bound = dict(L.bound)
+    assert _same_bits(apply_preconditioner(L, r, mode), got)
+    assert _same_bits(got, _oracle_apply(L, r, mode))
+    # a second apply reads the same bound values; the other mode binds its own
+    assert all(L.bound[key] is value for key, value in bound.items())
+    assert _same_bits(apply_preconditioner(L, r, other), _oracle_apply(L, r, other))
+    assert set(L.bound) == {(True, mode), (False, mode), (True, other), (False, other)}
+
+
+def test_factors_of_one_pattern_keep_their_own_bound_values():
+    # an fp16 and a bf16 factor of one pattern share its schedule and solve
+    # records; applied interleaved in both modes, each gives a fresh
+    # factor's bits, which are the oracle's
+    A, pattern = _binding_case()
+    factors = [shifted_ic(A, pattern, f=f) for f in (FP16, BF16)]
+    assert not np.array_equal(factors[0].values, factors[1].values)
+    rng = np.random.default_rng(5)
+    for r in (rng.standard_normal(A.n) for _ in range(3)):
+        for mode in (CAST_F64, NATIVE_LOW):
+            for L in factors:
+                got = apply_preconditioner(L, r, mode)
+                fresh = shifted_ic(A, pattern, f=L.format)
+                assert _same_bits(got, apply_preconditioner(fresh, r, mode))
+                assert _same_bits(got, _oracle_apply(L, r, mode))
+    assert factors[0].bound.keys() == factors[1].bound.keys()
+    assert all(factors[0].bound[key] is not factors[1].bound[key] for key in factors[0].bound)
+
+
 class TestApplyPreconditioner:
     def test_identity(self):
         L = make_factor(np.eye(5), FP16)
