@@ -54,6 +54,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "benchmark"))
 
 import workloads  # noqa: E402
+from ab import quartiles  # noqa: E402
 
 SEED = 7
 SIDES = ("base", "change")
@@ -184,18 +185,10 @@ def _baseline_rows(name, size, level, fmt, packages, reps):
     return _interleaved(reps, rounds)
 
 
-def _quartiles(values):
-    """First and third quartile, inclusive method (the value itself for one)."""
-    if len(values) == 1:
-        return values[0], values[0]
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return q1, q3
-
-
 def _print_rows(name, rows, reps):
     for layer, base, change in rows:
         b, c = statistics.median(base), statistics.median(change)
-        q1, q3 = _quartiles([y / x for x, y in zip(base, change)])
+        _, (q1, q3) = quartiles([y / x for x, y in zip(base, change)])
         won = sum(y < x for x, y in zip(base, change))
         print(f"| {name} | {layer} | {1e3 * b:.3f} | {1e3 * c:.3f} | {c / b:.3f} | "
               f"{q1:.3f}-{q3:.3f} | {won}/{reps} |", flush=True)
