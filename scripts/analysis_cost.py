@@ -43,6 +43,13 @@ shifted_ic, that are fp16 subnormals (0 < |b*c| < x_min): the products
 safe_update_many rounds by the split and the subnormal grid where it would
 otherwise pay for NumPy's software float16 cast.
 
+A fourth table runs shifted_ic on the cases of the badscale-restart
+workload of benchmark/workloads.py at seed 7, l2-scaled, each in its format,
+where every case restarts: ms, kept and peak as in the second table (kept
+holds the factor), then the update pairs its plan keeps by its last attempt
+(icir.factor keeps every step's pairs from the first breakdown on) and
+their bytes a pair.  The peak holds them.
+
 A run takes three to four minutes on a 2-core host, most of it on the
 Baseline patterns.
 """
@@ -59,12 +66,15 @@ from unittest import mock
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "benchmark"))
 
+import workloads  # noqa: E402
 from icir import factor, gallery, trisolve
-from icir.factor import _step_plan, shifted_ic
+from icir.factor import _step_plan, ic_attempt, shifted_ic
 from icir.precision import get_format, quantize, safe_update_many
-from icir.sparse import l2_scale
+from icir.sparse import SparseSpd, l2_scale
 from icir.symbolic import _schedule, ic_pattern
 from icir.trisolve import (CAST_F64, NATIVE_LOW, OverflowSignal, _bound, _records,
                            apply_preconditioner, backward_solve, forward_solve)
@@ -150,6 +160,30 @@ def _bind_cells(A, level, mode):
     return 1e3 * statistics.median(times), kept, peak
 
 
+def _restart_cells(A, level, f):
+    """The cells of one row of the restarts table: shifted_ic's restarts, ms,
+    kept and peak MiB, and the pairs its plan keeps by the end with their
+    bytes a pair."""
+    def run(A, pattern):
+        return shifted_ic(A, pattern, f=f)
+
+    ms = 1e3 * statistics.median(_seconds(run, A, level) for _ in range(7))
+    kept, peak = _bytes(run, A, level)
+    plans = []
+
+    def attempt(vals, plan, tau, g):
+        plans.append(plan)
+        return ic_attempt(vals, plan, tau, g)
+
+    with mock.patch.object(factor, "ic_attempt", attempt):
+        L = shifted_ic(A, ic_pattern(A, level), f=f)
+    found = list((plans[-1].found or {}).values())
+    pairs = sum(len(b) for b, _, _ in found)
+    size = sum(a.nbytes for arrays in found for a in arrays)
+    return [str(L.stats.restarts), f"{ms:.1f}", f"{kept / MIB:.2f}", f"{peak / MIB:.2f}",
+            f"{pairs:,}", f"{size / max(pairs, 1):.1f}"]
+
+
 def _group_cells(A, level):
     """The cells of one row of the groups table."""
     pattern = ic_pattern(A, level)
@@ -190,6 +224,15 @@ def main() -> None:
         for name in ("fp16", "bf16"):
             print(f"| {label} | {name} | {' | '.join(_apply_ms(A, level, get_format(name)))} |",
                   flush=True)
+    print()
+    print("| badscale-restart case, seed 7 | n | restarts | ms | kept MiB | peak MiB | "
+          "kept pairs | bytes a pair |")
+    print("|---|---|---|---|---|---|---|---|")
+    for case in workloads.build("badscale-restart", 7):
+        A, _ = l2_scale(SparseSpd(case.n, np.searchsorted(case.cols, np.arange(case.n + 1)),
+                                  case.rows, case.vals))
+        cells = _restart_cells(A, case.level, get_format(case.fmt))
+        print(f"| {case.label} | {A.n:,} | {' | '.join(cells)} |", flush=True)
 
 
 def _apply_ms(A, level, f):

@@ -43,8 +43,9 @@ column loop's order.  A step runs its tasks as one vectorised
 safe_update_many call, then its pivots.  The plan holds the pattern, its
 position keys and, per step, int32 positions and counts: the tasks with
 their pair counts and the pivot columns with their off-diagonals.
-ic_attempt factors the values it is given against the plan it is given and
-stores nothing.
+ic_attempt factors the values it is given against the plan it is given.  It
+writes nothing else but the plan's found, where that is a dict: the pairs
+of each step it finds.
 
 The kernel returns the column loop's first breakdown, though it meets
 breakdowns in step order.  Number the operations: the pivot of column k is
@@ -63,13 +64,21 @@ Comp. 1980): on breakdown the diagonal shift alpha is doubled (starting from
 alpha_s) and the factorization restarts.  Only the diagonal changes between
 attempts, so the squeeze, the plan and the scatter of A_low into pattern
 order (which checks that the pattern covers A's structure) run once per
-call, an analyse-once, factorize-many split.
+call, an analyse-once, factorize-many split.  A step's update pairs are
+found once per call too, from the first breakdown on: shifted_ic then gives
+the plan a found dict, and each later attempt keeps there every step's
+present pairs with their targets, (b, c, t), as it first finds them and
+reuses those it holds.  Only the live filter (b and c nonzero) reads values,
+and it runs on every attempt; filtering by presence first leaves the same
+pairs in the same order.  Most restarts break down at the same early column
+as the one before and repeat its steps, while a call that never restarts
+has nothing to reuse: it keeps no pairs.  Those kept (20 bytes a pair) go
+with the plan when the call returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -150,17 +159,23 @@ class ShiftRestartError(RuntimeError):
 
 
 def default_tau(f: FpFormat) -> float:
-    """Pivot threshold: 1e-5 for half-width formats, 1e-20 otherwise."""
+    """Pivot threshold: 1e-5 for half-width formats and 1e-20 for the others,
+    or, where larger, four times the format's smallest positive value (the
+    smallest subnormal of a half-width format that has them) or x_min."""
     if f.half_width:
-        return 1e-5
+        return max(1e-5, 4.0 * (f.x_s_min if f.supports_subnormals else f.x_min))
     return max(1e-20, 4.0 * f.x_min)
 
 
-class _StepPlan(NamedTuple):
+@dataclass(eq=False)
+class _StepPlan:
     pattern: FillPattern
     keys: np.ndarray   # col * n + row of every pattern position, ascending
     steps: list        # one tuple of int32 arrays per step
     rest: np.ndarray   # rest[s]: the lowest operation number at step s or later
+    # step -> its present update pairs (b, c, t), kept by the attempts after
+    # the shifted_ic call's first breakdown; None before it
+    found: dict | None
 
 
 def _step_times(tgt: np.ndarray, src: np.ndarray, levels: list, n: int):
@@ -232,7 +247,22 @@ def _step_plan(pattern: FillPattern) -> _StepPlan:
     splits = zip(_split(task_counts), _split(pivot_counts),
                  _split(np.bincount(P, below, minlength=steps).astype(np.int64)))
     return _StepPlan(pattern, keys, [(task[a], pairs[a], shift[a], diag[b], below[b], off[o])
-                                     for a, b, o in splits], rest)
+                                     for a, b, o in splits], rest, None)
+
+
+def _step_pairs(plan: _StepPlan, task, pairs, shift):
+    """A step's update pairs whose target is in the pattern, in the step's
+    order: the positions b of l_ik, c of l_jk and t of the target (i, j)."""
+    n, ri, keys = plan.pattern.n, plan.pattern.row_idx, plan.keys
+    c = np.repeat(task, pairs)
+    b = np.arange(len(c)) + np.repeat(shift, pairs)
+    tkeys = ri[c] * np.int64(n) + ri[b]
+    # no key exceeds the last one, that of (n - 1, n - 1)
+    t = np.searchsorted(keys, tkeys)
+    present = keys[t] == tkeys
+    if not present.all():
+        b, c, t = b[present], c[present], t[present]
+    return b, c, t
 
 
 def _scatter_into_pattern(Alow: SparseSpd, plan: _StepPlan) -> np.ndarray:
@@ -255,7 +285,7 @@ def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
     smallest = f.x_s_min if f.supports_subnormals else f.x_min
     if not tau > smallest:
         raise ValueError("tau must exceed the smallest positive representable value")
-    pattern, keys = plan.pattern, plan.keys
+    pattern, found = plan.pattern, plan.found
     n, cp, ri = pattern.n, pattern.col_ptr, pattern.row_idx
     # the lowest failing operation so far (2n: none) and its Breakdown; those
     # above it may read failed values (a rejected column's quotients overflow)
@@ -264,22 +294,22 @@ def ic_attempt(vals: np.ndarray, plan: _StepPlan, tau: float, f: FpFormat):
         if plan.rest[s] > first:
             break
         if len(task):
-            # target (i, j) = (row of b, row of c), b = l_ik, c = l_jk
-            c = np.repeat(task, pairs)
-            b = np.arange(len(c)) + np.repeat(shift, pairs)
+            if found is not None and s in found:
+                b, c, t = found[s]
+            else:
+                b, c, t = _step_pairs(plan, task, pairs, shift)
+                if found is not None:
+                    found[s] = b, c, t
             bv = vals[b]
             cv = vals[c]
             live = (bv != 0.0) & (cv != 0.0)
-            if not live.all():
-                b, c, bv, cv = b[live], c[live], bv[live], cv[live]
-            tkeys = ri[c] * np.int64(n) + ri[b]
-            # no key exceeds the last one, that of (n - 1, n - 1)
-            t = np.searchsorted(keys, tkeys)
-            present = keys[t] == tkeys
-            if not present.all():
-                t, c, bv, cv = t[present], c[present], bv[present], cv[present]
+            all_live = live.all()
+            if not all_live:
+                t, bv, cv = t[live], bv[live], cv[live]
             v, bad = safe_update_many(vals[t], bv, cv, f)
             if bad.any():
+                if not all_live:
+                    c = c[live]
                 # the lowest source with an unsafe pair (c ascends with it)
                 k = int(np.searchsorted(cp, c[bad].min(), side="right")) - 1
                 if 2 * k + 1 < first:
@@ -345,5 +375,7 @@ def shifted_ic(Ahat: SparseSpd, pattern: FillPattern, tau: float | None = None,
                 kinds.count("B1"), kinds.count("B3"), attempt,
                 tuple((a, b.kind, b.k) for a, b in history), squeezed, len(plan.steps)))
         history.append((alpha, result))
+        if plan.found is None:
+            plan.found = {}   # the restarts keep the pairs they find
         alpha = max(2.0 * alpha, alpha_s)
     raise ShiftRestartError(history)

@@ -1,5 +1,5 @@
-"""scripts/analysis_cost.py's groups row, builders, bound values rows and apply row, on a
-small pattern."""
+"""scripts/analysis_cost.py's groups row, builders, bound values rows, restarts row and
+apply row, on a small pattern."""
 
 import importlib.util
 from pathlib import Path
@@ -28,6 +28,18 @@ def test_bound_values_rows():
     for mode in ("cast_f64", "native_low"):
         ms, kept, peak = analysis_cost._bind_cells(A, 1, mode)
         assert ms >= 0.0 and 0 < kept <= peak, mode
+
+
+def test_restarts_row():
+    A, _ = l2_scale(poisson2d(6))
+    A.values[A.diag_positions()[0]] = 0.0     # B1 at alpha = 0
+    restarts, ms, kept, peak, pairs, size = analysis_cost._restart_cells(A, 1, get_format("fp16"))
+    assert int(restarts) >= 1 and float(ms) >= 0.0 and 0.0 <= float(kept) <= float(peak) > 0.0
+    assert int(pairs.replace(",", "")) > 0 and float(size) > 0.0
+    # a first attempt that succeeds keeps no pairs
+    A, _ = l2_scale(poisson2d(6))
+    cells = analysis_cost._restart_cells(A, 1, get_format("fp16"))
+    assert (cells[0], cells[4]) == ("0", "0")
 
 
 def test_apply_row():

@@ -5,7 +5,7 @@ from conftest import ic_attempt_on
 from icir.factor import (Breakdown, FactorizationError, ShiftRestartError,
                          default_tau, shifted_ic)
 from icir.gallery import dense_to_sparse, random_spd, tridiag, wathen
-from icir.precision import get_format, quantize
+from icir.precision import FpFormat, get_format, quantize
 from icir.sparse import SparseSpd, SqueezeReport, l2_scale, squeeze
 from icir.symbolic import FillPattern, ic_pattern
 
@@ -101,6 +101,18 @@ class TestDefaultTau:
         assert default_tau(get_format("bf16")) == 1e-5
         assert default_tau(get_format("fp32")) == 1e-20
         assert default_tau(FP64) == 1e-20
+
+    def test_narrow_exponent_half_width_formats(self):
+        # 1e-5 is below the smallest subnormal, 2^-9, of a format with a
+        # 4-bit exponent and significand, and below x_min = 2^-2 of one
+        # with a 3-bit exponent and no subnormals
+        e4m3 = FpFormat("e4m3-ish", 4, 4)
+        assert default_tau(e4m3) == 4.0 * e4m3.x_s_min == 2.0 ** -7
+        e3m5 = FpFormat("e3m5-ish", 6, 3, supports_subnormals=False)
+        assert default_tau(e3m5) == 4.0 * e3m5.x_min == 1.0
+        Ahat, _ = l2_scale(tridiag(30))
+        L = shifted_ic(Ahat, ic_pattern(Ahat, 0), f=e4m3)
+        assert L.alpha == 0.0 and np.all(np.abs(L.values) <= e4m3.x_max)
 
 
 class TestShiftedIc:

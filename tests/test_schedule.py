@@ -3,7 +3,12 @@ run from them: the cast_f64 substitution kernel against the scalar oracle, bit
 for bit, and the factor's step times and values, breakdowns and errors
 against the column loop's."""
 
+import gc
+import importlib.util
 import re
+import sys
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,7 +21,7 @@ import icir.factor as factor
 import icir.symbolic
 from conftest import ic_attempt_on
 from icir.factor import (Breakdown, FactorizationError, FactorStats, IcFactor,
-                         ShiftRestartError, _scatter_into_pattern, _step_plan,
+                         ShiftRestartError, _scatter_into_pattern, _step_pairs, _step_plan,
                          default_tau, ic_attempt, shifted_ic)
 from icir.gallery import poisson2d, random_spd, tridiag, wathen
 from icir.precision import get_format, quantize
@@ -24,6 +29,10 @@ from icir.sparse import SparseSpd, l2_scale, squeeze
 from icir.symbolic import FillPattern, _column_levels, _schedule, _Schedule, ic_pattern
 from icir.trisolve import (CAST_F64, GROUP_COLUMNS, NATIVE_LOW, _bound, _cast_sweep, _chains,
                            _records, apply_preconditioner, backward_solve, forward_solve)
+from test_acceptance import _corpus
+from test_factor import full_pattern
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _both(pattern):
@@ -408,6 +417,119 @@ def test_shifted_ic_prepares_once_and_keeps_nothing():
     out = ic_attempt_on(A, pattern, default_tau(fp16), fp16)
     assert out.kind == "B1" and out.k == 1250
     assert _holds_no_factor_state(pattern)
+
+
+def _assert_same_shifted_ic(A, pattern, f):
+    """shifted_ic gives the factor bits, alpha, history and breakdown counts
+    of a run whose attempts all go through the column loop; returns its
+    history."""
+    got = shifted_ic(A, pattern, f=f)
+    with mock.patch.object(factor, "ic_attempt", _column_attempt):
+        want = shifted_ic(A, pattern, f=f)
+    _assert_same_bits(got.values, want.values)
+    assert got.alpha == want.alpha
+    assert (got.stats.history, got.stats.nmod, got.stats.nofl) == \
+        (want.stats.history, want.stats.nmod, want.stats.nofl)
+    return got.stats.history
+
+
+def _tiny_badscale_cases(seed):
+    """(A, pattern, f) of the tiny badscale-restart cases of
+    benchmark/workloads.py, A l2-scaled."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "benchmark" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    with mock.patch.dict(sys.modules, workloads=workloads):
+        spec.loader.exec_module(workloads)
+        cases = workloads.build("badscale-restart", seed, tiny=True)
+    for case in cases:
+        A, _ = l2_scale(SparseSpd(case.n, np.searchsorted(case.cols, np.arange(case.n + 1)),
+                                  case.rows, case.vals))
+        yield A, ic_pattern(A, case.level), get_format(case.fmt)
+
+
+def test_kept_pairs_give_the_column_loops_restarts():
+    # every restarted case of the breakdown-safety corpus and of the tiny
+    # badscale-restart workload, and the zeroed pivot of a grid, factor with
+    # pairs kept from their first breakdown to the column loop's bits
+    fp16 = get_format("fp16")
+    restarted = 0
+    for A in _corpus():
+        Ahat, _ = l2_scale(A)
+        for level in (0, 3):
+            restarted += len(_assert_same_shifted_ic(Ahat, ic_pattern(Ahat, level), fp16)) > 1
+    for seed in (7, 11):
+        for A, pattern, f in _tiny_badscale_cases(seed):
+            restarted += len(_assert_same_shifted_ic(A, pattern, f)) > 1
+    assert restarted >= 10
+    assert len(_assert_same_shifted_ic(*_zeroed_pivot(), fp16)) == 8
+
+
+def test_b3_on_a_kept_step():
+    # column 0's pivot is zero, so the first attempt breaks down (B1) before
+    # step 1 runs its updates; the next three scale l_10 = l_20 = 20 by
+    # pivots below 0.07, and step 1's updates a - l_i0 l_j0 overflow fp16
+    # (B3): the third and fourth attempts reuse the pairs the second kept,
+    # and the stored zero l_30 leaves some of them not live
+    fp16 = get_format("fp16")
+    pattern = full_pattern(4)
+    values = np.array([0.0, 20.0, 20.0, 0.0, 1.0, 0.5, 0.5, 1.0, 0.5, 1.0])
+    A = SparseSpd(4, pattern.col_ptr, pattern.row_idx, values)
+    history = _assert_same_shifted_ic(A, pattern, fp16)
+    assert [(kind, k) for _, kind, k in history[:5]] == \
+        [("B1", 0), ("B3", 0), ("B3", 0), ("B3", 0), ("B1", 1)]
+
+
+def _kept_per_attempt(A, pattern, f):
+    """shifted_ic's factor, a weak reference to its plan, and per attempt
+    the steps whose pairs it found and the steps its plan keeps after it
+    (None where the plan keeps none)."""
+    plans, attempts = [], []
+
+    def plan_of(p):
+        plan = _step_plan(p)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    def attempt(vals, plan, tau, f):
+        attempts.append(0)
+        out = ic_attempt(vals, plan, tau, f)
+        attempts[-1] = (attempts[-1], None if plan.found is None else len(plan.found))
+        return out
+
+    def pairs(*args):
+        attempts[-1] += 1
+        return _step_pairs(*args)
+
+    with mock.patch.object(factor, "_step_plan", wraps=plan_of), \
+            mock.patch.object(factor, "ic_attempt", wraps=attempt), \
+            mock.patch.object(factor, "_step_pairs", wraps=pairs):
+        L = shifted_ic(A, pattern, f=f)
+    assert len(plans) == 1
+    return L, plans[0], attempts
+
+
+def test_pairs_kept_from_the_first_breakdown_to_the_call_end():
+    fp16 = get_format("fp16")
+    # a first attempt that succeeds keeps no pairs
+    A, _ = l2_scale(poisson2d(8))
+    pattern = ic_pattern(A, 1)
+    L, plan, attempts = _kept_per_attempt(A, pattern, fp16)
+    assert L.stats.restarts == 0 and attempts[0][0] > 0 and attempts == [(attempts[0][0], None)]
+    gc.collect()
+    assert plan() is None and _holds_no_factor_state(pattern)
+    # restarts: the first attempt keeps nothing, each later one keeps every
+    # step it finds, and finds no step the plan keeps; those that break down
+    # where the one before did find nothing
+    A, pattern = _zeroed_pivot()
+    L, plan, attempts = _kept_per_attempt(A, pattern, fp16)
+    found, kept = zip(*attempts)
+    assert L.stats.restarts == 8 and kept[0] is None and found[1] == kept[1] > 0
+    assert all(found[a] == kept[a] - kept[a - 1] for a in range(2, len(attempts)))
+    history = L.stats.history
+    assert all(found[a] == 0 for a in range(2, 8) if history[a][1:] == history[a - 1][1:])
+    assert found[8] > 0 and kept[8] == sum(len(step[0]) > 0 for step in _step_plan(pattern).steps)
+    gc.collect()
+    assert plan() is None and _holds_no_factor_state(pattern)
 
 
 def test_step_times_found_by_each_factorization_only():
